@@ -24,15 +24,21 @@ pseudomarginal) and tau_out is the current LP optimum. If sigma admits no
 cut it becomes the new tau_in and separation retries at tau_out; if that
 also finds nothing the loop has converged.
 
-The LP solver is a self-contained dense two-phase primal simplex on the
-bounded-variable standard form; no external solver is involved. It can start
-from a vertex given as one bound per structural variable. The local LP
+The LP solver is one self-contained dense simplex tableau on the
+bounded-variable standard form (SimplexTableau); no external solver is
+involved. It stores only structural and slack columns: a row whose start
+residual no slack can absorb is basic in an artificial that has no stored
+column, since an artificial that leaves the basis never re-enters. It can
+start from a vertex given as one bound per structural variable. The local LP
 supplies the vertex of the all-zeros configuration, which satisfies every
 local and cycle row, so every row starts basic in its slack or in an
 artificial at zero, and phase 1, which stops as soon as no artificial mass is
-left, makes no pivot. From the all-lower-bounds vertex the artificials carry
-the rows' residual instead, and phase 1 is thousands of degenerate pivots on
-the ground lovers_smokers LP at d=4.
+left, makes no pivot. A pivot updates only the rows where the pivot column is
+nonzero times the columns where the pivot row is: on the ground
+lovers_smokers LP at d=4 that is about 28% of the rows and 2% of the columns.
+The cutting-plane driver keeps its tableau across rounds: each cut row is
+appended to the last optimal tableau with its slack basic and negative, and
+a bounded dual simplex restores feasibility, instead of a cold re-solve.
 """
 
 from __future__ import annotations
@@ -79,16 +85,21 @@ class LinearProgram:
             raise SolveError("objective has non-finite coefficients")
         if len(self.bounds) != self.num_vars:
             raise SolveError("bounds length does not match num_vars")
-        for coeffs, sense, rhs in self.rows:
-            if sense not in ("<=", "==", ">="):
-                raise SolveError("unknown row sense %r" % sense)
-            if not np.isfinite(rhs):
-                raise SolveError("row rhs is not finite")
-            for j, c in coeffs:
-                if not 0 <= j < self.num_vars:
-                    raise SolveError("row references unknown variable %d" % j)
-                if not np.isfinite(c):
-                    raise SolveError("row coefficient is not finite")
+        for row in self.rows:
+            _check_row(row, self.num_vars)
+
+
+def _check_row(row, num_vars: int):
+    coeffs, sense, rhs = row
+    if sense not in ("<=", "==", ">="):
+        raise SolveError("unknown row sense %r" % sense)
+    if not np.isfinite(rhs):
+        raise SolveError("row rhs is not finite")
+    for j, c in coeffs:
+        if not 0 <= j < num_vars:
+            raise SolveError("row references unknown variable %d" % j)
+        if not np.isfinite(c):
+            raise SolveError("row coefficient is not finite")
 
 
 @dataclass(eq=False)
@@ -102,6 +113,8 @@ _PIV_TOL = 1e-9
 _FEAS_TOL = 1e-7
 _RESIDUAL_TOL = 1e-6
 _BLAND_AFTER = 1000
+_PIVOT_CAP = 200000
+_RESYNC_EVERY = 500
 
 
 def _start_at_upper(lp: LinearProgram, start, lo, hi) -> np.ndarray:
@@ -123,186 +136,302 @@ def _start_at_upper(lp: LinearProgram, start, lo, hi) -> np.ndarray:
     return at_hi & ~at_lo
 
 
-def simplex_solve(lp: LinearProgram, start=None) -> SolveOutcome:
-    """Two-phase primal simplex with bounded variables, dense tableau.
+class SimplexTableau:
+    """Dense bounded-variable simplex tableau of one LP, growable by rows.
 
-    Structural variables start nonbasic at their lower bounds, or, with
-    start (one value per structural variable, each equal to a finite lower
-    or upper bound of its variable, else SolveError), at the bound it names.
-    Each row starts with its slack basic where the slack can absorb the
-    row's residual at that point, else with an artificial that does. Phase 1
-    drives the artificials out and stops as soon as their basic mass is at
-    most 1e-7, so a start that satisfies every row needs no phase-1 pivot.
+    Columns are the structural variables, then one slack per inequality row
+    (+1 for <=, -1 for >=, bounds [0, inf)). T holds B^-1 A over those
+    columns and xB the value of each row's basic variable, whose bounds are
+    loB/hiB. Structural variables start nonbasic at their lower bounds, or,
+    with start (one value per structural variable, each equal to a finite
+    lower or upper bound of its variable, else SolveError), at the bound it
+    names. Each row starts basic in its slack where the slack can absorb the
+    row's residual at that point, else in an artificial (basis -1) that
+    carries the residual, with bounds [0, inf) in phase 1 and [0, 0] after.
+    Artificial columns are never stored: one that leaves the basis never
+    enters again.
 
-    Deterministic: Dantzig entering rule (largest reduced cost, ties to the
-    smallest index) switching to Bland's rule after 1000 degenerate pivots;
-    leaving ties go to the smallest basis index. Raises
-    NumericalInstabilityError if the claimed optimum violates the original
-    rows or bounds by more than 1e-6.
+    solve() is the cold two-phase primal simplex; phase 1 stops as soon as
+    the artificial mass is at most 1e-7, so a start that satisfies every row
+    needs no phase-1 pivot. add_row() appends a row to an optimal tableau
+    with its slack basic (negative when the row cuts off the optimum),
+    restores feasibility with the bounded dual simplex and confirms
+    optimality with primal phase 2. A pivot updates only the block of rows
+    where the pivot column is nonzero times the columns where the pivot row
+    is.
+
+    Deterministic: the primal enters by Dantzig's rule (largest reduced
+    cost, ties to the smallest index) and leaves by the smallest basis index
+    (artificials last); the dual leaves by the largest bound violation and
+    enters by the smallest ratio, ties to the largest pivot. After 1000
+    degenerate pivots the primal switches to Bland's rule and the dual
+    leaves by the smallest basis index; after 200 000 pivots either raises
+    NumericalInstabilityError. Every optimum is audited against every row
+    and bound, added rows included, and raises NumericalInstabilityError if
+    one is violated by more than 1e-6.
+
+    pivots counts the simplex iterations of each phase, a bound flip
+    counting as one, and the degenerate ones among them.
     """
-    m = len(lp.rows)
-    n = lp.num_vars
-    senses = [r[1] for r in lp.rows]
-    slack_rows = [i for i, s in enumerate(senses) if s in ("<=", ">=")]
-    n_slack = len(slack_rows)
-    art0 = n + n_slack
-    ncols = art0 + m
 
-    A = np.zeros((m, ncols))
-    b = np.zeros(m)
-    for i, (coeffs, sense, rhs) in enumerate(lp.rows):
+    def __init__(self, lp: LinearProgram, start=None):
+        n, m = lp.num_vars, len(lp.rows)
+        self.lp = lp
+        self.rows = list(lp.rows)
+        slack_rows = [i for i, (_, sense, _) in enumerate(lp.rows) if sense != "=="]
+        ncols = n + len(slack_rows)
+        A = np.zeros((m, ncols))
+        b = np.zeros(m)
+        for i, (coeffs, _, rhs) in enumerate(lp.rows):
+            for j, c in coeffs:
+                A[i, j] += c
+            b[i] = rhs
+        for k, i in enumerate(slack_rows):
+            A[i, n + k] = 1.0 if lp.rows[i][1] == "<=" else -1.0
+
+        self.lo = np.zeros(ncols)
+        self.hi = np.full(ncols, np.inf)
+        for j, (lo, hi) in enumerate(lp.bounds):
+            self.lo[j] = lo
+            self.hi[j] = np.inf if hi is None else hi
+        self.cost = np.zeros(ncols)
+        self.cost[:n] = lp.objective
+        self.at_upper = np.zeros(ncols, dtype=bool)
+        if start is not None:
+            self.at_upper[:n] = _start_at_upper(lp, start, self.lo[:n], self.hi[:n])
+
+        x_nb = np.where(self.at_upper[:n], self.hi[:n], self.lo[:n])
+        resid = b - A[:, :n] @ x_nb
+        self.basis = np.full(m, -1)
+        for k, i in enumerate(slack_rows):
+            if resid[i] * A[i, n + k] >= 0.0:
+                self.basis[i] = n + k
+        real = self.basis >= 0
+        diag = np.where(resid >= 0.0, 1.0, -1.0)  # the artificials' signs
+        diag[real] = A[real, self.basis[real]]
+        self.T = A / diag[:, None]  # inverse of the +-1 diagonal basis
+        self.xB = resid / diag
+        self.loB = np.zeros(m)
+        self.hiB = np.full(m, np.inf)
+        self.loB[real] = self.lo[self.basis[real]]
+        self.hiB[real] = self.hi[self.basis[real]]
+        self.in_basis = np.zeros(ncols, dtype=bool)
+        self.in_basis[self.basis[real]] = True
+        self.status = None
+        self.pivots = {"phase1": 0, "phase2": 0, "dual": 0, "degenerate": 0}
+
+    def solve(self) -> SolveOutcome:
+        """Cold two-phase solve from the start basis."""
+        if self._primal(phase1=True) == "unbounded":
+            raise NumericalInstabilityError("phase 1 claimed an unbounded direction")
+        if self._art_mass() > _FEAS_TOL:
+            return self._finish("infeasible")
+        self.hiB[self.basis < 0] = 0.0  # pin the artificials left in the basis
+        return self._finish(self._primal(phase1=False))
+
+    def add_row(self, row) -> SolveOutcome:
+        """Append one (coeffs, sense, rhs) row and re-solve from the last optimum."""
+        if self.status != "optimal":
+            raise SolveError("rows can only be added to an optimal tableau")
+        _check_row(row, self.lp.num_vars)
+        coeffs, sense, rhs = row
+        m, ncols = self.T.shape
+        sign = 1.0 if sense == "<=" else -1.0
+        a = np.zeros(ncols)
         for j, c in coeffs:
-            A[i, j] += c
-        b[i] = rhs
-    for si, i in enumerate(slack_rows):
-        A[i, n + si] = 1.0 if senses[i] == "<=" else -1.0
+            a[j] += c
+        a_basic = np.where(self.basis >= 0, a[self.basis], 0.0)
+        nz = np.flatnonzero(a_basic)
+        T = np.zeros((m + 1, ncols + 1))
+        T[:m, :ncols] = self.T
+        T[m, :ncols] = (a - a_basic[nz] @ self.T[nz]) / sign
+        T[m, ncols] = 1.0
+        slack_hi = 0.0 if sense == "==" else np.inf
+        self.T = T
+        self.xB = np.append(self.xB, (rhs - a @ self._point()) / sign)
+        self.basis = np.append(self.basis, ncols)
+        self.loB = np.append(self.loB, 0.0)
+        self.hiB = np.append(self.hiB, slack_hi)
+        self.lo = np.append(self.lo, 0.0)
+        self.hi = np.append(self.hi, slack_hi)
+        self.cost = np.append(self.cost, 0.0)
+        self.at_upper = np.append(self.at_upper, False)
+        self.in_basis = np.append(self.in_basis, True)
+        self.rows.append(row)
+        status = self._dual()
+        if status == "optimal":
+            status = self._primal(phase1=False)
+        return self._finish(status)
 
-    lo = np.zeros(ncols)
-    hi = np.full(ncols, np.inf)
-    for j in range(n):
-        l, u = lp.bounds[j]
-        lo[j] = l
-        hi[j] = np.inf if u is None else u
+    # -- internals ---------------------------------------------------------
 
-    # structurals start at their lower bound, or where start puts them;
-    # each row's slack is basic where it can absorb the row's residual,
-    # elsewhere the row's artificial is
-    at_upper = np.zeros(ncols, dtype=bool)
-    if start is not None:
-        at_upper[:n] = _start_at_upper(lp, start, lo[:n], hi[:n])
-    x_nb = np.where(at_upper[:n], hi[:n], lo[:n])
-    resid = b - A[:, :n] @ x_nb
-    sign = np.where(resid >= 0.0, 1.0, -1.0)
-    for i in range(m):
-        A[i, art0 + i] = sign[i]
-    basis = np.arange(art0, ncols)
-    for si, i in enumerate(slack_rows):
-        if resid[i] * A[i, n + si] >= 0.0:
-            basis[i] = n + si
-    diag = A[np.arange(m), basis]
-    T = A / diag[:, None]  # inverse of the +-1 diagonal basis
-    xB = resid / diag
+    def _art_mass(self) -> float:
+        return float(self.xB[self.basis < 0].sum())
 
-    def art_mass():
-        return float(xB[basis >= art0].sum())
+    def _reduced_costs(self, phase1: bool) -> np.ndarray:
+        if phase1:  # maximize minus the artificial mass
+            return self.T[self.basis < 0].sum(axis=0)
+        c_basic = np.where(self.basis >= 0, self.cost[self.basis], 0.0)
+        return self.cost - c_basic @ self.T
 
-    def run_phase(cvec, forbid_from, phase1=False):
-        # forbid_from: first column index barred from entering (pinned artificials)
-        nonlocal T, xB, basis, at_upper
-        in_basis = np.zeros(ncols, dtype=bool)
-        in_basis[basis] = True
-        d = cvec - cvec[basis] @ T
+    def _tie_key(self, rows: np.ndarray) -> np.ndarray:
+        # basis index, with artificials ordered after every stored column
+        basic = self.basis[rows]
+        return np.where(basic >= 0, basic, self.T.shape[1] + rows)
+
+    def _pivot(self, r: int, j: int, d: np.ndarray, enter_val: float):
+        T = self.T
+        piv = T[r, j]
+        if abs(piv) <= _PIV_TOL:
+            raise NumericalInstabilityError("pivot element below tolerance")
+        T[r] /= piv
+        prow = T[r]
+        colv = T[:, j].copy()
+        colv[r] = 0.0
+        rows = np.flatnonzero(colv)
+        cols = np.flatnonzero(prow)
+        T[np.ix_(rows, cols)] -= np.outer(colv[rows], prow[cols])
+        d[cols] -= d[j] * prow[cols]
+        out = self.basis[r]
+        if out >= 0:
+            self.in_basis[out] = False
+        self.in_basis[j] = True
+        self.basis[r] = j
+        self.xB[r] = enter_val
+        self.loB[r] = self.lo[j]
+        self.hiB[r] = self.hi[j]
+
+    def _primal(self, phase1: bool) -> str:
+        phase = "phase1" if phase1 else "phase2"
+        d = self._reduced_costs(phase1)
+        movable = self.lo < self.hi  # zero-range variables can never move
         degenerate = 0
-        resync = 0
-        for _ in range(200000):
-            if phase1 and art_mass() <= _FEAS_TOL:
+        for it in range(1, _PIVOT_CAP + 1):
+            if phase1 and self._art_mass() <= _FEAS_TOL:
                 # feasible: every further phase-1 pivot would be degenerate
-                return "optimal", d
-            movable = ~in_basis
-            if forbid_from < ncols:
-                movable[forbid_from:] = False
-            fixed = lo >= hi  # zero-range variables can never move
-            improving = movable & ~fixed & (
+                return "optimal"
+            at_upper = self.at_upper
+            improving = ~self.in_basis & movable & (
                 (~at_upper & (d > _FEAS_TOL)) | (at_upper & (d < -_FEAS_TOL))
             )
             cand = np.flatnonzero(improving)
             if cand.size == 0:
-                return "optimal", d
+                return "optimal"
             if degenerate > _BLAND_AFTER:
                 j = int(cand[0])
             else:
                 j = int(cand[np.argmax(np.abs(d[cand]))])
+            self.pivots[phase] += 1
             from_lower = not at_upper[j]
-            col = T[:, j] if from_lower else -T[:, j]
+            col = self.T[:, j] if from_lower else -self.T[:, j]
             # ratio test: basics move by -t*col, entering moves t off its bound
-            if m:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t_dec = np.where(col > _PIV_TOL, (xB - lo[basis]) / col, np.inf)
-                    t_inc = np.where(col < -_PIV_TOL, (hi[basis] - xB) / (-col), np.inf)
-                t_all = np.minimum(t_dec, t_inc)
-                t_rows = float(t_all.min())
-            else:
-                t_rows = np.inf
-            if np.isfinite(t_rows):
-                ties = np.flatnonzero(t_all <= t_rows + 1e-12)
-                leave = int(ties[np.argmin(basis[ties])])
-            else:
-                leave = -1
-            t_own = hi[j] - lo[j]
-            if leave < 0 and not np.isfinite(t_own):
-                return "unbounded", d
-            if t_own < t_rows - 1e-12:
-                t = max(t_own, 0.0)
-                xB -= t * col
-                at_upper[j] = not at_upper[j]
-                if t < 1e-12:
-                    degenerate += 1
-                continue
-            t = max(t_rows, 0.0)
+            xB, loB, hiB = self.xB, self.loB, self.hiB
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_dec = np.where(col > _PIV_TOL, (xB - loB) / col, np.inf)
+                t_inc = np.where(col < -_PIV_TOL, (hiB - xB) / (-col), np.inf)
+            t_all = np.minimum(t_dec, t_inc)
+            t_rows = float(t_all.min()) if t_all.size else np.inf
+            t_own = self.hi[j] - self.lo[j]
+            if not np.isfinite(t_rows) and not np.isfinite(t_own):
+                return "unbounded"
+            flip = t_own < t_rows - 1e-12  # the entering variable hits its other bound
+            t = max(t_own if flip else t_rows, 0.0)
             if t < 1e-12:
                 degenerate += 1
+                self.pivots["degenerate"] += 1
             xB -= t * col
-            out = basis[leave]
-            at_upper[out] = col[leave] < 0  # hit upper bound iff it was rising
-            enter_val = (lo[j] + t) if from_lower else (hi[j] - t)
-            piv = T[leave, j]
-            if abs(piv) <= _PIV_TOL:
-                raise NumericalInstabilityError("pivot element below tolerance")
-            T[leave] /= piv
-            colv = T[:, j].copy()
-            colv[leave] = 0.0
-            T -= np.outer(colv, T[leave])
-            d = d - d[j] * T[leave]
-            basis[leave] = j
-            xB[leave] = enter_val
-            in_basis[out] = False
-            in_basis[j] = True
-            resync += 1
-            if resync >= 500:
-                d = cvec - cvec[basis] @ T
-                resync = 0
+            if flip:
+                at_upper[j] = not at_upper[j]
+                continue
+            ties = np.flatnonzero(t_all <= t_rows + 1e-12)
+            r = int(ties[np.argmin(self._tie_key(ties))])
+            out = self.basis[r]
+            if out >= 0:
+                at_upper[out] = col[r] < 0  # hit upper bound iff it was rising
+            enter_val = (self.lo[j] + t) if from_lower else (self.hi[j] - t)
+            self._pivot(r, j, d, enter_val)
+            if it % _RESYNC_EVERY == 0:
+                d = self._reduced_costs(phase1)
         raise NumericalInstabilityError("simplex did not converge within the pivot cap")
 
-    # phase 1: drive the artificials to zero
-    c1 = np.zeros(ncols)
-    c1[art0:] = -1.0
-    status, _ = run_phase(c1, forbid_from=ncols, phase1=True)
-    if status == "unbounded":
-        raise NumericalInstabilityError("phase 1 claimed an unbounded direction")
-    if art_mass() > _FEAS_TOL:
-        return SolveOutcome(status="infeasible", x=None, value=None)
+    def _dual(self) -> str:
+        """Bounded dual simplex from a dual-feasible basis."""
+        d = self._reduced_costs(phase1=False)
+        movable = self.lo < self.hi
+        degenerate = 0
+        for it in range(1, _PIVOT_CAP + 1):
+            below = self.loB - self.xB
+            above = self.xB - self.hiB
+            violation = np.maximum(below, above)
+            bad = np.flatnonzero(violation > _FEAS_TOL)
+            if bad.size == 0:
+                return "optimal"
+            if degenerate > _BLAND_AFTER:
+                r = int(bad[np.argmin(self._tie_key(bad))])
+            else:
+                r = int(bad[np.argmax(violation[bad])])
+            self.pivots["dual"] += 1
+            to_lower = below[r] > 0.0
+            direction = np.where(self.at_upper, -1.0, 1.0)
+            # moving nonbasic j off its bound by t moves xB[r] by -slope[j]*t
+            slope = self.T[r] * direction
+            helps = (slope < -_PIV_TOL) if to_lower else (slope > _PIV_TOL)
+            cand = np.flatnonzero(~self.in_basis & movable & helps)
+            if cand.size == 0:
+                return "infeasible"
+            ratios = np.abs(d[cand]) / np.abs(slope[cand])
+            best = float(ratios.min())
+            ties = cand[ratios <= best + 1e-12]
+            j = int(ties[np.argmax(np.abs(slope[ties]))])
+            if best < 1e-12:
+                degenerate += 1
+                self.pivots["degenerate"] += 1
+            target = self.loB[r] if to_lower else self.hiB[r]
+            t = (self.xB[r] - target) / slope[j]
+            self.xB -= t * direction[j] * self.T[:, j]
+            out = self.basis[r]
+            if out >= 0:
+                self.at_upper[out] = not to_lower
+            enter_val = (self.lo[j] + t) if direction[j] > 0 else (self.hi[j] - t)
+            self._pivot(r, j, d, enter_val)
+            if it % _RESYNC_EVERY == 0:
+                d = self._reduced_costs(phase1=False)
+        raise NumericalInstabilityError("dual simplex did not converge within the pivot cap")
 
-    # phase 2: original objective, artificials pinned at zero
-    hi[art0:] = 0.0
-    c2 = np.zeros(ncols)
-    c2[:n] = lp.objective
-    status, _ = run_phase(c2, forbid_from=art0)
-    if status == "unbounded":
-        return SolveOutcome(status="unbounded", x=None, value=None)
+    def _point(self) -> np.ndarray:
+        x = np.where(self.at_upper, np.where(np.isfinite(self.hi), self.hi, 0.0), self.lo)
+        real = self.basis >= 0
+        x[self.basis[real]] = self.xB[real]
+        return x
 
-    hi_val = np.where(np.isfinite(hi), hi, 0.0)
-    x = np.where(at_upper, hi_val, lo)
-    x[basis] = xB
-    x_struct = x[:n].copy()
-
-    for coeffs, sense, rhs in lp.rows:
-        val = sum(c * x_struct[j] for j, c in coeffs)
-        bad = (
-            (sense == "==" and abs(val - rhs) > _RESIDUAL_TOL)
-            or (sense == "<=" and val > rhs + _RESIDUAL_TOL)
-            or (sense == ">=" and val < rhs - _RESIDUAL_TOL)
-        )
-        if bad:
-            raise NumericalInstabilityError(
-                "solution violates a row by %r" % (abs(val - rhs),)
+    def _finish(self, status: str) -> SolveOutcome:
+        self.status = status
+        if status != "optimal":
+            return SolveOutcome(status=status, x=None, value=None)
+        n = self.lp.num_vars
+        x_struct = self._point()[:n]
+        for coeffs, sense, rhs in self.rows:
+            val = sum(c * x_struct[j] for j, c in coeffs)
+            bad = (
+                (sense == "==" and abs(val - rhs) > _RESIDUAL_TOL)
+                or (sense == "<=" and val > rhs + _RESIDUAL_TOL)
+                or (sense == ">=" and val < rhs - _RESIDUAL_TOL)
             )
-    for j in range(n):
-        l, u = lp.bounds[j]
-        if x_struct[j] < l - _RESIDUAL_TOL or (u is not None and x_struct[j] > u + _RESIDUAL_TOL):
-            raise NumericalInstabilityError("solution violates a variable bound")
+            if bad:
+                raise NumericalInstabilityError(
+                    "solution violates a row by %r" % (abs(val - rhs),)
+                )
+        for j in range(n):
+            l, u = self.lp.bounds[j]
+            if x_struct[j] < l - _RESIDUAL_TOL or (u is not None and x_struct[j] > u + _RESIDUAL_TOL):
+                raise NumericalInstabilityError("solution violates a variable bound")
+        value = float(self.lp.objective @ x_struct)
+        return SolveOutcome(status="optimal", x=x_struct, value=value)
 
-    value = float(lp.objective @ x_struct)
-    return SolveOutcome(status="optimal", x=x_struct, value=value)
+
+def simplex_solve(lp: LinearProgram, start=None) -> SolveOutcome:
+    """Solve lp by the two-phase primal simplex (see SimplexTableau)."""
+    return SimplexTableau(lp, start).solve()
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +501,16 @@ def _substitute_rows(rows, rho):
     return out
 
 
+def _layout_of(target) -> OvercompleteLayout:
+    return target if isinstance(target, OvercompleteLayout) else OvercompleteLayout(target)
+
+
 def build_local_lp(target, space: str = None) -> LinearProgram:
     """Local consistency LP for a Model (ground) or a LiftedModel (lifted).
+
+    A ground model may be given by its OvercompleteLayout, which is then
+    reused instead of rebuilt; so may uniform_interior, the ground
+    separation, constraint_row and decode.
 
     The LP's start is the local polytope's vertex for the all-zeros
     configuration: its indicator vector in ground space, and in lifted space
@@ -405,12 +542,12 @@ def build_local_lp(target, space: str = None) -> LinearProgram:
             bounds=[(0.0, 1.0)] * lm.num_cells,
             start=start,
         )
-    if not isinstance(target, Model):
+    if not isinstance(target, (Model, OvercompleteLayout)):
         raise SolveError("expected a Model or a LiftedModel")
     if space not in (None, "ground"):
         raise SolveError("a Model builds the ground LP, not %r" % space)
-    model = target
-    layout = OvercompleteLayout(model)
+    layout = _layout_of(target)
+    model = layout.model
     factor_list = [j for j, f in enumerate(model.features) if f.arity >= 3]
     rows = _ground_row_blocks(
         model, layout, range(model.num_vars), layout.edges, factor_list
@@ -427,8 +564,8 @@ def build_local_lp(target, space: str = None) -> LinearProgram:
 def uniform_interior(target):
     """The uniform pseudomarginal: nodes .5, edge cells .25, factor cells 2^-K."""
     if isinstance(target, LiftedModel):
-        return lift_vector(uniform_interior(target.model), target.index)
-    layout = OvercompleteLayout(target)
+        return lift_vector(uniform_interior(target.index.layout), target.index)
+    layout = _layout_of(target)
     out = np.zeros(layout.size)
     for i, key in enumerate(layout.keys):
         if key[0] == "node":
@@ -515,9 +652,9 @@ def mirror_shortest_path(edges, source):
     return tuple(steps), float(dist[goal])
 
 
-def separate_cycles_ground(model: Model, tau, tol: float = 1e-6):
+def separate_cycles_ground(model, tau, tol: float = 1e-6):
     """Most violated cycle inequality on the skeleton, or None."""
-    layout = OvercompleteLayout(model)
+    layout = _layout_of(model)
     tau = np.asarray(tau, dtype=float)
     edges = []
     nodes = set()
@@ -603,7 +740,7 @@ def constraint_row(constraint: CycleConstraint, target):
     """LP row (coeffs, ">=", 1.0) for a cycle constraint."""
     acc = {}
     if constraint.space == "ground":
-        layout = target if isinstance(target, OvercompleteLayout) else OvercompleteLayout(target)
+        layout = _layout_of(target)
         for (u, v), in_f in constraint.steps:
             if in_f:
                 idxs = (layout.edge_index(u, v, 0, 0), layout.edge_index(u, v, 1, 1))
@@ -652,8 +789,8 @@ def decode(tau, target):
             "configuration": config,
             "score": score(lm.model, config),
         }
-    model = target
-    layout = OvercompleteLayout(model)
+    layout = _layout_of(target)
+    model = layout.model
     config = []
     fractional = False
     for v in range(model.num_vars):
@@ -691,6 +828,7 @@ class MapResult:
     num_lp_vars: int
     num_lp_rows: int
     timings_ms: dict
+    pivots: dict  # simplex iterations: phase1, phase2, dual, degenerate
 
     def as_dict(self) -> dict:
         return {
@@ -703,6 +841,7 @@ class MapResult:
             "lp": {"variables": self.num_lp_vars, "rows": self.num_lp_rows},
             "decode": self.decode,
             "timings_ms": self.timings_ms,
+            "pivots": dict(self.pivots),
         }
 
 
@@ -711,7 +850,9 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
 
     target is a Model (ground inference) or a LiftedModel (lifted). With
     polytope="cycle" the in-out loop separates at a point pulled toward a
-    certified-feasible interior point, falling back to the LP optimum.
+    certified-feasible interior point, falling back to the LP optimum. One
+    SimplexTableau serves the whole run: each cut is appended to the last
+    optimal tableau and re-solved warm.
     """
     opts = MapOptions() if opts is None else opts
     if opts.polytope not in ("local", "cycle"):
@@ -721,25 +862,23 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
     space = "lifted" if isinstance(target, LiftedModel) else "ground"
 
     t0 = time.perf_counter()
+    if space == "ground":
+        target = OvercompleteLayout(target)  # built once, shared by every step
     lp = build_local_lp(target)
-    base_rows = list(lp.rows)
     timings["build_ms"] += (time.perf_counter() - t0) * 1000
+    t0 = time.perf_counter()
+    tableau = SimplexTableau(lp, lp.start)
+    timings["solve_ms"] += (time.perf_counter() - t0) * 1000
 
-    def solve_now(rows):
+    def solve_now(row=None):
         t1 = time.perf_counter()
-        prog = LinearProgram(
-            num_vars=lp.num_vars,
-            objective=lp.objective,
-            rows=rows,
-            bounds=lp.bounds,
-        )
-        out = simplex_solve(prog, start=lp.start)
+        out = tableau.solve() if row is None else tableau.add_row(row)
         timings["solve_ms"] += (time.perf_counter() - t1) * 1000
         if out.status != "optimal":
             raise SolveError("local polytope LP reported %s" % out.status)
         return out
 
-    out = solve_now(base_rows)
+    out = solve_now()
     bounds = [out.value]
     tau_out = out.x
     cuts = []
@@ -761,7 +900,6 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
                 return separate_cycles_ground(target, point, tol=opts.tol)
 
         tau_in = uniform_interior(target)
-        rows = list(base_rows)
         rounds = 0
         while True:
             if rounds >= opts.max_rounds or len(cuts) >= opts.max_cuts:
@@ -784,8 +922,7 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
                 break
             seen.add(key)
             cuts.append(cut)
-            rows.append(constraint_row(cut, target))
-            out = solve_now(rows)
+            out = solve_now(constraint_row(cut, target))
             bounds.append(out.value)
             tau_out = out.x
             rounds += 1
@@ -804,6 +941,7 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
         cut_iterations=len(bounds) - 1,
         decode=decoded,
         num_lp_vars=lp.num_vars,
-        num_lp_rows=len(base_rows) + len(cuts),
+        num_lp_rows=len(lp.rows) + len(cuts),
         timings_ms=timings,
+        pivots=dict(tableau.pivots),
     )

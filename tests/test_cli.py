@@ -168,6 +168,7 @@ GROUND_MAP_KEYS = {
     "lp",
     "decode",
     "timings_ms",
+    "pivots",
 }
 
 

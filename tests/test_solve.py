@@ -1,6 +1,7 @@
 """Solver layer: simplex core, local relaxation, cycle cuts, MAP driver."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from liftedmap.fixtures import (
     cycle_model,
     ex1,
     frucht,
+    fully_connected_symmetric,
     random_tied_pairwise,
     triangle,
     triple_parity,
@@ -32,6 +34,7 @@ from liftedmap.oracle import enumerate_cycle_constraints, exact_enumerate
 from liftedmap.solve import (
     CycleConstraint,
     LinearProgram,
+    SimplexTableau,
     SolveError,
     build_stabilized_graphs,
     constraint_row,
@@ -294,6 +297,44 @@ def bound_start(lp, seed):
     )
 
 
+def cutting_row(lp, x, rng):
+    """A seeded row of any sense that the point x violates by 0.5 to 2."""
+    coeffs = [(j, float(rng.randint(-3, 3))) for j in range(lp.num_vars) if rng.random() < 0.7]
+    coeffs = [(j, c) for j, c in coeffs if c] or [(rng.randrange(lp.num_vars), 1.0)]
+    at_x = sum(c * x[j] for j, c in coeffs)
+    gap = rng.choice((0.5, 1.0, 2.0))
+    sense = rng.choice(("<=", ">=", "=="))
+    if sense == "<=" or (sense == "==" and rng.random() < 0.5):
+        return (coeffs, sense, at_x - gap)
+    return (coeffs, sense, at_x + gap)
+
+
+OPTIMAL_SEEDS = [s for s in range(30) if simplex_solve(random_program(s)).status == "optimal"]
+
+
+def grow_by_cutting_rows(seed):
+    """Solve random_program(seed), then append 1-3 seeded rows, each cutting
+    off the optimum before it. Returns the tableau, the phase-2 pivots of
+    the cold solve, and (grown LP, outcome) after each append, up to the
+    first outcome that is not optimal."""
+    lp = random_program(seed)
+    rng = random.Random(2000 + seed)
+    tableau = SimplexTableau(lp)
+    out = tableau.solve()
+    cold_phase2 = tableau.pivots["phase2"]
+    rows = list(lp.rows)
+    steps = []
+    for _ in range(rng.randint(1, 3)):
+        row = cutting_row(lp, out.x, rng)
+        assert not rows_satisfied(out.x, [row], tol=0.25)
+        rows.append(row)
+        out = tableau.add_row(row)
+        steps.append((LinearProgram(lp.num_vars, lp.objective, list(rows), lp.bounds), out))
+        if out.status != "optimal":
+            break
+    return tableau, cold_phase2, steps
+
+
 class TestSimplexAgainstReferenceSolver:
     def assert_matches_reference(self, lp, ours):
         ref_status, ref_value = reference_solve(lp)
@@ -321,6 +362,28 @@ class TestSimplexAgainstReferenceSolver:
     def test_seeds_cover_every_status(self):
         statuses = {simplex_solve(random_program(seed)).status for seed in range(30)}
         assert statuses == {"optimal", "infeasible", "unbounded"}
+
+    @pytest.mark.parametrize("seed", OPTIMAL_SEEDS)
+    def test_appended_rows_match_a_cold_reference_solve(self, seed):
+        # the warm dual re-solve must agree with HiGHS on the grown LP after
+        # every append, and keep the basis dual feasible, so the confirming
+        # primal phase 2 makes no pivot
+        tableau, cold_phase2, steps = grow_by_cutting_rows(seed)
+        for grown, out in steps:
+            self.assert_matches_reference(grown, out)
+        if out.status != "optimal":
+            with pytest.raises(SolveError):
+                tableau.add_row(grown.rows[-1])
+        assert tableau.pivots["phase2"] == cold_phase2
+
+    def test_appended_rows_cover_both_outcomes_and_the_dual(self):
+        runs = [grow_by_cutting_rows(seed) for seed in OPTIMAL_SEEDS]
+        assert len(runs) >= 10
+        assert {out.status for _, _, steps in runs for _, out in steps} == {
+            "optimal",
+            "infeasible",
+        }
+        assert sum(tableau.pivots["dual"] for tableau, _, _ in runs) > 0
 
     def test_starts_cover_every_status_and_row_violations(self):
         statuses = set()
@@ -550,6 +613,17 @@ class TestLocalRelaxation:
         assert ref_value == pytest.approx(310.5, abs=1e-6)
         assert rows_satisfied(out.x, lp.rows, tol=1e-6)
 
+    def test_ground_lovers_smokers_d5_matches_highs_within_20s(self):
+        model, _ = ground_mln(parse_mln(LOVERS_SMOKERS_MLN), domain_size=5)
+        t0 = time.perf_counter()
+        result = cutting_plane_map(model)
+        elapsed = time.perf_counter() - t0
+        ref_status, ref_value = reference_solve(build_local_lp(model))
+        assert ref_status == "optimal"
+        assert ref_value == pytest.approx(525.0, abs=1e-6)
+        assert result.objective == pytest.approx(525.0, abs=1e-6)
+        assert elapsed < 20.0, "took %.1f s: %r" % (elapsed, result.timings_ms)
+
     def test_rejects_wrong_space(self):
         model = triangle()
         with pytest.raises(SolveError):
@@ -628,6 +702,53 @@ class TestCuttingPlaneMap:
         exact = exact_enumerate(model)
         assert result.bounds[-1] >= exact.map_value - 1e-9
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            triangle(),
+            cycle_model(5),
+            fully_connected_symmetric(5, -1.0),
+            random_tied_pairwise(1),
+            random_tied_pairwise(9),
+        ],
+    )
+    def test_warm_bounds_match_cold_solves(self, model):
+        # bound k of the warm cut loop equals a cold solve of the base rows
+        # plus the first k cuts
+        result = cutting_plane_map(model, MapOptions(polytope="cycle"))
+        assert result.cuts_added
+        lp = build_local_lp(model)
+        rows = list(lp.rows)
+        for k, bound in enumerate(result.bounds):
+            if k:
+                rows.append(constraint_row(result.cuts_added[k - 1], model))
+            cold = simplex_solve(
+                LinearProgram(lp.num_vars, lp.objective, rows, lp.bounds), start=lp.start
+            )
+            assert cold.status == "optimal"
+            assert abs(cold.value - bound) <= 1e-6
+
+    def test_pivot_counts_are_deterministic(self):
+        model = fully_connected_symmetric(5, -1.0)
+        first = cutting_plane_map(model, MapOptions(polytope="cycle")).pivots
+        second = cutting_plane_map(model, MapOptions(polytope="cycle")).pivots
+        assert first == second
+        assert set(first) == {"phase1", "phase2", "dual", "degenerate"}
+        assert first["dual"] > 0
+
+    def test_ground_run_builds_one_layout(self, monkeypatch):
+        builds = []
+        init = OvercompleteLayout.__init__
+
+        def counting_init(self, model):
+            builds.append(model)
+            init(self, model)
+
+        monkeypatch.setattr(OvercompleteLayout, "__init__", counting_init)
+        result = cutting_plane_map(fully_connected_symmetric(5, -1.0), MapOptions(polytope="cycle"))
+        assert result.cuts_added
+        assert len(builds) == 1
+
     def test_rejects_unknown_polytope(self):
         with pytest.raises(SolveError):
             cutting_plane_map(triangle(), MapOptions(polytope="marginal"))
@@ -650,6 +771,7 @@ class TestCuttingPlaneMap:
             "lp",
             "decode",
             "timings_ms",
+            "pivots",
         }
         assert set(payload["lp"]) == {"variables", "rows"}
         assert payload["cuts"] == len(result.cuts_added)
