@@ -224,7 +224,6 @@ def cmd_map(args) -> int:
         payload["method"] = None
         result = cutting_plane_map(inputs.model, opts)
     payload["polytope"] = args.polytope
-    payload["seed"] = args.seed
     payload.update(result.as_dict())
     if args.csv:
         lines = ["iteration,bound,cuts"]
@@ -291,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="symmetry method; auto picks search for .fgm, renaming for .mln",
     )
-    sp.add_argument("--seed", type=int, default=0, help="seed for sampling-based self-checks")
     sp.set_defaults(func=cmd_orbits)
 
     sp = sub.add_parser("map", help="MAP inference by LP relaxation")
@@ -308,13 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-6, help="cycle violation tolerance")
     sp.add_argument("--max-cuts", type=int, default=200)
     sp.add_argument("--csv", default=None, help="write the bound-per-iteration curve here")
-    sp.add_argument("--seed", type=int, default=0, help="seed for sampling-based self-checks")
     sp.set_defaults(func=cmd_map)
 
     sp = sub.add_parser("exact", help="brute-force enumeration (small models)")
     add_io(sp)
     sp.add_argument("--limit", type=int, default=20, help="refuse models with more variables")
-    sp.add_argument("--seed", type=int, default=0, help="seed for sampling-based self-checks")
     sp.set_defaults(func=cmd_exact)
 
     sp = sub.add_parser("ground", help="ground an MLN and print FGM text")

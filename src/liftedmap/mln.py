@@ -29,8 +29,8 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .model import Feature, Model, skeleton, table_index
-from .symmetry import OrbitBundle, OrbitPartition
+from .model import Feature, Model, table_index
+from .symmetry import OrbitBundle, OrbitPartition, _domain_elements
 
 
 class MLNError(ValueError):
@@ -641,49 +641,18 @@ def _joint_signature(atom_a, atom_b, distinguished):
     )
 
 
-def _signature_partition(domain_tag, elements, key_fn) -> OrbitPartition:
-    elements = sorted(elements)
-    groups = {}
-    for e in elements:
-        groups.setdefault(key_fn(e), []).append(e)
-    cells = tuple(tuple(g) for g in sorted(groups.values(), key=lambda g: g[0]))
-    cell_of = {}
-    for ci, members in enumerate(cells):
-        for e in members:
-            cell_of[e] = ci
-    return OrbitPartition(
-        domain=domain_tag,
-        elements=tuple(elements),
-        cells=cells,
-        cell_of=cell_of,
-        reps=tuple(members[0] for members in cells),
-    )
-
-
 def _feature_key(origin: FeatureOrigin, distinguished):
     if origin.kind == "soft":
         return ("soft", origin.weight, atom_signature(origin.atom, distinguished))
     return ("formula", origin.formula, _tags_of(origin.subst, distinguished, {}))
 
 
-def renaming_orbits(mln: MLN, domain_size: int, evidence: Evidence, gmap: GroundingMap):
-    """Variable and feature orbits under constant renaming, by signature only."""
-    model_vars = range(len(gmap.atoms))
-    dist = gmap.distinguished
-    vars_p = _signature_partition(
-        "vars", model_vars, lambda v: atom_signature(gmap.atoms[v], dist)
-    )
-    feats_p = _signature_partition(
-        "features",
-        range(len(gmap.origins)),
-        lambda j: _feature_key(gmap.origins[j], dist),
-    )
-    return vars_p, feats_p
+def _by_signature(domain, model: Model, key) -> OrbitPartition:
+    return OrbitPartition.group(domain, _domain_elements(domain, model), key)
 
 
-def _renaming_bundle(model: Model, gmap: GroundingMap, distinguished) -> OrbitBundle:
-    atoms = gmap.atoms
-    dist = distinguished
+def _vars_and_edges(model: Model, atoms, dist):
+    """Variable and edge partitions by signature for one distinguished set."""
 
     def edge_key(e):
         u, v = e
@@ -691,41 +660,9 @@ def _renaming_bundle(model: Model, gmap: GroundingMap, distinguished) -> OrbitBu
         b = _joint_signature(atoms[v], atoms[u], dist)
         return min(a, b)
 
-    def arc_key(arc):
-        u, v = arc
-        return _joint_signature(atoms[u], atoms[v], dist)
-
-    def fa_key(element):
-        j, assign = element
-        origin = gmap.origins[j]
-        base = _feature_key(origin, dist)
-        pos_of = {v: i for i, v in enumerate(model.features[j].scope)}
-        values = []
-        for t, atom in enumerate(origin.template_atoms):
-            if origin.template_active[t]:
-                values.append(assign[pos_of[gmap.atom_index[atom]]])
-        return (base, tuple(values))
-
-    sk = skeleton(model)
-    fa_elements = []
-    for j, f in enumerate(model.features):
-        if f.arity >= 3:
-            fa_elements.extend((j, a) for a in itertools.product((0, 1), repeat=f.arity))
-
-    return OrbitBundle(
-        vars=_signature_partition(
-            "vars", range(model.num_vars), lambda v: atom_signature(atoms[v], dist)
-        ),
-        features=_signature_partition(
-            "features",
-            range(model.num_features),
-            lambda j: _feature_key(gmap.origins[j], dist),
-        ),
-        edges=_signature_partition("edges", sk.edges, edge_key),
-        arcs=_signature_partition(
-            "arcs", [a for (u, v) in sk.edges for a in ((u, v), (v, u))], arc_key
-        ),
-        factor_assignments=_signature_partition("factor-assignments", fa_elements, fa_key),
+    return (
+        _by_signature("vars", model, lambda v: atom_signature(atoms[v], dist)),
+        _by_signature("edges", model, edge_key),
     )
 
 
@@ -738,21 +675,36 @@ class RenamingSymmetries:
         self.distinguished = gmap.distinguished
 
     def bundle(self) -> OrbitBundle:
-        return _renaming_bundle(self.model, self.gmap, self.distinguished)
+        model, gmap, dist = self.model, self.gmap, self.distinguished
+        atoms = gmap.atoms
+
+        def feature_key(j):
+            return _feature_key(gmap.origins[j], dist)
+
+        def arc_key(arc):
+            u, v = arc
+            return _joint_signature(atoms[u], atoms[v], dist)
+
+        def fa_key(element):
+            j, assign = element
+            origin = gmap.origins[j]
+            pos_of = {v: i for i, v in enumerate(model.features[j].scope)}
+            values = []
+            for t, atom in enumerate(origin.template_atoms):
+                if origin.template_active[t]:
+                    values.append(assign[pos_of[gmap.atom_index[atom]]])
+            return (feature_key(j), tuple(values))
+
+        vars_p, edges_p = _vars_and_edges(model, atoms, dist)
+        return OrbitBundle(
+            vars=vars_p,
+            features=_by_signature("features", model, feature_key),
+            edges=edges_p,
+            arcs=_by_signature("arcs", model, arc_key),
+            factor_assignments=_by_signature("factor-assignments", model, fa_key),
+        )
 
     def stabilized_light(self, fixed_var: int):
         """Variable/edge orbits once the fixed atom's constants are pinned."""
         dist = frozenset(self.distinguished | set(self.gmap.atoms[fixed_var][1]))
-        atoms = self.gmap.atoms
-        vars_p = _signature_partition(
-            "vars", range(self.model.num_vars), lambda v: atom_signature(atoms[v], dist)
-        )
-
-        def edge_key(e):
-            u, v = e
-            a = _joint_signature(atoms[u], atoms[v], dist)
-            b = _joint_signature(atoms[v], atoms[u], dist)
-            return min(a, b)
-
-        edges_p = _signature_partition("edges", skeleton(self.model).edges, edge_key)
-        return vars_p, edges_p
+        return _vars_and_edges(self.model, self.gmap.atoms, dist)

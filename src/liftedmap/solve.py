@@ -600,13 +600,12 @@ class CycleConstraint:
         return tuple(sorted(self.steps))
 
 
-def mirror_shortest_path(edges, source):
-    """Shortest walk from a node to its mirror image in the two-copy graph.
+def mirror_graph(edges) -> dict:
+    """Adjacency of the two-copy graph: node (a, copy) -> [(node, w, key, crossed)].
 
     edges: iterable of (key, a, b, cut_w, nocut_w); within-copy images carry
     cut_w, copy-switching images carry nocut_w (self-loops only switch).
-    Returns (steps, total) with steps a tuple of (key, crossed); (None, inf)
-    when the mirror image is unreachable. Weights are clamped at zero.
+    Weights are clamped at zero.
     """
     adj = {}
 
@@ -624,7 +623,20 @@ def mirror_shortest_path(edges, source):
         add((a, 1), (b, 1), cut_w, key, False)
         add((a, 0), (b, 1), nocut_w, key, True)
         add((a, 1), (b, 0), nocut_w, key, True)
+    return adj
 
+
+def mirror_shortest_path(edges, source):
+    """Shortest walk from a node to its mirror image in the two-copy graph.
+
+    edges as for mirror_graph. Returns (steps, total) with steps a tuple of
+    (key, crossed); (None, inf) when the mirror image is unreachable.
+    """
+    return mirror_walk(mirror_graph(edges), source)
+
+
+def mirror_walk(adj, source):
+    """Dijkstra from (source, 0) to (source, 1) on a mirror_graph adjacency."""
     start, goal = (source, 0), (source, 1)
     dist = {start: 0.0}
     prev = {}
@@ -664,9 +676,10 @@ def separate_cycles_ground(model, tau, tol: float = 1e-6):
         edges.append(((u, v), u, v, cut_w, nocut_w))
         nodes.add(u)
         nodes.add(v)
+    adj = mirror_graph(edges)
     best = None
     for i in sorted(nodes):
-        steps, total = mirror_shortest_path(edges, i)
+        steps, total = mirror_walk(adj, i)
         if steps is None:
             continue
         if best is None or total < best[1]:
@@ -812,7 +825,6 @@ class MapOptions:
     alpha: float = 0.99
     tol: float = 1e-6
     max_cuts: int = 200
-    max_rounds: int = 500
 
 
 @dataclass(eq=False)
@@ -900,9 +912,8 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
                 return separate_cycles_ground(target, point, tol=opts.tol)
 
         tau_in = uniform_interior(target)
-        rounds = 0
         while True:
-            if rounds >= opts.max_rounds or len(cuts) >= opts.max_cuts:
+            if len(cuts) >= opts.max_cuts:
                 status = "cap"
                 break
             t1 = time.perf_counter()
@@ -925,7 +936,6 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
             out = solve_now(constraint_row(cut, target))
             bounds.append(out.value)
             tau_out = out.x
-            rounds += 1
 
     objective = float(lp.objective @ tau_out)
     decoded = decode(tau_out, target)

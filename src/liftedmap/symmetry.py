@@ -12,9 +12,10 @@ under every argument permutation).
 The search is individualization-refinement backtracking with orbit pruning:
 discovered automorphisms prune sibling branches at every tree node, and
 subtrees off the first (base) leaf's path are abandoned as soon as they
-produce one automorphism. Every returned generator is re-verified against
-the model directly, so orbits computed from the result are sound even if the
-graph encoding were too coarse.
+produce one automorphism. A leaf becomes a generator only when it passes
+the exact table check (`is_model_automorphism`) as well as the graph check,
+so orbits computed from the result are sound even though the graph encoding
+is coarser than the tables.
 """
 
 from __future__ import annotations
@@ -92,6 +93,18 @@ class OrbitPartition:
     cells: tuple
     cell_of: dict
     reps: tuple
+
+    @classmethod
+    def group(cls, domain: str, elements, key) -> "OrbitPartition":
+        """Group the sorted elements by key; cells come in order of their
+        smallest member. The one constructor of every orbit partition."""
+        elements = tuple(sorted(elements))
+        groups = {}
+        for e in elements:
+            groups.setdefault(key(e), []).append(e)
+        cells = tuple(tuple(members) for members in groups.values())
+        cell_of = {e: ci for ci, members in enumerate(cells) for e in members}
+        return cls(domain, elements, cells, cell_of, tuple(members[0] for members in cells))
 
     @property
     def num_cells(self) -> int:
@@ -266,12 +279,33 @@ def _target_cell(colors):
 # automorphism search
 
 
+def is_model_automorphism(graph: ColoredFactorGraph, perm) -> bool:
+    """Exact table check of a node permutation that is a graph automorphism.
+
+    Edge colors are coarse where a table has interchangeable positions, so
+    each feature's table is compared, entry by entry, with its image's table
+    under the induced scope reordering. For a graph automorphism (which
+    keeps tie classes, being color-preserving) this holds exactly when every
+    feature statistic is preserved on every configuration.
+    """
+    feats = graph.model.features
+    nv = graph.num_vars
+    for j, f in enumerate(feats):
+        f2 = feats[perm[nv + j] - nv]
+        pos = {v: k for k, v in enumerate(f2.scope)}
+        sigma = tuple(pos[perm[v]] for v in f.scope)
+        if _permuted_table(f.table, sigma, f.arity) != f2.table:
+            return False
+    return True
+
+
 def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
     """Individualization-refinement search for graph automorphisms.
 
-    Returns verified generators of the full color-preserving automorphism
-    group of the graph, split into (variable, feature) permutation pairs, and
-    the exact group order from the search tree's base path.
+    Returns generators of the full color-preserving automorphism group of
+    the graph that also pass the exact table check, split into (variable,
+    feature) permutation pairs, and the exact group order from the search
+    tree's base path.
     """
     n_nodes = graph.num_nodes
     root = refine_colors(graph)
@@ -294,19 +328,6 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
                 return False
             image = tuple(sorted((perm[w], c) for (w, c) in graph.adj[u]))
             if image != graph.adj[perm[u]]:
-                return False
-        return True
-
-    def is_model_automorphism(perm):
-        # Edge colors are coarse where a table has interchangeable
-        # positions, so recheck each feature's table exactly.
-        feats = graph.model.features
-        nv = graph.num_vars
-        for j, f in enumerate(feats):
-            f2 = feats[perm[nv + j] - nv]
-            pos = {v: k for k, v in enumerate(f2.scope)}
-            sigma = tuple(pos[perm[v]] for v in f.scope)
-            if _permuted_table(f.table, sigma, f.arity) != f2.table:
                 return False
         return True
 
@@ -340,7 +361,7 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
             if (
                 perm != tuple(range(n_nodes))
                 and is_graph_automorphism(perm)
-                and is_model_automorphism(perm)
+                and is_model_automorphism(graph, perm)
             ):
                 gens.append(perm)
                 return True
@@ -368,15 +389,10 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
 
     search(root, (), True)
 
-    pairs = []
-    for g in gens:
-        pi = tuple(g[v] for v in range(graph.num_vars))
-        ga = tuple(g[graph.num_vars + j] - graph.num_vars for j in range(graph.num_factors))
-        pair = PermutationPair(var_perm=pi, feature_perm=ga)
-        check = verify_generator(graph.model, pair)
-        if not check.ok:
-            raise RuntimeError("internal: search produced an invalid generator: %s" % check.reason)
-        pairs.append(pair)
+    nv = graph.num_vars
+    pairs = [
+        PermutationPair(var_perm=g[:nv], feature_perm=[w - nv for w in g[nv:]]) for g in gens
+    ]
 
     order = 1
     for i, v in enumerate(base_path):
@@ -412,7 +428,9 @@ def verify_generator(model: Model, pair: PermutationPair, num_samples: int = 100
 
     Evaluates every feature on the permuted configuration against its image
     feature on the original, for the all-zeros and all-ones configurations
-    plus num_samples seeded-random ones. Fails fast with a witness.
+    plus num_samples seeded-random ones. Fails fast with a witness. The
+    search does not call it: its exact table check is stronger. It stays as
+    an independent test oracle.
     """
     n, m = model.num_vars, model.num_features
     pi, ga = pair.var_perm, pair.feature_perm
@@ -501,21 +519,7 @@ def orbits_of(gens, domain: str, model: Model) -> OrbitPartition:
             if img not in index:
                 raise ModelError("generator maps %r outside the %s domain" % (e, domain))
             uf.union(index[e], index[img])
-    groups = {}
-    for i, e in enumerate(elements):
-        groups.setdefault(uf.find(i), []).append(e)
-    cells = tuple(tuple(members) for _, members in sorted(groups.items()))
-    cell_of = {}
-    for ci, members in enumerate(cells):
-        for e in members:
-            cell_of[e] = ci
-    return OrbitPartition(
-        domain=domain,
-        elements=tuple(elements),
-        cells=cells,
-        cell_of=cell_of,
-        reps=tuple(members[0] for members in cells),
-    )
+    return OrbitPartition.group(domain, elements, lambda e: uf.find(index[e]))
 
 
 def compute_orbit_bundle(gens, model: Model) -> OrbitBundle:

@@ -158,7 +158,6 @@ GROUND_MAP_KEYS = {
     "model",
     "method",
     "polytope",
-    "seed",
     "status",
     "space",
     "objective",

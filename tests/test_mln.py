@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from conftest import refines, sorted_cells
+from conftest import refines
 from liftedmap import fixtures
 from liftedmap.mln import (
     MLNError,
@@ -15,7 +15,6 @@ from liftedmap.mln import (
     orbit_sizes_analytic,
     parse_evidence,
     parse_mln,
-    renaming_orbits,
 )
 from liftedmap.model import score
 from liftedmap.symmetry import GeneratorSymmetries
@@ -257,10 +256,20 @@ def test_renaming_refines_search(text, ev, domains):
         assert refines(rb.factor_assignments.cells, sb.factor_assignments.cells)
 
 
-def test_renaming_orbits_function_matches_bundle():
-    mln = parse_mln(fixtures.LOVERS_SMOKERS_MLN)
-    model, gmap = ground_mln(mln, domain_size=3)
-    vars_p, feats_p = renaming_orbits(mln, 3, None, gmap)
-    b = RenamingSymmetries(model, gmap).bundle()
-    assert sorted_cells(vars_p.cells) == sorted_cells(b.vars.cells)
-    assert sorted_cells(feats_p.cells) == sorted_cells(b.features.cells)
+@pytest.mark.parametrize("d", (3, 4))
+def test_renaming_stabilizer_orbits_refine_search_stabilizer_orbits(d):
+    # pinning the fixed atom's constants gives a subgroup of the variable's
+    # stabilizer, so its orbits must refine the searched stabilizer's orbits
+    model, gmap = ground(fixtures.LOVERS_SMOKERS_MLN, d)
+    renaming = RenamingSymmetries(model, gmap)
+    search = GeneratorSymmetries(model)
+    largest = 0
+    for rep in renaming.bundle().vars.reps:
+        r_vars, r_edges = renaming.stabilized_light(rep)
+        s_vars, s_edges = search.stabilized_light(rep)
+        assert (rep,) in r_vars.cells and (rep,) in s_vars.cells
+        assert r_edges.elements == s_edges.elements
+        assert refines(r_vars.cells, s_vars.cells)
+        assert refines(r_edges.cells, s_edges.cells)
+        largest = max([largest] + [len(c) for c in r_edges.cells])
+    assert largest > 1

@@ -756,7 +756,7 @@ class TestCuttingPlaneMap:
     def test_options_defaults(self):
         opts = MapOptions()
         assert (opts.polytope, opts.alpha, opts.tol) == ("local", 0.99, 1e-6)
-        assert (opts.max_cuts, opts.max_rounds) == (200, 500)
+        assert opts.max_cuts == 200
 
     def test_result_dict_schema(self):
         result = cutting_plane_map(triangle(), MapOptions(polytope="cycle"))

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from conftest import refines, sorted_cells
 from liftedmap import fixtures
 from liftedmap.model import Feature, Model
 from liftedmap.oracle import exhaustive_automorphisms, generated_group
+from liftedmap import symmetry
 from liftedmap.symmetry import (
     GeneratorSymmetries,
     PermutationPair,
@@ -19,6 +21,7 @@ from liftedmap.symmetry import (
     build_colored_factor_graph,
     canonicalize_feature,
     compute_orbit_bundle,
+    is_model_automorphism,
     orbits_of,
     refine_colors,
     search_automorphisms,
@@ -171,7 +174,7 @@ def test_search_triple_parity_full_symmetric_group():
     assert set(generated_group(gens, m)) == set(exhaustive_automorphisms(m))
 
 
-def test_search_rejects_graph_only_candidates():
+def graph_only_candidates_model():
     # f(a,b,c,d) = [a==b][c==d]: all four slots share one orbit label, so the
     # graph alone cannot tell the positions apart, yet only 8 of the 24
     # variable permutations preserve the table.
@@ -179,9 +182,13 @@ def test_search_rejects_graph_only_candidates():
         float(y[0] == y[1] and y[2] == y[3])
         for y in itertools.product((0, 1), repeat=4)
     )
-    m = Model(num_vars=4,
-              features=(Feature(scope=(0, 1, 2, 3), table=table),),
-              tie_class_of=(0,), theta=(1.0,))
+    return Model(num_vars=4,
+                 features=(Feature(scope=(0, 1, 2, 3), table=table),),
+                 tie_class_of=(0,), theta=(1.0,))
+
+
+def test_search_rejects_graph_only_candidates():
+    m = graph_only_candidates_model()
     _, _, colors = canonicalize_feature(m.features[0])
     assert len(set(colors)) == 1
     gens = GeneratorSymmetries(m).gens
@@ -212,6 +219,62 @@ def test_verify_generator_rejects_bad_pairs():
     bad = PermutationPair(var_perm=(1, 0, 2, 3), feature_perm=(0, 1, 2, 3, 4))
     res = verify_generator(m, bad)
     assert not res.ok and res.reason
+
+
+def feature_values(f, configs):
+    # first scope variable is the most significant bit of the table index
+    idx = np.zeros(len(configs), dtype=int)
+    for v in f.scope:
+        idx = 2 * idx + configs[:, v]
+    return np.asarray(f.table)[idx]
+
+
+def preserves_statistics_everywhere(m, pair):
+    """verify_generator's statistics test over all 2^n configurations."""
+    pi, ga = pair.var_perm, pair.feature_perm
+    if any(m.tie_class_of[j] != m.tie_class_of[ga[j]] for j in range(m.num_features)):
+        return False
+    x = np.array(list(itertools.product((0, 1), repeat=m.num_vars)), dtype=int)
+    xp = x[:, list(pi)]  # xp[:, i] = x[:, pi[i]]
+    return all(
+        np.array_equal(feature_values(f, xp), feature_values(m.features[ga[j]], x))
+        for j, f in enumerate(m.features)
+    )
+
+
+def test_exact_table_check_covers_sampled_check(monkeypatch):
+    # Every leaf the search hands to the exact check has passed the graph
+    # check; on each, the exact check must agree with the statistics test
+    # over all configurations, and what it accepts must pass the sampled
+    # verify_generator, which the search therefore no longer calls.
+    candidates = []
+
+    def recording(graph, perm):
+        candidates.append((graph, perm))
+        return is_model_automorphism(graph, perm)
+
+    monkeypatch.setattr(symmetry, "is_model_automorphism", recording)
+    models = [fixtures.ex1(), fixtures.triangle(), fixtures.cycle_model(6),
+              fixtures.frucht(), fixtures.fully_connected_symmetric(5),
+              fixtures.triple_parity(4), fixtures.unary_logistic(),
+              graph_only_candidates_model()]
+    models += [fixtures.random_tied_pairwise(seed) for seed in range(20)]
+    for m in models:
+        assert m.num_vars <= 12
+        graph = build_colored_factor_graph(m)
+        search_automorphisms(graph)
+        for v in range(m.num_vars):
+            stabilizer_generators(graph, v)
+    verdicts = []
+    for graph, perm in candidates:
+        m, nv = graph.model, graph.num_vars
+        pair = PermutationPair(var_perm=perm[:nv], feature_perm=[w - nv for w in perm[nv:]])
+        exact = is_model_automorphism(graph, perm)
+        assert exact == preserves_statistics_everywhere(m, pair)
+        if exact:
+            assert verify_generator(m, pair).ok
+        verdicts.append(exact)
+    assert True in verdicts and False in verdicts
 
 
 def test_stabilizer_generators_fix_the_variable():
