@@ -201,12 +201,7 @@ def cmd_orbits(args) -> int:
 
 def cmd_map(args) -> int:
     inputs = _load(args)
-    opts = MapOptions(
-        polytope=args.polytope,
-        alpha=args.alpha,
-        tol=args.tol,
-        max_cuts=args.max_cuts,
-    )
+    opts = MapOptions(polytope=args.polytope, max_cuts=args.max_cuts)
     payload = _base_payload(inputs)
     if args.space == "lifted":
         method, sym = _make_symmetries(inputs, args.method)
@@ -302,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="symmetry method for the lifted space",
     )
-    sp.add_argument("--alpha", type=float, default=0.99, help="in-out separation weight")
-    sp.add_argument("--tol", type=float, default=1e-6, help="cycle violation tolerance")
     sp.add_argument("--max-cuts", type=int, default=200)
     sp.add_argument("--csv", default=None, help="write the bound-per-iteration curve here")
     sp.set_defaults(func=cmd_map)

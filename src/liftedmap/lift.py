@@ -80,44 +80,15 @@ class LiftedModel:
     edge_info: tuple
     factor_info: tuple
     theta_bar: np.ndarray
-    lifted_graph: tuple  # (node orbit, node orbit, edge orbit) per edge orbit
     symmetries: object = None
 
     @property
     def num_cells(self) -> int:
         return self.index.num_cells
 
-    def summary(self) -> dict:
-        """JSON-ready dump of orbit tables, sizes, and lifted parameters."""
-        return {
-            "num_ground_coords": self.index.layout.size,
-            "num_cells": self.index.num_cells,
-            "node_orbits": [
-                {"rep": info.rep, "size": info.size} for info in self.node_info
-            ],
-            "edge_orbits": [
-                {
-                    "rep": list(info.rep),
-                    "size": info.size,
-                    "self_paired": info.self_paired,
-                }
-                for info in self.edge_info
-            ],
-            "arc_orbits": [
-                {"rep": list(rep), "size": len(cell)}
-                for rep, cell in zip(self.bundle.arcs.reps, self.bundle.arcs.cells)
-            ],
-            "factor_assignment_orbits": [
-                {"rep": [info.rep[0], list(info.rep[1])], "size": info.size}
-                for info in self.factor_info
-            ],
-            "theta_bar": [float(w) for w in self.theta_bar],
-            "lifted_graph": [list(e) for e in self.lifted_graph],
-        }
-
 
 def build_lifted_model(model: Model, bundle, symmetries=None) -> LiftedModel:
-    """Assemble cells, lifted parameters, and the lifted graph from orbits.
+    """Assemble cells, lifted parameters and orbit tables from orbits.
 
     bundle may be an OrbitBundle or any object with a bundle() method (a
     symmetry source); in the latter case the source is kept on the result for
@@ -200,7 +171,6 @@ def build_lifted_model(model: Model, bundle, symmetries=None) -> LiftedModel:
         for k, members in enumerate(bundle.vars.cells)
     )
     edge_info = []
-    lifted_graph = []
     for k, members in enumerate(bundle.edges.cells):
         u, v = members[0]
         cell_uv = arc_base + bundle.arcs.cell_of[(u, v)]
@@ -216,7 +186,6 @@ def build_lifted_model(model: Model, bundle, symmetries=None) -> LiftedModel:
                 self_paired=cell_uv == cell_vu,
             )
         )
-        lifted_graph.append((bundle.vars.cell_of[u], bundle.vars.cell_of[v], k))
     factor_info = tuple(
         FactorOrbitInfo(rep=members[0], size=len(members), cell=factor_base + k)
         for k, members in enumerate(bundle.factor_assignments.cells)
@@ -230,7 +199,6 @@ def build_lifted_model(model: Model, bundle, symmetries=None) -> LiftedModel:
         edge_info=tuple(edge_info),
         factor_info=factor_info,
         theta_bar=theta_bar,
-        lifted_graph=tuple(lifted_graph),
         symmetries=symmetries,
     )
 

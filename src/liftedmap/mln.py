@@ -373,7 +373,6 @@ class GroundingMap:
     atom_index: dict
     observed: dict  # ground atom -> bool (hard evidence)
     soft: dict  # ground atom -> weight
-    feature_of_grounding: dict  # (formula index, substitution) -> feature index
     origins: tuple  # FeatureOrigin per feature
     formula_tie: dict  # formula index -> tie class (surviving formulas only)
 
@@ -500,7 +499,6 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
     features = []
     tie_of = []
     origins = []
-    feature_of_grounding = {}
     formula_tie = {}
 
     for fi, (weight, ast) in enumerate(mln.formulas):
@@ -541,7 +539,6 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
             in_scope = {atoms[v] for v in scope}
             if fi not in formula_tie:
                 formula_tie[fi] = len(formula_tie)
-            feature_of_grounding[(fi, subst_tuple)] = len(features)
             features.append(Feature(scope=tuple(scope), table=tuple(table)))
             tie_of.append(formula_tie[fi])
             origins.append(
@@ -586,7 +583,6 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
         atom_index=atom_index,
         observed=observed,
         soft=soft,
-        feature_of_grounding=feature_of_grounding,
         origins=tuple(origins),
         formula_tie=formula_tie,
     )
@@ -678,27 +674,30 @@ class RenamingSymmetries:
         model, gmap, dist = self.model, self.gmap, self.distinguished
         atoms = gmap.atoms
 
-        def feature_key(j):
-            return _feature_key(gmap.origins[j], dist)
+        fkey = [_feature_key(origin, dist) for origin in gmap.origins]
+        perm = {}  # arity >= 3 feature -> scope position of each active template atom
+        for j, f in enumerate(model.features):
+            if f.arity >= 3:
+                origin = gmap.origins[j]
+                pos_of = {v: i for i, v in enumerate(f.scope)}
+                perm[j] = tuple(
+                    pos_of[gmap.atom_index[atom]]
+                    for atom, active in zip(origin.template_atoms, origin.template_active)
+                    if active
+                )
 
         def arc_key(arc):
             u, v = arc
             return _joint_signature(atoms[u], atoms[v], dist)
 
         def fa_key(element):
-            j, assign = element
-            origin = gmap.origins[j]
-            pos_of = {v: i for i, v in enumerate(model.features[j].scope)}
-            values = []
-            for t, atom in enumerate(origin.template_atoms):
-                if origin.template_active[t]:
-                    values.append(assign[pos_of[gmap.atom_index[atom]]])
-            return (feature_key(j), tuple(values))
+            j, a = element
+            return (fkey[j], tuple(a[p] for p in perm[j]))
 
         vars_p, edges_p = _vars_and_edges(model, atoms, dist)
         return OrbitBundle(
             vars=vars_p,
-            features=_by_signature("features", model, feature_key),
+            features=_by_signature("features", model, fkey.__getitem__),
             edges=edges_p,
             arcs=_by_signature("arcs", model, arc_key),
             factor_assignments=_by_signature("factor-assignments", model, fa_key),

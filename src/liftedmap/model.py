@@ -23,6 +23,7 @@ file and re-serializing reproduces it byte for byte.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -143,6 +144,18 @@ class Model:
         """Weight of feature j (its tie class's theta)."""
         return self.theta[self.tie_class_of[j]]
 
+    @functools.cached_property
+    def _skeleton(self) -> Skeleton:
+        # a Model is immutable, so its skeleton is built once
+        edges = set()
+        hyper = set()
+        for f in self.features:
+            for u, v in itertools.combinations(f.scope, 2):
+                edges.add((u, v))
+            if f.arity >= 3:
+                hyper.add(f.scope)
+        return Skeleton(edges=tuple(sorted(edges)), hyperedges=tuple(sorted(hyper)))
+
 
 def _check_dependence(j: int, f: Feature):
     # a feature must depend on every argument: for each position some pair of
@@ -224,14 +237,7 @@ class Skeleton:
 
 def skeleton(model: Model) -> Skeleton:
     """Edges are all pairs co-occurring in a scope; hyperedges are arity >= 3 scopes."""
-    edges = set()
-    hyper = set()
-    for f in model.features:
-        for u, v in itertools.combinations(f.scope, 2):
-            edges.add((u, v))
-        if f.arity >= 3:
-            hyper.add(f.scope)
-    return Skeleton(edges=tuple(sorted(edges)), hyperedges=tuple(sorted(hyper)))
+    return model._skeleton
 
 
 class OvercompleteLayout:

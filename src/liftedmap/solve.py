@@ -14,11 +14,15 @@ Violated inequalities are found by shortest paths in a two-copy mirror
 graph: staying in a copy costs the disagreement (cut) weight, switching
 copies costs the agreement (nocut) weight, and any walk from a node to its
 mirror image switches an odd number of times. Lifted separation runs the
-same search per node orbit on a stabilized lifted graph whose source cell
-pins the orbit's representative.
+same search per node orbit on the graph quotiented by a subgroup of the
+stabilizer of the orbit's representative. Any subgroup that fixes the
+representative gives the same shortest walk, so each symmetry source hands
+over one it has at hand, with no search: the search source the found
+generators that fix the representative, the renaming source the renamings
+that pin its constants.
 
 The cutting-plane driver uses an in-out step: separation happens at
-sigma = alpha * tau_out + (1 - alpha) * tau_in, where tau_in is a point
+sigma = ALPHA * tau_out + (1 - ALPHA) * tau_in, where tau_in is a point
 known to satisfy all cycle inequalities (initially the uniform
 pseudomarginal) and tau_out is the current LP optimum. If sigma admits no
 cut it becomes the new tau_in and separation retries at tau_out; if that
@@ -580,6 +584,9 @@ def uniform_interior(target):
 # ---------------------------------------------------------------------------
 # cycle separation via mirror shortest paths
 
+CYCLE_TOL = 1e-6  # a walk of weight below 1 - CYCLE_TOL is a violated cycle
+ALPHA = 0.99  # in-out step: separate at ALPHA * tau_out + (1 - ALPHA) * tau_in
+
 
 @dataclass(frozen=True)
 class CycleConstraint:
@@ -664,7 +671,7 @@ def mirror_walk(adj, source):
     return tuple(steps), float(dist[goal])
 
 
-def separate_cycles_ground(model, tau, tol: float = 1e-6):
+def separate_cycles_ground(model, tau):
     """Most violated cycle inequality on the skeleton, or None."""
     layout = _layout_of(model)
     tau = np.asarray(tau, dtype=float)
@@ -684,7 +691,7 @@ def separate_cycles_ground(model, tau, tol: float = 1e-6):
             continue
         if best is None or total < best[1]:
             best = (steps, total, i)
-    if best is None or best[1] >= 1.0 - tol:
+    if best is None or best[1] >= 1.0 - CYCLE_TOL:
         return None
     steps, total, src = best
     return CycleConstraint(space="ground", steps=steps, lhs=total, source=src)
@@ -702,7 +709,14 @@ class StabilizedGraph:
 
 
 def build_stabilized_graphs(lifted: LiftedModel):
-    """One stabilized lifted graph per node orbit, built once per model."""
+    """One stabilized lifted graph per node orbit, built once per model.
+
+    Each graph quotients the model by the group the symmetry source's
+    stabilized_light returns for the orbit's representative. That group may
+    be any subgroup of the representative's stabilizer that fixes it: the
+    representative stays a singleton source cell, and the shortest mirror
+    walk from it has the same weight as on the ground graph.
+    """
     if lifted.symmetries is None:
         raise SolveError(
             "lifted cycle separation needs the lifted model to carry its symmetry source"
@@ -725,7 +739,7 @@ def build_stabilized_graphs(lifted: LiftedModel):
     return tuple(graphs)
 
 
-def separate_cycles_lifted(lifted: LiftedModel, stabilized, tau_bar, tol: float = 1e-6):
+def separate_cycles_lifted(lifted: LiftedModel, stabilized, tau_bar):
     """Most violated lifted cycle inequality across node orbits, or None."""
     tau_bar = np.asarray(tau_bar, dtype=float)
     weights = {}
@@ -743,7 +757,7 @@ def separate_cycles_lifted(lifted: LiftedModel, stabilized, tau_bar, tol: float 
             continue
         if best is None or total < best[1]:
             best = (steps, total, g.orbit)
-    if best is None or best[1] >= 1.0 - tol:
+    if best is None or best[1] >= 1.0 - CYCLE_TOL:
         return None
     steps, total, orbit = best
     return CycleConstraint(space="lifted", steps=steps, lhs=total, source=orbit)
@@ -822,8 +836,6 @@ def decode(tau, target):
 @dataclass
 class MapOptions:
     polytope: str = "local"  # "local" | "cycle"
-    alpha: float = 0.99
-    tol: float = 1e-6
     max_cuts: int = 200
 
 
@@ -904,12 +916,12 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
             timings["build_ms"] += (time.perf_counter() - t0) * 1000
 
             def separate(point):
-                return separate_cycles_lifted(target, stabilized, point, tol=opts.tol)
+                return separate_cycles_lifted(target, stabilized, point)
 
         else:
 
             def separate(point):
-                return separate_cycles_ground(target, point, tol=opts.tol)
+                return separate_cycles_ground(target, point)
 
         tau_in = uniform_interior(target)
         while True:
@@ -917,7 +929,7 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
                 status = "cap"
                 break
             t1 = time.perf_counter()
-            sigma = opts.alpha * tau_out + (1.0 - opts.alpha) * tau_in
+            sigma = ALPHA * tau_out + (1.0 - ALPHA) * tau_in
             cut = separate(sigma)
             if cut is None:
                 tau_in = sigma

@@ -188,7 +188,6 @@ class ColoredFactorGraph:
     num_factors: int
     init_colors: tuple
     adj: tuple
-    factor_canon: tuple
 
     @property
     def num_nodes(self) -> int:
@@ -229,7 +228,6 @@ def build_colored_factor_graph(model: Model) -> ColoredFactorGraph:
         num_factors=m,
         init_colors=tuple(colors),
         adj=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-        factor_canon=canon,
     )
 
 
@@ -411,7 +409,13 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
 
 
 def stabilizer_generators(graph: ColoredFactorGraph, fixed_var: int) -> GeneratorSet:
-    """Generators of the subgroup fixing one variable, via recoloring."""
+    """Generators of the whole subgroup fixing one variable, via recoloring.
+
+    A fresh search on the graph with the variable in a color of its own.
+    The pipeline does not call it: `GeneratorSymmetries.stabilized_light`
+    takes a subgroup from the generators it already has, and this exact
+    stabilizer is the reference the tests compare that subgroup with.
+    """
     if not 0 <= fixed_var < graph.num_vars:
         raise ModelError("fixed variable %d out of range" % fixed_var)
     colors = list(graph.init_colors)
@@ -540,35 +544,34 @@ def compute_orbit_bundle(gens, model: Model) -> OrbitBundle:
 class GeneratorSymmetries:
     """Symmetries obtained by automorphism search on the colored graph."""
 
-    def __init__(self, model: Model, graph=None, gens=None):
+    def __init__(self, model: Model, gens=None):
         self.model = model
-        self.graph = build_colored_factor_graph(model) if graph is None else graph
-        self.gens = search_automorphisms(self.graph) if gens is None else gens
+        if gens is None:
+            gens = search_automorphisms(build_colored_factor_graph(model))
+        self.gens = gens
 
     def bundle(self) -> OrbitBundle:
         return compute_orbit_bundle(self.gens, self.model)
 
     def stabilized_light(self, fixed_var: int):
-        """Variable and edge orbits under the stabilizer of one variable."""
-        sub = stabilizer_generators(self.graph, fixed_var)
+        """Variable and edge orbits under the found generators that fix one variable.
+
+        They generate a subgroup H of the variable's stabilizer, possibly a
+        proper one, and no search runs. Any subgroup that fixes the variable
+        gives the same shortest mirror walk from it: each walk on the graph
+        quotiented by H lifts to a ground walk of equal weight back to the
+        variable, since H keeps it a singleton and keeps the edge weights,
+        and each ground walk projects to a quotient walk of no larger weight.
+        """
+        sub = [g for g in self.gens.generators if g.var_perm[fixed_var] == fixed_var]
         return (
             orbits_of(sub, "vars", self.model),
             orbits_of(sub, "edges", self.model),
         )
 
 
-class TrivialSymmetries:
+class TrivialSymmetries(GeneratorSymmetries):
     """The identity group: every coordinate is its own orbit."""
 
     def __init__(self, model: Model):
-        self.model = model
-        self.gens = GeneratorSet(generators=(), group_order=1)
-
-    def bundle(self) -> OrbitBundle:
-        return compute_orbit_bundle(self.gens, self.model)
-
-    def stabilized_light(self, fixed_var: int):
-        return (
-            orbits_of(self.gens, "vars", self.model),
-            orbits_of(self.gens, "edges", self.model),
-        )
+        super().__init__(model, GeneratorSet(generators=(), group_order=1))

@@ -40,7 +40,6 @@ def test_triangle_lifted_layout():
     info = lm.edge_info[0]
     assert info.size == 3 and info.self_paired
     assert info.cell_uv == info.cell_vu
-    assert lm.lifted_graph == ((0, 0, 0),)
 
 
 def test_triple_parity_factor_cells():

@@ -17,7 +17,12 @@ from liftedmap.mln import (
     parse_mln,
 )
 from liftedmap.model import score
-from liftedmap.symmetry import GeneratorSymmetries
+from liftedmap.symmetry import (
+    GeneratorSymmetries,
+    build_colored_factor_graph,
+    orbits_of,
+    stabilizer_generators,
+)
 
 
 def ground(text, d, ev_text=None):
@@ -259,14 +264,15 @@ def test_renaming_refines_search(text, ev, domains):
 @pytest.mark.parametrize("d", (3, 4))
 def test_renaming_stabilizer_orbits_refine_search_stabilizer_orbits(d):
     # pinning the fixed atom's constants gives a subgroup of the variable's
-    # stabilizer, so its orbits must refine the searched stabilizer's orbits
+    # stabilizer, so its orbits must refine the exact stabilizer's orbits
     model, gmap = ground(fixtures.LOVERS_SMOKERS_MLN, d)
     renaming = RenamingSymmetries(model, gmap)
-    search = GeneratorSymmetries(model)
+    graph = build_colored_factor_graph(model)
     largest = 0
     for rep in renaming.bundle().vars.reps:
         r_vars, r_edges = renaming.stabilized_light(rep)
-        s_vars, s_edges = search.stabilized_light(rep)
+        exact = stabilizer_generators(graph, rep)
+        s_vars, s_edges = orbits_of(exact, "vars", model), orbits_of(exact, "edges", model)
         assert (rep,) in r_vars.cells and (rep,) in s_vars.cells
         assert r_edges.elements == s_edges.elements
         assert refines(r_vars.cells, s_vars.cells)

@@ -18,8 +18,10 @@ from liftedmap import (
     lift_vector,
     parse_mln,
     simplex_solve,
+    symmetry,
 )
 from liftedmap.fixtures import (
+    EQUALITY,
     LOVERS_SMOKERS_MLN,
     cycle_model,
     ex1,
@@ -29,7 +31,7 @@ from liftedmap.fixtures import (
     triangle,
     triple_parity,
 )
-from liftedmap.model import OvercompleteLayout, score
+from liftedmap.model import Feature, Model, OvercompleteLayout, score
 from liftedmap.oracle import enumerate_cycle_constraints, exact_enumerate
 from liftedmap.solve import (
     CycleConstraint,
@@ -509,8 +511,16 @@ class TestGroundSeparation:
         assert all(v >= 1.0 - 1e-12 for v in values)
 
 
+def circulant_7_1_3():
+    # the found generators fixing a vertex generate only the identity here,
+    # while the vertex's full stabilizer has order 2
+    scopes = sorted({tuple(sorted((i, (i + j) % 7))) for i in range(7) for j in (1, 3)})
+    feats = tuple(Feature(scope=s, table=EQUALITY) for s in scopes)
+    return Model(num_vars=7, features=feats, tie_class_of=(0,) * len(feats), theta=(-1.0,))
+
+
 class TestLiftedSeparation:
-    @pytest.mark.parametrize("model", [triangle(), cycle_model(5)])
+    @pytest.mark.parametrize("model", [triangle(), cycle_model(5), circulant_7_1_3()])
     def test_matches_ground_at_symmetric_points(self, model):
         sym = GeneratorSymmetries(model)
         lifted = build_lifted_model(model, sym)
@@ -525,6 +535,14 @@ class TestLiftedSeparation:
         row, sense, rhs = constraint_row(lifted_cut, lifted)
         assert (sense, rhs) == (">=", 1.0)
         assert all(0 <= j < lifted.num_cells for j, _ in row)
+
+    def test_circulant_lifted_cycle_objective_matches_ground(self):
+        model = circulant_7_1_3()
+        lifted = build_lifted_model(model, GeneratorSymmetries(model))
+        opts = MapOptions(polytope="cycle")
+        ground = cutting_plane_map(model, opts)
+        assert ground.objective == pytest.approx(-4.0, abs=1e-9)
+        assert cutting_plane_map(lifted, opts).objective == pytest.approx(-4.0, abs=1e-9)
 
     def test_silent_at_lifted_uniform(self):
         model = triangle()
@@ -749,13 +767,27 @@ class TestCuttingPlaneMap:
         assert result.cuts_added
         assert len(builds) == 1
 
+    def test_lifted_search_run_searches_once(self, monkeypatch):
+        searches = []
+        search = symmetry.search_automorphisms
+
+        def counting_search(graph):
+            searches.append(graph)
+            return search(graph)
+
+        monkeypatch.setattr(symmetry, "search_automorphisms", counting_search)
+        model, _ = ground_mln(parse_mln(LOVERS_SMOKERS_MLN), domain_size=3)
+        lifted = build_lifted_model(model, GeneratorSymmetries(model))
+        cutting_plane_map(lifted, MapOptions(polytope="cycle"))
+        assert len(searches) == 1
+
     def test_rejects_unknown_polytope(self):
         with pytest.raises(SolveError):
             cutting_plane_map(triangle(), MapOptions(polytope="marginal"))
 
     def test_options_defaults(self):
         opts = MapOptions()
-        assert (opts.polytope, opts.alpha, opts.tol) == ("local", 0.99, 1e-6)
+        assert opts.polytope == "local"
         assert opts.max_cuts == 200
 
     def test_result_dict_schema(self):

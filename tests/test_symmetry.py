@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import refines, sorted_cells
 from liftedmap import fixtures
+from liftedmap.mln import ground_mln, parse_mln
 from liftedmap.model import Feature, Model
 from liftedmap.oracle import exhaustive_automorphisms, generated_group
 from liftedmap import symmetry
@@ -286,6 +287,27 @@ def test_stabilizer_generators_fix_the_variable():
         assert pair.var_perm[0] == 0
     cells = sorted_cells(orbits_of(stab, "vars", m).cells)
     assert cells == ((0,), (1, 2))
+
+
+def test_stabilized_light_is_a_subgroup_of_the_exact_stabilizer():
+    mln = parse_mln(fixtures.LOVERS_SMOKERS_MLN)
+    models = [fixtures.ex1(), fixtures.triangle(), fixtures.cycle_model(6),
+              fixtures.frucht(), fixtures.fully_connected_symmetric(5),
+              fixtures.triple_parity(4), fixtures.unary_logistic(),
+              ground_mln(mln, domain_size=3)[0]]
+    models += [fixtures.random_tied_pairwise(seed) for seed in range(20)]
+    largest = 0
+    for m in models:
+        s = GeneratorSymmetries(m)
+        graph = build_colored_factor_graph(m)
+        for rep in s.bundle().vars.reps:
+            h_vars, h_edges = s.stabilized_light(rep)
+            exact = stabilizer_generators(graph, rep)
+            assert (rep,) in h_vars.cells
+            assert refines(h_vars.cells, orbits_of(exact, "vars", m).cells)
+            assert refines(h_edges.cells, orbits_of(exact, "edges", m).cells)
+            largest = max([largest] + [len(c) for c in h_vars.cells])
+    assert largest > 1
 
 
 # --- orbit partitions ----------------------------------------------------------
