@@ -291,18 +291,25 @@ class OvercompleteLayout:
         return self._factor_base[j] + table_index(a)
 
     def theta_vector(self):
-        """Overcomplete parameters laid out as a dense vector."""
+        """Overcomplete parameters laid out as a dense vector.
+
+        The layout of `to_overcomplete`: each feature's weighted table is
+        added into its node or edge block, in feature order as there, so the
+        sums are the same floats; an arity >= 3 feature owns its block.
+        """
         import numpy as np
 
-        theta = np.zeros(self.size)
-        oc = to_overcomplete(self.model)
-        for (v, t), w in oc.node_theta.items():
-            theta[self.node_index(v, t)] = w
-        for ((u, v), (a, b)), w in oc.pair_theta.items():
-            theta[self.edge_index(u, v, a, b)] = w
-        for (j, a), w in oc.factor_theta.items():
-            theta[self.factor_index(j, a)] = w
-        return theta
+        theta = [0.0] * self.size
+        for j, f in enumerate(self.model.features):
+            w = self.model.weight_of(j)
+            if f.arity >= 3:
+                base = self._factor_base[j]
+                theta[base:base + len(f.table)] = [w * t for t in f.table]
+                continue
+            base = 2 * f.scope[0] if f.arity == 1 else self._edge_base[f.scope]
+            for i, t in enumerate(f.table):
+                theta[base + i] += w * t
+        return np.array(theta)
 
     def phi_vector(self, x):
         """Indicator statistics of configuration x in this layout."""

@@ -231,26 +231,106 @@ def build_colored_factor_graph(model: Model) -> ColoredFactorGraph:
     )
 
 
+class _Cell:
+    """One color class. Cells own disjoint id intervals [id, hi), ordered
+    as the classes' colors are, and a split divides its cell's interval."""
+
+    __slots__ = ("id", "hi", "members")
+
+    def __init__(self, members, lo, hi):
+        self.id, self.hi, self.members = lo, hi, members
+
+
 def refine_colors(graph: ColoredFactorGraph, colors=None):
     """Coarsest equitable refinement of the node coloring.
 
-    Two nodes end up with the same color iff they start with the same color
-    and have the same multiset of (neighbor color, edge color) pairs, iterated
-    to a fixpoint. Color ids are canonical: assigned by sorted signature, so
-    they are comparable across runs on relabeled graphs.
+    Runs in rounds. A round gives each node the rank of its signature: its
+    color, then the sorted multiset of (neighbor color, edge color) pairs.
+    It stops at the first round that splits no class. Color ids are
+    canonical: ranks of signatures compared by order alone, so they are
+    comparable across runs on relabeled graphs.
+
+    Only the first round signs every node. After a round in which a class
+    splits, only the neighbors of its new subclasses other than the largest
+    are re-signed. An untouched node sees each old class of a neighbor turn
+    into exactly one new class (the only one, or the largest subclass), so
+    untouched classmates keep the signature they shared. A class without
+    touched members cannot split; one with touched members signs its
+    untouched rest once, from any one of them.
+
+    The ids stay canonical. Signatures are compared by order only, so any
+    ids in the order of the full round's ranks sort them alike. A class's
+    subclasses take its place in signature order, each in a slice of its
+    id interval, which keeps the ids in that order after every round; the
+    result is the rank of the final ids. A split
+    into k parts leaves each part at least k - 1 nodes smaller and divides
+    its width by k <= 2**(k-1), so along any chain of splits the width
+    shrinks by at most 2**(n-1) in all: first-round widths of 2**n never
+    run out.
     """
-    colors = tuple(graph.init_colors if colors is None else colors)
-    while True:
-        sigs = []
-        for u in range(graph.num_nodes):
-            nb = tuple(sorted((colors[w], ec) for (w, ec) in graph.adj[u]))
-            sigs.append((colors[u], nb))
-        order = sorted(set(sigs))
-        ids = {s: i for i, s in enumerate(order)}
-        new = tuple(ids[s] for s in sigs)
-        if len(order) == len(set(colors)):
-            return new
-        colors = new
+    adj = graph.adj
+    n = graph.num_nodes
+    colors = graph.init_colors if colors is None else colors
+    groups = {}
+    for u in range(n):
+        sig = (colors[u], tuple(sorted((colors[w], ec) for (w, ec) in adj[u])))
+        groups.setdefault(sig, set()).add(u)
+    order = sorted(groups)
+    cell_of = [None] * n
+    splits = []  # the subclasses of every class the last round split
+    for _, run in itertools.groupby(enumerate(order), key=lambda item: item[1][0]):
+        subs = [_Cell(groups[s], i << n, (i + 1) << n) for i, s in run]
+        for cell in subs:
+            for u in cell.members:
+                cell_of[u] = cell
+        if len(subs) > 1:
+            splits.append(subs)
+
+    def sign(u):
+        return tuple(sorted((cell_of[w].id, ec) for (w, ec) in adj[u]))
+
+    while splits:
+        touched = set()
+        for subs in splits:
+            largest = max(subs, key=lambda c: len(c.members))
+            for cell in subs:
+                if cell is not largest:
+                    for u in cell.members:
+                        touched.update(w for (w, _) in adj[u])
+        by_cell = {}
+        for u in touched:
+            by_cell.setdefault(cell_of[u], []).append(u)
+        plans = []
+        for cell, us in by_cell.items():
+            by_sig = {}
+            for u in us:
+                by_sig.setdefault(sign(u), []).append(u)
+            if len(us) < len(cell.members):
+                keep = sign(next(u for u in cell.members if u not in touched))
+                by_sig.setdefault(keep, [])
+            else:
+                keep = max(by_sig, key=lambda s: len(by_sig[s]))
+            if len(by_sig) > 1:
+                plans.append((cell, by_sig, keep))
+        # every signature of the round is taken before any cell changes
+        splits = []
+        for cell, by_sig, keep in plans:
+            start, step = cell.id, (cell.hi - cell.id) // len(by_sig)
+            subs = []
+            for i, s in enumerate(sorted(by_sig)):
+                lo, hi = start + i * step, start + (i + 1) * step
+                if s == keep:
+                    cell.id, cell.hi = lo, hi
+                    subs.append(cell)
+                    continue
+                sub = _Cell(set(by_sig[s]), lo, hi)
+                cell.members -= sub.members
+                for u in sub.members:
+                    cell_of[u] = sub
+                subs.append(sub)
+            splits.append(subs)
+    rank = {c: i for i, c in enumerate(sorted(set(cell_of), key=lambda c: c.id))}
+    return tuple(rank[c] for c in cell_of)
 
 
 def _color_classes(colors):

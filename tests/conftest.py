@@ -4,6 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from liftedmap.fixtures import EQUALITY
+from liftedmap.model import Feature, Model
+
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
 
@@ -23,3 +26,11 @@ def refines(fine, coarse) -> bool:
 
 def sorted_cells(partition):
     return tuple(sorted(tuple(sorted(c)) for c in partition))
+
+
+def circulant_7_1_3():
+    # the found generators fixing a vertex generate only the identity here,
+    # while the vertex's full stabilizer has order 2
+    scopes = sorted({tuple(sorted((i, (i + j) % 7))) for i in range(7) for j in (1, 3)})
+    feats = tuple(Feature(scope=s, table=EQUALITY) for s in scopes)
+    return Model(num_vars=7, features=feats, tie_class_of=(0,) * len(feats), theta=(-1.0,))

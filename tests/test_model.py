@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liftedmap import fixtures
+from liftedmap.mln import ground_mln, parse_evidence, parse_mln
 from liftedmap.model import (
     Feature,
     Model,
@@ -145,6 +146,34 @@ def test_layout_scores_match_model_score():
         for x in itertools.product((0, 1), repeat=m.num_vars):
             phi = layout.phi_vector(x)
             assert float(theta @ phi) == pytest.approx(score(m, x), abs=1e-12)
+
+
+def test_theta_vector_is_bitwise_the_overcomplete_scatter(models_dir):
+    # the dict of to_overcomplete, scattered one key at a time: the same
+    # sums in the same feature order, so the same bits
+    mln = parse_mln(fixtures.LOVERS_SMOKERS_MLN)
+    q2 = parse_mln((models_dir / "q2.mln").read_text())
+    evidence = parse_evidence((models_dir / "q2.evidence").read_text())
+    models = [fixtures.ex1(), fixtures.triangle(), fixtures.cycle_model(6),
+              fixtures.frucht(), fixtures.fully_connected_symmetric(5),
+              fixtures.triple_parity(4), fixtures.unary_logistic(),
+              ground_mln(mln, domain_size=3)[0], ground_mln(q2, 3, evidence)[0]]
+    models += [fixtures.random_tied_pairwise(seed) for seed in range(5)]
+    for m in models:
+        layout = OvercompleteLayout(m)
+        over = to_overcomplete(m)
+        scatter = np.zeros(layout.size)
+        for (v, t), w in over.node_theta.items():
+            scatter[layout.node_index(v, t)] = w
+        for ((u, v), (a, b)), w in over.pair_theta.items():
+            scatter[layout.edge_index(u, v, a, b)] = w
+        for (j, a), w in over.factor_theta.items():
+            scatter[layout.factor_index(j, a)] = w
+        theta = layout.theta_vector()
+        assert theta.dtype == scatter.dtype
+        assert theta.tobytes() == scatter.tobytes()
+    # node, edge and factor blocks all occur
+    assert {min(f.arity, 3) for m in models for f in m.features} == {1, 2, 3}
 
 
 def test_phi_vector_is_consistent_indicator_point():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from conftest import circulant_7_1_3
 from liftedmap import (
     GeneratorSymmetries,
     MapOptions,
@@ -21,7 +22,6 @@ from liftedmap import (
     symmetry,
 )
 from liftedmap.fixtures import (
-    EQUALITY,
     LOVERS_SMOKERS_MLN,
     cycle_model,
     ex1,
@@ -31,7 +31,7 @@ from liftedmap.fixtures import (
     triangle,
     triple_parity,
 )
-from liftedmap.model import Feature, Model, OvercompleteLayout, score
+from liftedmap.model import OvercompleteLayout, score
 from liftedmap.oracle import enumerate_cycle_constraints, exact_enumerate
 from liftedmap.solve import (
     CycleConstraint,
@@ -509,14 +509,6 @@ class TestGroundSeparation:
         # an odd cycle cannot disagree on every edge, so the row is tight at 1
         assert min(values) == pytest.approx(1.0, abs=1e-12)
         assert all(v >= 1.0 - 1e-12 for v in values)
-
-
-def circulant_7_1_3():
-    # the found generators fixing a vertex generate only the identity here,
-    # while the vertex's full stabilizer has order 2
-    scopes = sorted({tuple(sorted((i, (i + j) % 7))) for i in range(7) for j in (1, 3)})
-    feats = tuple(Feature(scope=s, table=EQUALITY) for s in scopes)
-    return Model(num_vars=7, features=feats, tie_class_of=(0,) * len(feats), theta=(-1.0,))
 
 
 class TestLiftedSeparation:
