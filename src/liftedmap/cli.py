@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .lift import LiftError, build_lifted_model
 from .mln import (
@@ -30,7 +30,7 @@ from .mln import (
 from .model import ModelError, format_model, parse_model
 from .oracle import OracleError, exact_enumerate
 from .solve import MapOptions, SolveError, cutting_plane_map
-from .symmetry import GeneratorSymmetries, TrivialSymmetries
+from .symmetry import GeneratorSymmetries, OrbitBundle, TrivialSymmetries
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -47,9 +47,7 @@ class _Inputs:
     path: str
     kind: str  # "fgm" | "mln"
     model: object
-    mln: object = None
     gmap: object = None
-    evidence: object = None
     domain_size: int = None
 
 
@@ -81,9 +79,7 @@ def _load(args) -> _Inputs:
         path=path,
         kind="mln",
         model=model,
-        mln=mln,
         gmap=gmap,
-        evidence=evidence,
         domain_size=args.domain_size,
     )
 
@@ -117,13 +113,10 @@ def _partition_json(p):
     }
 
 
-def _bundle_json(bundle):
+def _per_domain(fn, *bundles):
     return {
-        "vars": _partition_json(bundle.vars),
-        "features": _partition_json(bundle.features),
-        "edges": _partition_json(bundle.edges),
-        "arcs": _partition_json(bundle.arcs),
-        "factor_assignments": _partition_json(bundle.factor_assignments),
+        f.name: fn(*(getattr(b, f.name) for b in bundles))
+        for f in fields(OrbitBundle)
     }
 
 
@@ -180,19 +173,10 @@ def cmd_orbits(args) -> int:
         payload["methods"][name] = {
             "group_order": None if gens is None else gens.group_order,
             "num_generators": None if gens is None else len(gens.generators),
-            "orbits": _bundle_json(bundle),
+            "orbits": _per_domain(_partition_json, bundle),
         }
     if len(methods) == 2:
-        fine, coarse = bundles["renaming"], bundles["search"]
-        checks = {
-            "vars": _refines(fine.vars, coarse.vars),
-            "features": _refines(fine.features, coarse.features),
-            "edges": _refines(fine.edges, coarse.edges),
-            "arcs": _refines(fine.arcs, coarse.arcs),
-            "factor_assignments": _refines(
-                fine.factor_assignments, coarse.factor_assignments
-            ),
-        }
+        checks = _per_domain(_refines, bundles["renaming"], bundles["search"])
         checks["all"] = all(checks.values())
         payload["renaming_refines_search"] = checks
     _emit_json(args, payload)
@@ -200,20 +184,16 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_map(args) -> int:
+    if args.max_cuts < 0:
+        raise UsageError("--max-cuts must be at least 0")
     inputs = _load(args)
     opts = MapOptions(polytope=args.polytope, max_cuts=args.max_cuts)
     payload = _base_payload(inputs)
     if args.space == "lifted":
         method, sym = _make_symmetries(inputs, args.method)
-        lifted = build_lifted_model(inputs.model, sym.bundle(), symmetries=sym)
+        lifted = build_lifted_model(inputs.model, sym)
         payload["method"] = method
-        payload["orbit_counts"] = {
-            "vars": lifted.bundle.vars.num_cells,
-            "features": lifted.bundle.features.num_cells,
-            "edges": lifted.bundle.edges.num_cells,
-            "arcs": lifted.bundle.arcs.num_cells,
-            "factor_assignments": lifted.bundle.factor_assignments.num_cells,
-        }
+        payload["orbit_counts"] = _per_domain(lambda p: p.num_cells, lifted.bundle)
         result = cutting_plane_map(lifted, opts)
     else:
         payload["method"] = None

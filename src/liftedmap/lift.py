@@ -71,7 +71,7 @@ class FactorOrbitInfo:
 
 @dataclass(eq=False)
 class LiftedModel:
-    """A ground model together with its orbit cells and lifted parameters."""
+    """A ground model with its orbit cells, lifted parameters and symmetry source."""
 
     model: Model
     bundle: OrbitBundle
@@ -80,26 +80,22 @@ class LiftedModel:
     edge_info: tuple
     factor_info: tuple
     theta_bar: np.ndarray
-    symmetries: object = None
+    symmetries: object
 
     @property
     def num_cells(self) -> int:
         return self.index.num_cells
 
 
-def build_lifted_model(model: Model, bundle, symmetries=None) -> LiftedModel:
-    """Assemble cells, lifted parameters and orbit tables from orbits.
+def build_lifted_model(model: Model, symmetries) -> LiftedModel:
+    """Assemble cells, lifted parameters and orbit tables from a symmetry source.
 
-    bundle may be an OrbitBundle or any object with a bundle() method (a
-    symmetry source); in the latter case the source is kept on the result for
-    later stabilizer queries.
+    The source's bundle() gives the orbits, and the source is kept on the
+    result for the stabilizer queries of lifted cycle separation.
     """
-    if not isinstance(bundle, OrbitBundle) and hasattr(bundle, "bundle"):
-        if symmetries is None:
-            symmetries = bundle
-        bundle = bundle.bundle()
-    if not isinstance(bundle, OrbitBundle):
-        raise LiftError("expected an OrbitBundle or a symmetry source")
+    if not hasattr(symmetries, "bundle"):
+        raise LiftError("expected a symmetry source with a bundle() method")
+    bundle = symmetries.bundle()
     layout = OvercompleteLayout(model)
     if bundle.vars.elements != tuple(range(model.num_vars)):
         raise LiftError("variable orbits do not cover this model's variables")

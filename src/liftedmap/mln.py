@@ -29,7 +29,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .model import Feature, Model, table_index
+from .model import Feature, Model, depended_positions, table_index
 from .symmetry import OrbitBundle, OrbitPartition, _domain_elements
 
 
@@ -372,9 +372,7 @@ class GroundingMap:
     atoms: tuple  # ground atom per variable index
     atom_index: dict
     observed: dict  # ground atom -> bool (hard evidence)
-    soft: dict  # ground atom -> weight
     origins: tuple  # FeatureOrigin per feature
-    formula_tie: dict  # formula index -> tie class (surviving formulas only)
 
 
 def _free_vars(node):
@@ -432,15 +430,6 @@ def _eval(node, subst, valuation):
     if node.op == "=>":
         return (not a) or b
     return a == b
-
-
-def _depended_positions(table, k):
-    keep = []
-    for pos in range(k):
-        bit = 1 << (k - 1 - pos)
-        if any(table[i] != table[i ^ bit] for i in range(2 ** k) if not i & bit):
-            keep.append(pos)
-    return keep
 
 
 def build_domain(mln: MLN, evidence: Evidence, domain_size: int):
@@ -524,7 +513,7 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
                 for a, b in zip(scope_atoms, assign):
                     valuation[a] = bool(b)
                 table.append(1.0 if _eval(ast, subst, valuation) else 0.0)
-            keep = _depended_positions(table, k)
+            keep = depended_positions(table, k)
             if not keep:
                 continue  # constant indicator
             if len(keep) < k:
@@ -582,9 +571,7 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
         atoms=tuple(atoms),
         atom_index=atom_index,
         observed=observed,
-        soft=soft,
         origins=tuple(origins),
-        formula_tie=formula_tie,
     )
     return model, gmap
 
@@ -644,7 +631,7 @@ def _feature_key(origin: FeatureOrigin, distinguished):
 
 
 def _by_signature(domain, model: Model, key) -> OrbitPartition:
-    return OrbitPartition.group(domain, _domain_elements(domain, model), key)
+    return OrbitPartition.group(_domain_elements(domain, model), key)
 
 
 def _vars_and_edges(model: Model, atoms, dist):

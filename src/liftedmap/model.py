@@ -157,14 +157,20 @@ class Model:
         return Skeleton(edges=tuple(sorted(edges)), hyperedges=tuple(sorted(hyper)))
 
 
-def _check_dependence(j: int, f: Feature):
-    # a feature must depend on every argument: for each position some pair of
-    # table entries differing only there must differ in value
-    k = f.arity
+def depended_positions(table, k: int) -> list:
+    """Argument positions of a k-ary table that its value depends on."""
+    keep = []
     for pos in range(k):
         bit = 1 << (k - 1 - pos)
-        if all(f.table[i] == f.table[i ^ bit] for i in range(2 ** k) if not i & bit):
-            raise ModelError("feature %d does not depend on argument %d" % (j, pos))
+        if any(table[i] != table[i ^ bit] for i in range(2 ** k) if not i & bit):
+            keep.append(pos)
+    return keep
+
+
+def _check_dependence(j: int, f: Feature):
+    missing = set(range(f.arity)) - set(depended_positions(f.table, f.arity))
+    if missing:
+        raise ModelError("feature %d does not depend on argument %d" % (j, min(missing)))
 
 
 def score(model: Model, x) -> float:

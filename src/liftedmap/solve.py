@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lift import LiftedModel, lift_vector
+from .lift import LiftedModel
 from .model import Model, OvercompleteLayout, assignments, score
 
 
@@ -509,7 +509,7 @@ def _layout_of(target) -> OvercompleteLayout:
     return target if isinstance(target, OvercompleteLayout) else OvercompleteLayout(target)
 
 
-def build_local_lp(target, space: str = None) -> LinearProgram:
+def build_local_lp(target) -> LinearProgram:
     """Local consistency LP for a Model (ground) or a LiftedModel (lifted).
 
     A ground model may be given by its OvercompleteLayout, which is then
@@ -523,8 +523,6 @@ def build_local_lp(target, space: str = None) -> LinearProgram:
     (node value 0, edge 00, all-zeros factor rows) without a ground pass.
     """
     if isinstance(target, LiftedModel):
-        if space not in (None, "lifted"):
-            raise SolveError("a LiftedModel builds the lifted LP, not %r" % space)
         lm = target
         model = lm.model
         layout = lm.index.layout
@@ -548,8 +546,6 @@ def build_local_lp(target, space: str = None) -> LinearProgram:
         )
     if not isinstance(target, (Model, OvercompleteLayout)):
         raise SolveError("expected a Model or a LiftedModel")
-    if space not in (None, "ground"):
-        raise SolveError("a Model builds the ground LP, not %r" % space)
     layout = _layout_of(target)
     model = layout.model
     factor_list = [j for j, f in enumerate(model.features) if f.arity >= 3]
@@ -568,7 +564,13 @@ def build_local_lp(target, space: str = None) -> LinearProgram:
 def uniform_interior(target):
     """The uniform pseudomarginal: nodes .5, edge cells .25, factor cells 2^-K."""
     if isinstance(target, LiftedModel):
-        return lift_vector(uniform_interior(target.index.layout), target.index)
+        # constant on every cell, so read off the cells as the start vertex is
+        out = np.full(target.num_cells, 0.25)  # edge and arc cells
+        for info in target.node_info:
+            out[[info.cell0, info.cell1]] = 0.5
+        for info in target.factor_info:
+            out[info.cell] = 2.0 ** -len(info.rep[1])
+        return out
     layout = _layout_of(target)
     out = np.zeros(layout.size)
     for i, key in enumerate(layout.keys):
@@ -633,17 +635,12 @@ def mirror_graph(edges) -> dict:
     return adj
 
 
-def mirror_shortest_path(edges, source):
-    """Shortest walk from a node to its mirror image in the two-copy graph.
-
-    edges as for mirror_graph. Returns (steps, total) with steps a tuple of
-    (key, crossed); (None, inf) when the mirror image is unreachable.
-    """
-    return mirror_walk(mirror_graph(edges), source)
-
-
 def mirror_walk(adj, source):
-    """Dijkstra from (source, 0) to (source, 1) on a mirror_graph adjacency."""
+    """Shortest walk from (source, 0) to its mirror image (source, 1).
+
+    adj is a mirror_graph adjacency. Returns (steps, total) with steps a tuple
+    of (key, crossed); (None, inf) when the mirror image is unreachable.
+    """
     start, goal = (source, 0), (source, 1)
     dist = {start: 0.0}
     prev = {}
@@ -717,10 +714,6 @@ def build_stabilized_graphs(lifted: LiftedModel):
     representative stays a singleton source cell, and the shortest mirror
     walk from it has the same weight as on the ground graph.
     """
-    if lifted.symmetries is None:
-        raise SolveError(
-            "lifted cycle separation needs the lifted model to carry its symmetry source"
-        )
     full_edge_cell = lifted.bundle.edges.cell_of
     graphs = []
     for k, info in enumerate(lifted.node_info):
@@ -752,7 +745,7 @@ def separate_cycles_lifted(lifted: LiftedModel, stabilized, tau_bar):
         edges = [
             (ek, a, b, weights[ek][0], weights[ek][1]) for (ek, a, b) in g.edges
         ]
-        steps, total = mirror_shortest_path(edges, g.source)
+        steps, total = mirror_walk(mirror_graph(edges), g.source)
         if steps is None:
             continue
         if best is None or total < best[1]:

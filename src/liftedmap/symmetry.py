@@ -88,14 +88,13 @@ class OrbitPartition:
     increasing order, so cells[i][0] is the representative of cell i.
     """
 
-    domain: str
     elements: tuple
     cells: tuple
     cell_of: dict
     reps: tuple
 
     @classmethod
-    def group(cls, domain: str, elements, key) -> "OrbitPartition":
+    def group(cls, elements, key) -> "OrbitPartition":
         """Group the sorted elements by key; cells come in order of their
         smallest member. The one constructor of every orbit partition."""
         elements = tuple(sorted(elements))
@@ -104,7 +103,7 @@ class OrbitPartition:
             groups.setdefault(key(e), []).append(e)
         cells = tuple(tuple(members) for members in groups.values())
         cell_of = {e: ci for ci, members in enumerate(cells) for e in members}
-        return cls(domain, elements, cells, cell_of, tuple(members[0] for members in cells))
+        return cls(elements, cells, cell_of, tuple(members[0] for members in cells))
 
     @property
     def num_cells(self) -> int:
@@ -544,9 +543,6 @@ def verify_generator(model: Model, pair: PermutationPair, num_samples: int = 100
 # orbit partitions
 
 
-ORBIT_DOMAINS = ("vars", "features", "edges", "arcs", "factor-assignments")
-
-
 def _domain_elements(domain, model):
     if domain == "vars":
         return list(range(model.num_vars))
@@ -603,7 +599,7 @@ def orbits_of(gens, domain: str, model: Model) -> OrbitPartition:
             if img not in index:
                 raise ModelError("generator maps %r outside the %s domain" % (e, domain))
             uf.union(index[e], index[img])
-    return OrbitPartition.group(domain, elements, lambda e: uf.find(index[e]))
+    return OrbitPartition.group(elements, lambda e: uf.find(index[e]))
 
 
 def compute_orbit_bundle(gens, model: Model) -> OrbitBundle:

@@ -238,6 +238,20 @@ class TestMap:
         assert payload["status"] == "cap"
         assert payload["cuts"] == 0
 
+    def test_negative_cut_budget_is_usage_error(self, capsys, models_dir):
+        code, out, err = run(
+            capsys,
+            "map",
+            str(models_dir / "triangle.fgm"),
+            "--polytope",
+            "cycle",
+            "--max-cuts",
+            "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--max-cuts" in err
+
     def test_csv_bound_curve(self, capsys, models_dir, tmp_path):
         csv_path = tmp_path / "curve.csv"
         code, payload = run_json(

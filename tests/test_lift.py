@@ -17,7 +17,6 @@ from liftedmap.symmetry import (
     GeneratorSymmetries,
     PermutationPair,
     TrivialSymmetries,
-    compute_orbit_bundle,
 )
 
 
@@ -117,7 +116,7 @@ def test_inconsistent_theta_across_cell_is_rejected():
     rotate = PermutationPair(var_perm=(1, 2, 0), feature_perm=(2, 0, 1))
     gens = GeneratorSet(generators=(rotate,), group_order=None)
     with pytest.raises(LiftError):
-        build_lifted_model(m, compute_orbit_bundle(gens, m))
+        build_lifted_model(m, GeneratorSymmetries(m, gens))
 
 
 def test_lifted_model_symmetry_handle_retained():
@@ -125,7 +124,5 @@ def test_lifted_model_symmetry_handle_retained():
     sym = GeneratorSymmetries(m)
     lm = build_lifted_model(m, sym)
     assert lm.symmetries is sym
-    bundle = sym.bundle()
-    lm2 = build_lifted_model(m, bundle)
-    assert lm2.symmetries is None
-    assert lm2.num_cells == lm.num_cells
+    with pytest.raises(LiftError):
+        build_lifted_model(m, sym.bundle())

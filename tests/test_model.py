@@ -81,10 +81,14 @@ def test_model_validation_errors():
     with pytest.raises(ModelError):  # table length vs arity
         Model(num_vars=2, features=(Feature(scope=(0, 1), table=(1.0, 0.0)),),
               tie_class_of=(0,), theta=(1.0,))
-    with pytest.raises(ModelError):  # constant in one argument
+    with pytest.raises(ModelError, match="feature 0 does not depend on argument 0$"):
         Model(num_vars=2,
               features=(Feature(scope=(0, 1), table=(0.0, 1.0, 0.0, 1.0)),),
               tie_class_of=(0,), theta=(1.0,))
+    with pytest.raises(ModelError, match="feature 1 does not depend on argument 1$"):
+        Model(num_vars=3,
+              features=(f, Feature(scope=(0, 1, 2), table=(0.0,) * 4 + (1.0,) * 4)),
+              tie_class_of=(0, 0), theta=(1.0,))
 
 
 def test_parse_format_roundtrip_bytes():

@@ -12,11 +12,13 @@ from liftedmap import (
     GeneratorSymmetries,
     MapOptions,
     RenamingSymmetries,
+    TrivialSymmetries,
     build_lifted_model,
     build_local_lp,
     cutting_plane_map,
     ground_mln,
     lift_vector,
+    parse_evidence,
     parse_mln,
     simplex_solve,
     symmetry,
@@ -41,7 +43,8 @@ from liftedmap.solve import (
     build_stabilized_graphs,
     constraint_row,
     decode,
-    mirror_shortest_path,
+    mirror_graph,
+    mirror_walk,
     separate_cycles_ground,
     separate_cycles_lifted,
     uniform_interior,
@@ -412,28 +415,28 @@ def tri(cut_w, nocut_w):
 
 class TestMirrorShortestPath:
     def test_free_crossings_take_every_edge(self):
-        steps, total = mirror_shortest_path(tri(cut_w=1.0, nocut_w=0.0), 0)
+        steps, total = mirror_walk(mirror_graph(tri(cut_w=1.0, nocut_w=0.0)), 0)
         assert total == pytest.approx(0.0, abs=1e-12)
         assert len(steps) == 3
         assert all(crossed for _, crossed in steps)
 
     def test_expensive_crossings_take_exactly_one(self):
-        steps, total = mirror_shortest_path(tri(cut_w=0.0, nocut_w=1.0), 0)
+        steps, total = mirror_walk(mirror_graph(tri(cut_w=0.0, nocut_w=1.0)), 0)
         assert total == pytest.approx(1.0, abs=1e-12)
         assert sum(crossed for _, crossed in steps) == 1
 
     def test_self_loop_switches_copies(self):
-        steps, total = mirror_shortest_path([("L", 0, 0, 0.7, 0.125)], 0)
+        steps, total = mirror_walk(mirror_graph([("L", 0, 0, 0.7, 0.125)]), 0)
         assert total == pytest.approx(0.125, abs=1e-12)
         assert steps == (("L", True),)
 
     def test_unreachable_mirror(self):
-        steps, total = mirror_shortest_path([("e", 1, 2, 0.1, 0.2)], 0)
+        steps, total = mirror_walk(mirror_graph([("e", 1, 2, 0.1, 0.2)]), 0)
         assert steps is None
         assert total == np.inf
 
     def test_negative_weights_clamp_to_zero(self):
-        steps, total = mirror_shortest_path(tri(cut_w=-1.0, nocut_w=-0.5), 0)
+        steps, total = mirror_walk(mirror_graph(tri(cut_w=-1.0, nocut_w=-0.5)), 0)
         assert total == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
@@ -450,7 +453,7 @@ class TestMirrorShortestPath:
                     nocut_w = round(rng.uniform(0.0, 1.0), 3)
                     edges.append((key, i, j, cut_w, nocut_w))
                     weights[key] = (cut_w, nocut_w)
-        steps, total = mirror_shortest_path(edges, 0)
+        steps, total = mirror_walk(mirror_graph(edges), 0)
         if steps is None:
             assert total == np.inf
             return
@@ -542,13 +545,6 @@ class TestLiftedSeparation:
         stabilized = build_stabilized_graphs(lifted)
         assert separate_cycles_lifted(lifted, stabilized, uniform_interior(lifted)) is None
 
-    def test_needs_symmetry_source(self):
-        model = triangle()
-        bundle = GeneratorSymmetries(model).bundle()
-        lifted = build_lifted_model(model, bundle)
-        with pytest.raises(SolveError):
-            build_stabilized_graphs(lifted)
-
 
 # ---------------------------------------------------------------------------
 # local relaxation structure
@@ -583,6 +579,40 @@ class TestLocalRelaxation:
         lifted = build_lifted_model(model, GeneratorSymmetries(model))
         lp_bar = build_local_lp(lifted)
         assert rows_satisfied(uniform_interior(lifted), lp_bar.rows)
+
+    @pytest.mark.parametrize(
+        "name, sources",
+        [
+            ("ex1", ("search", "none")),
+            ("triangle", ("search", "none")),
+            ("frucht", ("search", "none")),
+            ("triple_parity", ("search", "none")),
+            ("lovers_smokers_3", ("renaming", "search")),
+            ("lovers_smokers_5", ("renaming", "search")),
+            ("q2", ("renaming", "search")),
+        ],
+    )
+    def test_lifted_uniform_is_bitwise_the_cell_average(self, name, sources, models_dir):
+        # the old lifted path, averaging the ground uniform point over each
+        # cell, is the reference: the cells hold identical powers of two
+        if name.startswith("lovers_smokers"):
+            d = int(name[-1])
+            model, gmap = ground_mln(parse_mln(LOVERS_SMOKERS_MLN), domain_size=d)
+        elif name == "q2":
+            evidence = parse_evidence((models_dir / "q2.evidence").read_text())
+            q2 = parse_mln((models_dir / "q2.mln").read_text())
+            model, gmap = ground_mln(q2, 3, evidence)
+        else:
+            model = {"ex1": ex1, "triangle": triangle, "frucht": frucht,
+                     "triple_parity": lambda: triple_parity(4)}[name]()
+        make = {"search": GeneratorSymmetries, "none": TrivialSymmetries,
+                "renaming": lambda m: RenamingSymmetries(m, gmap)}
+        for source in sources:
+            lm = build_lifted_model(model, make[source](model))
+            reference = lift_vector(uniform_interior(lm.index.layout), lm.index)
+            assert uniform_interior(lm).tobytes() == reference.tobytes()
+            if name == "triple_parity":
+                assert lm.factor_info
 
     @pytest.mark.parametrize(
         "name", ["ex1", "triangle", "triple_parity", "frucht", "lovers_smokers"]
@@ -635,12 +665,6 @@ class TestLocalRelaxation:
         assert elapsed < 20.0, "took %.1f s: %r" % (elapsed, result.timings_ms)
 
     def test_rejects_wrong_space(self):
-        model = triangle()
-        with pytest.raises(SolveError):
-            build_local_lp(model, space="lifted")
-        lifted = build_lifted_model(model, GeneratorSymmetries(model))
-        with pytest.raises(SolveError):
-            build_local_lp(lifted, space="ground")
         with pytest.raises(SolveError):
             build_local_lp("not a model")
 
