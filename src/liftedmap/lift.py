@@ -46,7 +46,6 @@ class CellIndex:
 @dataclass(frozen=True)
 class NodeOrbitInfo:
     rep: int
-    size: int
     cell0: int
     cell1: int
 
@@ -54,18 +53,15 @@ class NodeOrbitInfo:
 @dataclass(frozen=True)
 class EdgeOrbitInfo:
     rep: tuple
-    size: int
     cell00: int
     cell11: int
     cell_uv: int  # cell of the (0,1) coordinate on the representative edge
     cell_vu: int  # cell of the (1,0) coordinate; equals cell_uv when self-paired
-    self_paired: bool
 
 
 @dataclass(frozen=True)
 class FactorOrbitInfo:
     rep: tuple
-    size: int
     cell: int
 
 
@@ -163,28 +159,22 @@ def build_lifted_model(model: Model, symmetries) -> LiftedModel:
     index = CellIndex(layout=layout, rho=rho, cells=cells, labels=tuple(labels))
 
     node_info = tuple(
-        NodeOrbitInfo(rep=members[0], size=len(members), cell0=2 * k, cell1=2 * k + 1)
-        for k, members in enumerate(bundle.vars.cells)
+        NodeOrbitInfo(rep=rep, cell0=2 * k, cell1=2 * k + 1)
+        for k, rep in enumerate(bundle.vars.reps)
     )
-    edge_info = []
-    for k, members in enumerate(bundle.edges.cells):
-        u, v = members[0]
-        cell_uv = arc_base + bundle.arcs.cell_of[(u, v)]
-        cell_vu = arc_base + bundle.arcs.cell_of[(v, u)]
-        edge_info.append(
-            EdgeOrbitInfo(
-                rep=(u, v),
-                size=len(members),
-                cell00=edge_base + 2 * k,
-                cell11=edge_base + 2 * k + 1,
-                cell_uv=cell_uv,
-                cell_vu=cell_vu,
-                self_paired=cell_uv == cell_vu,
-            )
+    edge_info = tuple(
+        EdgeOrbitInfo(
+            rep=(u, v),
+            cell00=edge_base + 2 * k,
+            cell11=edge_base + 2 * k + 1,
+            cell_uv=arc_base + bundle.arcs.cell_of[(u, v)],
+            cell_vu=arc_base + bundle.arcs.cell_of[(v, u)],
         )
+        for k, (u, v) in enumerate(bundle.edges.reps)
+    )
     factor_info = tuple(
-        FactorOrbitInfo(rep=members[0], size=len(members), cell=factor_base + k)
-        for k, members in enumerate(bundle.factor_assignments.cells)
+        FactorOrbitInfo(rep=rep, cell=factor_base + k)
+        for k, rep in enumerate(bundle.factor_assignments.reps)
     )
 
     return LiftedModel(
@@ -192,7 +182,7 @@ def build_lifted_model(model: Model, symmetries) -> LiftedModel:
         bundle=bundle,
         index=index,
         node_info=node_info,
-        edge_info=tuple(edge_info),
+        edge_info=edge_info,
         factor_info=factor_info,
         theta_bar=theta_bar,
         symmetries=symmetries,

@@ -634,21 +634,6 @@ def _by_signature(domain, model: Model, key) -> OrbitPartition:
     return OrbitPartition.group(_domain_elements(domain, model), key)
 
 
-def _vars_and_edges(model: Model, atoms, dist):
-    """Variable and edge partitions by signature for one distinguished set."""
-
-    def edge_key(e):
-        u, v = e
-        a = _joint_signature(atoms[u], atoms[v], dist)
-        b = _joint_signature(atoms[v], atoms[u], dist)
-        return min(a, b)
-
-    return (
-        _by_signature("vars", model, lambda v: atom_signature(atoms[v], dist)),
-        _by_signature("edges", model, edge_key),
-    )
-
-
 class RenamingSymmetries:
     """Renaming-group orbits for a grounded MLN, computed from signatures."""
 
@@ -677,20 +662,23 @@ class RenamingSymmetries:
             u, v = arc
             return _joint_signature(atoms[u], atoms[v], dist)
 
+        def edge_key(e):
+            return min(arc_key(e), arc_key(e[::-1]))
+
         def fa_key(element):
             j, a = element
             return (fkey[j], tuple(a[p] for p in perm[j]))
 
-        vars_p, edges_p = _vars_and_edges(model, atoms, dist)
         return OrbitBundle(
-            vars=vars_p,
+            vars=_by_signature("vars", model, lambda v: atom_signature(atoms[v], dist)),
             features=_by_signature("features", model, fkey.__getitem__),
-            edges=edges_p,
+            edges=_by_signature("edges", model, edge_key),
             arcs=_by_signature("arcs", model, arc_key),
             factor_assignments=_by_signature("factor-assignments", model, fa_key),
         )
 
-    def stabilized_light(self, fixed_var: int):
-        """Variable/edge orbits once the fixed atom's constants are pinned."""
-        dist = frozenset(self.distinguished | set(self.gmap.atoms[fixed_var][1]))
-        return _vars_and_edges(self.model, self.gmap.atoms, dist)
+    def stabilized_light(self, fixed_var: int) -> OrbitPartition:
+        """Variable orbits once the fixed atom's constants are pinned."""
+        atoms = self.gmap.atoms
+        dist = self.distinguished | set(atoms[fixed_var][1])
+        return _by_signature("vars", self.model, lambda v: atom_signature(atoms[v], dist))

@@ -17,9 +17,11 @@ mirror image switches an odd number of times. Lifted separation runs the
 same search per node orbit on the graph quotiented by a subgroup of the
 stabilizer of the orbit's representative. Any subgroup that fixes the
 representative gives the same shortest walk, so each symmetry source hands
-over one it has at hand, with no search: the search source the found
-generators that fix the representative, the renaming source the renamings
-that pin its constants.
+over the variable orbits of one it has at hand, with no search: the search
+source the found generators that fix the representative, the renaming
+source the renamings that pin its constants. The quotient has those
+variable orbits as nodes and one edge per distinct (full edge orbit, pair
+of variable orbits); the full edge orbit carries the edge's weights.
 
 The cutting-plane driver uses an in-out step: separation happens at
 sigma = ALPHA * tau_out + (1 - ALPHA) * tau_in, where tau_in is a point
@@ -697,8 +699,8 @@ def separate_cycles_ground(model, tau):
 @dataclass(frozen=True)
 class StabilizedGraph:
     """Mirror-search graph for one node orbit: stabilized variable cells as
-    nodes, one edge per stabilized edge orbit, keyed by the FULL edge orbit
-    that carries its weights."""
+    nodes, one edge per distinct (full edge orbit, pair of stabilized cells),
+    keyed by the FULL edge orbit that carries its weights."""
 
     orbit: int
     source: object
@@ -708,26 +710,35 @@ class StabilizedGraph:
 def build_stabilized_graphs(lifted: LiftedModel):
     """One stabilized lifted graph per node orbit, built once per model.
 
-    Each graph quotients the model by the group the symmetry source's
-    stabilized_light returns for the orbit's representative. That group may
-    be any subgroup of the representative's stabilizer that fixes it: the
-    representative stays a singleton source cell, and the shortest mirror
-    walk from it has the same weight as on the ground graph.
+    Each graph quotients the model by a subgroup H of the stabilizer of the
+    orbit's representative, found with no search: the renaming source pins
+    the representative's constants, the search source keeps the found
+    generators that fix it. The source's stabilized_light gives H's
+    variable orbits. Any H that fixes the representative gives the same
+    shortest mirror walk from it: each walk on the quotient lifts to a
+    ground walk of equal weight back to it, since H keeps it a singleton
+    and keeps the edge weights, and each ground walk projects to a quotient
+    walk of no larger weight.
+
+    A quotient edge may be keyed by its full edge orbit: its weights are
+    read off the full orbit's cells, so all ground edges of one full orbit
+    between the same two H-cells are parallel edges of equal weight, and
+    one of them serves. Each edge keeps the cells of the smallest such
+    ground edge.
     """
-    full_edge_cell = lifted.bundle.edges.cell_of
+    edges = lifted.bundle.edges
+    ends = [(u, v, edges.cell_of[(u, v)]) for (u, v) in edges.elements]
     graphs = []
     for k, info in enumerate(lifted.node_info):
-        rep = info.rep
-        vars_p, edges_p = lifted.symmetries.stabilized_light(rep)
+        cell = lifted.symmetries.stabilized_light(info.rep).cell_of
         dedup = {}
-        for members in edges_p.cells:
-            u, v = members[0]
-            a, b = vars_p.cell_of[u], vars_p.cell_of[v]
-            key = (tuple(sorted((a, b))), full_edge_cell[(u, v)])
+        for u, v, e in ends:
+            a, b = cell[u], cell[v]
+            key = (a, b, e) if a <= b else (b, a, e)
             if key not in dedup:
-                dedup[key] = (full_edge_cell[(u, v)], a, b)
+                dedup[key] = (e, a, b)
         graphs.append(
-            StabilizedGraph(orbit=k, source=vars_p.cell_of[rep], edges=tuple(dedup.values()))
+            StabilizedGraph(orbit=k, source=cell[info.rep], edges=tuple(dedup.values()))
         )
     return tuple(graphs)
 
@@ -918,9 +929,6 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
 
         tau_in = uniform_interior(target)
         while True:
-            if len(cuts) >= opts.max_cuts:
-                status = "cap"
-                break
             t1 = time.perf_counter()
             sigma = ALPHA * tau_out + (1.0 - ALPHA) * tau_in
             cut = separate(sigma)
@@ -932,8 +940,8 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
                 status = "optimal"
                 break
             key = cut.canonical()
-            if key in seen:
-                # no progress possible; treat like a budget stop
+            if key in seen or len(cuts) >= opts.max_cuts:
+                # a repeated cut makes no progress; a new one past the budget is not added
                 status = "cap"
                 break
             seen.add(key)

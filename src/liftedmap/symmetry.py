@@ -629,21 +629,14 @@ class GeneratorSymmetries:
     def bundle(self) -> OrbitBundle:
         return compute_orbit_bundle(self.gens, self.model)
 
-    def stabilized_light(self, fixed_var: int):
-        """Variable and edge orbits under the found generators that fix one variable.
+    def stabilized_light(self, fixed_var: int) -> OrbitPartition:
+        """Variable orbits under the found generators that fix one variable.
 
-        They generate a subgroup H of the variable's stabilizer, possibly a
-        proper one, and no search runs. Any subgroup that fixes the variable
-        gives the same shortest mirror walk from it: each walk on the graph
-        quotiented by H lifts to a ground walk of equal weight back to the
-        variable, since H keeps it a singleton and keeps the edge weights,
-        and each ground walk projects to a quotient walk of no larger weight.
+        They generate a subgroup of the variable's stabilizer, possibly a
+        proper one, and no search runs.
         """
         sub = [g for g in self.gens.generators if g.var_perm[fixed_var] == fixed_var]
-        return (
-            orbits_of(sub, "vars", self.model),
-            orbits_of(sub, "edges", self.model),
-        )
+        return orbits_of(sub, "vars", self.model)
 
 
 class TrivialSymmetries(GeneratorSymmetries):

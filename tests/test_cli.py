@@ -238,6 +238,20 @@ class TestMap:
         assert payload["status"] == "cap"
         assert payload["cuts"] == 0
 
+    def test_run_needing_exactly_the_cut_budget_exits_0(self, capsys, models_dir):
+        code, payload = run_json(
+            capsys,
+            "map",
+            str(models_dir / "triangle.fgm"),
+            "--polytope",
+            "cycle",
+            "--max-cuts",
+            "1",
+        )
+        assert code == 0
+        assert payload["status"] == "optimal"
+        assert payload["cuts"] == 1
+
     def test_negative_cut_budget_is_usage_error(self, capsys, models_dir):
         code, out, err = run(
             capsys,

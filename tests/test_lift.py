@@ -37,7 +37,7 @@ def test_triangle_lifted_layout():
     assert lm.num_cells == 2 + 2 + 1
     assert len(lm.node_info) == 1 and len(lm.edge_info) == 1
     info = lm.edge_info[0]
-    assert info.size == 3 and info.self_paired
+    assert len(lm.bundle.edges.cells[0]) == 3
     assert info.cell_uv == info.cell_vu
 
 

@@ -270,12 +270,9 @@ def test_renaming_stabilizer_orbits_refine_search_stabilizer_orbits(d):
     graph = build_colored_factor_graph(model)
     largest = 0
     for rep in renaming.bundle().vars.reps:
-        r_vars, r_edges = renaming.stabilized_light(rep)
-        exact = stabilizer_generators(graph, rep)
-        s_vars, s_edges = orbits_of(exact, "vars", model), orbits_of(exact, "edges", model)
+        r_vars = renaming.stabilized_light(rep)
+        s_vars = orbits_of(stabilizer_generators(graph, rep), "vars", model)
         assert (rep,) in r_vars.cells and (rep,) in s_vars.cells
-        assert r_edges.elements == s_edges.elements
         assert refines(r_vars.cells, s_vars.cells)
-        assert refines(r_edges.cells, s_edges.cells)
-        largest = max([largest] + [len(c) for c in r_edges.cells])
+        largest = max([largest] + [len(c) for c in r_vars.cells])
     assert largest > 1

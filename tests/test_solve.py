@@ -32,14 +32,17 @@ from liftedmap.fixtures import (
     random_tied_pairwise,
     triangle,
     triple_parity,
+    unary_logistic,
 )
-from liftedmap.model import OvercompleteLayout, score
+from liftedmap.mln import _joint_signature, atom_signature
+from liftedmap.model import OvercompleteLayout, score, skeleton
 from liftedmap.oracle import enumerate_cycle_constraints, exact_enumerate
 from liftedmap.solve import (
     CycleConstraint,
     LinearProgram,
     SimplexTableau,
     SolveError,
+    StabilizedGraph,
     build_stabilized_graphs,
     constraint_row,
     decode,
@@ -61,6 +64,45 @@ def rows_satisfied(tau, rows, tol=1e-9):
         if sense == ">=" and val < rhs - tol:
             return False
     return True
+
+
+def stabilized_partitions(sym, rep):
+    """Variable and edge orbits of the subgroup fixing rep that a source uses,
+    the edge orbits computed directly rather than from the variable cells."""
+    model = sym.model
+    if isinstance(sym, RenamingSymmetries):
+        atoms = sym.gmap.atoms
+        dist = sym.distinguished | set(atoms[rep][1])
+
+        def edge_key(e):
+            u, v = e
+            return min(_joint_signature(atoms[u], atoms[v], dist),
+                       _joint_signature(atoms[v], atoms[u], dist))
+
+        return (
+            symmetry.OrbitPartition.group(range(model.num_vars),
+                                          lambda v: atom_signature(atoms[v], dist)),
+            symmetry.OrbitPartition.group(skeleton(model).edges, edge_key),
+        )
+    sub = [g for g in sym.gens.generators if g.var_perm[rep] == rep]
+    return symmetry.orbits_of(sub, "vars", model), symmetry.orbits_of(sub, "edges", model)
+
+
+def stabilized_graphs_from_edge_orbits(lifted):
+    """Reference stabilized graphs: one edge per stabilized edge orbit, taken
+    at the orbit's smallest edge and deduplicated by (cell pair, full orbit)."""
+    full = lifted.bundle.edges.cell_of
+    graphs = []
+    for k, info in enumerate(lifted.node_info):
+        vars_p, edges_p = stabilized_partitions(lifted.symmetries, info.rep)
+        dedup = {}
+        for members in edges_p.cells:
+            u, v = members[0]
+            a, b = vars_p.cell_of[u], vars_p.cell_of[v]
+            dedup.setdefault((tuple(sorted((a, b))), full[(u, v)]), (full[(u, v)], a, b))
+        graphs.append(StabilizedGraph(orbit=k, source=vars_p.cell_of[info.rep],
+                                      edges=tuple(dedup.values())))
+    return tuple(graphs)
 
 
 def frustrated_point(model):
@@ -545,6 +587,34 @@ class TestLiftedSeparation:
         stabilized = build_stabilized_graphs(lifted)
         assert separate_cycles_lifted(lifted, stabilized, uniform_interior(lifted)) is None
 
+    @pytest.mark.parametrize(
+        "name,source",
+        [(name, source) for name in
+         ("ex1", "triangle", "cycle6", "frucht", "fully_connected5", "triple_parity",
+          "unary_logistic", "circulant_7_1_3") for source in ("search", "none")]
+        + [("random%d" % seed, "search") for seed in range(10)]
+        + [(name, source) for name in ("lovers_smokers_3", "lovers_smokers_5", "q2")
+           for source in ("renaming", "search")],
+    )
+    def test_stabilized_graphs_match_the_stabilized_edge_partition(self, name, source, models_dir):
+        gmap = None
+        if name.startswith("lovers_smokers"):
+            model, gmap = ground_mln(parse_mln(LOVERS_SMOKERS_MLN), domain_size=int(name[-1]))
+        elif name == "q2":
+            evidence = parse_evidence((models_dir / "q2.evidence").read_text())
+            model, gmap = ground_mln(parse_mln((models_dir / "q2.mln").read_text()), 3, evidence)
+        elif name.startswith("random"):
+            model = random_tied_pairwise(int(name[len("random"):]))
+        else:
+            model = {"ex1": ex1, "triangle": triangle, "cycle6": lambda: cycle_model(6),
+                     "frucht": frucht, "fully_connected5": lambda: fully_connected_symmetric(5),
+                     "triple_parity": lambda: triple_parity(4), "unary_logistic": unary_logistic,
+                     "circulant_7_1_3": circulant_7_1_3}[name]()
+        make = {"search": GeneratorSymmetries, "none": TrivialSymmetries,
+                "renaming": lambda m: RenamingSymmetries(m, gmap)}
+        lifted = build_lifted_model(model, make[source](model))
+        assert build_stabilized_graphs(lifted) == stabilized_graphs_from_edge_orbits(lifted)
+
 
 # ---------------------------------------------------------------------------
 # local relaxation structure
@@ -705,6 +775,18 @@ class TestCuttingPlaneMap:
         assert result.status == "cap"
         assert result.cuts_added == ()
         assert result.objective == pytest.approx(0.0, abs=1e-8)
+
+    def test_run_needing_exactly_the_budget_is_optimal(self):
+        result = cutting_plane_map(triangle(), MapOptions(polytope="cycle", max_cuts=1))
+        assert result.status == "optimal"
+        assert len(result.cuts_added) == 1
+        assert result.objective == pytest.approx(-1.0, abs=1e-8)
+
+    def test_zero_budget_without_a_violated_cycle_is_optimal(self):
+        result = cutting_plane_map(ex1(), MapOptions(polytope="cycle", max_cuts=0))
+        assert result.status == "optimal"
+        assert result.cuts_added == ()
+        assert result.objective == pytest.approx(4.0, abs=1e-8)
 
     def test_lifted_run_matches_ground(self):
         model = ex1()

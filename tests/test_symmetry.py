@@ -406,11 +406,10 @@ def test_stabilized_light_is_a_subgroup_of_the_exact_stabilizer():
         s = GeneratorSymmetries(m)
         graph = build_colored_factor_graph(m)
         for rep in s.bundle().vars.reps:
-            h_vars, h_edges = s.stabilized_light(rep)
+            h_vars = s.stabilized_light(rep)
             exact = stabilizer_generators(graph, rep)
             assert (rep,) in h_vars.cells
             assert refines(h_vars.cells, orbits_of(exact, "vars", m).cells)
-            assert refines(h_edges.cells, orbits_of(exact, "edges", m).cells)
             largest = max([largest] + [len(c) for c in h_vars.cells])
     assert largest > 1
 
