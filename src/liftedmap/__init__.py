@@ -9,7 +9,7 @@ The package is organized around a small pipeline:
   renaming-group orbits computed without any graph search.
 * :mod:`liftedmap.lift` -- collapsing a ground model onto orbit cells.
 * :mod:`liftedmap.solve` -- LP-based MAP inference on the local polytope with
-  optional cycle-inequality tightening, for ground and lifted models alike.
+  optional cycle-inequality tightening; a ground model is its trivial lift.
 * :mod:`liftedmap.oracle` -- brute-force reference implementations used to
   validate everything else on small instances.
 """

@@ -186,6 +186,10 @@ def cmd_orbits(args) -> int:
 def cmd_map(args) -> int:
     if args.max_cuts < 0:
         raise UsageError("--max-cuts must be at least 0")
+    if args.space == "ground" and args.method not in ("auto", "none"):
+        raise UsageError(
+            "--method %s needs --space lifted; ground space is the trivial group" % args.method
+        )
     inputs = _load(args)
     opts = MapOptions(polytope=args.polytope, max_cuts=args.max_cuts)
     payload = _base_payload(inputs)
@@ -219,6 +223,8 @@ def _layout_key_str(key) -> str:
 
 
 def cmd_exact(args) -> int:
+    if args.limit < 0:
+        raise UsageError("--limit must be at least 0")
     inputs = _load(args)
     res = exact_enumerate(inputs.model, limit=args.limit)
     payload = _base_payload(inputs)
@@ -275,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["auto", "search", "renaming", "none"],
         default="auto",
-        help="symmetry method for the lifted space",
+        help="symmetry method for the lifted space (ground takes auto or none)",
     )
     sp.add_argument("--max-cuts", type=int, default=200)
     sp.add_argument("--csv", default=None, help="write the bound-per-iteration curve here")

@@ -1,12 +1,18 @@
 """Collapse a ground model onto orbit cells.
 
 Ground overcomplete coordinates are grouped into cells: per variable orbit a
-cell for each value, per edge orbit a cell for the equal-value coordinates
-(0,0) and (1,1), per arc orbit one cell holding the opposite-value
-coordinates, and one cell per factor-assignment orbit. The lifted parameters
-add the ground parameters within each cell, which requires the ground
-parameters to be constant on every cell; the lift map averages a ground
-vector over cells and the unlift map broadcasts a lifted vector back.
+cell for each value, per edge orbit one cell for (0,0) and one for (1,1), per
+arc orbit one cell holding the opposite-value coordinates, and one cell per
+factor-assignment orbit. The lifted parameters add the ground parameters
+within each cell, which requires the ground parameters to be constant on
+every cell; the lift map averages a ground vector over cells and the unlift
+map broadcasts a lifted vector back.
+
+Cells are numbered in the order of their first ground coordinate in the
+model's OvercompleteLayout. Under the trivial group every cell is one
+coordinate and cell i is coordinate i, so the lifted model is the ground
+model column for column: ground inference is the lift under the trivial
+group.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ class CellIndex:
     """Map between ground overcomplete coordinates and lifted cells.
 
     rho[i] is the cell of ground coordinate i (positions follow the model's
-    OvercompleteLayout); cells[c] lists the ground coordinates of cell c.
+    OvercompleteLayout), cells numbered by their first coordinate; cells[c]
+    lists the ground coordinates of cell c.
     labels[c] describes the cell: ("node", orbit, value), ("edge", orbit,
     "00" | "11"), ("arc", orbit), or ("factor", orbit).
     """
@@ -98,83 +105,75 @@ def build_lifted_model(model: Model, symmetries) -> LiftedModel:
     if bundle.edges.elements != tuple(sorted(layout.edges)):
         raise LiftError("edge orbits do not cover this model's edges")
 
-    nv = bundle.vars.num_cells
-    ne = bundle.edges.num_cells
-    na = bundle.arcs.num_cells
-    edge_base = 2 * nv
-    arc_base = edge_base + 2 * ne
-    factor_base = arc_base + na
-    num_cells = factor_base + bundle.factor_assignments.num_cells
-
-    labels = []
-    for k in range(nv):
-        labels.append(("node", k, 0))
-        labels.append(("node", k, 1))
-    for k in range(ne):
-        labels.append(("edge", k, "00"))
-        labels.append(("edge", k, "11"))
-    for k in range(na):
-        labels.append(("arc", k))
-    for k in range(bundle.factor_assignments.num_cells):
-        labels.append(("factor", k))
-
-    rho = np.zeros(layout.size, dtype=np.int64)
-    for i, key in enumerate(layout.keys):
+    # a cell is numbered when its first ground coordinate is met, so the
+    # trivial group gives rho == arange(layout.size)
+    vars_, edges, arcs = bundle.vars.cell_of, bundle.edges.cell_of, bundle.arcs.cell_of
+    assignments = bundle.factor_assignments.cell_of
+    cell_of_label = {}
+    rho = []
+    for key in layout.keys:
         if key[0] == "node":
             _, v, t = key
-            rho[i] = 2 * bundle.vars.cell_of[v] + t
+            label = ("node", vars_[v], t)
         elif key[0] == "edge":
             _, u, v, a, b = key
             if a == b:
-                rho[i] = edge_base + 2 * bundle.edges.cell_of[(u, v)] + a
-            elif (a, b) == (0, 1):
-                rho[i] = arc_base + bundle.arcs.cell_of[(u, v)]
+                label = ("edge", edges[(u, v)], "00" if a == 0 else "11")
             else:
-                rho[i] = arc_base + bundle.arcs.cell_of[(v, u)]
+                label = ("arc", arcs[(u, v) if a == 0 else (v, u)])
         else:
             _, j, a = key
-            rho[i] = factor_base + bundle.factor_assignments.cell_of[(j, a)]
+            label = ("factor", assignments[(j, a)])
+        rho.append(cell_of_label.setdefault(label, len(cell_of_label)))
+    num_cells = len(cell_of_label)
 
     cells = [[] for _ in range(num_cells)]
     for i, c in enumerate(rho):
-        cells[int(c)].append(i)
-    for c, members in enumerate(cells):
-        if not members:
-            raise LiftError("cell %d (%r) has no ground coordinates" % (c, labels[c]))
+        cells[c].append(i)
     cells = tuple(tuple(members) for members in cells)
 
+    # per-cell spread and sum of theta over the coordinates grouped by cell
     theta = layout.theta_vector()
-    theta_bar = np.zeros(num_cells)
-    for c, members in enumerate(cells):
+    by_cell = theta[np.fromiter((i for members in cells for i in members), np.int64, layout.size)]
+    starts = np.cumsum([0] + [len(members) for members in cells[:-1]])
+    spread = np.maximum.reduceat(by_cell, starts) - np.minimum.reduceat(by_cell, starts)
+    bad = np.flatnonzero(spread > 1e-12)
+    if bad.size:
+        members = cells[bad[0]]
         vals = theta[list(members)]
-        if float(vals.max() - vals.min()) > 1e-12:
-            lo = members[int(vals.argmin())]
-            hi = members[int(vals.argmax())]
-            raise LiftError(
-                "cell not theta-constant: coordinates %r and %r carry %r and %r"
-                % (layout.keys[lo], layout.keys[hi], float(theta[lo]), float(theta[hi]))
-            )
-        theta_bar[c] = float(vals.sum())
+        lo = members[int(vals.argmin())]
+        hi = members[int(vals.argmax())]
+        raise LiftError(
+            "cell not theta-constant: coordinates %r and %r carry %r and %r"
+            % (layout.keys[lo], layout.keys[hi], float(theta[lo]), float(theta[hi]))
+        )
+    theta_bar = np.add.reduceat(by_cell, starts) + 0.0  # -0.0 becomes 0.0, as in sum()
 
-    index = CellIndex(layout=layout, rho=rho, cells=cells, labels=tuple(labels))
-
+    index = CellIndex(
+        layout=layout,
+        rho=np.array(rho, dtype=np.int64),
+        cells=cells,
+        labels=tuple(cell_of_label),
+    )
     node_info = tuple(
-        NodeOrbitInfo(rep=rep, cell0=2 * k, cell1=2 * k + 1)
-        for k, rep in enumerate(bundle.vars.reps)
+        NodeOrbitInfo(
+            rep=v, cell0=rho[layout.node_index(v, 0)], cell1=rho[layout.node_index(v, 1)]
+        )
+        for v in bundle.vars.reps
     )
     edge_info = tuple(
         EdgeOrbitInfo(
             rep=(u, v),
-            cell00=edge_base + 2 * k,
-            cell11=edge_base + 2 * k + 1,
-            cell_uv=arc_base + bundle.arcs.cell_of[(u, v)],
-            cell_vu=arc_base + bundle.arcs.cell_of[(v, u)],
+            cell00=rho[layout.edge_index(u, v, 0, 0)],
+            cell11=rho[layout.edge_index(u, v, 1, 1)],
+            cell_uv=rho[layout.edge_index(u, v, 0, 1)],
+            cell_vu=rho[layout.edge_index(u, v, 1, 0)],
         )
-        for k, (u, v) in enumerate(bundle.edges.reps)
+        for (u, v) in bundle.edges.reps
     )
     factor_info = tuple(
-        FactorOrbitInfo(rep=rep, cell=factor_base + k)
-        for k, rep in enumerate(bundle.factor_assignments.reps)
+        FactorOrbitInfo(rep=(j, a), cell=rho[layout.factor_index(j, a)])
+        for (j, a) in bundle.factor_assignments.reps
     )
 
     return LiftedModel(

@@ -662,8 +662,12 @@ class RenamingSymmetries:
             u, v = arc
             return _joint_signature(atoms[u], atoms[v], dist)
 
+        arcs = _by_signature("arcs", model, arc_key)
+
         def edge_key(e):
-            return min(arc_key(e), arc_key(e[::-1]))
+            # the reverse arc's signature is a function of the arc's, so the
+            # smaller of the two arc orbits names the edge orbit
+            return min(arcs.cell_of[e], arcs.cell_of[e[::-1]])
 
         def fa_key(element):
             j, a = element
@@ -673,7 +677,7 @@ class RenamingSymmetries:
             vars=_by_signature("vars", model, lambda v: atom_signature(atoms[v], dist)),
             features=_by_signature("features", model, fkey.__getitem__),
             edges=_by_signature("edges", model, edge_key),
-            arcs=_by_signature("arcs", model, arc_key),
+            arcs=arcs,
             factor_assignments=_by_signature("factor-assignments", model, fa_key),
         )
 

@@ -1,11 +1,15 @@
 """MAP inference by LP relaxation, for ground and lifted models.
 
-The local polytope LP has one variable per overcomplete coordinate (ground)
-or per orbit cell (lifted): node normalization rows, four marginalization
-rows per edge, and normalization plus node/edge consistency rows per
-arity >= 3 factor. The lifted system is the ground system written once per
-orbit representative with coordinates substituted by their cells, then
-deduplicated.
+Every solve runs on a LiftedModel. A ground Model is lifted under the
+trivial group, whose cells are the overcomplete coordinates in layout order,
+so ground inference shares the lifted LP, separation and decoding: only the
+decode output keeps the ground shape.
+
+The local polytope LP has one variable per orbit cell: node normalization
+rows, four marginalization rows per edge, and normalization plus node/edge
+consistency rows per arity >= 3 factor. The system is the ground system
+written once per orbit representative with coordinates substituted by their
+cells, then deduplicated.
 
 Cycle tightening adds odd-crossing inequalities: around any closed walk, a
 configuration flips value an even number of times, so for an odd edge subset
@@ -13,15 +17,17 @@ F the agreement mass on F plus the disagreement mass off F is at least 1.
 Violated inequalities are found by shortest paths in a two-copy mirror
 graph: staying in a copy costs the disagreement (cut) weight, switching
 copies costs the agreement (nocut) weight, and any walk from a node to its
-mirror image switches an odd number of times. Lifted separation runs the
-same search per node orbit on the graph quotiented by a subgroup of the
-stabilizer of the orbit's representative. Any subgroup that fixes the
-representative gives the same shortest walk, so each symmetry source hands
-over the variable orbits of one it has at hand, with no search: the search
-source the found generators that fix the representative, the renaming
-source the renamings that pin its constants. The quotient has those
-variable orbits as nodes and one edge per distinct (full edge orbit, pair
-of variable orbits); the full edge orbit carries the edge's weights.
+mirror image switches an odd number of times. Separation runs the search
+per node orbit on the graph quotiented by a subgroup of the stabilizer of
+the orbit's representative. Any subgroup that fixes the representative
+gives the same shortest walk, so each symmetry source hands over the
+variable orbits of one it has at hand, with no search: the search source
+the found generators that fix the representative, the renaming source the
+renamings that pin its constants. The quotient has those variable orbits as
+nodes and one edge per distinct (full edge orbit, pair of variable orbits);
+the full edge orbit carries the edge's weights. Node orbits whose quotients
+have the same edges share one mirror graph, so under the trivial group one
+graph is searched from every variable, as in separate_cycles_ground.
 
 The cutting-plane driver uses an in-out step: separation happens at
 sigma = ALPHA * tau_out + (1 - ALPHA) * tau_in, where tau_in is a point
@@ -56,8 +62,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lift import LiftedModel
+from .lift import LiftedModel, build_lifted_model
 from .model import Model, OvercompleteLayout, assignments, score
+from .symmetry import TrivialSymmetries
 
 
 class SolveError(Exception):
@@ -493,95 +500,73 @@ def _ground_row_blocks(model, layout, var_list, edge_list, factor_list):
 def _substitute_rows(rows, rho):
     out = []
     seen = set()
+    rho = rho.tolist()
     for coeffs, sense, rhs in rows:
         acc = {}
         for j, c in coeffs:
-            cell = int(rho[j])
+            cell = rho[j]
             acc[cell] = acc.get(cell, 0.0) + c
-        items = tuple(sorted((k, v) for k, v in acc.items() if v != 0.0))
+        items = tuple(sorted(kv for kv in acc.items() if kv[1] != 0.0))
         key = (items, sense, float(rhs))
         if key in seen:
             continue
         seen.add(key)
-        out.append(([(k, v) for k, v in items], sense, rhs))
+        out.append((list(items), sense, rhs))
     return out
 
 
-def _layout_of(target) -> OvercompleteLayout:
-    return target if isinstance(target, OvercompleteLayout) else OvercompleteLayout(target)
+def _lifted(target) -> LiftedModel:
+    """target itself, or a ground Model lifted under the trivial group."""
+    if isinstance(target, LiftedModel):
+        return target
+    if isinstance(target, Model):
+        return build_lifted_model(target, TrivialSymmetries(target))
+    raise SolveError("expected a Model or a LiftedModel")
 
 
 def build_local_lp(target) -> LinearProgram:
-    """Local consistency LP for a Model (ground) or a LiftedModel (lifted).
-
-    A ground model may be given by its OvercompleteLayout, which is then
-    reused instead of rebuilt; so may uniform_interior, the ground
-    separation, constraint_row and decode.
+    """Local consistency LP of a LiftedModel, or of a ground Model's trivial lift.
 
     The LP's start is the local polytope's vertex for the all-zeros
-    configuration: its indicator vector in ground space, and in lifted space
-    that vector's cell averages (lift_vector), which stay 0/1 because every
-    symmetry fixes the all-zeros configuration. They are read off the cells
-    (node value 0, edge 00, all-zeros factor rows) without a ground pass.
+    configuration: the cell averages (lift_vector) of its ground indicator
+    vector, which stay 0/1 because every symmetry fixes the all-zeros
+    configuration. They are read off the cells (node value 0, edge 00,
+    all-zeros factor rows) without a ground pass.
     """
-    if isinstance(target, LiftedModel):
-        lm = target
-        model = lm.model
-        layout = lm.index.layout
-        var_list = lm.bundle.vars.reps
-        edge_list = [info.rep for info in lm.edge_info]
-        factor_list = [
-            rep for rep in lm.bundle.features.reps if model.features[rep].arity >= 3
-        ]
-        rows = _ground_row_blocks(model, layout, var_list, edge_list, factor_list)
-        rows = _substitute_rows(rows, lm.index.rho)
-        start = np.zeros(lm.num_cells)
-        start[[info.cell0 for info in lm.node_info]] = 1.0
-        start[[info.cell00 for info in lm.edge_info]] = 1.0
-        start[[info.cell for info in lm.factor_info if not any(info.rep[1])]] = 1.0
-        return LinearProgram(
-            num_vars=lm.num_cells,
-            objective=lm.theta_bar.copy(),
-            rows=rows,
-            bounds=[(0.0, 1.0)] * lm.num_cells,
-            start=start,
-        )
-    if not isinstance(target, (Model, OvercompleteLayout)):
-        raise SolveError("expected a Model or a LiftedModel")
-    layout = _layout_of(target)
-    model = layout.model
-    factor_list = [j for j, f in enumerate(model.features) if f.arity >= 3]
-    rows = _ground_row_blocks(
-        model, layout, range(model.num_vars), layout.edges, factor_list
-    )
+    lm = _lifted(target)
+    model = lm.model
+    var_list = lm.bundle.vars.reps
+    edge_list = [info.rep for info in lm.edge_info]
+    factor_list = [
+        rep for rep in lm.bundle.features.reps if model.features[rep].arity >= 3
+    ]
+    rows = _ground_row_blocks(model, lm.index.layout, var_list, edge_list, factor_list)
+    rows = _substitute_rows(rows, lm.index.rho)
+    start = np.zeros(lm.num_cells)
+    start[[info.cell0 for info in lm.node_info]] = 1.0
+    start[[info.cell00 for info in lm.edge_info]] = 1.0
+    start[[info.cell for info in lm.factor_info if not any(info.rep[1])]] = 1.0
     return LinearProgram(
-        num_vars=layout.size,
-        objective=layout.theta_vector(),
+        num_vars=lm.num_cells,
+        objective=lm.theta_bar.copy(),
         rows=rows,
-        bounds=[(0.0, 1.0)] * layout.size,
-        start=layout.phi_vector([0] * model.num_vars),
+        bounds=[(0.0, 1.0)] * lm.num_cells,
+        start=start,
     )
 
 
 def uniform_interior(target):
-    """The uniform pseudomarginal: nodes .5, edge cells .25, factor cells 2^-K."""
-    if isinstance(target, LiftedModel):
-        # constant on every cell, so read off the cells as the start vertex is
-        out = np.full(target.num_cells, 0.25)  # edge and arc cells
-        for info in target.node_info:
-            out[[info.cell0, info.cell1]] = 0.5
-        for info in target.factor_info:
-            out[info.cell] = 2.0 ** -len(info.rep[1])
-        return out
-    layout = _layout_of(target)
-    out = np.zeros(layout.size)
-    for i, key in enumerate(layout.keys):
-        if key[0] == "node":
-            out[i] = 0.5
-        elif key[0] == "edge":
-            out[i] = 0.25
-        else:
-            out[i] = 2.0 ** (-len(key[2]))
+    """The uniform pseudomarginal: nodes .5, edge cells .25, factor cells 2^-K.
+
+    It is constant on every cell, so it is read off the cells as the start
+    vertex is.
+    """
+    lm = _lifted(target)
+    out = np.full(lm.num_cells, 0.25)  # edge and arc cells
+    for info in lm.node_info:
+        out[[info.cell0, info.cell1]] = 0.5
+    for info in lm.factor_info:
+        out[info.cell] = 2.0 ** -len(info.rep[1])
     return out
 
 
@@ -596,9 +581,9 @@ ALPHA = 0.99  # in-out step: separate at ALPHA * tau_out + (1 - ALPHA) * tau_in
 class CycleConstraint:
     """One odd-crossing closed-walk inequality.
 
-    steps hold (edge key, in_F) pairs; keys are ground edges (u, v) in ground
-    space and edge-orbit indices in lifted space. lhs caches the value at the
-    separating point.
+    steps hold (edge key, in_F) pairs; keys are edge-orbit indices of a lifted
+    model, or ground edges (u, v) from the reference separate_cycles_ground.
+    lhs caches the value at the separating point.
     """
 
     space: str
@@ -671,8 +656,14 @@ def mirror_walk(adj, source):
 
 
 def separate_cycles_ground(model, tau):
-    """Most violated cycle inequality on the skeleton, or None."""
-    layout = _layout_of(model)
+    """Most violated cycle inequality on the skeleton, or None.
+
+    The reference for separate_cycles_lifted: one mirror graph over the
+    model's ground edges, searched from every variable. cutting_plane_map
+    solves a ground model by its trivial lift instead, which takes the same
+    walks.
+    """
+    layout = OvercompleteLayout(model)
     tau = np.asarray(tau, dtype=float)
     edges = []
     nodes = set()
@@ -744,19 +735,23 @@ def build_stabilized_graphs(lifted: LiftedModel):
 
 
 def separate_cycles_lifted(lifted: LiftedModel, stabilized, tau_bar):
-    """Most violated lifted cycle inequality across node orbits, or None."""
+    """Most violated lifted cycle inequality across node orbits, or None.
+
+    Node orbits are searched in order, ties kept by the first; graphs with
+    identical edges share one mirror graph.
+    """
     tau_bar = np.asarray(tau_bar, dtype=float)
     weights = {}
     for k, info in enumerate(lifted.edge_info):
         cut_w = tau_bar[info.cell_uv] + tau_bar[info.cell_vu]
         nocut_w = tau_bar[info.cell00] + tau_bar[info.cell11]
         weights[k] = (cut_w, nocut_w)
+    mirrors = {}
     best = None
     for g in stabilized:
-        edges = [
-            (ek, a, b, weights[ek][0], weights[ek][1]) for (ek, a, b) in g.edges
-        ]
-        steps, total = mirror_walk(mirror_graph(edges), g.source)
+        if g.edges not in mirrors:
+            mirrors[g.edges] = mirror_graph((ek, a, b, *weights[ek]) for ek, a, b in g.edges)
+        steps, total = mirror_walk(mirrors[g.edges], g.source)
         if steps is None:
             continue
         if best is None or total < best[1]:
@@ -768,24 +763,18 @@ def separate_cycles_lifted(lifted: LiftedModel, stabilized, tau_bar):
 
 
 def constraint_row(constraint: CycleConstraint, target):
-    """LP row (coeffs, ">=", 1.0) for a cycle constraint."""
+    """LP row (coeffs, ">=", 1.0) of a cycle constraint keyed by edge orbits.
+
+    target is the LiftedModel, or the ground Model whose trivial lift, the
+    one cutting_plane_map solves, has edge orbit k = the k-th skeleton edge.
+    """
+    lm = _lifted(target)
     acc = {}
-    if constraint.space == "ground":
-        layout = _layout_of(target)
-        for (u, v), in_f in constraint.steps:
-            if in_f:
-                idxs = (layout.edge_index(u, v, 0, 0), layout.edge_index(u, v, 1, 1))
-            else:
-                idxs = (layout.edge_index(u, v, 0, 1), layout.edge_index(u, v, 1, 0))
-            for i in idxs:
-                acc[i] = acc.get(i, 0.0) + 1.0
-    else:
-        lm = target
-        for k, in_f in constraint.steps:
-            info = lm.edge_info[k]
-            cells = (info.cell00, info.cell11) if in_f else (info.cell_uv, info.cell_vu)
-            for c in cells:
-                acc[c] = acc.get(c, 0.0) + 1.0
+    for k, in_f in constraint.steps:
+        info = lm.edge_info[k]
+        cells = (info.cell00, info.cell11) if in_f else (info.cell_uv, info.cell_vu)
+        for c in cells:
+            acc[c] = acc.get(c, 0.0) + 1.0
     return (sorted(acc.items()), ">=", 1.0)
 
 
@@ -793,48 +782,32 @@ def constraint_row(constraint: CycleConstraint, target):
 # decoding and the cutting-plane driver
 
 
-def decode(tau, target):
-    """Round node coordinates at 1/2 (ties to 0) and report fractionality."""
+def decode(tau, target, space=None):
+    """Round node cells at 1/2 (ties to 0) and report fractionality.
+
+    target is a LiftedModel, or a ground Model decoded by its trivial lift.
+    space, by default the target's, shapes the output: a lifted decode also
+    reports the orbit representatives, values and marginals.
+    """
     tau = np.asarray(tau, dtype=float)
-    if isinstance(target, LiftedModel):
-        lm = target
-        values = []
-        marginals = []
-        fractional = False
-        for info in lm.node_info:
-            p1 = float(tau[info.cell1])
-            marginals.append(p1)
-            values.append(1 if p1 > 0.5 else 0)
-            if 1e-6 < p1 < 1.0 - 1e-6:
-                fractional = True
-        config = [0] * lm.model.num_vars
-        for k, members in enumerate(lm.bundle.vars.cells):
-            for v in members:
-                config[v] = values[k]
-        return {
-            "space": "lifted",
-            "orbit_reps": [info.rep for info in lm.node_info],
-            "orbit_values": values,
-            "orbit_marginals": marginals,
-            "fractional": fractional,
-            "configuration": config,
-            "score": score(lm.model, config),
-        }
-    layout = _layout_of(target)
-    model = layout.model
-    config = []
-    fractional = False
-    for v in range(model.num_vars):
-        p1 = float(tau[layout.node_index(v, 1)])
-        config.append(1 if p1 > 0.5 else 0)
-        if 1e-6 < p1 < 1.0 - 1e-6:
-            fractional = True
-    return {
-        "space": "ground",
+    lm = _lifted(target)
+    marginals = [float(tau[info.cell1]) for info in lm.node_info]
+    values = [1 if p1 > 0.5 else 0 for p1 in marginals]
+    config = [0] * lm.model.num_vars
+    for k, members in enumerate(lm.bundle.vars.cells):
+        for v in members:
+            config[v] = values[k]
+    out = {
+        "space": space or ("lifted" if lm is target else "ground"),
+        "fractional": any(1e-6 < p1 < 1.0 - 1e-6 for p1 in marginals),
         "configuration": config,
-        "fractional": fractional,
-        "score": score(model, config),
+        "score": score(lm.model, config),
     }
+    if out["space"] == "lifted":
+        out["orbit_reps"] = [info.rep for info in lm.node_info]
+        out["orbit_values"] = values
+        out["orbit_marginals"] = marginals
+    return out
 
 
 @dataclass
@@ -876,23 +849,23 @@ class MapResult:
 def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
     """MAP LP on the local polytope, optionally tightened by cycle cuts.
 
-    target is a Model (ground inference) or a LiftedModel (lifted). With
-    polytope="cycle" the in-out loop separates at a point pulled toward a
-    certified-feasible interior point, falling back to the LP optimum. One
-    SimplexTableau serves the whole run: each cut is appended to the last
-    optimal tableau and re-solved warm.
+    target is a LiftedModel, or a Model for ground inference, which is
+    solved as its lift under the trivial group. With polytope="cycle" the
+    in-out loop separates at a point pulled toward a certified-feasible
+    interior point, falling back to the LP optimum. One SimplexTableau serves
+    the whole run: each cut is appended to the last optimal tableau and
+    re-solved warm.
     """
     opts = MapOptions() if opts is None else opts
     if opts.polytope not in ("local", "cycle"):
         raise SolveError("unknown polytope %r" % opts.polytope)
     t_start = time.perf_counter()
     timings = {"build_ms": 0.0, "solve_ms": 0.0, "separate_ms": 0.0}
-    space = "lifted" if isinstance(target, LiftedModel) else "ground"
 
     t0 = time.perf_counter()
-    if space == "ground":
-        target = OvercompleteLayout(target)  # built once, shared by every step
-    lp = build_local_lp(target)
+    lifted = _lifted(target)  # built once, shared by every step
+    space = "lifted" if lifted is target else "ground"
+    lp = build_local_lp(lifted)
     timings["build_ms"] += (time.perf_counter() - t0) * 1000
     t0 = time.perf_counter()
     tableau = SimplexTableau(lp, lp.start)
@@ -914,27 +887,17 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
     status = "optimal"
 
     if opts.polytope == "cycle":
-        if space == "lifted":
-            t0 = time.perf_counter()
-            stabilized = build_stabilized_graphs(target)
-            timings["build_ms"] += (time.perf_counter() - t0) * 1000
-
-            def separate(point):
-                return separate_cycles_lifted(target, stabilized, point)
-
-        else:
-
-            def separate(point):
-                return separate_cycles_ground(target, point)
-
-        tau_in = uniform_interior(target)
+        t0 = time.perf_counter()
+        stabilized = build_stabilized_graphs(lifted)
+        timings["build_ms"] += (time.perf_counter() - t0) * 1000
+        tau_in = uniform_interior(lifted)
         while True:
             t1 = time.perf_counter()
             sigma = ALPHA * tau_out + (1.0 - ALPHA) * tau_in
-            cut = separate(sigma)
+            cut = separate_cycles_lifted(lifted, stabilized, sigma)
             if cut is None:
                 tau_in = sigma
-                cut = separate(tau_out)
+                cut = separate_cycles_lifted(lifted, stabilized, tau_out)
             timings["separate_ms"] += (time.perf_counter() - t1) * 1000
             if cut is None:
                 status = "optimal"
@@ -946,12 +909,12 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
                 break
             seen.add(key)
             cuts.append(cut)
-            out = solve_now(constraint_row(cut, target))
+            out = solve_now(constraint_row(cut, lifted))
             bounds.append(out.value)
             tau_out = out.x
 
     objective = float(lp.objective @ tau_out)
-    decoded = decode(tau_out, target)
+    decoded = decode(tau_out, lifted, space)
     timings["total_ms"] = (time.perf_counter() - t_start) * 1000
     timings = {k: round(v, 3) for k, v in timings.items()}
     return MapResult(

@@ -266,6 +266,35 @@ class TestMap:
         assert out == ""
         assert "--max-cuts" in err
 
+    @pytest.mark.parametrize("method", ["search", "renaming"])
+    def test_symmetry_method_on_ground_space_is_usage_error(self, capsys, models_dir, method):
+        code, out, err = run(
+            capsys,
+            "map",
+            str(models_dir / "lovers_smokers.mln"),
+            "--domain-size",
+            "3",
+            "--space",
+            "ground",
+            "--method",
+            method,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--method" in err
+
+    def test_ground_equals_lifted_without_symmetry(self, capsys, models_dir):
+        argv = ["map", str(models_dir / "lovers_smokers.mln"), "--domain-size", "3"]
+        code, ground = run_json(capsys, *argv, "--space", "ground")
+        assert code == 0
+        code, lifted = run_json(capsys, *argv, "--space", "lifted", "--method", "none")
+        assert code == 0
+        for key in ("status", "objective", "bounds", "cuts", "lp", "pivots"):
+            assert ground[key] == lifted[key], key
+        for key in ("configuration", "score", "fractional"):
+            assert ground["decode"][key] == lifted["decode"][key], key
+        assert (ground["space"], lifted["space"]) == ("ground", "lifted")
+
     def test_csv_bound_curve(self, capsys, models_dir, tmp_path):
         csv_path = tmp_path / "curve.csv"
         code, payload = run_json(
@@ -322,6 +351,14 @@ class TestExact:
         )
         assert code == 3
         assert err.startswith("error:")
+
+    def test_negative_limit_is_usage_error(self, capsys, models_dir):
+        code, out, err = run(
+            capsys, "exact", str(models_dir / "frucht.fgm"), "--limit", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--limit" in err
 
 
 # ---------------------------------------------------------------------------

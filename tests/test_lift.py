@@ -10,6 +10,7 @@ from liftedmap.lift import (
     lift_vector,
     unlift_vector,
 )
+from liftedmap.mln import RenamingSymmetries, ground_mln, parse_mln
 from liftedmap.model import OvercompleteLayout
 from liftedmap.oracle import exact_enumerate
 from liftedmap.symmetry import (
@@ -25,9 +26,13 @@ def test_ex1_lifted_layout_frozen():
     lm = build_lifted_model(m, GeneratorSymmetries(m))
     assert lm.num_cells == 11
     assert OvercompleteLayout(m).size == 28
-    kinds = [lab[0] for lab in lm.index.labels]
-    assert kinds == ["node"] * 4 + ["edge"] * 4 + ["arc"] * 3
-    assert list(lm.theta_bar) == [0, 0, 0, 0, 0, 0, 0, 1.0, 0, 4.0, 0]
+    # cells are numbered by their first ground coordinate in layout order
+    assert lm.index.labels == (
+        ("node", 0, 0), ("node", 0, 1), ("node", 1, 0), ("node", 1, 1),
+        ("edge", 0, "00"), ("arc", 0), ("arc", 1), ("edge", 0, "11"),
+        ("edge", 1, "00"), ("arc", 2), ("edge", 1, "11"),
+    )
+    assert list(lm.theta_bar) == [0, 0, 0, 0, 0, 0, 4.0, 0, 0, 0, 1.0]
 
 
 def test_triangle_lifted_layout():
@@ -67,7 +72,7 @@ def test_trivial_symmetries_lift_is_identity():
     lm = build_lifted_model(m, TrivialSymmetries(m))
     layout = OvercompleteLayout(m)
     assert lm.num_cells == layout.size
-    assert sorted(lm.index.rho.tolist()) == list(range(layout.size))
+    assert lm.index.rho.tolist() == list(range(layout.size))
     x = np.arange(layout.size, dtype=float)
     assert np.allclose(unlift_vector(lift_vector(x, lm.index), lm.index), x)
 
@@ -115,7 +120,7 @@ def test_inconsistent_theta_across_cell_is_rejected():
                 tie_class_of=(0, 1, 2), theta=(-1.0, -1.0, 5.0))
     rotate = PermutationPair(var_perm=(1, 2, 0), feature_perm=(2, 0, 1))
     gens = GeneratorSet(generators=(rotate,), group_order=None)
-    with pytest.raises(LiftError):
+    with pytest.raises(LiftError, match="not theta-constant"):
         build_lifted_model(m, GeneratorSymmetries(m, gens))
 
 
@@ -126,3 +131,24 @@ def test_lifted_model_symmetry_handle_retained():
     assert lm.symmetries is sym
     with pytest.raises(LiftError):
         build_lifted_model(m, sym.bundle())
+
+
+@pytest.mark.parametrize("name", ["ex1", "triple_parity", "frucht", "lovers_smokers"])
+def test_theta_bar_is_the_per_cell_sum(name):
+    # the per-cell loop is the reference for the grouped sums; they add in
+    # another order, so lifted cells match to a relative 1e-12, and the
+    # one-coordinate cells of the trivial lift match bit for bit
+    if name == "lovers_smokers":
+        m, gmap = ground_mln(parse_mln(fixtures.LOVERS_SMOKERS_MLN), domain_size=5)
+        sources = [RenamingSymmetries(m, gmap), GeneratorSymmetries(m)]
+    else:
+        m = {"ex1": fixtures.ex1, "frucht": fixtures.frucht,
+             "triple_parity": lambda: fixtures.triple_parity(4, weight=-0.7)}[name]()
+        sources = [GeneratorSymmetries(m)]
+    for sym in sources + [TrivialSymmetries(m)]:
+        lm = build_lifted_model(m, sym)
+        theta = lm.index.layout.theta_vector()
+        reference = np.array([float(theta[list(c)].sum()) for c in lm.index.cells])
+        assert np.allclose(lm.theta_bar, reference, rtol=1e-12, atol=0.0)
+        if isinstance(sym, TrivialSymmetries):
+            assert lm.theta_bar.tobytes() == reference.tobytes()

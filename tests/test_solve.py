@@ -540,11 +540,13 @@ class TestGroundSeparation:
             assert separate_cycles_ground(model, uniform_interior(model)) is None
 
     def test_constraint_row_holds_at_integral_points(self):
+        # a ground model's rows are those of its trivial lift, whose edge
+        # orbit k is the k-th skeleton edge
         model = triangle()
         layout = OvercompleteLayout(model)
-        steps = tuple((edge, True) for edge in layout.edges)
+        steps = tuple((k, True) for k in range(len(layout.edges)))
         row, sense, rhs = constraint_row(
-            CycleConstraint(space="ground", steps=steps, lhs=0.0, source=0), model
+            CycleConstraint(space="lifted", steps=steps, lhs=0.0, source=0), model
         )
         assert (sense, rhs) == (">=", 1.0)
         values = []
@@ -663,8 +665,8 @@ class TestLocalRelaxation:
         ],
     )
     def test_lifted_uniform_is_bitwise_the_cell_average(self, name, sources, models_dir):
-        # the old lifted path, averaging the ground uniform point over each
-        # cell, is the reference: the cells hold identical powers of two
+        # the ground uniform point averaged over each cell is the reference:
+        # the cells hold identical powers of two
         if name.startswith("lovers_smokers"):
             d = int(name[-1])
             model, gmap = ground_mln(parse_mln(LOVERS_SMOKERS_MLN), domain_size=d)
@@ -679,7 +681,11 @@ class TestLocalRelaxation:
                 "renaming": lambda m: RenamingSymmetries(m, gmap)}
         for source in sources:
             lm = build_lifted_model(model, make[source](model))
-            reference = lift_vector(uniform_interior(lm.index.layout), lm.index)
+            ground = [
+                0.5 if key[0] == "node" else 0.25 if key[0] == "edge" else 2.0 ** -len(key[2])
+                for key in lm.index.layout.keys
+            ]
+            reference = lift_vector(ground, lm.index)
             assert uniform_interior(lm).tobytes() == reference.tobytes()
             if name == "triple_parity":
                 assert lm.factor_info
@@ -916,3 +922,38 @@ class TestCuttingPlaneMap:
             "fractional": False,
             "score": -1.0,
         }
+
+
+class TestGroundIsTheTrivialLift:
+    FIXTURES = {
+        "ex1": ex1,
+        "triangle": triangle,
+        "cycle6": lambda: cycle_model(6),
+        "frucht": frucht,
+        "fully_connected5": lambda: fully_connected_symmetric(5, -1.0),
+        "triple_parity": lambda: triple_parity(4),
+        "unary_logistic": unary_logistic,
+        "circulant_7_1_3": circulant_7_1_3,
+    }
+
+    @pytest.mark.parametrize("polytope", ["local", "cycle"])
+    @pytest.mark.parametrize(
+        "name", list(FIXTURES) + ["random%d" % seed for seed in range(20)]
+    )
+    def test_ground_run_is_the_trivial_lift_run(self, name, polytope):
+        if name.startswith("random"):
+            model = random_tied_pairwise(int(name[len("random"):]))
+        else:
+            model = self.FIXTURES[name]()
+        opts = MapOptions(polytope=polytope)
+        ground = cutting_plane_map(model, opts)
+        lifted = cutting_plane_map(build_lifted_model(model, TrivialSymmetries(model)), opts)
+        assert (ground.space, lifted.space) == ("ground", "lifted")
+        assert ground.status == lifted.status
+        assert ground.objective == lifted.objective
+        assert ground.bounds == lifted.bounds
+        assert len(ground.cuts_added) == len(lifted.cuts_added)
+        assert ground.pivots == lifted.pivots
+        for key in ("configuration", "score", "fractional"):
+            assert ground.decode[key] == lifted.decode[key]
+        assert set(ground.decode) == {"space", "configuration", "fractional", "score"}
