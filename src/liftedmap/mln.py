@@ -16,8 +16,10 @@ File formats:
   lines; '#' starts a comment. Operators: ! ^ v => <=> and term
   (in)equalities `x = y`, `x != y`; parentheses group. Predicate and
   constant names are capitalized, logical variables are lowercase.
-  Equality atoms act as substitution constraints: groundings violating one
-  are skipped, satisfied ones are replaced by True.
+  An equality atom is true when its two terms name the same constant; it
+  is evaluated like any other atom, so `!(x = y) ^ R(x, y)` reads as
+  `x != y ^ R(x, y)`. A grounding that the equality atoms or the evidence
+  make constant is dropped.
 
   Evidence: one entry per line: `Atom`, `!Atom`, or `soft Atom <weight>`
   with ground (all-constant) atoms.
@@ -29,7 +31,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .model import Feature, Model, depended_positions, table_index
+from .model import Feature, Model, depended_positions
 from .symmetry import OrbitBundle, OrbitPartition, _domain_elements
 
 
@@ -349,18 +351,11 @@ def parse_evidence(text: str) -> Evidence:
 
 @dataclass(frozen=True)
 class FeatureOrigin:
-    """Where one ground feature came from.
-
-    For formula groundings, template_atoms lists the formula's atom
-    occurrences under the substitution (in syntax order, duplicates kept) and
-    template_active marks the ones that survived into the feature's scope.
-    """
+    """Where one ground feature came from."""
 
     kind: str  # "formula" | "soft"
     formula: int = None
     subst: tuple = None
-    template_atoms: tuple = ()
-    template_active: tuple = ()
     atom: tuple = None
     weight: float = None
 
@@ -375,54 +370,28 @@ class GroundingMap:
     origins: tuple  # FeatureOrigin per feature
 
 
-def _free_vars(node):
-    if isinstance(node, Atom):
-        return {n for (kind, n) in node.args if kind == "var"}
-    if isinstance(node, Not):
-        return _free_vars(node.sub)
-    if isinstance(node, BinOp):
-        return _free_vars(node.left) | _free_vars(node.right)
-    if isinstance(node, Compare):
-        return {n for (kind, n) in (node.left, node.right) if kind == "var"}
-    return set()
-
-
 def _term_value(term, subst):
     kind, name = term
     return subst[name] if kind == "var" else name
 
 
-def _compares_hold(node, subst):
-    if isinstance(node, Compare):
-        a = _term_value(node.left, subst)
-        b = _term_value(node.right, subst)
-        return (a == b) if node.op == "=" else (a != b)
+def _leaves(node):
+    """Atom occurrences and equality atoms in syntax order, duplicates kept."""
+    if isinstance(node, (Atom, Compare)):
+        return [node]
     if isinstance(node, Not):
-        return _compares_hold(node.sub, subst)
-    if isinstance(node, BinOp):
-        return _compares_hold(node.left, subst) and _compares_hold(node.right, subst)
-    return True
+        return _leaves(node.sub)
+    return _leaves(node.left) + _leaves(node.right)
 
 
-def _template_atoms(node, subst, out):
-    if isinstance(node, Atom):
-        out.append((node.pred, tuple(_term_value(t, subst) for t in node.args)))
-    elif isinstance(node, Not):
-        _template_atoms(node.sub, subst, out)
-    elif isinstance(node, BinOp):
-        _template_atoms(node.left, subst, out)
-        _template_atoms(node.right, subst, out)
-
-
-def _eval(node, subst, valuation):
-    if isinstance(node, Atom):
-        return valuation[(node.pred, tuple(_term_value(t, subst) for t in node.args))]
+def _eval(node, bits):
+    """Truth value of the formula when its leaves, in syntax order, read `bits`."""
+    if isinstance(node, (Atom, Compare)):
+        return next(bits)
     if isinstance(node, Not):
-        return not _eval(node.sub, subst, valuation)
-    if isinstance(node, Compare):
-        return True  # violated compares were skipped at grounding
-    a = _eval(node.left, subst, valuation)
-    b = _eval(node.right, subst, valuation)
+        return not _eval(node.sub, bits)
+    a = _eval(node.left, bits)
+    b = _eval(node.right, bits)
     if node.op == "^":
         return a and b
     if node.op == "v":
@@ -432,8 +401,21 @@ def _eval(node, subst, valuation):
     return a == b
 
 
+def _lookup(truth, base, masks):
+    """Truth-table entries at `base` plus each subset of `masks`, in table order.
+
+    The first mask is the most significant argument of the returned table.
+    """
+    index = [base]
+    for m in masks:
+        index = [i | b for i in index for b in (0, m)]
+    return tuple(truth[i] for i in index)
+
+
 def build_domain(mln: MLN, evidence: Evidence, domain_size: int):
     """Named constants (sorted) plus generated fillers up to domain_size total."""
+    if domain_size < 1:
+        raise MLNError("domain_size must be at least 1")
     named = set(mln.constants)
     for atom, _ in list(evidence.hard) + list(evidence.soft):
         named |= set(atom[1])
@@ -456,9 +438,11 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
     """Ground the MLN into a Model plus the book-keeping GroundingMap.
 
     One variable per non-hard-evidence ground atom; one feature per formula
-    grounding that is not made constant by evidence or degenerate
-    substitution; all groundings of a formula share a tie class. Soft
-    evidence adds a unary feature per atom, tied by weight value.
+    grounding that is not made constant by evidence or equality atoms; all
+    groundings of a formula share a tie class. Each formula is evaluated once,
+    over every value of its leaves (atoms and equality atoms), and a
+    grounding's table is read from that truth table. Soft evidence adds a
+    unary feature per atom, tied by weight value.
     """
     evidence = EMPTY_EVIDENCE if evidence is None else evidence
     arity_of = mln.predicate_arity
@@ -490,55 +474,49 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
     origins = []
     formula_tie = {}
 
-    for fi, (weight, ast) in enumerate(mln.formulas):
-        fvars = sorted(_free_vars(ast))
+    for fi, (_, ast) in enumerate(mln.formulas):
+        leaves = _leaves(ast)
+        n = len(leaves)
+        truth = [
+            1.0 if _eval(ast, iter(bits)) else 0.0
+            for bits in itertools.product((False, True), repeat=n)
+        ]
+        terms = [
+            t
+            for leaf in leaves
+            for t in (leaf.args if isinstance(leaf, Atom) else (leaf.left, leaf.right))
+        ]
+        fvars = sorted({name for kind, name in terms if kind == "var"})
         for subst_tuple in itertools.product(domain, repeat=len(fvars)):
             subst = dict(zip(fvars, subst_tuple))
-            if not _compares_hold(ast, subst):
-                continue
-            templates = []
-            _template_atoms(ast, subst, templates)
-            distinct = []
-            for a in templates:
-                if a not in observed and a not in distinct:
-                    distinct.append(a)
-            if not distinct:
-                continue  # fully determined by evidence
-            scope = sorted(atom_index[a] for a in distinct)
-            scope_atoms = [atoms[v] for v in scope]
-            k = len(scope)
-            table = []
-            for assign in itertools.product((0, 1), repeat=k):
-                valuation = dict(observed)
-                for a, b in zip(scope_atoms, assign):
-                    valuation[a] = bool(b)
-                table.append(1.0 if _eval(ast, subst, valuation) else 0.0)
-            keep = depended_positions(table, k)
+            base = 0  # the leaves the substitution or the evidence makes true
+            mask = {}  # unobserved ground atom -> its leaves
+            for i, leaf in enumerate(leaves):
+                bit = 1 << (n - 1 - i)
+                if isinstance(leaf, Compare):
+                    same = _term_value(leaf.left, subst) == _term_value(leaf.right, subst)
+                    if same == (leaf.op == "="):
+                        base |= bit
+                    continue
+                atom = (leaf.pred, tuple(_term_value(t, subst) for t in leaf.args))
+                if atom not in observed:
+                    mask[atom] = mask.get(atom, 0) | bit
+                elif observed[atom]:
+                    base |= bit
+            scope = sorted(atom_index[a] for a in mask)
+            masks = [mask[atoms[v]] for v in scope]
+            table = _lookup(truth, base, masks)
+            keep = depended_positions(table, len(scope))
             if not keep:
                 continue  # constant indicator
-            if len(keep) < k:
-                reduced = []
-                for assign in itertools.product((0, 1), repeat=len(keep)):
-                    full = [0] * k
-                    for p, b in zip(keep, assign):
-                        full[p] = b
-                    reduced.append(table[table_index(full)])
+            if len(keep) < len(scope):
                 scope = [scope[p] for p in keep]
-                table = reduced
-            in_scope = {atoms[v] for v in scope}
+                table = _lookup(truth, base, [masks[p] for p in keep])
             if fi not in formula_tie:
                 formula_tie[fi] = len(formula_tie)
-            features.append(Feature(scope=tuple(scope), table=tuple(table)))
+            features.append(Feature(scope=tuple(scope), table=table))
             tie_of.append(formula_tie[fi])
-            origins.append(
-                FeatureOrigin(
-                    kind="formula",
-                    formula=fi,
-                    subst=subst_tuple,
-                    template_atoms=tuple(templates),
-                    template_active=tuple(a in in_scope for a in templates),
-                )
-            )
+            origins.append(FeatureOrigin(kind="formula", formula=fi, subst=subst_tuple))
 
     weight_tie = {
         w: len(formula_tie) + i for i, w in enumerate(sorted(set(soft.values())))
@@ -647,16 +625,17 @@ class RenamingSymmetries:
         atoms = gmap.atoms
 
         fkey = [_feature_key(origin, dist) for origin in gmap.origins]
-        perm = {}  # arity >= 3 feature -> scope position of each active template atom
+        # An arity >= 3 feature's scope positions, ordered by their atoms' tags
+        # under the anonymous numbering of the feature's substitution. Features
+        # with equal keys differ by a renaming fixed on their substitution
+        # constants, which maps scope atoms with equal tags onto each other.
+        order = {}
         for j, f in enumerate(model.features):
             if f.arity >= 3:
-                origin = gmap.origins[j]
-                pos_of = {v: i for i, v in enumerate(f.scope)}
-                perm[j] = tuple(
-                    pos_of[gmap.atom_index[atom]]
-                    for atom, active in zip(origin.template_atoms, origin.template_active)
-                    if active
-                )
+                anon = {}
+                _tags_of(gmap.origins[j].subst, dist, anon)
+                tags = [(atoms[v][0], _tags_of(atoms[v][1], dist, anon)) for v in f.scope]
+                order[j] = sorted(range(f.arity), key=tags.__getitem__)
 
         def arc_key(arc):
             u, v = arc
@@ -671,7 +650,7 @@ class RenamingSymmetries:
 
         def fa_key(element):
             j, a = element
-            return (fkey[j], tuple(a[p] for p in perm[j]))
+            return (fkey[j], tuple(a[p] for p in order[j]))
 
         return OrbitBundle(
             vars=_by_signature("vars", model, lambda v: atom_signature(atoms[v], dist)),

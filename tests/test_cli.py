@@ -131,6 +131,14 @@ class TestInputHandling:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_domain_size_below_one(self, capsys, models_dir):
+        code, out, err = run(
+            capsys, "map", str(models_dir / "lovers_smokers.mln"), "--domain-size", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: domain_size must be at least 1")
+
     def test_domain_size_rejected_for_model_file(self, capsys, models_dir):
         code, _, err = run(
             capsys, "orbits", str(models_dir / "ex1.fgm"), "--domain-size", "3"

@@ -1,24 +1,39 @@
 """Markov logic parsing, grounding, and renaming-group orbits."""
 
+import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import refines
+from test_random_mln import POSITIVE_GUARDS, random_mlns
 from liftedmap import fixtures
 from liftedmap.mln import (
+    Atom,
+    BinOp,
+    Compare,
+    FeatureOrigin,
+    GroundingMap,
     MLNError,
     MLNFormatError,
+    Not,
     RenamingSymmetries,
+    _feature_key,
+    _term_value,
     atom_signature,
+    build_domain,
     ground_mln,
     orbit_sizes_analytic,
     parse_evidence,
     parse_mln,
 )
-from liftedmap.model import score
+from liftedmap.model import Feature, Model, depended_positions, format_model, score, table_index
 from liftedmap.symmetry import (
     GeneratorSymmetries,
+    OrbitBundle,
+    OrbitPartition,
+    _domain_elements,
     build_colored_factor_graph,
     orbits_of,
     stabilizer_generators,
@@ -152,8 +167,8 @@ def test_domain_fillers_and_named_constants():
     model, gmap = ground(text, 3)
     assert gmap.domain == ("A", "C1", "C2")
     assert gmap.distinguished == frozenset({"A"})
-    with pytest.raises(MLNError):
-        ground(text, 0)  # named constants do not fit
+    with pytest.raises(MLNError, match="domain too small"):
+        ground("predicate P/1\n1.0 P(A) ^ P(B)\n", 1)  # named constants do not fit
 
 
 def test_soft_evidence_becomes_unary_feature():
@@ -175,6 +190,200 @@ def test_hard_evidence_removes_variables():
     assert ("Q", ("C2",)) not in gmap.atom_index
     assert model.num_vars == 2
     assert gmap.observed == {("P", ("C1",)): True, ("Q", ("C2",)): False}
+
+
+@pytest.mark.parametrize("formula,atoms", [
+    ("!(x = y) ^ R(x, y)", [("C1", "C2"), ("C2", "C1")]),
+    ("(x = y) v R(x, y)", [("C1", "C2"), ("C2", "C1")]),
+    ("!(x != y) ^ R(x, y)", [("C1", "C1"), ("C2", "C2")]),
+])
+def test_negated_and_disjunctive_equality_atoms_are_evaluated(formula, atoms):
+    model, gmap = ground("predicate R/2\n1 %s\n" % formula, 2)
+    assert [gmap.atoms[f.scope[0]] for f in model.features] == [("R", a) for a in atoms]
+    assert all(f.arity == 1 and f.table == (0.0, 1.0) for f in model.features)
+
+
+# --- the grounding loop before formulas were compiled, as a reference ------------
+#
+# It walks the formula once per grounding and per scope assignment, treats every
+# equality atom as a filter that must hold, and keeps each grounding's template
+# atoms. On positive top-level guards it is exact.
+
+
+def _ref_free_vars(node):
+    if isinstance(node, Atom):
+        return {n for (kind, n) in node.args if kind == "var"}
+    if isinstance(node, Not):
+        return _ref_free_vars(node.sub)
+    if isinstance(node, BinOp):
+        return _ref_free_vars(node.left) | _ref_free_vars(node.right)
+    return {n for (kind, n) in (node.left, node.right) if kind == "var"}
+
+
+def _ref_compares_hold(node, subst):
+    if isinstance(node, Compare):
+        a = _term_value(node.left, subst)
+        b = _term_value(node.right, subst)
+        return (a == b) if node.op == "=" else (a != b)
+    if isinstance(node, Not):
+        return _ref_compares_hold(node.sub, subst)
+    if isinstance(node, BinOp):
+        return _ref_compares_hold(node.left, subst) and _ref_compares_hold(node.right, subst)
+    return True
+
+
+def _ref_template_atoms(node, subst, out):
+    if isinstance(node, Atom):
+        out.append((node.pred, tuple(_term_value(t, subst) for t in node.args)))
+    elif isinstance(node, Not):
+        _ref_template_atoms(node.sub, subst, out)
+    elif isinstance(node, BinOp):
+        _ref_template_atoms(node.left, subst, out)
+        _ref_template_atoms(node.right, subst, out)
+
+
+def _ref_eval(node, subst, valuation):
+    if isinstance(node, Atom):
+        return valuation[(node.pred, tuple(_term_value(t, subst) for t in node.args))]
+    if isinstance(node, Not):
+        return not _ref_eval(node.sub, subst, valuation)
+    if isinstance(node, Compare):
+        return True  # violated compares were skipped
+    a = _ref_eval(node.left, subst, valuation)
+    b = _ref_eval(node.right, subst, valuation)
+    if node.op == "^":
+        return a and b
+    if node.op == "v":
+        return a or b
+    if node.op == "=>":
+        return (not a) or b
+    return a == b
+
+
+def reference_ground(mln, domain_size, evidence):
+    """(model, gmap, templates): templates[j] pairs feature j's template atoms
+    with the flags of those that survived into its scope."""
+    domain, named = build_domain(mln, evidence, domain_size)
+    observed = dict(evidence.hard)
+    soft = dict(evidence.soft)
+    atoms = [
+        (pname, args)
+        for pname, arity in mln.predicates
+        for args in itertools.product(domain, repeat=arity)
+        if (pname, args) not in observed
+    ]
+    atom_index = {a: i for i, a in enumerate(atoms)}
+    features, tie_of, origins, templates, formula_tie = [], [], [], {}, {}
+    for fi, (_, ast) in enumerate(mln.formulas):
+        fvars = sorted(_ref_free_vars(ast))
+        for subst_tuple in itertools.product(domain, repeat=len(fvars)):
+            subst = dict(zip(fvars, subst_tuple))
+            if not _ref_compares_hold(ast, subst):
+                continue
+            template = []
+            _ref_template_atoms(ast, subst, template)
+            distinct = []
+            for a in template:
+                if a not in observed and a not in distinct:
+                    distinct.append(a)
+            if not distinct:
+                continue
+            scope = sorted(atom_index[a] for a in distinct)
+            k = len(scope)
+            table = []
+            for assign in itertools.product((0, 1), repeat=k):
+                valuation = dict(observed)
+                for v, b in zip(scope, assign):
+                    valuation[atoms[v]] = bool(b)
+                table.append(1.0 if _ref_eval(ast, subst, valuation) else 0.0)
+            keep = depended_positions(table, k)
+            if not keep:
+                continue
+            if len(keep) < k:
+                reduced = []
+                for assign in itertools.product((0, 1), repeat=len(keep)):
+                    full = [0] * k
+                    for p, b in zip(keep, assign):
+                        full[p] = b
+                    reduced.append(table[table_index(full)])
+                scope = [scope[p] for p in keep]
+                table = reduced
+            in_scope = {atoms[v] for v in scope}
+            formula_tie.setdefault(fi, len(formula_tie))
+            templates[len(features)] = (template, [a in in_scope for a in template])
+            features.append(Feature(scope=tuple(scope), table=tuple(table)))
+            tie_of.append(formula_tie[fi])
+            origins.append(FeatureOrigin(kind="formula", formula=fi, subst=subst_tuple))
+    weight_tie = {w: len(formula_tie) + i for i, w in enumerate(sorted(set(soft.values())))}
+    for atom in atoms:
+        if atom in soft:
+            features.append(Feature(scope=(atom_index[atom],), table=(0.0, 1.0)))
+            tie_of.append(weight_tie[soft[atom]])
+            origins.append(FeatureOrigin(kind="soft", atom=atom, weight=soft[atom]))
+    theta = [0.0] * (len(formula_tie) + len(weight_tie))
+    for fi, t in formula_tie.items():
+        theta[t] = mln.formulas[fi][0]
+    for w, t in weight_tie.items():
+        theta[t] = w
+    if not features:
+        raise MLNError("no ground features survive")
+    model = Model(num_vars=len(atoms), features=tuple(features),
+                  tie_class_of=tuple(tie_of), theta=tuple(theta))
+    gmap = GroundingMap(domain, named, tuple(atoms), atom_index, observed, tuple(origins))
+    return model, gmap, templates
+
+
+def reference_factor_assignments(model, gmap, templates):
+    """Factor-assignment orbits keyed with each scope in template order."""
+    fkey = [_feature_key(origin, gmap.distinguished) for origin in gmap.origins]
+    perm = {}
+    for j, (template, active) in templates.items():
+        if model.features[j].arity >= 3:
+            pos_of = {v: i for i, v in enumerate(model.features[j].scope)}
+            perm[j] = [pos_of[gmap.atom_index[a]] for a, on in zip(template, active) if on]
+
+    def key(element):
+        j, a = element
+        return (fkey[j], tuple(a[p] for p in perm[j]))
+
+    return OrbitPartition.group(_domain_elements("factor-assignments", model), key)
+
+
+def assert_grounding_matches_reference(text, ev_text, d):
+    mln, ev = parse_mln(text), parse_evidence(ev_text)
+    try:
+        ref_model, ref_gmap, templates = reference_ground(mln, d, ev)
+    except MLNError:
+        with pytest.raises(MLNError):
+            ground_mln(mln, d, ev)
+        return
+    model, gmap = ground_mln(mln, d, ev)
+    assert format_model(model) == format_model(ref_model)
+    assert (gmap.domain, gmap.atoms, gmap.observed) == (ref_gmap.domain, ref_gmap.atoms, ref_gmap.observed)
+    assert gmap.origins == ref_gmap.origins
+    bundle = RenamingSymmetries(model, gmap).bundle()
+    ref_bundle = RenamingSymmetries(ref_model, ref_gmap).bundle()
+    for f in dataclasses.fields(OrbitBundle):
+        if f.name != "factor_assignments":
+            assert getattr(bundle, f.name).cells == getattr(ref_bundle, f.name).cells, f.name
+    ref_fa = reference_factor_assignments(ref_model, ref_gmap, templates)
+    assert bundle.factor_assignments.cells == ref_fa.cells
+
+
+@pytest.mark.parametrize("text,ev,domains", [
+    (fixtures.LOVERS_SMOKERS_MLN, "", range(1, 9)),
+    (fixtures.FRIENDS_MLN, "", range(2, 7)),
+    (fixtures.Q2_MLN, fixtures.Q2_EVIDENCE, range(2, 6)),
+], ids=["lovers_smokers", "friends", "q2"])
+def test_shipped_models_ground_as_the_reference(text, ev, domains):
+    for d in domains:
+        assert_grounding_matches_reference(text, ev, d)
+
+
+@given(random_mlns(POSITIVE_GUARDS))
+@settings(max_examples=200, deadline=None)
+def test_random_mlns_ground_as_the_reference(example):
+    assert_grounding_matches_reference(*example)
 
 
 # --- renaming orbits -------------------------------------------------------------

@@ -24,32 +24,43 @@ from liftedmap.oracle import exact_enumerate
 
 WEIGHTS = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 EVIDENCE_ATOMS = ("P(A)", "Q(A)", "R(A, A)")
+# equality guards whose only effect is to keep the groundings where they hold
+POSITIVE_GUARDS = ("x != y ^ (%s)", "x = y ^ (%s)", "y != z ^ (%s)")
+# negated and disjunctive guards, evaluated like any other atom
+GUARDS = POSITIVE_GUARDS + ("!(x = y) ^ (%s)", "(y = z) v (%s)", "!(x != z) v (%s)")
 
 
 @st.composite
-def literals(draw):
-    pred = draw(st.sampled_from(("P", "Q", "R")))
-    arity = 2 if pred == "R" else 1
-    args = draw(st.lists(st.sampled_from("xy"), min_size=arity, max_size=arity))
+def literals(draw, arities):
+    pred = draw(st.sampled_from(sorted(arities)))
+    args = draw(st.lists(st.sampled_from("xyz"), min_size=arities[pred], max_size=arities[pred]))
     return "%s%s(%s)" % ("!" if draw(st.booleans()) else "", pred, ", ".join(args))
 
 
 @st.composite
-def formulas(draw):
-    lits = draw(st.lists(literals(), min_size=1, max_size=3))
+def formulas(draw, arities, guards):
+    lits = draw(st.lists(literals(arities), min_size=1, max_size=3))
     body = lits[0]
     for lit in lits[1:]:
         body += " %s %s" % (draw(st.sampled_from(("^", "v", "=>", "<=>"))), lit)
     if draw(st.booleans()):
-        body = "x != y ^ (%s)" % body
+        body = draw(st.sampled_from(guards)) % body
     return "%s %s" % (draw(st.sampled_from(WEIGHTS)), body)
 
 
 @st.composite
-def random_mlns(draw):
-    """(MLN text, evidence text, domain size) over P/1, Q/1 and R/2."""
-    lines = ["predicate P/1", "predicate Q/1", "predicate R/2"]
-    lines += draw(st.lists(formulas(), min_size=1, max_size=3))
+def random_mlns(draw, guards=GUARDS):
+    """(MLN text, evidence text, domain size) over P/1, Q/1, R/2 and, at d=2, S/3.
+
+    S is left out at d=3 to keep every model within exact enumeration's
+    20-variable limit (d=2: 16 atoms, d=3: 15).
+    """
+    d = draw(st.sampled_from((2, 3)))
+    arities = {"P": 1, "Q": 1, "R": 2}
+    if d == 2:
+        arities["S"] = 3
+    lines = ["predicate %s/%d" % item for item in arities.items()]
+    lines += draw(st.lists(formulas(arities, guards), min_size=1, max_size=3))
     evidence = []
     for atom in draw(st.lists(st.sampled_from(EVIDENCE_ATOMS), max_size=2, unique=True)):
         kind = draw(st.sampled_from(("true", "false", "soft")))
@@ -57,7 +68,7 @@ def random_mlns(draw):
             evidence.append("soft %s %s" % (atom, draw(st.sampled_from(WEIGHTS))))
         else:
             evidence.append(("" if kind == "true" else "!") + atom)
-    return "\n".join(lines), "\n".join(evidence), draw(st.sampled_from((2, 3)))
+    return "\n".join(lines), "\n".join(evidence), d
 
 
 @given(random_mlns())
