@@ -5,11 +5,19 @@ trivial group, whose cells are the overcomplete coordinates in layout order,
 so ground inference shares the lifted LP, separation and decoding: only the
 decode output keeps the ground shape.
 
-The local polytope LP has one variable per orbit cell: node normalization
-rows, four marginalization rows per edge, and normalization plus node/edge
-consistency rows per arity >= 3 factor. The system is the ground system
-written once per orbit representative with coordinates substituted by their
-cells, then deduplicated.
+The local polytope LP is written in moment coordinates. A binary model's
+local polytope is the set of moments (node marginals P(x_v = 1), edge
+moments P(x_u = x_v = 1) and, per arity >= 3 factor, the moments of its
+variable subsets of size >= 3) whose Moebius probabilities P(a) are all
+nonnegative. The LP has one variable fixed at 1 that carries the constant
+and one per moment orbit, indexed by the cell of the coordinate that sets
+exactly the moment's variables to 1. Each cell's value is the Moebius
+expansion of its representative coordinate (MomentMap), and each cell whose
+value is not already kept in [0, 1] by a variable bound gives one row
+"cell >= 0". Normalization and marginalization hold by construction, so
+there are no equality rows. Each optimum maps back to cell values, tau =
+M x, which separation and decoding read, and each cycle row written over
+cells maps through M.
 
 Cycle tightening adds odd-crossing inequalities: around any closed walk, a
 configuration flips value an even number of times, so for an odd edge subset
@@ -25,8 +33,8 @@ variable orbits of one it has at hand, with no search: the search source
 the found generators that fix the representative, the renaming source the
 renamings that pin its constants. The quotient has those variable orbits as
 nodes and one edge per distinct (full edge orbit, pair of variable orbits);
-the full edge orbit carries the edge's weights. Node orbits whose quotients
-have the same edges share one mirror graph, so under the trivial group one
+the full edge orbit carries the edge's weights. Node orbits with the same
+variable orbits share one mirror graph, so under the trivial group one
 graph is searched from every variable, as in separate_cycles_ground.
 
 The cutting-plane driver uses an in-out step: separation happens at
@@ -38,19 +46,14 @@ also finds nothing the loop has converged.
 
 The LP solver is one self-contained dense simplex tableau on the
 bounded-variable standard form (SimplexTableau); no external solver is
-involved. It stores only structural and slack columns: a row whose start
-residual no slack can absorb is basic in an artificial that has no stored
-column, since an artificial that leaves the basis never re-enters. It can
-start from a vertex given as one bound per structural variable. The local LP
-supplies the vertex of the all-zeros configuration, which satisfies every
-local and cycle row, so every row starts basic in its slack or in an
-artificial at zero, and phase 1, which stops as soon as no artificial mass is
-left, makes no pivot. A pivot updates only the rows where the pivot column is
-nonzero times the columns where the pivot row is: on the ground
-lovers_smokers LP at d=4 that is about 28% of the rows and 2% of the columns.
-The cutting-plane driver keeps its tableau across rounds: each cut row is
-appended to the last optimal tableau with its slack basic and negative, and
-a bounded dual simplex restores feasibility, instead of a cold re-solve.
+involved. Every row has a slack and starts basic in it, so a start vertex
+must satisfy every row. The local LP starts at every moment 0, the vertex
+of the all-zeros configuration, which satisfies every local and cycle row.
+A pivot updates only the rows where the pivot column is nonzero times the
+columns where the pivot row is. The cutting-plane driver keeps its tableau
+across rounds: each cut row is appended to the last optimal tableau with
+its slack basic and negative, and a bounded dual simplex restores
+feasibility, instead of a cold re-solve.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lift import LiftedModel, build_lifted_model
-from .model import Model, OvercompleteLayout, assignments, score
+from .model import Model, OvercompleteLayout, score
 from .symmetry import TrivialSymmetries
 
 
@@ -82,13 +85,14 @@ class NumericalInstabilityError(SolveError):
 @dataclass(eq=False)
 class LinearProgram:
     """Sparse maximization LP: rows are (coeffs, sense, rhs) with coeffs a
-    list of (variable, coefficient); senses are "<=", "==", ">="."""
+    list of (variable, coefficient); senses are "<=" and ">="."""
 
     num_vars: int
     objective: np.ndarray
     rows: list
     bounds: list  # (lo, hi) per variable; hi may be None for unbounded
     start: np.ndarray = None  # optional start vertex for simplex_solve
+    moments: MomentMap = None  # a local LP's map from its variables to cell values
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -104,7 +108,7 @@ class LinearProgram:
 
 def _check_row(row, num_vars: int):
     coeffs, sense, rhs = row
-    if sense not in ("<=", "==", ">="):
+    if sense not in ("<=", ">="):
         raise SolveError("unknown row sense %r" % sense)
     if not np.isfinite(rhs):
         raise SolveError("row rhs is not finite")
@@ -152,38 +156,34 @@ def _start_at_upper(lp: LinearProgram, start, lo, hi) -> np.ndarray:
 class SimplexTableau:
     """Dense bounded-variable simplex tableau of one LP, growable by rows.
 
-    Columns are the structural variables, then one slack per inequality row
-    (+1 for <=, -1 for >=, bounds [0, inf)). T holds B^-1 A over those
-    columns and xB the value of each row's basic variable, whose bounds are
-    loB/hiB. Structural variables start nonbasic at their lower bounds, or,
-    with start (one value per structural variable, each equal to a finite
-    lower or upper bound of its variable, else SolveError), at the bound it
-    names. Each row starts basic in its slack where the slack can absorb the
-    row's residual at that point, else in an artificial (basis -1) that
-    carries the residual, with bounds [0, inf) in phase 1 and [0, 0] after.
-    Artificial columns are never stored: one that leaves the basis never
-    enters again.
+    Columns are the structural variables, then one slack per row (+1 for
+    <=, -1 for >=, bounds [0, inf)). T holds B^-1 A over those columns and
+    xB the value of each row's basic variable. Structural variables start
+    nonbasic at their lower bounds, or, with start (one value per structural
+    variable, each equal to a finite lower or upper bound of its variable,
+    else SolveError), at the bound it names. Every row starts basic in its
+    slack, so the start must satisfy every row to within 1e-7, else
+    SolveError.
 
-    solve() is the cold two-phase primal simplex; phase 1 stops as soon as
-    the artificial mass is at most 1e-7, so a start that satisfies every row
-    needs no phase-1 pivot. add_row() appends a row to an optimal tableau
-    with its slack basic (negative when the row cuts off the optimum),
-    restores feasibility with the bounded dual simplex and confirms
-    optimality with primal phase 2. A pivot updates only the block of rows
-    where the pivot column is nonzero times the columns where the pivot row
-    is.
+    solve() is the primal simplex from the start basis. add_row() appends a
+    row to an optimal tableau with its slack basic (negative when the row
+    cuts off the optimum), restores feasibility with the bounded dual
+    simplex, which reports "infeasible" when no entering column can, and
+    confirms optimality with the primal. A pivot updates only the block of
+    rows where the pivot column is nonzero times the columns where the pivot
+    row is.
 
     Deterministic: the primal enters by Dantzig's rule (largest reduced
-    cost, ties to the smallest index) and leaves by the smallest basis index
-    (artificials last); the dual leaves by the largest bound violation and
-    enters by the smallest ratio, ties to the largest pivot. After 1000
-    degenerate pivots the primal switches to Bland's rule and the dual
-    leaves by the smallest basis index; after 200 000 pivots either raises
+    cost, ties to the smallest index) and leaves by the smallest basis
+    index; the dual leaves by the largest bound violation and enters by the
+    smallest ratio, ties to the largest pivot. After 1000 degenerate pivots
+    the primal switches to Bland's rule and the dual leaves by the smallest
+    basis index; after 200 000 pivots either raises
     NumericalInstabilityError. Every optimum is audited against every row
     and bound, added rows included, and raises NumericalInstabilityError if
     one is violated by more than 1e-6.
 
-    pivots counts the simplex iterations of each phase, a bound flip
+    pivots counts the primal and the dual simplex iterations, a bound flip
     counting as one, and the degenerate ones among them.
     """
 
@@ -191,16 +191,14 @@ class SimplexTableau:
         n, m = lp.num_vars, len(lp.rows)
         self.lp = lp
         self.rows = list(lp.rows)
-        slack_rows = [i for i, (_, sense, _) in enumerate(lp.rows) if sense != "=="]
-        ncols = n + len(slack_rows)
+        ncols = n + m
         A = np.zeros((m, ncols))
         b = np.zeros(m)
-        for i, (coeffs, _, rhs) in enumerate(lp.rows):
+        for i, (coeffs, sense, rhs) in enumerate(lp.rows):
             for j, c in coeffs:
                 A[i, j] += c
             b[i] = rhs
-        for k, i in enumerate(slack_rows):
-            A[i, n + k] = 1.0 if lp.rows[i][1] == "<=" else -1.0
+            A[i, n + i] = 1.0 if sense == "<=" else -1.0
 
         self.lo = np.zeros(ncols)
         self.hi = np.full(ncols, np.inf)
@@ -214,33 +212,23 @@ class SimplexTableau:
             self.at_upper[:n] = _start_at_upper(lp, start, self.lo[:n], self.hi[:n])
 
         x_nb = np.where(self.at_upper[:n], self.hi[:n], self.lo[:n])
-        resid = b - A[:, :n] @ x_nb
-        self.basis = np.full(m, -1)
-        for k, i in enumerate(slack_rows):
-            if resid[i] * A[i, n + k] >= 0.0:
-                self.basis[i] = n + k
-        real = self.basis >= 0
-        diag = np.where(resid >= 0.0, 1.0, -1.0)  # the artificials' signs
-        diag[real] = A[real, self.basis[real]]
-        self.T = A / diag[:, None]  # inverse of the +-1 diagonal basis
-        self.xB = resid / diag
-        self.loB = np.zeros(m)
-        self.hiB = np.full(m, np.inf)
-        self.loB[real] = self.lo[self.basis[real]]
-        self.hiB[real] = self.hi[self.basis[real]]
+        diag = A[np.arange(m), n + np.arange(m)]  # the slacks' signs
+        self.T = A / diag[:, None]  # inverse of the +-1 diagonal slack basis
+        self.xB = (b - A[:, :n] @ x_nb) / diag
+        bad = np.flatnonzero(self.xB < -_FEAS_TOL)
+        if bad.size:
+            raise SolveError(
+                "start violates row %d by %r" % (int(bad[0]), -float(self.xB[bad[0]]))
+            )
+        self.basis = n + np.arange(m)
         self.in_basis = np.zeros(ncols, dtype=bool)
-        self.in_basis[self.basis[real]] = True
+        self.in_basis[self.basis] = True
         self.status = None
-        self.pivots = {"phase1": 0, "phase2": 0, "dual": 0, "degenerate": 0}
+        self.pivots = {"primal": 0, "dual": 0, "degenerate": 0}
 
     def solve(self) -> SolveOutcome:
-        """Cold two-phase solve from the start basis."""
-        if self._primal(phase1=True) == "unbounded":
-            raise NumericalInstabilityError("phase 1 claimed an unbounded direction")
-        if self._art_mass() > _FEAS_TOL:
-            return self._finish("infeasible")
-        self.hiB[self.basis < 0] = 0.0  # pin the artificials left in the basis
-        return self._finish(self._primal(phase1=False))
+        """Primal solve from the start basis."""
+        return self._finish(self._primal())
 
     def add_row(self, row) -> SolveOutcome:
         """Append one (coeffs, sense, rhs) row and re-solve from the last optimum."""
@@ -253,44 +241,30 @@ class SimplexTableau:
         a = np.zeros(ncols)
         for j, c in coeffs:
             a[j] += c
-        a_basic = np.where(self.basis >= 0, a[self.basis], 0.0)
+        a_basic = a[self.basis]
         nz = np.flatnonzero(a_basic)
         T = np.zeros((m + 1, ncols + 1))
         T[:m, :ncols] = self.T
         T[m, :ncols] = (a - a_basic[nz] @ self.T[nz]) / sign
         T[m, ncols] = 1.0
-        slack_hi = 0.0 if sense == "==" else np.inf
         self.T = T
         self.xB = np.append(self.xB, (rhs - a @ self._point()) / sign)
         self.basis = np.append(self.basis, ncols)
-        self.loB = np.append(self.loB, 0.0)
-        self.hiB = np.append(self.hiB, slack_hi)
         self.lo = np.append(self.lo, 0.0)
-        self.hi = np.append(self.hi, slack_hi)
+        self.hi = np.append(self.hi, np.inf)
         self.cost = np.append(self.cost, 0.0)
         self.at_upper = np.append(self.at_upper, False)
         self.in_basis = np.append(self.in_basis, True)
         self.rows.append(row)
         status = self._dual()
         if status == "optimal":
-            status = self._primal(phase1=False)
+            status = self._primal()
         return self._finish(status)
 
     # -- internals ---------------------------------------------------------
 
-    def _art_mass(self) -> float:
-        return float(self.xB[self.basis < 0].sum())
-
-    def _reduced_costs(self, phase1: bool) -> np.ndarray:
-        if phase1:  # maximize minus the artificial mass
-            return self.T[self.basis < 0].sum(axis=0)
-        c_basic = np.where(self.basis >= 0, self.cost[self.basis], 0.0)
-        return self.cost - c_basic @ self.T
-
-    def _tie_key(self, rows: np.ndarray) -> np.ndarray:
-        # basis index, with artificials ordered after every stored column
-        basic = self.basis[rows]
-        return np.where(basic >= 0, basic, self.T.shape[1] + rows)
+    def _reduced_costs(self) -> np.ndarray:
+        return self.cost - self.cost[self.basis] @ self.T
 
     def _pivot(self, r: int, j: int, d: np.ndarray, enter_val: float):
         T = self.T
@@ -305,24 +279,16 @@ class SimplexTableau:
         cols = np.flatnonzero(prow)
         T[np.ix_(rows, cols)] -= np.outer(colv[rows], prow[cols])
         d[cols] -= d[j] * prow[cols]
-        out = self.basis[r]
-        if out >= 0:
-            self.in_basis[out] = False
+        self.in_basis[self.basis[r]] = False
         self.in_basis[j] = True
         self.basis[r] = j
         self.xB[r] = enter_val
-        self.loB[r] = self.lo[j]
-        self.hiB[r] = self.hi[j]
 
-    def _primal(self, phase1: bool) -> str:
-        phase = "phase1" if phase1 else "phase2"
-        d = self._reduced_costs(phase1)
+    def _primal(self) -> str:
+        d = self._reduced_costs()
         movable = self.lo < self.hi  # zero-range variables can never move
         degenerate = 0
         for it in range(1, _PIVOT_CAP + 1):
-            if phase1 and self._art_mass() <= _FEAS_TOL:
-                # feasible: every further phase-1 pivot would be degenerate
-                return "optimal"
             at_upper = self.at_upper
             improving = ~self.in_basis & movable & (
                 (~at_upper & (d > _FEAS_TOL)) | (at_upper & (d < -_FEAS_TOL))
@@ -334,11 +300,11 @@ class SimplexTableau:
                 j = int(cand[0])
             else:
                 j = int(cand[np.argmax(np.abs(d[cand]))])
-            self.pivots[phase] += 1
+            self.pivots["primal"] += 1
             from_lower = not at_upper[j]
             col = self.T[:, j] if from_lower else -self.T[:, j]
             # ratio test: basics move by -t*col, entering moves t off its bound
-            xB, loB, hiB = self.xB, self.loB, self.hiB
+            xB, loB, hiB = self.xB, self.lo[self.basis], self.hi[self.basis]
             with np.errstate(divide="ignore", invalid="ignore"):
                 t_dec = np.where(col > _PIV_TOL, (xB - loB) / col, np.inf)
                 t_inc = np.where(col < -_PIV_TOL, (hiB - xB) / (-col), np.inf)
@@ -357,30 +323,29 @@ class SimplexTableau:
                 at_upper[j] = not at_upper[j]
                 continue
             ties = np.flatnonzero(t_all <= t_rows + 1e-12)
-            r = int(ties[np.argmin(self._tie_key(ties))])
-            out = self.basis[r]
-            if out >= 0:
-                at_upper[out] = col[r] < 0  # hit upper bound iff it was rising
+            r = int(ties[np.argmin(self.basis[ties])])
+            at_upper[self.basis[r]] = col[r] < 0  # hit upper bound iff it was rising
             enter_val = (self.lo[j] + t) if from_lower else (self.hi[j] - t)
             self._pivot(r, j, d, enter_val)
             if it % _RESYNC_EVERY == 0:
-                d = self._reduced_costs(phase1)
+                d = self._reduced_costs()
         raise NumericalInstabilityError("simplex did not converge within the pivot cap")
 
     def _dual(self) -> str:
         """Bounded dual simplex from a dual-feasible basis."""
-        d = self._reduced_costs(phase1=False)
+        d = self._reduced_costs()
         movable = self.lo < self.hi
         degenerate = 0
         for it in range(1, _PIVOT_CAP + 1):
-            below = self.loB - self.xB
-            above = self.xB - self.hiB
+            loB, hiB = self.lo[self.basis], self.hi[self.basis]
+            below = loB - self.xB
+            above = self.xB - hiB
             violation = np.maximum(below, above)
             bad = np.flatnonzero(violation > _FEAS_TOL)
             if bad.size == 0:
                 return "optimal"
             if degenerate > _BLAND_AFTER:
-                r = int(bad[np.argmin(self._tie_key(bad))])
+                r = int(bad[np.argmin(self.basis[bad])])
             else:
                 r = int(bad[np.argmax(violation[bad])])
             self.pivots["dual"] += 1
@@ -399,22 +364,19 @@ class SimplexTableau:
             if best < 1e-12:
                 degenerate += 1
                 self.pivots["degenerate"] += 1
-            target = self.loB[r] if to_lower else self.hiB[r]
+            target = loB[r] if to_lower else hiB[r]
             t = (self.xB[r] - target) / slope[j]
             self.xB -= t * direction[j] * self.T[:, j]
-            out = self.basis[r]
-            if out >= 0:
-                self.at_upper[out] = not to_lower
+            self.at_upper[self.basis[r]] = not to_lower
             enter_val = (self.lo[j] + t) if direction[j] > 0 else (self.hi[j] - t)
             self._pivot(r, j, d, enter_val)
             if it % _RESYNC_EVERY == 0:
-                d = self._reduced_costs(phase1=False)
+                d = self._reduced_costs()
         raise NumericalInstabilityError("dual simplex did not converge within the pivot cap")
 
     def _point(self) -> np.ndarray:
         x = np.where(self.at_upper, np.where(np.isfinite(self.hi), self.hi, 0.0), self.lo)
-        real = self.basis >= 0
-        x[self.basis[real]] = self.xB[real]
+        x[self.basis] = self.xB
         return x
 
     def _finish(self, status: str) -> SolveOutcome:
@@ -425,12 +387,8 @@ class SimplexTableau:
         x_struct = self._point()[:n]
         for coeffs, sense, rhs in self.rows:
             val = sum(c * x_struct[j] for j, c in coeffs)
-            bad = (
-                (sense == "==" and abs(val - rhs) > _RESIDUAL_TOL)
-                or (sense == "<=" and val > rhs + _RESIDUAL_TOL)
-                or (sense == ">=" and val < rhs - _RESIDUAL_TOL)
-            )
-            if bad:
+            excess = val - rhs if sense == "<=" else rhs - val
+            if excess > _RESIDUAL_TOL:
                 raise NumericalInstabilityError(
                     "solution violates a row by %r" % (abs(val - rhs),)
                 )
@@ -443,76 +401,42 @@ class SimplexTableau:
 
 
 def simplex_solve(lp: LinearProgram, start=None) -> SolveOutcome:
-    """Solve lp by the two-phase primal simplex (see SimplexTableau)."""
+    """Solve lp by the primal simplex from start (see SimplexTableau)."""
     return SimplexTableau(lp, start).solve()
 
 
 # ---------------------------------------------------------------------------
-# local polytope rows
+# the local polytope in moment coordinates
 
 
-def _ground_row_blocks(model, layout, var_list, edge_list, factor_list):
-    rows = []
-    for v in var_list:
-        rows.append(
-            ([(layout.node_index(v, 0), 1.0), (layout.node_index(v, 1), 1.0)], "==", 1.0)
-        )
-    for (u, v) in edge_list:
-        e = layout.edge_index
-        rows.append(
-            ([(e(u, v, 0, 0), 1.0), (e(u, v, 0, 1), 1.0), (layout.node_index(u, 0), -1.0)], "==", 0.0)
-        )
-        rows.append(
-            ([(e(u, v, 0, 0), 1.0), (e(u, v, 1, 0), 1.0), (layout.node_index(v, 0), -1.0)], "==", 0.0)
-        )
-        rows.append(
-            ([(e(u, v, 1, 1), 1.0), (e(u, v, 0, 1), 1.0), (layout.node_index(v, 1), -1.0)], "==", 0.0)
-        )
-        rows.append(
-            ([(e(u, v, 1, 1), 1.0), (e(u, v, 1, 0), 1.0), (layout.node_index(u, 1), -1.0)], "==", 0.0)
-        )
-    for j in factor_list:
-        f = model.features[j]
-        rows.append(
-            ([(layout.factor_index(j, a), 1.0) for a in assignments(f.arity)], "==", 1.0)
-        )
-        for k, v in enumerate(f.scope):
-            coeffs = [
-                (layout.factor_index(j, a), 1.0)
-                for a in assignments(f.arity)
-                if a[k] == 1
-            ]
-            coeffs.append((layout.node_index(v, 1), -1.0))
-            rows.append((coeffs, "==", 0.0))
-        for k, l in itertools.combinations(range(f.arity), 2):
-            u2, v2 = f.scope[k], f.scope[l]
-            for s, t in assignments(2):
-                coeffs = [
-                    (layout.factor_index(j, a), 1.0)
-                    for a in assignments(f.arity)
-                    if a[k] == s and a[l] == t
-                ]
-                coeffs.append((layout.edge_index(u2, v2, s, t), -1.0))
-                rows.append((coeffs, "==", 0.0))
-    return rows
+class MomentMap:
+    """The linear map tau = M x from a local LP's variables to cell values.
 
+    expansions[c] lists the (variable, coefficient) entries of row c of M:
+    the Moebius expansion of cell c's representative coordinate over the
+    moments of its ones, variable 0 being the constant 1.
+    """
 
-def _substitute_rows(rows, rho):
-    out = []
-    seen = set()
-    rho = rho.tolist()
-    for coeffs, sense, rhs in rows:
+    def __init__(self, expansions):
+        self.expansions = tuple(expansions)
+        sizes = [len(terms) for terms in self.expansions]
+        self._cell = np.repeat(np.arange(len(sizes)), sizes)
+        self._var = np.array([j for terms in self.expansions for j, _ in terms], dtype=np.int64)
+        self._coef = np.array([c for terms in self.expansions for _, c in terms])
+
+    def tau(self, x) -> np.ndarray:
+        """Cell values of the LP point x."""
+        x = np.asarray(x, dtype=float)
+        return np.bincount(self._cell, self._coef * x[self._var], minlength=len(self.expansions))
+
+    def row(self, row):
+        """A (coeffs, sense, rhs) row over cells as the same row over LP variables."""
+        coeffs, sense, rhs = row
         acc = {}
-        for j, c in coeffs:
-            cell = rho[j]
-            acc[cell] = acc.get(cell, 0.0) + c
-        items = tuple(sorted(kv for kv in acc.items() if kv[1] != 0.0))
-        key = (items, sense, float(rhs))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((list(items), sense, rhs))
-    return out
+        for c, a in coeffs:
+            for j, m in self.expansions[c]:
+                acc[j] = acc.get(j, 0.0) + a * m
+        return (sorted(kv for kv in acc.items() if kv[1] != 0.0), sense, rhs)
 
 
 def _lifted(target) -> LiftedModel:
@@ -524,42 +448,93 @@ def _lifted(target) -> LiftedModel:
     raise SolveError("expected a Model or a LiftedModel")
 
 
-def build_local_lp(target) -> LinearProgram:
-    """Local consistency LP of a LiftedModel, or of a ground Model's trivial lift.
+def _scope_assignment(key, model):
+    """(feature or None, scope, assignment) of an overcomplete coordinate key."""
+    if key[0] == "node":
+        return None, key[1:2], key[2:]
+    if key[0] == "edge":
+        return None, key[1:3], key[3:]
+    return key[1], model.features[key[1]].scope, key[2]
 
-    The LP's start is the local polytope's vertex for the all-zeros
-    configuration: the cell averages (lift_vector) of its ground indicator
-    vector, which stay 0/1 because every symmetry fixes the all-zeros
-    configuration. They are read off the cells (node value 0, edge 00,
-    all-zeros factor rows) without a ground pass.
+
+def _moment_map(lm: LiftedModel):
+    """The MomentMap of a lifted model's local LP, and its number of variables.
+
+    A moment is indexed by the cell of the coordinate that sets exactly its
+    variables to 1: node value 1, edge 11, or a factor assignment with at
+    least three ones. Every symmetry maps moments as it maps those
+    coordinates, so one variable per such cell suffices.
+    """
+    layout, rho = lm.index.layout, lm.index.rho
+    keys = [layout.keys[members[0]] for members in lm.index.cells]
+    var_of = {}
+    for c, key in enumerate(keys):
+        _, _, a = _scope_assignment(key, lm.model)
+        if all(a) or sum(a) >= 3:
+            var_of[c] = len(var_of) + 1
+
+    def moment(j, scope, ones):
+        if not ones:
+            return 0
+        if len(ones) == 1:
+            i = layout.node_index(scope[ones[0]], 1)
+        elif len(ones) == 2:
+            i = layout.edge_index(scope[ones[0]], scope[ones[1]], 1, 1)
+        else:
+            i = layout.factor_index(j, tuple(int(k in ones) for k in range(len(scope))))
+        return var_of[int(rho[i])]
+
+    expansions = []
+    for key in keys:
+        j, scope, a = _scope_assignment(key, lm.model)
+        ones = [k for k, t in enumerate(a) if t]
+        zeros = [k for k, t in enumerate(a) if not t]
+        acc = {}
+        # P(a) = sum over the supersets T of ones(a) of (-1)^|T - ones(a)| mu_T
+        for r in range(len(zeros) + 1):
+            for extra in itertools.combinations(zeros, r):
+                v = moment(j, scope, sorted(ones + list(extra)))
+                acc[v] = acc.get(v, 0.0) + (-1.0) ** r
+        expansions.append(sorted(acc.items()))
+    return MomentMap(expansions), len(var_of) + 1
+
+
+def build_local_lp(target) -> LinearProgram:
+    """Local consistency LP of a LiftedModel, or of a ground Model's trivial
+    lift, in moment coordinates.
+
+    Variable 0 is fixed at 1 and carries the constant; the others are the
+    moments, each in [0, 1]. Each cell's value is its row of the MomentMap,
+    and the LP has one row "cell >= 0" per cell whose value is not a single
+    moment or one minus a single moment, which the variable bounds already
+    keep in [0, 1]. The objective is theta_bar^T M. The start is every moment
+    at 0, the vertex of the all-zeros configuration.
     """
     lm = _lifted(target)
-    model = lm.model
-    var_list = lm.bundle.vars.reps
-    edge_list = [info.rep for info in lm.edge_info]
-    factor_list = [
-        rep for rep in lm.bundle.features.reps if model.features[rep].arity >= 3
-    ]
-    rows = _ground_row_blocks(model, lm.index.layout, var_list, edge_list, factor_list)
-    rows = _substitute_rows(rows, lm.index.rho)
-    start = np.zeros(lm.num_cells)
-    start[[info.cell0 for info in lm.node_info]] = 1.0
-    start[[info.cell00 for info in lm.edge_info]] = 1.0
-    start[[info.cell for info in lm.factor_info if not any(info.rep[1])]] = 1.0
+    moments, num_vars = _moment_map(lm)
+    objective = np.zeros(num_vars)
+    rows = []
+    for theta, terms in zip(lm.theta_bar.tolist(), moments.expansions):
+        for j, m in terms:
+            objective[j] += theta * m
+        if sum(j > 0 for j, _ in terms) > 1:
+            rows.append((terms, ">=", 0.0))
+    start = np.zeros(num_vars)
+    start[0] = 1.0
     return LinearProgram(
-        num_vars=lm.num_cells,
-        objective=lm.theta_bar.copy(),
+        num_vars=num_vars,
+        objective=objective,
         rows=rows,
-        bounds=[(0.0, 1.0)] * lm.num_cells,
+        bounds=[(1.0, 1.0)] + [(0.0, 1.0)] * (num_vars - 1),
         start=start,
+        moments=moments,
     )
 
 
 def uniform_interior(target):
     """The uniform pseudomarginal: nodes .5, edge cells .25, factor cells 2^-K.
 
-    It is constant on every cell, so it is read off the cells as the start
-    vertex is.
+    It is constant on every cell, so it is read off the cells.
     """
     lm = _lifted(target)
     out = np.full(lm.num_cells, 0.25)  # edge and arc cells
@@ -689,19 +664,19 @@ def separate_cycles_ground(model, tau):
 
 @dataclass(frozen=True)
 class StabilizedGraph:
-    """Mirror-search graph for one node orbit: stabilized variable cells as
-    nodes, one edge per distinct (full edge orbit, pair of stabilized cells),
-    keyed by the FULL edge orbit that carries its weights."""
+    """Mirror-search graph shared by the node orbits whose representatives
+    have the same stabilized variable cells: those cells as nodes, one edge
+    per distinct (full edge orbit, pair of stabilized cells), keyed by the
+    FULL edge orbit that carries its weights."""
 
-    orbit: int
-    source: object
+    sources: tuple  # (node orbit, its representative's cell), orbits increasing
     edges: tuple  # (full edge orbit id, cell a, cell b)
 
 
 def build_stabilized_graphs(lifted: LiftedModel):
-    """One stabilized lifted graph per node orbit, built once per model.
+    """The stabilized lifted graphs of every node orbit, built once per model.
 
-    Each graph quotients the model by a subgroup H of the stabilizer of the
+    Each graph quotients the model by a subgroup H of the stabilizer of an
     orbit's representative, found with no search: the renaming source pins
     the representative's constants, the search source keeps the found
     generators that fix it. The source's stabilized_light gives H's
@@ -715,30 +690,33 @@ def build_stabilized_graphs(lifted: LiftedModel):
     read off the full orbit's cells, so all ground edges of one full orbit
     between the same two H-cells are parallel edges of equal weight, and
     one of them serves. Each edge keeps the cells of the smallest such
-    ground edge.
+    ground edge. Node orbits whose stabilized variable cells are the same
+    partition share one graph, so the edges are walked once per distinct
+    partition: once in all under the trivial group.
     """
     edges = lifted.bundle.edges
     ends = [(u, v, edges.cell_of[(u, v)]) for (u, v) in edges.elements]
-    graphs = []
+    groups = {}  # stabilized cells -> (cell_of, [(orbit, source)])
     for k, info in enumerate(lifted.node_info):
-        cell = lifted.symmetries.stabilized_light(info.rep).cell_of
+        part = lifted.symmetries.stabilized_light(info.rep)
+        cell = part.cell_of
+        groups.setdefault(part.cells, (cell, []))[1].append((k, cell[info.rep]))
+    graphs = []
+    for cell, sources in groups.values():
         dedup = {}
         for u, v, e in ends:
             a, b = cell[u], cell[v]
             key = (a, b, e) if a <= b else (b, a, e)
             if key not in dedup:
                 dedup[key] = (e, a, b)
-        graphs.append(
-            StabilizedGraph(orbit=k, source=cell[info.rep], edges=tuple(dedup.values()))
-        )
+        graphs.append(StabilizedGraph(sources=tuple(sources), edges=tuple(dedup.values())))
     return tuple(graphs)
 
 
 def separate_cycles_lifted(lifted: LiftedModel, stabilized, tau_bar):
     """Most violated lifted cycle inequality across node orbits, or None.
 
-    Node orbits are searched in order, ties kept by the first; graphs with
-    identical edges share one mirror graph.
+    Ties go to the smallest node orbit.
     """
     tau_bar = np.asarray(tau_bar, dtype=float)
     weights = {}
@@ -746,16 +724,15 @@ def separate_cycles_lifted(lifted: LiftedModel, stabilized, tau_bar):
         cut_w = tau_bar[info.cell_uv] + tau_bar[info.cell_vu]
         nocut_w = tau_bar[info.cell00] + tau_bar[info.cell11]
         weights[k] = (cut_w, nocut_w)
-    mirrors = {}
     best = None
     for g in stabilized:
-        if g.edges not in mirrors:
-            mirrors[g.edges] = mirror_graph((ek, a, b, *weights[ek]) for ek, a, b in g.edges)
-        steps, total = mirror_walk(mirrors[g.edges], g.source)
-        if steps is None:
-            continue
-        if best is None or total < best[1]:
-            best = (steps, total, g.orbit)
+        adj = mirror_graph((ek, a, b, *weights[ek]) for ek, a, b in g.edges)
+        for orbit, source in g.sources:
+            steps, total = mirror_walk(adj, source)
+            if steps is None:
+                continue
+            if best is None or (total, orbit) < (best[1], best[2]):
+                best = (steps, total, orbit)
     if best is None or best[1] >= 1.0 - CYCLE_TOL:
         return None
     steps, total, orbit = best
@@ -829,7 +806,7 @@ class MapResult:
     num_lp_vars: int
     num_lp_rows: int
     timings_ms: dict
-    pivots: dict  # simplex iterations: phase1, phase2, dual, degenerate
+    pivots: dict  # simplex iterations: primal, dual, degenerate
 
     def as_dict(self) -> dict:
         return {
@@ -866,6 +843,7 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
     lifted = _lifted(target)  # built once, shared by every step
     space = "lifted" if lifted is target else "ground"
     lp = build_local_lp(lifted)
+    moments = lp.moments
     timings["build_ms"] += (time.perf_counter() - t0) * 1000
     t0 = time.perf_counter()
     tableau = SimplexTableau(lp, lp.start)
@@ -881,7 +859,7 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
 
     out = solve_now()
     bounds = [out.value]
-    tau_out = out.x
+    tau_out = moments.tau(out.x)
     cuts = []
     seen = set()
     status = "optimal"
@@ -909,11 +887,11 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
                 break
             seen.add(key)
             cuts.append(cut)
-            out = solve_now(constraint_row(cut, lifted))
+            out = solve_now(moments.row(constraint_row(cut, lifted)))
             bounds.append(out.value)
-            tau_out = out.x
+            tau_out = moments.tau(out.x)
 
-    objective = float(lp.objective @ tau_out)
+    objective = out.value
     decoded = decode(tau_out, lifted, space)
     timings["total_ms"] = (time.perf_counter() - t_start) * 1000
     timings = {k: round(v, 3) for k, v in timings.items()}

@@ -74,8 +74,8 @@ def test_criterion_01_pairwise_example_end_to_end():
         assert sorted(len(c) for c in bundle.edges.cells) == [1, 4]
         assert sorted(len(c) for c in bundle.arcs.cells) == [2, 4, 4]
         lifted = build_lifted_model(model, sym)
-        assert build_local_lp(lifted).num_vars == 11
-        assert build_local_lp(model).num_vars == 28
+        assert build_local_lp(lifted).num_vars == 5
+        assert build_local_lp(model).num_vars == 10
         exact = exact_enumerate(model)
         for target in (model, lifted):
             result = cutting_plane_map(target)

@@ -190,7 +190,7 @@ class TestMap:
         assert payload["method"] is None
         assert payload["objective"] == pytest.approx(4.0, abs=1e-8)
         assert payload["decode"]["configuration"] == [1, 0, 0, 1]
-        assert payload["lp"] == {"variables": 28, "rows": 24}
+        assert payload["lp"] == {"variables": 10, "rows": 15}
         assert payload["cuts"] == 0
 
     def test_lifted_cycle(self, capsys, models_dir):
@@ -228,7 +228,7 @@ class TestMap:
         )
         assert code == 0
         assert payload["objective"] == pytest.approx(4.0, abs=1e-8)
-        assert payload["lp"]["variables"] == 28
+        assert payload["lp"]["variables"] == 10
         assert payload["orbit_counts"]["vars"] == 4
 
     def test_cut_budget_cap_exit_code(self, capsys, models_dir):

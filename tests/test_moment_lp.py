@@ -1,0 +1,136 @@
+"""The local LP in moment coordinates against the overcomplete reference.
+
+build_local_lp writes the local polytope over moments, with a "cell >= 0"
+row per cell that no variable bound covers and no equality rows. The reference (overcomplete.py) writes
+it over the cells with the normalization and marginalization equalities and
+is solved by HiGHS. The two optima must agree, and the cell values M x of
+the moment optimum, which separation and decoding read, must be a point of
+the reference polytope.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from conftest import circulant_7_1_3
+from liftedmap import (
+    GeneratorSymmetries,
+    MapOptions,
+    RenamingSymmetries,
+    build_lifted_model,
+    build_local_lp,
+    cutting_plane_map,
+    ground_mln,
+    parse_mln,
+)
+from liftedmap.fixtures import (
+    LOVERS_SMOKERS_MLN,
+    cycle_model,
+    ex1,
+    frucht,
+    fully_connected_symmetric,
+    random_tied_pairwise,
+    triangle,
+    triple_parity,
+    unary_logistic,
+)
+from liftedmap.model import Feature, Model, assignments
+from liftedmap.oracle import exact_enumerate
+from overcomplete import assert_matches_the_overcomplete_reference, lifted, overcomplete_optimum
+
+PARITY4 = tuple(float(sum(a) % 2) for a in assignments(4))
+AND4 = (0.0,) * 15 + (1.0,)
+_rng = random.Random(4)
+RANDOM4 = tuple(round(_rng.uniform(-1.0, 1.0), 3) for _ in range(16))
+
+
+def four_ary(n, scopes, table, weight):
+    """One tied 4-ary feature per scope over n variables."""
+    feats = tuple(Feature(scope=tuple(sorted(s)), table=table) for s in scopes)
+    return Model(num_vars=n, features=feats, tie_class_of=(0,) * len(feats), theta=(weight,))
+
+
+def every_four_subset(n, table, weight):
+    return four_ary(n, itertools.combinations(range(n), 4), table, weight)
+
+
+def ring_of_windows(n, table, weight):
+    # scopes {i, ..., i + 3} mod n: the long cycles around the ring are not
+    # covered by any factor, so the cycle polytope can cut
+    return four_ary(n, [[(i + k) % n for k in range(4)] for i in range(n)], table, weight)
+
+
+FOUR_ARY = {
+    "parity_5": lambda: every_four_subset(5, PARITY4, 1.0),
+    "and_6": lambda: every_four_subset(6, AND4, 1.0),
+    "random_6": lambda: every_four_subset(6, RANDOM4, -1.0),
+    "random_ring_9": lambda: ring_of_windows(9, RANDOM4, -1.0),
+}
+
+FIXTURES = {
+    "ex1": ex1,
+    "triangle": triangle,
+    "cycle5": lambda: cycle_model(5),
+    "cycle6": lambda: cycle_model(6),
+    "frucht": frucht,
+    "fully_connected3": lambda: fully_connected_symmetric(3),
+    "fully_connected5": lambda: fully_connected_symmetric(5, -1.0),
+    "triple_parity": lambda: triple_parity(4),
+    "unary_logistic": unary_logistic,
+    "circulant_7_1_3": circulant_7_1_3,
+    **FOUR_ARY,
+    **{"random%d" % seed: (lambda seed=seed: random_tied_pairwise(seed)) for seed in range(20)},
+}
+
+
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_fixture_matches_the_overcomplete_reference(name):
+    model = FIXTURES[name]()
+    assert_matches_the_overcomplete_reference(model)
+    assert_matches_the_overcomplete_reference(
+        build_lifted_model(model, GeneratorSymmetries(model))
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lovers_smokers_matches_the_overcomplete_reference(d):
+    model, gmap = ground_mln(parse_mln(LOVERS_SMOKERS_MLN), domain_size=d)
+    assert_matches_the_overcomplete_reference(model)
+    for sym in (RenamingSymmetries(model, gmap), GeneratorSymmetries(model)):
+        assert_matches_the_overcomplete_reference(build_lifted_model(model, sym))
+
+
+def test_four_ary_columns():
+    # the constant, 5 node and 10 edge moments, and per 4-subset its four
+    # triples and itself
+    lp = build_local_lp(FOUR_ARY["parity_5"]())
+    assert lp.num_vars == 1 + 5 + 10 + 5 * 5
+    # 3 rows per edge; the 16 cells of a factor less the 1111 bound
+    assert len(lp.rows) == 3 * 10 + 5 * 15
+
+
+@pytest.mark.parametrize("polytope", ["local", "cycle"])
+@pytest.mark.parametrize("name", list(FOUR_ARY))
+def test_four_ary_ground_equals_lifted(name, polytope):
+    model = FOUR_ARY[name]()
+    opts = MapOptions(polytope=polytope)
+    ground = cutting_plane_map(model, opts)
+    lifted_run = cutting_plane_map(build_lifted_model(model, GeneratorSymmetries(model)), opts)
+    assert ground.status == lifted_run.status == "optimal"
+    assert lifted_run.objective == pytest.approx(ground.objective, abs=1e-9)
+    local = overcomplete_optimum(lifted(model))
+    if polytope == "local":
+        assert ground.objective == pytest.approx(local, abs=1e-9)
+    else:
+        assert ground.objective <= local + 1e-9
+        assert ground.objective >= exact_enumerate(model).map_value - 1e-9
+
+
+def test_four_ary_ring_is_cut():
+    # the cycle polytope closes the ring's local gap with one cut
+    model = FOUR_ARY["random_ring_9"]()
+    result = cutting_plane_map(model, MapOptions(polytope="cycle"))
+    assert result.cuts_added
+    assert result.objective == pytest.approx(exact_enumerate(model).map_value, abs=1e-9)
+    assert result.objective < overcomplete_optimum(lifted(model)) - 0.1

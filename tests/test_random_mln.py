@@ -21,6 +21,7 @@ from liftedmap import (
 )
 from liftedmap.mln import MLNError
 from liftedmap.oracle import exact_enumerate
+from overcomplete import assert_matches_the_overcomplete_reference
 
 WEIGHTS = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 EVIDENCE_ATOMS = ("P(A)", "Q(A)", "R(A, A)")
@@ -91,6 +92,8 @@ def test_random_mln_lifted_bounds_match_ground_and_exact(example):
         "renaming": build_lifted_model(model, renaming),
         "search": build_lifted_model(model, search),
     }
+    for t in targets.values():
+        assert_matches_the_overcomplete_reference(t)
     for polytope in ("local", "cycle"):
         opts = MapOptions(polytope=polytope)
         results = {name: cutting_plane_map(t, opts) for name, t in targets.items()}

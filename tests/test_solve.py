@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import circulant_7_1_3
+from overcomplete import lifted as trivial_or_lifted, max_violation
 from liftedmap import (
     GeneratorSymmetries,
     MapOptions,
@@ -57,8 +58,6 @@ from liftedmap.solve import (
 def rows_satisfied(tau, rows, tol=1e-9):
     for coeffs, sense, rhs in rows:
         val = sum(c * tau[j] for j, c in coeffs)
-        if sense == "==" and abs(val - rhs) > tol:
-            return False
         if sense == "<=" and val > rhs + tol:
             return False
         if sense == ">=" and val < rhs - tol:
@@ -90,9 +89,11 @@ def stabilized_partitions(sym, rep):
 
 def stabilized_graphs_from_edge_orbits(lifted):
     """Reference stabilized graphs: one edge per stabilized edge orbit, taken
-    at the orbit's smallest edge and deduplicated by (cell pair, full orbit)."""
+    at the orbit's smallest edge and deduplicated by (cell pair, full orbit).
+    Node orbits with the same stabilized variable cells share a graph, and
+    each of them must give that graph from its own edge orbits."""
     full = lifted.bundle.edges.cell_of
-    graphs = []
+    groups = {}  # stabilized variable cells -> (edges, sources)
     for k, info in enumerate(lifted.node_info):
         vars_p, edges_p = stabilized_partitions(lifted.symmetries, info.rep)
         dedup = {}
@@ -100,9 +101,16 @@ def stabilized_graphs_from_edge_orbits(lifted):
             u, v = members[0]
             a, b = vars_p.cell_of[u], vars_p.cell_of[v]
             dedup.setdefault((tuple(sorted((a, b))), full[(u, v)]), (full[(u, v)], a, b))
-        graphs.append(StabilizedGraph(orbit=k, source=vars_p.cell_of[info.rep],
-                                      edges=tuple(dedup.values())))
-    return tuple(graphs)
+        edges, sources = groups.setdefault(vars_p.cells, (tuple(dedup.values()), []))
+        assert tuple(dedup.values()) == edges
+        sources.append((k, vars_p.cell_of[info.rep]))
+    return tuple(StabilizedGraph(sources=tuple(sources), edges=edges)
+                 for edges, sources in groups.values())
+
+
+def moment_matrix(lp):
+    """M of a local LP, dense: column j is the cell values of the j-th unit vector."""
+    return np.column_stack([lp.moments.tau(e) for e in np.eye(lp.num_vars)])
 
 
 def frustrated_point(model):
@@ -131,12 +139,13 @@ class TestLinearProgramValidation:
         with pytest.raises(SolveError):
             LinearProgram(num_vars=2, objective=[1.0, 1.0], rows=[], bounds=[(0, 1)])
 
-    def test_unknown_sense(self):
+    @pytest.mark.parametrize("sense", ["<", "=="])
+    def test_unknown_sense(self, sense):
         with pytest.raises(SolveError):
             LinearProgram(
                 num_vars=1,
                 objective=[1.0],
-                rows=[([(0, 1.0)], "<", 1.0)],
+                rows=[([(0, 1.0)], sense, 1.0)],
                 bounds=[(0, 1)],
             )
 
@@ -193,17 +202,6 @@ class TestSimplex:
         assert out.value == pytest.approx(2.5, abs=1e-9)
         assert tuple(np.round(out.x, 9)) == (1.0, 0.5)
 
-    def test_equality_row(self):
-        lp = LinearProgram(
-            num_vars=1,
-            objective=[1.0],
-            rows=[([(0, 1.0)], "==", 0.25)],
-            bounds=[(0.0, 1.0)],
-        )
-        out = simplex_solve(lp)
-        assert out.status == "optimal"
-        assert out.value == pytest.approx(0.25, abs=1e-9)
-
     def test_negative_lower_bound(self):
         lp = LinearProgram(
             num_vars=1,
@@ -216,14 +214,24 @@ class TestSimplex:
         assert out.value == pytest.approx(2.0, abs=1e-9)
         assert out.x[0] == pytest.approx(-2.0, abs=1e-9)
 
-    def test_infeasible(self):
+    def test_infeasible_after_an_added_row(self):
+        lp = LinearProgram(num_vars=1, objective=[1.0], rows=[], bounds=[(0.0, 1.0)])
+        tableau = SimplexTableau(lp)
+        assert tableau.solve().status == "optimal"
+        assert tableau.add_row(([(0, 1.0)], ">=", 2.0)).status == "infeasible"
+
+    @pytest.mark.parametrize("start", [None, [0.0, 1.0]])
+    def test_start_violating_a_row_is_rejected(self, start):
+        # no phase 1: every row starts basic in its slack
         lp = LinearProgram(
-            num_vars=1,
-            objective=[1.0],
-            rows=[([(0, 1.0)], "<=", -1.0)],
-            bounds=[(0.0, 1.0)],
+            num_vars=2,
+            objective=[1.0, 1.0],
+            rows=[([(0, 1.0)], ">=", 0.5)],
+            bounds=[(0.0, 1.0), (0.0, 1.0)],
         )
-        assert simplex_solve(lp).status == "infeasible"
+        with pytest.raises(SolveError, match="start violates row 0"):
+            simplex_solve(lp, start=start)
+        assert simplex_solve(lp, start=[1.0, 0.0]).value == pytest.approx(2.0, abs=1e-9)
 
     def test_unbounded_no_rows(self):
         lp = LinearProgram(num_vars=1, objective=[1.0], rows=[], bounds=[(0.0, None)])
@@ -233,7 +241,7 @@ class TestSimplex:
         lp = LinearProgram(
             num_vars=2,
             objective=[1.0, 0.0],
-            rows=[([(0, 1.0), (1, -1.0)], ">=", 1.0)],
+            rows=[([(0, 1.0), (1, -1.0)], "<=", 1.0)],
             bounds=[(0.0, None), (0.0, None)],
         )
         assert simplex_solve(lp).status == "unbounded"
@@ -289,46 +297,43 @@ class TestSimplexStart:
 
 
 def random_program(seed):
+    """A seeded LP whose lower bounds and bound_start both satisfy every row:
+    each rhs lies 0 to 3 beyond the looser of the row's values at the two."""
     rng = random.Random(seed)
     n = rng.randint(2, 6)
     m = rng.randint(1, 5)
     objective = [float(rng.randint(-3, 3)) for _ in range(n)]
-    rows = []
-    for _ in range(m):
-        coeffs = [(j, float(rng.randint(-3, 3))) for j in range(n) if rng.random() < 0.7]
-        if not coeffs:
-            coeffs = [(rng.randrange(n), 1.0)]
-        sense = rng.choice(("<=", "<=", ">=", "=="))
-        rows.append((coeffs, sense, float(rng.randint(-4, 4))))
     bounds = []
     for _ in range(n):
         lo = rng.choice((0.0, 0.0, -1.0))
         hi = rng.choice((None, 1.0, 2.0, 3.0))
         bounds.append((lo, hi))
+    starts = ([lo for lo, _ in bounds], bound_start(bounds, seed))
+    rows = []
+    for _ in range(m):
+        coeffs = [(j, float(rng.randint(-3, 3))) for j in range(n) if rng.random() < 0.7]
+        if not coeffs:
+            coeffs = [(rng.randrange(n), 1.0)]
+        sense = rng.choice(("<=", "<=", ">="))
+        at = [sum(c * x[j] for j, c in coeffs) for x in starts]
+        room = float(rng.randint(0, 3))
+        rows.append((coeffs, sense, max(at) + room if sense == "<=" else min(at) - room))
     return LinearProgram(num_vars=n, objective=objective, rows=rows, bounds=bounds)
 
 
 def reference_solve(lp):
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
+    A_ub, b_ub = [], []
     for coeffs, sense, rhs in lp.rows:
         dense = np.zeros(lp.num_vars)
         for j, c in coeffs:
             dense[j] += c
-        if sense == "<=":
-            A_ub.append(dense)
-            b_ub.append(rhs)
-        elif sense == ">=":
-            A_ub.append(-dense)
-            b_ub.append(-rhs)
-        else:
-            A_eq.append(dense)
-            b_eq.append(rhs)
+        sign = 1.0 if sense == "<=" else -1.0
+        A_ub.append(sign * dense)
+        b_ub.append(sign * rhs)
     res = linprog(
         c=-lp.objective,
         A_ub=np.array(A_ub) if A_ub else None,
         b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(A_eq) if A_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
         bounds=list(lp.bounds),
         method="highs",
     )
@@ -336,24 +341,22 @@ def reference_solve(lp):
     return status, (-res.fun if res.status == 0 else None)
 
 
-def bound_start(lp, seed):
+def bound_start(bounds, seed):
     """A seeded start putting each variable at its lower or finite upper bound."""
     rng = random.Random(1000 + seed)
     return np.array(
-        [lo if hi is None or rng.random() < 0.5 else hi for lo, hi in lp.bounds]
+        [lo if hi is None or rng.random() < 0.5 else hi for lo, hi in bounds]
     )
 
 
 def cutting_row(lp, x, rng):
-    """A seeded row of any sense that the point x violates by 0.5 to 2."""
+    """A seeded row of either sense that the point x violates by 0.5 to 2."""
     coeffs = [(j, float(rng.randint(-3, 3))) for j in range(lp.num_vars) if rng.random() < 0.7]
     coeffs = [(j, c) for j, c in coeffs if c] or [(rng.randrange(lp.num_vars), 1.0)]
     at_x = sum(c * x[j] for j, c in coeffs)
     gap = rng.choice((0.5, 1.0, 2.0))
-    sense = rng.choice(("<=", ">=", "=="))
-    if sense == "<=" or (sense == "==" and rng.random() < 0.5):
-        return (coeffs, sense, at_x - gap)
-    return (coeffs, sense, at_x + gap)
+    sense = rng.choice(("<=", ">="))
+    return (coeffs, sense, at_x - gap if sense == "<=" else at_x + gap)
 
 
 OPTIMAL_SEEDS = [s for s in range(30) if simplex_solve(random_program(s)).status == "optimal"]
@@ -361,14 +364,14 @@ OPTIMAL_SEEDS = [s for s in range(30) if simplex_solve(random_program(s)).status
 
 def grow_by_cutting_rows(seed):
     """Solve random_program(seed), then append 1-3 seeded rows, each cutting
-    off the optimum before it. Returns the tableau, the phase-2 pivots of
+    off the optimum before it. Returns the tableau, the primal pivots of
     the cold solve, and (grown LP, outcome) after each append, up to the
     first outcome that is not optimal."""
     lp = random_program(seed)
     rng = random.Random(2000 + seed)
     tableau = SimplexTableau(lp)
     out = tableau.solve()
-    cold_phase2 = tableau.pivots["phase2"]
+    cold_primal = tableau.pivots["primal"]
     rows = list(lp.rows)
     steps = []
     for _ in range(rng.randint(1, 3)):
@@ -379,7 +382,7 @@ def grow_by_cutting_rows(seed):
         steps.append((LinearProgram(lp.num_vars, lp.objective, list(rows), lp.bounds), out))
         if out.status != "optimal":
             break
-    return tableau, cold_phase2, steps
+    return tableau, cold_primal, steps
 
 
 class TestSimplexAgainstReferenceSolver:
@@ -404,24 +407,30 @@ class TestSimplexAgainstReferenceSolver:
     @pytest.mark.parametrize("seed", range(30))
     def test_status_and_value_match_from_a_bound_start(self, seed):
         lp = random_program(seed)
-        self.assert_matches_reference(lp, simplex_solve(lp, start=bound_start(lp, seed)))
+        self.assert_matches_reference(lp, simplex_solve(lp, start=bound_start(lp.bounds, seed)))
 
-    def test_seeds_cover_every_status(self):
-        statuses = {simplex_solve(random_program(seed)).status for seed in range(30)}
-        assert statuses == {"optimal", "infeasible", "unbounded"}
+    def test_seeds_cover_every_cold_status(self):
+        # a cold solve starts feasible, so only an added row can make it infeasible
+        for start in (None, "bound"):
+            statuses = set()
+            for seed in range(30):
+                lp = random_program(seed)
+                x0 = None if start is None else bound_start(lp.bounds, seed)
+                statuses.add(simplex_solve(lp, start=x0).status)
+            assert statuses == {"optimal", "unbounded"}
 
     @pytest.mark.parametrize("seed", OPTIMAL_SEEDS)
     def test_appended_rows_match_a_cold_reference_solve(self, seed):
         # the warm dual re-solve must agree with HiGHS on the grown LP after
         # every append, and keep the basis dual feasible, so the confirming
-        # primal phase 2 makes no pivot
-        tableau, cold_phase2, steps = grow_by_cutting_rows(seed)
+        # primal makes no pivot
+        tableau, cold_primal, steps = grow_by_cutting_rows(seed)
         for grown, out in steps:
             self.assert_matches_reference(grown, out)
         if out.status != "optimal":
             with pytest.raises(SolveError):
                 tableau.add_row(grown.rows[-1])
-        assert tableau.pivots["phase2"] == cold_phase2
+        assert tableau.pivots["primal"] == cold_primal
 
     def test_appended_rows_cover_both_outcomes_and_the_dual(self):
         runs = [grow_by_cutting_rows(seed) for seed in OPTIMAL_SEEDS]
@@ -431,17 +440,6 @@ class TestSimplexAgainstReferenceSolver:
             "infeasible",
         }
         assert sum(tableau.pivots["dual"] for tableau, _, _ in runs) > 0
-
-    def test_starts_cover_every_status_and_row_violations(self):
-        statuses = set()
-        violating = 0
-        for seed in range(30):
-            lp = random_program(seed)
-            start = bound_start(lp, seed)
-            statuses.add(simplex_solve(lp, start=start).status)
-            violating += not rows_satisfied(start, lp.rows)
-        assert statuses == {"optimal", "infeasible", "unbounded"}
-        assert 0 < violating < 30
 
 
 # ---------------------------------------------------------------------------
@@ -624,33 +622,32 @@ class TestLiftedSeparation:
 
 class TestLocalRelaxation:
     def test_pairwise_shape(self):
+        # the constant, 4 node and 5 edge moments; 3 rows per edge (00, 01, 10)
         model = ex1()
         lp = build_local_lp(model)
-        assert (lp.num_vars, len(lp.rows)) == (28, 24)
-        assert lp.bounds == [(0.0, 1.0)] * 28
+        assert (lp.num_vars, len(lp.rows)) == (10, 15)
+        assert lp.bounds == [(1.0, 1.0)] + [(0.0, 1.0)] * 9
         layout = OvercompleteLayout(model)
-        assert np.array_equal(lp.objective, layout.theta_vector())
+        assert lp.objective == pytest.approx(layout.theta_vector() @ moment_matrix(lp), abs=1e-12)
 
         lifted = build_lifted_model(model, GeneratorSymmetries(model))
         lp_bar = build_local_lp(lifted)
-        assert (lp_bar.num_vars, len(lp_bar.rows)) == (11, 8)
-        assert np.array_equal(lp_bar.objective, lifted.theta_bar)
+        assert (lp_bar.num_vars, len(lp_bar.rows)) == (5, 5)
+        assert lp_bar.objective == pytest.approx(lifted.theta_bar @ moment_matrix(lp_bar), abs=1e-12)
 
     def test_higher_order_shape(self):
+        # plus one moment per triple; 7 rows per triple, its 111 cell being a bound
         model = triple_parity(4)
         lp = build_local_lp(model)
-        assert (lp.num_vars, len(lp.rows)) == (64, 92)
+        assert (lp.num_vars, len(lp.rows)) == (15, 46)
         lifted = build_lifted_model(model, GeneratorSymmetries(model))
         lp_bar = build_local_lp(lifted)
-        assert (lp_bar.num_vars, len(lp_bar.rows)) == (9, 8)
+        assert (lp_bar.num_vars, len(lp_bar.rows)) == (4, 5)
 
     @pytest.mark.parametrize("model", [ex1(), triangle(), triple_parity(4)])
     def test_uniform_point_is_feasible(self, model):
-        lp = build_local_lp(model)
-        assert rows_satisfied(uniform_interior(model), lp.rows)
-        lifted = build_lifted_model(model, GeneratorSymmetries(model))
-        lp_bar = build_local_lp(lifted)
-        assert rows_satisfied(uniform_interior(lifted), lp_bar.rows)
+        for target in (model, build_lifted_model(model, GeneratorSymmetries(model))):
+            assert max_violation(uniform_interior(target), trivial_or_lifted(target)) <= 1e-12
 
     @pytest.mark.parametrize(
         "name, sources",
@@ -709,12 +706,12 @@ class TestLocalRelaxation:
         zeros_phi = OvercompleteLayout(model).phi_vector([0] * model.num_vars)
         if space == "ground":
             lp = build_local_lp(model)
-            assert np.array_equal(lp.start, zeros_phi)
+            assert np.array_equal(lp.moments.tau(lp.start), zeros_phi)
         else:
             lifted = build_lifted_model(model, sym)
             lp = build_local_lp(lifted)
-            assert np.array_equal(lp.start, lift_vector(zeros_phi, lifted.index))
-        assert set(np.unique(lp.start)) <= {0.0, 1.0}
+            assert np.array_equal(lp.moments.tau(lp.start), lift_vector(zeros_phi, lifted.index))
+        assert lp.start.tolist() == [1.0] + [0.0] * (lp.num_vars - 1)
         assert rows_satisfied(lp.start, lp.rows, tol=0.0)
         zeros_score = score(model, [0] * model.num_vars)
         assert float(lp.objective @ lp.start) == pytest.approx(zeros_score, abs=1e-9)
@@ -801,7 +798,7 @@ class TestCuttingPlaneMap:
         lifted = cutting_plane_map(lifted_model)
         assert ground.objective == pytest.approx(4.0, abs=1e-8)
         assert lifted.objective == pytest.approx(4.0, abs=1e-8)
-        assert (ground.num_lp_vars, lifted.num_lp_vars) == (28, 11)
+        assert (ground.num_lp_vars, lifted.num_lp_vars) == (10, 5)
         assert lifted.space == "lifted"
         assert ground.decode["score"] == pytest.approx(4.0, abs=1e-12)
         assert lifted.decode["score"] == pytest.approx(4.0, abs=1e-12)
@@ -843,7 +840,7 @@ class TestCuttingPlaneMap:
         rows = list(lp.rows)
         for k, bound in enumerate(result.bounds):
             if k:
-                rows.append(constraint_row(result.cuts_added[k - 1], model))
+                rows.append(lp.moments.row(constraint_row(result.cuts_added[k - 1], model)))
             cold = simplex_solve(
                 LinearProgram(lp.num_vars, lp.objective, rows, lp.bounds), start=lp.start
             )
@@ -855,7 +852,7 @@ class TestCuttingPlaneMap:
         first = cutting_plane_map(model, MapOptions(polytope="cycle")).pivots
         second = cutting_plane_map(model, MapOptions(polytope="cycle")).pivots
         assert first == second
-        assert set(first) == {"phase1", "phase2", "dual", "degenerate"}
+        assert set(first) == {"primal", "dual", "degenerate"}
         assert first["dual"] > 0
 
     def test_ground_run_builds_one_layout(self, monkeypatch):
