@@ -29,7 +29,7 @@ from .symmetry import (
     TrivialSymmetries,
 )
 from .mln import parse_mln, parse_evidence, ground_mln, RenamingSymmetries
-from .lift import LiftedModel, build_lifted_model, lift_vector, unlift_vector
+from .lift import LiftedModel, build_lifted_model
 from .solve import MapOptions, MapResult, cutting_plane_map, build_local_lp, simplex_solve
 
 __version__ = "0.1.0"
@@ -57,8 +57,6 @@ __all__ = [
     "RenamingSymmetries",
     "LiftedModel",
     "build_lifted_model",
-    "lift_vector",
-    "unlift_vector",
     "MapOptions",
     "MapResult",
     "cutting_plane_map",

@@ -1,18 +1,20 @@
-"""Collapse a ground model onto orbit cells.
+"""Collapse a ground model onto orbit cells of its moments.
 
-Ground overcomplete coordinates are grouped into cells: per variable orbit a
-cell for each value, per edge orbit one cell for (0,0) and one for (1,1), per
-arc orbit one cell holding the opposite-value coordinates, and one cell per
-factor-assignment orbit. The lifted parameters add the ground parameters
-within each cell, which requires the ground parameters to be constant on
-every cell; the lift map averages a ground vector over cells and the unlift
-map broadcasts a lifted vector back.
+The local LP is written over moments (see solve.py): mu_v = P(x_v = 1) per
+variable, mu_uv = P(x_u = x_v = 1) per skeleton edge and, per arity >= 3
+feature j, mu_{j,S} for each subset S of its scope with |S| >= 3, named by
+the factor assignment with ones exactly on S. MomentLayout numbers these
+ground moments in that order. A cell is an orbit of moments: one per
+variable orbit, edge orbit and factor-moment orbit, numbered in that order,
+which is the order of their first ground moment in the layout. Under the
+trivial group every cell is one moment and cell i is moment i, so the
+lifted model is the ground model column for column: ground inference is the
+lift under the trivial group.
 
-Cells are numbered in the order of their first ground coordinate in the
-model's OvercompleteLayout. Under the trivial group every cell is one
-coordinate and cell i is coordinate i, so the lifted model is the ground
-model column for column: ground inference is the lift under the trivial
-group.
+A feature's mean is its table's Moebius coefficients times the moments of
+its scope subsets. Each ground moment's objective coefficient adds those of
+the features over it, and the lifted parameters add the ground coefficients
+within each cell, which requires them to be constant on every cell.
 """
 
 from __future__ import annotations
@@ -21,60 +23,101 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Model, OvercompleteLayout
-from .symmetry import OrbitBundle
+from .model import Model, assignments, moment_assignments, skeleton
+from .symmetry import OrbitBundle, _domain_elements
 
 
 class LiftError(ValueError):
     """Orbits inconsistent with the model or mismatched dimensions."""
 
 
-@dataclass(frozen=True, eq=False)
-class CellIndex:
-    """Map between ground overcomplete coordinates and lifted cells.
+class MomentLayout:
+    """The ground moments of one model, in layout order.
 
-    rho[i] is the cell of ground coordinate i (positions follow the model's
-    OvercompleteLayout), cells numbered by their first coordinate; cells[c]
-    lists the ground coordinates of cell c.
-    labels[c] describes the cell: ("node", orbit, value), ("edge", orbit,
-    "00" | "11"), ("arc", orbit), or ("factor", orbit).
+    mu_v at index v; mu_uv at num_vars plus the edge's position in sorted
+    skeleton order; then, feature by feature, each arity >= 3 feature's
+    factor moments (j, a) in table order of a, from factor_base[j] on.
     """
 
-    layout: OvercompleteLayout
+    def __init__(self, model: Model):
+        self.model = model
+        self.edges = skeleton(model).edges
+        self.factor_moments = tuple(_domain_elements("factor-moments", model))
+        counts = np.array([len(moment_assignments(f.arity)) for f in model.features])
+        first = model.num_vars + len(self.edges)
+        self.factor_base = first + np.cumsum(counts) - counts
+        self.size = first + len(self.factor_moments)
+
+    def theta(self):
+        """Objective coefficient of every ground moment, and the constant.
+
+        Features are taken by arity, their tables turned into weighted
+        Moebius coefficients c, so that table[a] sums c[s] over the subsets
+        s of a's ones. Each scope subset's coefficient goes to its node,
+        edge or factor moment; the empty subset's to the constant, the
+        all-zeros score, held in one more slot.
+        """
+        model = self.model
+        n = model.num_vars
+        codes = np.array([u * n + v for u, v in self.edges], dtype=np.int64)
+        by_arity = {}
+        for j, f in enumerate(model.features):
+            by_arity.setdefault(f.arity, []).append(j)
+        theta = np.zeros(self.size + 1)
+        for k, js in by_arity.items():
+            scopes = np.array([model.features[j].scope for j in js], dtype=np.int64)
+            coef = np.array([model.features[j].table for j in js]).reshape((-1,) + (2,) * k)
+            for axis in range(1, k + 1):
+                coef = np.diff(coef, axis=axis, prepend=0.0)  # (t0, t1) -> (t0, t1 - t0)
+            coef = coef.reshape(len(js), -1) * [[model.weight_of(j)] for j in js]
+            top = {a: r for r, a in enumerate(moment_assignments(k))}
+            idx = np.empty(coef.shape, dtype=np.int64)
+            for s, a in enumerate(assignments(k)):
+                ones = scopes[:, [p for p in range(k) if a[p]]]
+                if ones.shape[1] == 0:
+                    idx[:, s] = self.size
+                elif ones.shape[1] == 1:
+                    idx[:, s] = ones[:, 0]
+                elif ones.shape[1] == 2:
+                    idx[:, s] = n + np.searchsorted(codes, ones[:, 0] * n + ones[:, 1])
+                else:
+                    idx[:, s] = self.factor_base[js] + top[a]
+            theta += np.bincount(idx.ravel(), coef.ravel(), minlength=self.size + 1)
+        return theta[:-1], float(theta[-1]) + 0.0  # -0.0 becomes 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class CellIndex:
+    """Map from ground moments to lifted cells: rho[i] is the cell of
+    ground moment i (positions follow the model's MomentLayout)."""
+
+    layout: MomentLayout
     rho: np.ndarray
+    num_cells: int
+
+
+@dataclass(frozen=True)
+class OrbitInfo:
+    """A node, edge or arity >= 3 feature orbit's representative and the
+    cells of its scope's moments.
+
+    rep is a variable, an edge (u, v) or a feature index. cells[s] is the
+    cell of the moment of the scope subset s (indexed like an assignment,
+    first scope position most significant); the empty subset's moment is
+    the constant 1 and has cell -1.
+    """
+
+    rep: object
     cells: tuple
-    labels: tuple
-
-    @property
-    def num_cells(self) -> int:
-        return len(self.cells)
-
-
-@dataclass(frozen=True)
-class NodeOrbitInfo:
-    rep: int
-    cell0: int
-    cell1: int
-
-
-@dataclass(frozen=True)
-class EdgeOrbitInfo:
-    rep: tuple
-    cell00: int
-    cell11: int
-    cell_uv: int  # cell of the (0,1) coordinate on the representative edge
-    cell_vu: int  # cell of the (1,0) coordinate; equals cell_uv when self-paired
-
-
-@dataclass(frozen=True)
-class FactorOrbitInfo:
-    rep: tuple
-    cell: int
 
 
 @dataclass(eq=False)
 class LiftedModel:
-    """A ground model with its orbit cells, lifted parameters and symmetry source."""
+    """A ground model with its moment cells, lifted parameters and symmetry source.
+
+    theta_bar[c] is cell c's objective coefficient and constant the
+    objective's constant term.
+    """
 
     model: Model
     bundle: OrbitBundle
@@ -83,6 +126,7 @@ class LiftedModel:
     edge_info: tuple
     factor_info: tuple
     theta_bar: np.ndarray
+    constant: float
     symmetries: object
 
     @property
@@ -99,113 +143,73 @@ def build_lifted_model(model: Model, symmetries) -> LiftedModel:
     if not hasattr(symmetries, "bundle"):
         raise LiftError("expected a symmetry source with a bundle() method")
     bundle = symmetries.bundle()
-    layout = OvercompleteLayout(model)
+    layout = MomentLayout(model)
     if bundle.vars.elements != tuple(range(model.num_vars)):
         raise LiftError("variable orbits do not cover this model's variables")
-    if bundle.edges.elements != tuple(sorted(layout.edges)):
+    if bundle.edges.elements != layout.edges:
         raise LiftError("edge orbits do not cover this model's edges")
+    if bundle.factor_moments.elements != layout.factor_moments:
+        raise LiftError("factor-moment orbits do not cover this model's factor moments")
 
-    # a cell is numbered when its first ground coordinate is met, so the
-    # trivial group gives rho == arange(layout.size)
-    vars_, edges, arcs = bundle.vars.cell_of, bundle.edges.cell_of, bundle.arcs.cell_of
-    assignments = bundle.factor_assignments.cell_of
-    cell_of_label = {}
-    rho = []
-    for key in layout.keys:
-        if key[0] == "node":
-            _, v, t = key
-            label = ("node", vars_[v], t)
-        elif key[0] == "edge":
-            _, u, v, a, b = key
-            if a == b:
-                label = ("edge", edges[(u, v)], "00" if a == 0 else "11")
-            else:
-                label = ("arc", arcs[(u, v) if a == 0 else (v, u)])
-        else:
-            _, j, a = key
-            label = ("factor", assignments[(j, a)])
-        rho.append(cell_of_label.setdefault(label, len(cell_of_label)))
-    num_cells = len(cell_of_label)
+    # each domain's orbits are numbered by their smallest element, so cells
+    # numbered domain after domain come in order of their first moment
+    vars_, edges, moments = bundle.vars, bundle.edges, bundle.factor_moments
+    first_edge = vars_.num_cells
+    first_factor = first_edge + edges.num_cells
+    num_cells = first_factor + moments.num_cells
+    rho = np.fromiter(
+        [vars_.cell_of[v] for v in vars_.elements]
+        + [first_edge + edges.cell_of[e] for e in edges.elements]
+        + [first_factor + moments.cell_of[m] for m in moments.elements],
+        np.int64,
+        layout.size,
+    )
 
-    cells = [[] for _ in range(num_cells)]
-    for i, c in enumerate(rho):
-        cells[c].append(i)
-    cells = tuple(tuple(members) for members in cells)
-
-    # per-cell spread and sum of theta over the coordinates grouped by cell
-    theta = layout.theta_vector()
-    by_cell = theta[np.fromiter((i for members in cells for i in members), np.int64, layout.size)]
-    starts = np.cumsum([0] + [len(members) for members in cells[:-1]])
+    # per-cell spread and sum of the ground coefficients, grouped by cell
+    theta, constant = layout.theta()
+    order = np.argsort(rho, kind="stable")
+    by_cell = theta[order]
+    starts = np.searchsorted(rho[order], np.arange(num_cells))
     spread = np.maximum.reduceat(by_cell, starts) - np.minimum.reduceat(by_cell, starts)
     bad = np.flatnonzero(spread > 1e-12)
     if bad.size:
-        members = cells[bad[0]]
-        vals = theta[list(members)]
-        lo = members[int(vals.argmin())]
-        hi = members[int(vals.argmax())]
+        members = np.flatnonzero(rho == bad[0])
+        lo = members[int(theta[members].argmin())]
+        hi = members[int(theta[members].argmax())]
+        elements = vars_.elements + edges.elements + moments.elements
         raise LiftError(
-            "cell not theta-constant: coordinates %r and %r carry %r and %r"
-            % (layout.keys[lo], layout.keys[hi], float(theta[lo]), float(theta[hi]))
+            "cell not theta-constant: moments %r and %r carry %r and %r"
+            % (elements[lo], elements[hi], float(theta[lo]), float(theta[hi]))
         )
     theta_bar = np.add.reduceat(by_cell, starts) + 0.0  # -0.0 becomes 0.0, as in sum()
 
-    index = CellIndex(
-        layout=layout,
-        rho=np.array(rho, dtype=np.int64),
-        cells=cells,
-        labels=tuple(cell_of_label),
-    )
-    node_info = tuple(
-        NodeOrbitInfo(
-            rep=v, cell0=rho[layout.node_index(v, 0)], cell1=rho[layout.node_index(v, 1)]
-        )
-        for v in bundle.vars.reps
-    )
-    edge_info = tuple(
-        EdgeOrbitInfo(
-            rep=(u, v),
-            cell00=rho[layout.edge_index(u, v, 0, 0)],
-            cell11=rho[layout.edge_index(u, v, 1, 1)],
-            cell_uv=rho[layout.edge_index(u, v, 0, 1)],
-            cell_vu=rho[layout.edge_index(u, v, 1, 0)],
-        )
-        for (u, v) in bundle.edges.reps
-    )
-    factor_info = tuple(
-        FactorOrbitInfo(rep=(j, a), cell=rho[layout.factor_index(j, a)])
-        for (j, a) in bundle.factor_assignments.reps
-    )
+    def cells_of(scope, j=None):
+        out = []
+        for a in assignments(len(scope)):
+            ones = [v for v, bit in zip(scope, a) if bit]
+            if not ones:
+                out.append(-1)
+            elif len(ones) == 1:
+                out.append(vars_.cell_of[ones[0]])
+            elif len(ones) == 2:
+                out.append(first_edge + edges.cell_of[tuple(ones)])
+            else:
+                out.append(first_factor + moments.cell_of[(j, a)])
+        return tuple(out)
 
+    features = model.features
     return LiftedModel(
         model=model,
         bundle=bundle,
-        index=index,
-        node_info=node_info,
-        edge_info=edge_info,
-        factor_info=factor_info,
+        index=CellIndex(layout=layout, rho=rho, num_cells=num_cells),
+        node_info=tuple(OrbitInfo(v, cells_of((v,))) for v in vars_.reps),
+        edge_info=tuple(OrbitInfo(e, cells_of(e)) for e in edges.reps),
+        factor_info=tuple(
+            OrbitInfo(j, cells_of(features[j].scope, j))
+            for j in bundle.features.reps
+            if features[j].arity >= 3
+        ),
         theta_bar=theta_bar,
+        constant=constant,
         symmetries=symmetries,
     )
-
-
-def lift_vector(tau, index: CellIndex):
-    """Average a ground coordinate vector within each cell."""
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape != (index.layout.size,):
-        raise LiftError(
-            "ground vector has %d coordinates, expected %d" % (tau.size, index.layout.size)
-        )
-    out = np.zeros(index.num_cells)
-    for c, members in enumerate(index.cells):
-        out[c] = float(tau[list(members)].mean())
-    return out
-
-
-def unlift_vector(tau_bar, index: CellIndex):
-    """Broadcast a lifted vector back to ground coordinates."""
-    tau_bar = np.asarray(tau_bar, dtype=float)
-    if tau_bar.shape != (index.num_cells,):
-        raise LiftError(
-            "lifted vector has %d cells, expected %d" % (tau_bar.size, index.num_cells)
-        )
-    return tau_bar[index.rho]

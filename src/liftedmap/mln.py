@@ -7,7 +7,7 @@ per formula grounding, with all groundings of a formula tied to one weight.
 
 Renaming orbits exploit that permuting interchangeable constants leaves the
 grounded model invariant: ground atoms, formula groundings, variable pairs,
-and factor assignments are grouped by signatures built from the
+and factor moments are grouped by signatures built from the
 distinguished constants (those named in formulas or evidence) and the
 equality pattern of the remaining ones. No automorphism search is involved.
 
@@ -441,8 +441,9 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
     grounding that is not made constant by evidence or equality atoms; all
     groundings of a formula share a tie class. Each formula is evaluated once,
     over every value of its leaves (atoms and equality atoms), and a
-    grounding's table is read from that truth table. Soft evidence adds a
-    unary feature per atom, tied by weight value.
+    grounding's table is read from that truth table; groundings whose leaves
+    fall on the same evidence values and atom pattern share one reduced
+    table. Soft evidence adds a unary feature per atom, tied by weight value.
     """
     evidence = EMPTY_EVIDENCE if evidence is None else evidence
     arity_of = mln.predicate_arity
@@ -487,6 +488,7 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
             for t in (leaf.args if isinstance(leaf, Atom) else (leaf.left, leaf.right))
         ]
         fvars = sorted({name for kind, name in terms if kind == "var"})
+        reduced = {}  # (base, masks) -> (kept scope positions, table)
         for subst_tuple in itertools.product(domain, repeat=len(fvars)):
             subst = dict(zip(fvars, subst_tuple))
             base = 0  # the leaves the substitution or the evidence makes true
@@ -504,14 +506,14 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
                 elif observed[atom]:
                     base |= bit
             scope = sorted(atom_index[a] for a in mask)
-            masks = [mask[atoms[v]] for v in scope]
-            table = _lookup(truth, base, masks)
-            keep = depended_positions(table, len(scope))
+            masks = tuple(mask[atoms[v]] for v in scope)
+            if (base, masks) not in reduced:
+                keep = depended_positions(_lookup(truth, base, masks), len(scope))
+                reduced[(base, masks)] = keep, _lookup(truth, base, [masks[p] for p in keep])
+            keep, table = reduced[(base, masks)]
             if not keep:
                 continue  # constant indicator
-            if len(keep) < len(scope):
-                scope = [scope[p] for p in keep]
-                table = _lookup(truth, base, [masks[p] for p in keep])
+            scope = [scope[p] for p in keep]
             if fi not in formula_tie:
                 formula_tie[fi] = len(formula_tie)
             features.append(Feature(scope=tuple(scope), table=table))
@@ -625,13 +627,14 @@ class RenamingSymmetries:
         atoms = gmap.atoms
 
         fkey = [_feature_key(origin, dist) for origin in gmap.origins]
-        # An arity >= 3 feature's scope positions, ordered by their atoms' tags
+        # An arity >= 4 feature's scope positions, ordered by their atoms' tags
         # under the anonymous numbering of the feature's substitution. Features
         # with equal keys differ by a renaming fixed on their substitution
         # constants, which maps scope atoms with equal tags onto each other.
+        # An arity-3 feature has one factor moment, all ones, and needs none.
         order = {}
         for j, f in enumerate(model.features):
-            if f.arity >= 3:
+            if f.arity >= 4:
                 anon = {}
                 _tags_of(gmap.origins[j].subst, dist, anon)
                 tags = [(atoms[v][0], _tags_of(atoms[v][1], dist, anon)) for v in f.scope]
@@ -648,16 +651,16 @@ class RenamingSymmetries:
             # smaller of the two arc orbits names the edge orbit
             return min(arcs.cell_of[e], arcs.cell_of[e[::-1]])
 
-        def fa_key(element):
+        def fm_key(element):
             j, a = element
-            return (fkey[j], tuple(a[p] for p in order[j]))
+            return (fkey[j], tuple(a[p] for p in order[j]) if j in order else a)
 
         return OrbitBundle(
             vars=_by_signature("vars", model, lambda v: atom_signature(atoms[v], dist)),
             features=_by_signature("features", model, fkey.__getitem__),
             edges=_by_signature("edges", model, edge_key),
             arcs=arcs,
-            factor_assignments=_by_signature("factor-assignments", model, fa_key),
+            factor_moments=_by_signature("factor-moments", model, fm_key),
         )
 
     def stabilized_light(self, fixed_var: int) -> OrbitPartition:

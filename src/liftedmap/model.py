@@ -50,6 +50,13 @@ def assignments(arity: int):
     return itertools.product((0, 1), repeat=arity)
 
 
+@functools.lru_cache(maxsize=None)
+def moment_assignments(arity: int) -> tuple:
+    """The assignments with at least three ones, in table order: those
+    naming an arity >= 3 feature's factor moments."""
+    return tuple(a for a in assignments(arity) if sum(a) >= 3)
+
+
 @dataclass(frozen=True)
 class Feature:
     """One table-valued feature: an ordered scope and 2^K table entries."""
@@ -120,6 +127,7 @@ class Model:
             if not math.isfinite(w):
                 raise ModelError("theta is not finite: %r" % w)
         seen = set()
+        checked = set()  # tables known to depend on every argument
         for j, f in enumerate(self.features):
             if not isinstance(f, Feature):
                 raise ModelError("features[%d] is not a Feature" % j)
@@ -131,7 +139,9 @@ class Model:
             if not 0 <= k < num_classes:
                 raise ModelError("feature %d: unknown tie class %d" % (j, k))
             seen.add(k)
-            _check_dependence(j, f)
+            if f.table not in checked:
+                _check_dependence(j, f)
+                checked.add(f.table)
         for k in range(num_classes):
             if k not in seen:
                 raise ModelError("tie class %d is empty" % k)

@@ -1,23 +1,23 @@
 """MAP inference by LP relaxation, for ground and lifted models.
 
 Every solve runs on a LiftedModel. A ground Model is lifted under the
-trivial group, whose cells are the overcomplete coordinates in layout order,
-so ground inference shares the lifted LP, separation and decoding: only the
-decode output keeps the ground shape.
+trivial group, whose cells are its moments in layout order, so ground
+inference shares the lifted LP, separation and decoding: only the decode
+output keeps the ground shape.
 
 The local polytope LP is written in moment coordinates. A binary model's
 local polytope is the set of moments (node marginals P(x_v = 1), edge
 moments P(x_u = x_v = 1) and, per arity >= 3 factor, the moments of its
 variable subsets of size >= 3) whose Moebius probabilities P(a) are all
 nonnegative. The LP has one variable fixed at 1 that carries the constant
-and one per moment orbit, indexed by the cell of the coordinate that sets
-exactly the moment's variables to 1. Each cell's value is the Moebius
-expansion of its representative coordinate (MomentMap), and each cell whose
-value is not already kept in [0, 1] by a variable bound gives one row
-"cell >= 0". Normalization and marginalization hold by construction, so
-there are no equality rows. Each optimum maps back to cell values, tau =
-M x, which separation and decoding read, and each cycle row written over
-cells maps through M.
+and one per moment cell. Its rows are the distinct "P(a) >= 0" of the
+edge-orbit and factor-orbit representatives, except the all-ones ones,
+which are single moments kept in [0, 1] by the variable bounds.
+Normalization and marginalization hold by construction, so there are no
+equality rows. Separation and decoding read a small point evaluated from
+each optimum (MarginalMap): each node orbit's marginals and each edge
+orbit's four assignment probabilities. A cycle row needs only the latter,
+so it is written over the LP variables directly.
 
 Cycle tightening adds odd-crossing inequalities: around any closed walk, a
 configuration flips value an even number of times, so for an odd edge subset
@@ -59,7 +59,6 @@ feasibility, instead of a cold re-solve.
 from __future__ import annotations
 
 import heapq
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -92,7 +91,7 @@ class LinearProgram:
     rows: list
     bounds: list  # (lo, hi) per variable; hi may be None for unbounded
     start: np.ndarray = None  # optional start vertex for simplex_solve
-    moments: MomentMap = None  # a local LP's map from its variables to cell values
+    marginals: MarginalMap = None  # a local LP's map from its variables to its point
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -409,34 +408,49 @@ def simplex_solve(lp: LinearProgram, start=None) -> SolveOutcome:
 # the local polytope in moment coordinates
 
 
-class MomentMap:
-    """The linear map tau = M x from a local LP's variables to cell values.
+def _probability(cells, i) -> list:
+    """P(a) of the assignment a with table index i, over LP variables.
 
-    expansions[c] lists the (variable, coefficient) entries of row c of M:
-    the Moebius expansion of cell c's representative coordinate over the
-    moments of its ones, variable 0 being the constant 1.
+    cells holds the moment cell of each subset of a scope (see OrbitInfo);
+    variable 0 is the constant and cell c is variable c + 1. P(a) sums
+    (-1)^|T - ones(a)| mu_T over the supersets T of ones(a), so an all-ones
+    assignment is a single moment and any other one takes at least two.
+    """
+    acc = {}
+    for s in range(len(cells)):
+        if s & i == i:
+            var = cells[s] + 1
+            acc[var] = acc.get(var, 0.0) + (-1.0) ** bin(s ^ i).count("1")
+    return sorted(acc.items())
+
+
+class MarginalMap:
+    """The linear map from a local LP's variables to the point that
+    separation and decoding read.
+
+    The point holds P(x = 0) and P(x = 1) of each node orbit's
+    representative at 2k and 2k + 1, then the four assignment probabilities
+    of each edge orbit's representative in table order, from 2 * (number of
+    node orbits) on. Under the trivial group it is the node and edge blocks
+    of the overcomplete layout. expansions[i] lists the (variable,
+    coefficient) terms of entry i, in variable order.
     """
 
-    def __init__(self, expansions):
-        self.expansions = tuple(expansions)
+    def __init__(self, lm: LiftedModel):
+        self.expansions = tuple(
+            _probability(info.cells, i)
+            for info in lm.node_info + lm.edge_info
+            for i in range(len(info.cells))
+        )
         sizes = [len(terms) for terms in self.expansions]
-        self._cell = np.repeat(np.arange(len(sizes)), sizes)
+        self._entry = np.repeat(np.arange(len(sizes)), sizes)
         self._var = np.array([j for terms in self.expansions for j, _ in terms], dtype=np.int64)
         self._coef = np.array([c for terms in self.expansions for _, c in terms])
 
     def tau(self, x) -> np.ndarray:
-        """Cell values of the LP point x."""
+        """The point of the LP point x."""
         x = np.asarray(x, dtype=float)
-        return np.bincount(self._cell, self._coef * x[self._var], minlength=len(self.expansions))
-
-    def row(self, row):
-        """A (coeffs, sense, rhs) row over cells as the same row over LP variables."""
-        coeffs, sense, rhs = row
-        acc = {}
-        for c, a in coeffs:
-            for j, m in self.expansions[c]:
-                acc[j] = acc.get(j, 0.0) + a * m
-        return (sorted(kv for kv in acc.items() if kv[1] != 0.0), sense, rhs)
+        return np.bincount(self._entry, self._coef * x[self._var], minlength=len(self.expansions))
 
 
 def _lifted(target) -> LiftedModel:
@@ -448,100 +462,43 @@ def _lifted(target) -> LiftedModel:
     raise SolveError("expected a Model or a LiftedModel")
 
 
-def _scope_assignment(key, model):
-    """(feature or None, scope, assignment) of an overcomplete coordinate key."""
-    if key[0] == "node":
-        return None, key[1:2], key[2:]
-    if key[0] == "edge":
-        return None, key[1:3], key[3:]
-    return key[1], model.features[key[1]].scope, key[2]
-
-
-def _moment_map(lm: LiftedModel):
-    """The MomentMap of a lifted model's local LP, and its number of variables.
-
-    A moment is indexed by the cell of the coordinate that sets exactly its
-    variables to 1: node value 1, edge 11, or a factor assignment with at
-    least three ones. Every symmetry maps moments as it maps those
-    coordinates, so one variable per such cell suffices.
-    """
-    layout, rho = lm.index.layout, lm.index.rho
-    keys = [layout.keys[members[0]] for members in lm.index.cells]
-    var_of = {}
-    for c, key in enumerate(keys):
-        _, _, a = _scope_assignment(key, lm.model)
-        if all(a) or sum(a) >= 3:
-            var_of[c] = len(var_of) + 1
-
-    def moment(j, scope, ones):
-        if not ones:
-            return 0
-        if len(ones) == 1:
-            i = layout.node_index(scope[ones[0]], 1)
-        elif len(ones) == 2:
-            i = layout.edge_index(scope[ones[0]], scope[ones[1]], 1, 1)
-        else:
-            i = layout.factor_index(j, tuple(int(k in ones) for k in range(len(scope))))
-        return var_of[int(rho[i])]
-
-    expansions = []
-    for key in keys:
-        j, scope, a = _scope_assignment(key, lm.model)
-        ones = [k for k, t in enumerate(a) if t]
-        zeros = [k for k, t in enumerate(a) if not t]
-        acc = {}
-        # P(a) = sum over the supersets T of ones(a) of (-1)^|T - ones(a)| mu_T
-        for r in range(len(zeros) + 1):
-            for extra in itertools.combinations(zeros, r):
-                v = moment(j, scope, sorted(ones + list(extra)))
-                acc[v] = acc.get(v, 0.0) + (-1.0) ** r
-        expansions.append(sorted(acc.items()))
-    return MomentMap(expansions), len(var_of) + 1
-
-
 def build_local_lp(target) -> LinearProgram:
     """Local consistency LP of a LiftedModel, or of a ground Model's trivial
     lift, in moment coordinates.
 
-    Variable 0 is fixed at 1 and carries the constant; the others are the
-    moments, each in [0, 1]. Each cell's value is its row of the MomentMap,
-    and the LP has one row "cell >= 0" per cell whose value is not a single
-    moment or one minus a single moment, which the variable bounds already
-    keep in [0, 1]. The objective is theta_bar^T M. The start is every moment
-    at 0, the vertex of the all-zeros configuration.
+    Variable 0 is fixed at 1 and carries the constant; variable c + 1 is
+    cell c's moment, in [0, 1]. The objective is the constant and
+    theta_bar. The rows are "P(a) >= 0" for each assignment of each edge
+    orbit's and each arity >= 3 feature orbit's representative, each
+    distinct row once in first-seen order; an all-ones assignment is a
+    single moment, which its bounds keep in [0, 1]. The start is every
+    moment at 0, the vertex of the all-zeros configuration.
     """
     lm = _lifted(target)
-    moments, num_vars = _moment_map(lm)
-    objective = np.zeros(num_vars)
-    rows = []
-    for theta, terms in zip(lm.theta_bar.tolist(), moments.expansions):
-        for j, m in terms:
-            objective[j] += theta * m
-        if sum(j > 0 for j, _ in terms) > 1:
-            rows.append((terms, ">=", 0.0))
+    num_vars = lm.num_cells + 1
+    rows = {}
+    for info in lm.edge_info + lm.factor_info:
+        for i in range(len(info.cells) - 1):
+            terms = _probability(info.cells, i)
+            rows.setdefault(tuple(terms), terms)
     start = np.zeros(num_vars)
     start[0] = 1.0
     return LinearProgram(
         num_vars=num_vars,
-        objective=objective,
-        rows=rows,
+        objective=np.concatenate(([lm.constant], lm.theta_bar)),
+        rows=[(terms, ">=", 0.0) for terms in rows.values()],
         bounds=[(1.0, 1.0)] + [(0.0, 1.0)] * (num_vars - 1),
         start=start,
-        moments=moments,
+        marginals=MarginalMap(lm),
     )
 
 
 def uniform_interior(target):
-    """The uniform pseudomarginal: nodes .5, edge cells .25, factor cells 2^-K.
-
-    It is constant on every cell, so it is read off the cells.
-    """
+    """The uniform point: every node and edge assignment probability 1/2
+    and 1/4 (see MarginalMap)."""
     lm = _lifted(target)
-    out = np.full(lm.num_cells, 0.25)  # edge and arc cells
-    for info in lm.node_info:
-        out[[info.cell0, info.cell1]] = 0.5
-    for info in lm.factor_info:
-        out[info.cell] = 2.0 ** -len(info.rep[1])
+    out = np.full(2 * len(lm.node_info) + 4 * len(lm.edge_info), 0.25)
+    out[: 2 * len(lm.node_info)] = 0.5
     return out
 
 
@@ -597,11 +554,15 @@ def mirror_graph(edges) -> dict:
     return adj
 
 
-def mirror_walk(adj, source):
+def mirror_walk(adj, source, bound=np.inf):
     """Shortest walk from (source, 0) to its mirror image (source, 1).
 
     adj is a mirror_graph adjacency. Returns (steps, total) with steps a tuple
-    of (key, crossed); (None, inf) when the mirror image is unreachable.
+    of (key, crossed); (None, inf) when the mirror image is unreachable or
+    only by walks longer than bound. Walks longer than bound are not
+    followed, which leaves every walk of total <= bound as the unbounded
+    search finds it: Dijkstra settles the nodes within the bound in the
+    same order either way.
     """
     start, goal = (source, 0), (source, 1)
     dist = {start: 0.0}
@@ -615,7 +576,7 @@ def mirror_walk(adj, source):
             break
         for nbr, w, key, crossed in adj.get(node, ()):
             nd = d + w
-            if nd < dist.get(nbr, np.inf):
+            if nd <= bound and nd < dist.get(nbr, np.inf):
                 dist[nbr] = nd
                 prev[nbr] = (node, key, crossed)
                 heapq.heappush(heap, (nd, nbr))
@@ -634,9 +595,10 @@ def separate_cycles_ground(model, tau):
     """Most violated cycle inequality on the skeleton, or None.
 
     The reference for separate_cycles_lifted: one mirror graph over the
-    model's ground edges, searched from every variable. cutting_plane_map
-    solves a ground model by its trivial lift instead, which takes the same
-    walks.
+    model's ground edges, searched from every variable, each walk unbounded.
+    tau is over the overcomplete layout, whose edge block alone is read, so
+    the point of a ground run serves. cutting_plane_map solves a ground
+    model by its trivial lift instead, which takes the same walks.
     """
     layout = OvercompleteLayout(model)
     tau = np.asarray(tau, dtype=float)
@@ -716,19 +678,22 @@ def build_stabilized_graphs(lifted: LiftedModel):
 def separate_cycles_lifted(lifted: LiftedModel, stabilized, tau_bar):
     """Most violated lifted cycle inequality across node orbits, or None.
 
-    Ties go to the smallest node orbit.
+    tau_bar is a point as MarginalMap lays it out. Ties go to the smallest
+    node orbit. Each walk is bounded by the least total found so far and by
+    1 - CYCLE_TOL, so a walk that can neither win nor violate stops early.
     """
     tau_bar = np.asarray(tau_bar, dtype=float)
+    first = 2 * len(lifted.node_info)
     weights = {}
-    for k, info in enumerate(lifted.edge_info):
-        cut_w = tau_bar[info.cell_uv] + tau_bar[info.cell_vu]
-        nocut_w = tau_bar[info.cell00] + tau_bar[info.cell11]
-        weights[k] = (cut_w, nocut_w)
+    for k in range(len(lifted.edge_info)):
+        p00, p01, p10, p11 = tau_bar[first + 4 * k: first + 4 * k + 4]
+        weights[k] = (p01 + p10, p00 + p11)
     best = None
     for g in stabilized:
         adj = mirror_graph((ek, a, b, *weights[ek]) for ek, a, b in g.edges)
         for orbit, source in g.sources:
-            steps, total = mirror_walk(adj, source)
+            bound = 1.0 - CYCLE_TOL if best is None else best[1]
+            steps, total = mirror_walk(adj, source, bound)
             if steps is None:
                 continue
             if best is None or (total, orbit) < (best[1], best[2]):
@@ -740,19 +705,22 @@ def separate_cycles_lifted(lifted: LiftedModel, stabilized, tau_bar):
 
 
 def constraint_row(constraint: CycleConstraint, target):
-    """LP row (coeffs, ">=", 1.0) of a cycle constraint keyed by edge orbits.
+    """LP row (coeffs, ">=", 1.0) of a cycle constraint keyed by edge orbits,
+    over the local LP's variables.
 
-    target is the LiftedModel, or the ground Model whose trivial lift, the
-    one cutting_plane_map solves, has edge orbit k = the k-th skeleton edge.
+    Each step adds its edge's agreement P(00) + P(11) when in F, else its
+    disagreement P(01) + P(10) = mu_u + mu_v - 2 mu_uv. target is the
+    LiftedModel, or the ground Model whose trivial lift, the one
+    cutting_plane_map solves, has edge orbit k = the k-th skeleton edge.
     """
     lm = _lifted(target)
     acc = {}
     for k, in_f in constraint.steps:
-        info = lm.edge_info[k]
-        cells = (info.cell00, info.cell11) if in_f else (info.cell_uv, info.cell_vu)
-        for c in cells:
-            acc[c] = acc.get(c, 0.0) + 1.0
-    return (sorted(acc.items()), ">=", 1.0)
+        cells = lm.edge_info[k].cells
+        for i in (0, 3) if in_f else (1, 2):
+            for j, c in _probability(cells, i):
+                acc[j] = acc.get(j, 0.0) + c
+    return (sorted(kv for kv in acc.items() if kv[1] != 0.0), ">=", 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -760,15 +728,17 @@ def constraint_row(constraint: CycleConstraint, target):
 
 
 def decode(tau, target, space=None):
-    """Round node cells at 1/2 (ties to 0) and report fractionality.
+    """Round node marginals at 1/2 (ties to 0) and report fractionality.
 
-    target is a LiftedModel, or a ground Model decoded by its trivial lift.
-    space, by default the target's, shapes the output: a lifted decode also
-    reports the orbit representatives, values and marginals.
+    tau is a point as MarginalMap lays it out: node orbit k's P(x = 1) is
+    tau[2k + 1]. target is a LiftedModel, or a ground Model decoded by its
+    trivial lift. space, by default the target's, shapes the output: a
+    lifted decode also reports the orbit representatives, values and
+    marginals.
     """
     tau = np.asarray(tau, dtype=float)
     lm = _lifted(target)
-    marginals = [float(tau[info.cell1]) for info in lm.node_info]
+    marginals = [float(tau[2 * k + 1]) for k in range(len(lm.node_info))]
     values = [1 if p1 > 0.5 else 0 for p1 in marginals]
     config = [0] * lm.model.num_vars
     for k, members in enumerate(lm.bundle.vars.cells):
@@ -798,7 +768,7 @@ class MapResult:
     status: str  # "optimal" | "cap"
     space: str
     objective: float
-    tau: np.ndarray
+    tau: np.ndarray  # the final point, as MarginalMap lays it out
     bounds: tuple
     cuts_added: tuple
     cut_iterations: int
@@ -843,7 +813,7 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
     lifted = _lifted(target)  # built once, shared by every step
     space = "lifted" if lifted is target else "ground"
     lp = build_local_lp(lifted)
-    moments = lp.moments
+    marginals = lp.marginals
     timings["build_ms"] += (time.perf_counter() - t0) * 1000
     t0 = time.perf_counter()
     tableau = SimplexTableau(lp, lp.start)
@@ -859,7 +829,7 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
 
     out = solve_now()
     bounds = [out.value]
-    tau_out = moments.tau(out.x)
+    tau_out = marginals.tau(out.x)
     cuts = []
     seen = set()
     status = "optimal"
@@ -887,9 +857,9 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
                 break
             seen.add(key)
             cuts.append(cut)
-            out = solve_now(moments.row(constraint_row(cut, lifted)))
+            out = solve_now(constraint_row(cut, lifted))
             bounds.append(out.value)
-            tau_out = moments.tau(out.x)
+            tau_out = marginals.tau(out.x)
 
     objective = out.value
     decoded = decode(tau_out, lifted, space)

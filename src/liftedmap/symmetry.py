@@ -25,7 +25,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .model import Model, ModelError, assignments, skeleton, table_index
+from .model import Model, ModelError, moment_assignments, skeleton, table_index
 
 
 class _UnionFind:
@@ -112,13 +112,15 @@ class OrbitPartition:
 
 @dataclass(frozen=True)
 class OrbitBundle:
-    """Orbit partitions of all five coordinate domains of one model."""
+    """Orbit partitions of all five element domains of one model. A factor
+    moment is an arity >= 3 feature's (feature, assignment) pair with at
+    least three ones; arcs make no lifted cells."""
 
     vars: OrbitPartition
     features: OrbitPartition
     edges: OrbitPartition
     arcs: OrbitPartition
-    factor_assignments: OrbitPartition
+    factor_moments: OrbitPartition
 
 
 # ---------------------------------------------------------------------------
@@ -552,12 +554,8 @@ def _domain_elements(domain, model):
         return list(skeleton(model).edges)
     if domain == "arcs":
         return [a for (u, v) in skeleton(model).edges for a in ((u, v), (v, u))]
-    if domain == "factor-assignments":
-        out = []
-        for j, f in enumerate(model.features):
-            if f.arity >= 3:
-                out.extend((j, a) for a in assignments(f.arity))
-        return out
+    if domain == "factor-moments":
+        return [(j, a) for j, f in enumerate(model.features) for a in moment_assignments(f.arity)]
     raise ModelError("unknown orbit domain %r" % (domain,))
 
 
@@ -575,7 +573,7 @@ def act_element(domain, element, pair: PermutationPair, model: Model):
     if domain == "arcs":
         u, v = element
         return (pi[u], pi[v])
-    if domain == "factor-assignments":
+    if domain == "factor-moments":
         j, a = element
         j2 = pair.feature_perm[j]
         pos = {u: i for i, u in enumerate(model.features[j2].scope)}
@@ -609,7 +607,7 @@ def compute_orbit_bundle(gens, model: Model) -> OrbitBundle:
         features=orbits_of(gens, "features", model),
         edges=orbits_of(gens, "edges", model),
         arcs=orbits_of(gens, "arcs", model),
-        factor_assignments=orbits_of(gens, "factor-assignments", model),
+        factor_moments=orbits_of(gens, "factor-moments", model),
     )
 
 
@@ -625,6 +623,7 @@ class GeneratorSymmetries:
         if gens is None:
             gens = search_automorphisms(build_colored_factor_graph(model))
         self.gens = gens
+        self._stabilized = {}  # generators fixing a variable -> their variable orbits
 
     def bundle(self) -> OrbitBundle:
         return compute_orbit_bundle(self.gens, self.model)
@@ -633,10 +632,14 @@ class GeneratorSymmetries:
         """Variable orbits under the found generators that fix one variable.
 
         They generate a subgroup of the variable's stabilizer, possibly a
-        proper one, and no search runs.
+        proper one, and no search runs. Variables fixed by the same
+        generators share one partition, computed once: under the trivial
+        group, one in all.
         """
-        sub = [g for g in self.gens.generators if g.var_perm[fixed_var] == fixed_var]
-        return orbits_of(sub, "vars", self.model)
+        sub = tuple(g for g in self.gens.generators if g.var_perm[fixed_var] == fixed_var)
+        if sub not in self._stabilized:
+            self._stabilized[sub] = orbits_of(sub, "vars", self.model)
+        return self._stabilized[sub]
 
 
 class TrivialSymmetries(GeneratorSymmetries):

@@ -1,15 +1,25 @@
-"""Reference local LP over the overcomplete coordinates, solved by HiGHS.
+"""The overcomplete-cell lift and its local LP, kept as the test reference.
 
-The local polytope as normalization and marginalization equalities: node
-normalization rows, four marginalization rows per edge, and normalization
-plus node and edge consistency rows per arity >= 3 factor, each with every
-coordinate in [0, 1]. A lifted model's system is the ground system written
-once per orbit representative with coordinates substituted by their cells,
-then deduplicated; a ground model is its trivial lift. build_local_lp
-writes the same polytope in moment coordinates, and tests compare the two.
+Before the lift moved to moment cells, it grouped every overcomplete
+coordinate into cells: per variable orbit one cell for each value, per edge
+orbit one for (0,0) and one for (1,1), per arc orbit one holding the
+opposite-value coordinates, and one cell per factor-assignment orbit, all
+numbered by their first coordinate in the OvercompleteLayout
+(OvercompleteLift). Its local LP (reference_local_lp) had one variable
+fixed at 1 and one per moment cell (node value 1, edge 11, factor
+assignment with >= 3 ones), the objective theta_bar M, and one row
+"cell >= 0" per cell that is not a single moment, where M maps the LP
+variables to cell values by each cell's Moebius expansion. Moment cells
+come in the same order in both lifts, so the two LPs share their variables.
+
+The local polytope is also written over the cells as normalization and
+marginalization equalities (overcomplete_rows) and solved by HiGHS. A
+lifted system is the ground system written once per orbit representative
+with coordinates substituted by their cells, then deduplicated.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,12 +27,293 @@ from scipy.optimize import linprog
 
 from liftedmap import (
     LiftedModel,
+    RenamingSymmetries,
     TrivialSymmetries,
     build_lifted_model,
     build_local_lp,
     simplex_solve,
 )
-from liftedmap.model import assignments
+from liftedmap.mln import _feature_key, _tags_of
+from liftedmap.model import OvercompleteLayout, assignments
+from liftedmap.solve import LinearProgram
+from liftedmap.symmetry import OrbitPartition, _UnionFind, act_element
+
+
+def lifted(target) -> LiftedModel:
+    """target itself, or a ground Model lifted under the trivial group."""
+    if isinstance(target, LiftedModel):
+        return target
+    return build_lifted_model(target, TrivialSymmetries(target))
+
+
+def ground_moments(tau, layout) -> np.ndarray:
+    """The moments of an overcomplete vector, in a MomentLayout's order:
+    each variable's value 1, each edge's 11 and each factor moment's
+    assignment."""
+    over = OvercompleteLayout(layout.model)
+    index = [over.node_index(v, 1) for v in range(layout.model.num_vars)]
+    index += [over.edge_index(u, v, 1, 1) for u, v in layout.edges]
+    index += [over.factor_index(j, a) for j, a in layout.factor_moments]
+    return np.asarray(tau, dtype=float)[index]
+
+
+def rep_point(tau, lm) -> np.ndarray:
+    """An orbit-constant overcomplete vector as the point a lifted model's
+    separation and decoding read: each node orbit's two values and each
+    edge orbit's 00, 01, 10 and 11, read at the representatives."""
+    over = OvercompleteLayout(lm.model)
+    index = [over.node_index(info.rep, t) for info in lm.node_info for t in (0, 1)]
+    index += [over.edge_index(*info.rep, a, b) for info in lm.edge_info for a, b in assignments(2)]
+    return np.asarray(tau, dtype=float)[index]
+
+
+# ---------------------------------------------------------------------------
+# the overcomplete-cell lift
+
+
+def factor_assignment_orbits(sym) -> OrbitPartition:
+    """Orbits of every (feature, assignment) pair of the arity >= 3 features.
+
+    The renaming source keys a pair by its feature's key and the assignment
+    read in the order of its scope atoms' tags; a generator source takes
+    the orbits of its generators.
+    """
+    model = sym.model
+    elements = [
+        (j, a) for j, f in enumerate(model.features) if f.arity >= 3 for a in assignments(f.arity)
+    ]
+    if isinstance(sym, RenamingSymmetries):
+        gmap, dist = sym.gmap, sym.distinguished
+        fkey = [_feature_key(origin, dist) for origin in gmap.origins]
+        order = {}
+        for j, f in enumerate(model.features):
+            if f.arity >= 3:
+                anon = {}
+                _tags_of(gmap.origins[j].subst, dist, anon)
+                tags = [(gmap.atoms[v][0], _tags_of(gmap.atoms[v][1], dist, anon)) for v in f.scope]
+                order[j] = sorted(range(f.arity), key=tags.__getitem__)
+        return OrbitPartition.group(
+            elements, lambda e: (fkey[e[0]], tuple(e[1][p] for p in order[e[0]]))
+        )
+    index = {e: i for i, e in enumerate(elements)}
+    uf = _UnionFind(len(elements))
+    for g in sym.gens.generators:
+        for e in elements:
+            uf.union(index[e], index[act_element("factor-moments", e, g, model)])
+    return OrbitPartition.group(elements, lambda e: uf.find(index[e]))
+
+
+@dataclass(frozen=True)
+class NodeOrbitInfo:
+    rep: int
+    cell0: int
+    cell1: int
+
+
+@dataclass(frozen=True)
+class EdgeOrbitInfo:
+    rep: tuple
+    cell00: int
+    cell11: int
+    cell_uv: int  # cell of the (0,1) coordinate on the representative edge
+    cell_vu: int  # cell of the (1,0) coordinate; equals cell_uv when self-paired
+
+
+@dataclass(eq=False)
+class OvercompleteLift:
+    """A model's overcomplete coordinates grouped into orbit cells.
+
+    rho[i] is the cell of coordinate i of layout, cells[c] lists the
+    coordinates of cell c and labels[c] describes it: ("node", orbit,
+    value), ("edge", orbit, "00" | "11"), ("arc", orbit) or ("factor",
+    orbit). theta_bar adds the overcomplete parameters within each cell.
+    """
+
+    model: object
+    lm: LiftedModel  # the moment-cell lift of the same model and source
+    layout: OvercompleteLayout
+    rho: np.ndarray
+    cells: tuple
+    labels: tuple
+    node_info: tuple
+    edge_info: tuple
+    theta_bar: np.ndarray
+
+    @property
+    def num_cells(self) -> int:
+        return len(self.cells)
+
+
+def overcomplete_lift(target) -> OvercompleteLift:
+    """The overcomplete-cell lift under target's symmetry source, or under
+    the trivial group for a ground Model."""
+    lm = lifted(target)
+    model, bundle = lm.model, lm.bundle
+    layout = OvercompleteLayout(model)
+    vars_, edges, arcs = bundle.vars.cell_of, bundle.edges.cell_of, bundle.arcs.cell_of
+    factor = factor_assignment_orbits(lm.symmetries).cell_of
+    cell_of_label = {}
+    rho = []
+    for key in layout.keys:
+        if key[0] == "node":
+            _, v, t = key
+            label = ("node", vars_[v], t)
+        elif key[0] == "edge":
+            _, u, v, a, b = key
+            if a == b:
+                label = ("edge", edges[(u, v)], "00" if a == 0 else "11")
+            else:
+                label = ("arc", arcs[(u, v) if a == 0 else (v, u)])
+        else:
+            _, j, a = key
+            label = ("factor", factor[(j, a)])
+        rho.append(cell_of_label.setdefault(label, len(cell_of_label)))
+    cells = [[] for _ in cell_of_label]
+    for i, c in enumerate(rho):
+        cells[c].append(i)
+    theta = layout.theta_vector()
+    return OvercompleteLift(
+        model=model,
+        lm=lm,
+        layout=layout,
+        rho=np.array(rho, dtype=np.int64),
+        cells=tuple(tuple(members) for members in cells),
+        labels=tuple(cell_of_label),
+        node_info=tuple(
+            NodeOrbitInfo(v, rho[layout.node_index(v, 0)], rho[layout.node_index(v, 1)])
+            for v in bundle.vars.reps
+        ),
+        edge_info=tuple(
+            EdgeOrbitInfo(
+                (u, v),
+                cell00=rho[layout.edge_index(u, v, 0, 0)],
+                cell11=rho[layout.edge_index(u, v, 1, 1)],
+                cell_uv=rho[layout.edge_index(u, v, 0, 1)],
+                cell_vu=rho[layout.edge_index(u, v, 1, 0)],
+            )
+            for (u, v) in bundle.edges.reps
+        ),
+        theta_bar=np.array([float(sum(theta[list(members)])) for members in cells]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# its local LP over moment cells
+
+
+class MomentMap:
+    """tau = M x from the reference LP's variables to cell values.
+
+    expansions[c] lists the (variable, coefficient) entries of row c of M:
+    the Moebius expansion of cell c's representative coordinate over the
+    moments of its ones, variable 0 being the constant 1.
+    """
+
+    def __init__(self, expansions):
+        self.expansions = tuple(expansions)
+
+    def tau(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.array([sum(m * x[j] for j, m in terms) for terms in self.expansions])
+
+    def row(self, row):
+        """A (coeffs, sense, rhs) row over cells as the same row over LP variables."""
+        coeffs, sense, rhs = row
+        acc = {}
+        for c, a in coeffs:
+            for j, m in self.expansions[c]:
+                acc[j] = acc.get(j, 0.0) + a * m
+        return (sorted(kv for kv in acc.items() if kv[1] != 0.0), sense, rhs)
+
+
+def _scope_assignment(key, model):
+    if key[0] == "node":
+        return None, key[1:2], key[2:]
+    if key[0] == "edge":
+        return None, key[1:3], key[3:]
+    return key[1], model.features[key[1]].scope, key[2]
+
+
+def moment_map(ref: OvercompleteLift):
+    """The reference LP's MomentMap and its number of variables."""
+    layout, rho = ref.layout, ref.rho
+    keys = [layout.keys[members[0]] for members in ref.cells]
+    var_of = {}
+    for c, key in enumerate(keys):
+        _, _, a = _scope_assignment(key, ref.model)
+        if all(a) or sum(a) >= 3:
+            var_of[c] = len(var_of) + 1
+
+    def moment(j, scope, ones):
+        if not ones:
+            return 0
+        if len(ones) == 1:
+            i = layout.node_index(scope[ones[0]], 1)
+        elif len(ones) == 2:
+            i = layout.edge_index(scope[ones[0]], scope[ones[1]], 1, 1)
+        else:
+            i = layout.factor_index(j, tuple(int(k in ones) for k in range(len(scope))))
+        return var_of[int(rho[i])]
+
+    expansions = []
+    for key in keys:
+        j, scope, a = _scope_assignment(key, ref.model)
+        ones = [k for k, t in enumerate(a) if t]
+        zeros = [k for k, t in enumerate(a) if not t]
+        acc = {}
+        for r in range(len(zeros) + 1):
+            for extra in itertools.combinations(zeros, r):
+                v = moment(j, scope, sorted(ones + list(extra)))
+                acc[v] = acc.get(v, 0.0) + (-1.0) ** r
+        expansions.append(sorted(acc.items()))
+    return MomentMap(expansions), len(var_of) + 1
+
+
+def reference_local_lp(ref: OvercompleteLift):
+    """The local LP over the overcomplete lift's moment cells, and its M."""
+    moments, num_vars = moment_map(ref)
+    objective = np.zeros(num_vars)
+    rows = []
+    for theta, terms in zip(ref.theta_bar.tolist(), moments.expansions):
+        for j, m in terms:
+            objective[j] += theta * m
+        if sum(j > 0 for j, _ in terms) > 1:
+            rows.append((terms, ">=", 0.0))
+    start = np.zeros(num_vars)
+    start[0] = 1.0
+    lp = LinearProgram(
+        num_vars=num_vars,
+        objective=objective,
+        rows=rows,
+        bounds=[(1.0, 1.0)] + [(0.0, 1.0)] * (num_vars - 1),
+        start=start,
+    )
+    return lp, moments
+
+
+def reference_cut_row(constraint, ref: OvercompleteLift, moments: MomentMap):
+    """A cycle constraint keyed by edge orbits as a row over cells, through M."""
+    acc = {}
+    for k, in_f in constraint.steps:
+        info = ref.edge_info[k]
+        for c in (info.cell00, info.cell11) if in_f else (info.cell_uv, info.cell_vu):
+            acc[c] = acc.get(c, 0.0) + 1.0
+    return moments.row((sorted(acc.items()), ">=", 1.0))
+
+
+def point_of(tau, ref: OvercompleteLift) -> np.ndarray:
+    """Cell values as the point separation and decoding read: each node
+    orbit's two values, then each edge orbit's 00, 01, 10 and 11."""
+    out = []
+    for info in ref.node_info:
+        out += [tau[info.cell0], tau[info.cell1]]
+    for info in ref.edge_info:
+        out += [tau[info.cell00], tau[info.cell_uv], tau[info.cell_vu], tau[info.cell11]]
+    return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# the overcomplete equalities, solved by HiGHS
 
 
 def _ground_row_blocks(model, layout, var_list, edge_list, factor_list):
@@ -89,29 +380,19 @@ def _substitute_rows(rows, rho):
     return out
 
 
-def lifted(target) -> LiftedModel:
-    """target itself, or a ground Model lifted under the trivial group."""
-    if isinstance(target, LiftedModel):
-        return target
-    return build_lifted_model(target, TrivialSymmetries(target))
-
-
-def overcomplete_rows(lm: LiftedModel) -> list:
+def overcomplete_rows(ref: OvercompleteLift) -> list:
     """The equality rows of the lifted overcomplete local LP, over cells."""
-    model = lm.model
-    factor_list = [
-        rep for rep in lm.bundle.features.reps if model.features[rep].arity >= 3
-    ]
+    model, bundle = ref.model, ref.lm.bundle
+    factor_list = [rep for rep in bundle.features.reps if model.features[rep].arity >= 3]
     rows = _ground_row_blocks(
-        model, lm.index.layout, lm.bundle.vars.reps, [info.rep for info in lm.edge_info],
-        factor_list,
+        model, ref.layout, bundle.vars.reps, [info.rep for info in ref.edge_info], factor_list
     )
-    return _substitute_rows(rows, lm.index.rho)
+    return _substitute_rows(rows, ref.rho)
 
 
-def overcomplete_optimum(lm: LiftedModel) -> float:
+def overcomplete_optimum(ref: OvercompleteLift) -> float:
     """HiGHS optimum of max theta_bar . tau over the overcomplete rows, tau in [0, 1]."""
-    rows = overcomplete_rows(lm)
+    rows = overcomplete_rows(ref)
     r, c, v = [], [], []
     for i, (coeffs, _, _) in enumerate(rows):
         for j, a in coeffs:
@@ -119,8 +400,8 @@ def overcomplete_optimum(lm: LiftedModel) -> float:
             c.append(j)
             v.append(a)
     res = linprog(
-        -lm.theta_bar,
-        A_eq=sp.csr_matrix((v, (r, c)), shape=(len(rows), lm.num_cells)),
+        -ref.theta_bar,
+        A_eq=sp.csr_matrix((v, (r, c)), shape=(len(rows), ref.num_cells)),
         b_eq=np.array([rhs for _, _, rhs in rows]),
         bounds=(0.0, 1.0),
         method="highs",
@@ -129,21 +410,69 @@ def overcomplete_optimum(lm: LiftedModel) -> float:
     return float(-res.fun)
 
 
-def max_violation(tau, lm: LiftedModel) -> float:
-    """Largest violation by tau of an overcomplete row or a [0, 1] bound."""
+def max_violation(tau, ref: OvercompleteLift) -> float:
+    """Largest violation by cell values tau of an overcomplete row or a [0, 1] bound."""
     tau = np.asarray(tau, dtype=float)
     worst = max(float(-tau.min()), float(tau.max() - 1.0), 0.0)
-    for coeffs, _, rhs in overcomplete_rows(lm):
+    for coeffs, _, rhs in overcomplete_rows(ref):
         worst = max(worst, abs(sum(a * tau[j] for j, a in coeffs) - rhs))
     return worst
 
 
+def highs_value(lp) -> float:
+    """HiGHS optimum of a LinearProgram with "<=" and ">=" rows."""
+    r, c, v, b = [], [], [], []
+    for i, (coeffs, sense, rhs) in enumerate(lp.rows):
+        sign = -1.0 if sense == ">=" else 1.0
+        b.append(sign * rhs)
+        for j, a in coeffs:
+            r.append(i)
+            c.append(j)
+            v.append(sign * a)
+    res = linprog(
+        -lp.objective,
+        A_ub=sp.csr_matrix((v, (r, c)), shape=(len(b), lp.num_vars)) if b else None,
+        b_ub=np.array(b) if b else None,
+        bounds=lp.bounds,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(-res.fun)
+
+
 def assert_matches_the_overcomplete_reference(target):
-    """The moment LP's optimum equals HiGHS on the overcomplete LP within
-    1e-9, and its cell values satisfy every overcomplete row and bound."""
-    lp = build_local_lp(target)
+    """The moment LP against the overcomplete-cell lift's.
+
+    Its rows are the reference LP's distinct rows, each once; its objective
+    is the reference's within 1e-9 per coefficient; its optimum equals
+    HiGHS on the overcomplete equalities within 1e-9; the reference's cell
+    values M x of that optimum satisfy every overcomplete row and bound
+    within 1e-9; and the point it reads equals theirs.
+    """
+    lm = lifted(target)
+    lp = build_local_lp(lm)
+    ref = overcomplete_lift(lm)
+    ref_lp, moments = reference_local_lp(ref)
+    assert lp.num_vars == ref_lp.num_vars
+    rows = [tuple(coeffs) for coeffs, _, _ in lp.rows]
+    assert len(set(rows)) == len(rows)
+    assert set(rows) == {tuple(coeffs) for coeffs, _, _ in ref_lp.rows}
+    assert {(sense, rhs) for _, sense, rhs in lp.rows} <= {(">=", 0.0)}
+    assert np.allclose(lp.objective, ref_lp.objective, rtol=0.0, atol=1e-9)
     out = simplex_solve(lp, start=lp.start)
     assert out.status == "optimal"
-    lm = lifted(target)
-    assert abs(out.value - overcomplete_optimum(lm)) <= 1e-9
-    assert max_violation(lp.moments.tau(out.x), lm) <= 1e-9
+    assert abs(out.value - overcomplete_optimum(ref)) <= 1e-9
+    tau = moments.tau(out.x)
+    assert max_violation(tau, ref) <= 1e-9
+    assert np.allclose(lp.marginals.tau(out.x), point_of(tau, ref), rtol=0.0, atol=1e-12)
+
+
+def assert_trivial_lp_is_the_reference(model):
+    """A ground model's LP is the overcomplete reference's row for row."""
+    lp = build_local_lp(model)
+    ref_lp, _ = reference_local_lp(overcomplete_lift(model))
+    assert lp.num_vars == ref_lp.num_vars
+    assert lp.rows == ref_lp.rows
+    assert lp.bounds == ref_lp.bounds
+    assert np.array_equal(lp.start, ref_lp.start)
+    assert np.allclose(lp.objective, ref_lp.objective, rtol=1e-12, atol=1e-12)

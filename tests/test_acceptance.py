@@ -21,14 +21,11 @@ from liftedmap import (
     build_local_lp,
     cutting_plane_map,
     ground_mln,
-    lift_vector,
     parse_evidence,
     parse_mln,
-    unlift_vector,
     verify_generator,
 )
 from liftedmap import fixtures
-from liftedmap.model import OvercompleteLayout
 from liftedmap.oracle import (
     configuration_orbits,
     enumerate_cycle_constraints,
@@ -46,6 +43,7 @@ from liftedmap.solve import (
 from liftedmap.symmetry import refine_colors
 
 from conftest import refines
+from overcomplete import ground_moments, overcomplete_lift, point_of
 
 
 @contextmanager
@@ -169,9 +167,13 @@ def test_criterion_05_separation_finds_the_most_violated_short_cycle():
             sym = GeneratorSymmetries(model)
             lifted = build_lifted_model(model, sym)
             stabilized = build_stabilized_graphs(lifted)
+            # pairwise models: a ground point is the whole overcomplete vector,
+            # symmetrized by averaging over each overcomplete orbit cell
+            ref = overcomplete_lift(lifted)
             for tau in points:
-                tau_bar = lift_vector(tau, lifted.index)
-                tau_sym = unlift_vector(tau_bar, lifted.index)
+                averages = np.array([np.mean(tau[list(members)]) for members in ref.cells])
+                tau_sym = averages[ref.rho]
+                tau_bar = point_of(averages, ref)
                 g_cut = separate_cycles_ground(model, tau_sym)
                 l_cut = separate_cycles_lifted(lifted, stabilized, tau_bar)
                 if g_cut is None:
@@ -182,7 +184,7 @@ def test_criterion_05_separation_finds_the_most_violated_short_cycle():
 
 
 def test_criterion_06_exact_marginals_are_constant_on_orbits():
-    with verdict(6, "brute-force mean parameters are constant on every orbit cell"):
+    with verdict(6, "brute-force moments are constant on every orbit cell"):
         targets = [
             fixtures.ex1(),
             fixtures.triangle(),
@@ -198,9 +200,10 @@ def test_criterion_06_exact_marginals_are_constant_on_orbits():
             assert model.num_vars <= 12
             exact = exact_enumerate(model, limit=12)
             lifted = build_lifted_model(model, GeneratorSymmetries(model))
-            for cell in lifted.index.cells:
-                values = [exact.mean_params[i] for i in cell]
-                assert max(values) - min(values) <= 1e-9
+            mu = ground_moments(exact.mean_params, lifted.index.layout)
+            for c in range(lifted.num_cells):
+                values = mu[lifted.index.rho == c]
+                assert values.size and max(values) - min(values) <= 1e-9
 
 
 def test_criterion_07_best_orbit_centroid_attains_the_exact_optimum():
@@ -277,7 +280,7 @@ def test_criterion_08_renaming_orbits_without_search():
             assert refines(fine.features.cells, coarse.features.cells)
             assert refines(fine.edges.cells, coarse.edges.cells)
             assert refines(fine.arcs.cells, coarse.arcs.cells)
-            assert refines(fine.factor_assignments.cells, coarse.factor_assignments.cells)
+            assert refines(fine.factor_moments.cells, coarse.factor_moments.cells)
 
         # orbit counts depend on the evidence pattern, not the domain size
         for d in (5, 10, 20):
@@ -306,12 +309,13 @@ def test_criterion_09_social_network_model_scales_by_lifting():
                     b.features.num_cells,
                     b.edges.num_cells,
                     b.arcs.num_cells,
-                    b.factor_assignments.num_cells,
+                    b.factor_moments.num_cells,
                 )
             )
             if d == 4:
                 lifted4 = lifted
-        assert shapes == {(79, 5, 6, 12, 21, 24)}
+        # cells: the variable, edge and factor-moment orbits
+        assert shapes == {(20, 5, 6, 12, 21, 3)}
 
         ground_result = cutting_plane_map(model4)
         lifted_result = cutting_plane_map(lifted4)
@@ -336,7 +340,8 @@ def test_criterion_10_an_asymmetric_model_stays_ground_sized():
         assert sym.gens.generators == ()
         lifted = build_lifted_model(model, sym)
         assert len(lifted.node_info) == 12
-        assert lifted.num_cells == OvercompleteLayout(model).size == 96
+        # one cell per moment: 12 variables and 18 edges
+        assert lifted.num_cells == lifted.index.layout.size == 30
         g_result = cutting_plane_map(model)
         l_result = cutting_plane_map(lifted)
         assert abs(g_result.objective - l_result.objective) <= 1e-6

@@ -44,7 +44,7 @@ class TestOrbits:
         assert cell_sizes(orbits["edges"]) == [1, 4]
         assert cell_sizes(orbits["arcs"]) == [2, 4, 4]
         assert orbits["features"]["count"] == 2
-        assert orbits["factor_assignments"] == {"count": 0, "cells": []}
+        assert orbits["factor_moments"] == {"count": 0, "cells": []}
 
     def test_renaming_on_mln(self, capsys, models_dir):
         code, payload = run_json(
@@ -80,7 +80,7 @@ class TestOrbits:
         assert payload["methods"]["search"]["group_order"] == 36
         checks = payload["renaming_refines_search"]
         assert checks["all"] is True
-        assert set(checks) == {"vars", "features", "edges", "arcs", "factor_assignments", "all"}
+        assert set(checks) == {"vars", "features", "edges", "arcs", "factor_moments", "all"}
 
     def test_method_none_gives_singletons(self, capsys, models_dir):
         code, payload = run_json(
@@ -213,7 +213,7 @@ class TestMap:
             "features": 1,
             "edges": 1,
             "arcs": 1,
-            "factor_assignments": 0,
+            "factor_moments": 0,
         }
 
     def test_lifted_without_symmetry_matches_ground_size(self, capsys, models_dir):

@@ -1,17 +1,12 @@
-"""Collapsing ground models onto orbit cells."""
+"""Collapsing ground models onto orbit cells of their moments."""
 
 import numpy as np
 import pytest
 
 from liftedmap import fixtures
-from liftedmap.lift import (
-    LiftError,
-    build_lifted_model,
-    lift_vector,
-    unlift_vector,
-)
+from liftedmap.lift import LiftError, build_lifted_model
 from liftedmap.mln import RenamingSymmetries, ground_mln, parse_mln
-from liftedmap.model import OvercompleteLayout
+from liftedmap.model import OvercompleteLayout, score
 from liftedmap.oracle import exact_enumerate
 from liftedmap.symmetry import (
     GeneratorSet,
@@ -20,97 +15,86 @@ from liftedmap.symmetry import (
     TrivialSymmetries,
 )
 
+from overcomplete import ground_moments
+
 
 def test_ex1_lifted_layout_frozen():
     m = fixtures.ex1()
     lm = build_lifted_model(m, GeneratorSymmetries(m))
-    assert lm.num_cells == 11
+    # variable orbits {0, 3} and {1, 2}, edge orbits {12} and the other four
+    assert lm.num_cells == 4
+    assert lm.index.layout.size == 4 + 5
     assert OvercompleteLayout(m).size == 28
-    # cells are numbered by their first ground coordinate in layout order
-    assert lm.index.labels == (
-        ("node", 0, 0), ("node", 0, 1), ("node", 1, 0), ("node", 1, 1),
-        ("edge", 0, "00"), ("arc", 0), ("arc", 1), ("edge", 0, "11"),
-        ("edge", 1, "00"), ("arc", 2), ("edge", 1, "11"),
-    )
-    assert list(lm.theta_bar) == [0, 0, 0, 0, 0, 0, 4.0, 0, 0, 0, 1.0]
+    # cells are numbered by their first ground moment in layout order
+    assert lm.index.rho.tolist() == [0, 1, 1, 0, 2, 2, 3, 2, 2]
+    assert [info.cells for info in lm.node_info] == [(-1, 0), (-1, 1)]
+    assert [info.cells for info in lm.edge_info] == [(-1, 1, 0, 2), (-1, 1, 1, 3)]
+    assert lm.theta_bar.tolist() == [4.0, 0.0, -4.0, 1.0]
+    assert lm.constant == 0.0
 
 
 def test_triangle_lifted_layout():
     m = fixtures.triangle()
     lm = build_lifted_model(m, GeneratorSymmetries(m))
-    # one node orbit, one edge orbit, one arc orbit
-    assert lm.num_cells == 2 + 2 + 1
+    # one node orbit and one edge orbit; arcs make no cells
+    assert lm.num_cells == 1 + 1
     assert len(lm.node_info) == 1 and len(lm.edge_info) == 1
-    info = lm.edge_info[0]
     assert len(lm.bundle.edges.cells[0]) == 3
-    assert info.cell_uv == info.cell_vu
+    assert lm.bundle.arcs.num_cells == 1
+    # both ends of the representative edge are in the one node orbit
+    assert lm.edge_info[0].cells == (-1, 0, 0, 1)
 
 
 def test_triple_parity_factor_cells():
     m = fixtures.triple_parity(4)
     lm = build_lifted_model(m, GeneratorSymmetries(m))
-    assert lm.num_cells == 9
-    assert [lab[0] for lab in lm.index.labels].count("factor") == 4
-    # theta sums over the two odd-parity assignment cells: 12 * 0.5 and 4 * 0.5
-    assert sorted(lm.theta_bar) == [0, 0, 0, 0, 0, 0, 0, 2.0, 6.0]
+    # one orbit each of variables, edges and triples: an arity-3 feature
+    # has one factor moment, its all-ones assignment
+    assert lm.num_cells == 3
+    assert lm.bundle.factor_moments.elements == tuple((j, (1, 1, 1)) for j in range(4))
+    assert lm.factor_info[0].cells == (-1, 0, 0, 1, 0, 1, 1, 2)
+    # parity's Moebius coefficients times 0.5 are 1/2 per variable, -1 per
+    # pair and 2 per triple; each variable is in 3 triples, each pair in 2
+    assert lm.theta_bar.tolist() == [4 * 1.5, 6 * -2.0, 4 * 2.0]
 
 
 def test_theta_bar_sums_cells():
     m = fixtures.triangle(weight=-1.0)
     lm = build_lifted_model(m, GeneratorSymmetries(m))
-    # the agreement table contributes -1 on both 00 and 11 of all three edges
-    labels = lm.index.labels
-    for c, lab in enumerate(labels):
-        if lab[0] == "edge":
-            assert lm.theta_bar[c] == pytest.approx(-3.0)
-        else:
-            assert lm.theta_bar[c] == pytest.approx(0.0)
+    # the agreement table is 1 - x_u - x_v + 2 x_u x_v, weighted -1 on all
+    # three edges; each variable is on two of them
+    assert lm.constant == -3.0
+    assert lm.theta_bar.tolist() == [3 * 2.0, 3 * -2.0]
 
 
 def test_trivial_symmetries_lift_is_identity():
     m = fixtures.frucht()
     lm = build_lifted_model(m, TrivialSymmetries(m))
-    layout = OvercompleteLayout(m)
-    assert lm.num_cells == layout.size
+    layout = lm.index.layout
+    assert lm.num_cells == layout.size == 12 + 18
     assert lm.index.rho.tolist() == list(range(layout.size))
-    x = np.arange(layout.size, dtype=float)
-    assert np.allclose(unlift_vector(lift_vector(x, lm.index), lm.index), x)
 
 
 def test_search_on_frucht_equals_trivial_lift():
     m = fixtures.frucht()
     lm = build_lifted_model(m, GeneratorSymmetries(m))
-    assert lm.num_cells == OvercompleteLayout(m).size
+    assert lm.num_cells == lm.index.layout.size == 12 + 18
     assert len(lm.node_info) == 12
 
 
-def test_rho_and_cells_are_inverse():
+def test_cells_are_numbered_by_their_first_moment():
     m = fixtures.triple_parity(4)
     lm = build_lifted_model(m, GeneratorSymmetries(m))
-    for c, members in enumerate(lm.index.cells):
-        assert members
-        for i in members:
-            assert lm.index.rho[i] == c
+    rho = lm.index.rho.tolist()
+    assert sorted(set(rho), key=rho.index) == list(range(lm.num_cells))
 
 
-def test_lift_unlift_roundtrips():
+def test_exact_moments_are_constant_on_cells():
     m = fixtures.cycle_model(5)
     lm = build_lifted_model(m, GeneratorSymmetries(m))
-    rng = np.random.default_rng(7)
-    bar = rng.random(lm.num_cells)
-    assert np.allclose(lift_vector(unlift_vector(bar, lm.index), lm.index), bar)
-    # orbit-constant ground vectors survive the full cycle
-    mu = exact_enumerate(m).mean_params
-    assert np.allclose(unlift_vector(lift_vector(mu, lm.index), lm.index), mu)
-
-
-def test_lift_vector_shape_checks():
-    m = fixtures.triangle()
-    lm = build_lifted_model(m, GeneratorSymmetries(m))
-    with pytest.raises(LiftError):
-        lift_vector(np.zeros(3), lm.index)
-    with pytest.raises(LiftError):
-        unlift_vector(np.zeros(99), lm.index)
+    mu = ground_moments(exact_enumerate(m).mean_params, lm.index.layout)
+    for c in range(lm.num_cells):
+        assert np.ptp(mu[lm.index.rho == c]) <= 1e-12
 
 
 def test_inconsistent_theta_across_cell_is_rejected():
@@ -135,9 +119,8 @@ def test_lifted_model_symmetry_handle_retained():
 
 @pytest.mark.parametrize("name", ["ex1", "triple_parity", "frucht", "lovers_smokers"])
 def test_theta_bar_is_the_per_cell_sum(name):
-    # the per-cell loop is the reference for the grouped sums; they add in
-    # another order, so lifted cells match to a relative 1e-12, and the
-    # one-coordinate cells of the trivial lift match bit for bit
+    # the trivial lift's objective scores every configuration, and a lifted
+    # cell's coefficient adds its moments' ground coefficients
     if name == "lovers_smokers":
         m, gmap = ground_mln(parse_mln(fixtures.LOVERS_SMOKERS_MLN), domain_size=5)
         sources = [RenamingSymmetries(m, gmap), GeneratorSymmetries(m)]
@@ -145,10 +128,15 @@ def test_theta_bar_is_the_per_cell_sum(name):
         m = {"ex1": fixtures.ex1, "frucht": fixtures.frucht,
              "triple_parity": lambda: fixtures.triple_parity(4, weight=-0.7)}[name]()
         sources = [GeneratorSymmetries(m)]
-    for sym in sources + [TrivialSymmetries(m)]:
+    ground = build_lifted_model(m, TrivialSymmetries(m))
+    assert ground.index.rho.tolist() == list(range(ground.index.layout.size))
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        x = rng.integers(0, 2, m.num_vars).tolist()
+        mu = ground_moments(OvercompleteLayout(m).phi_vector(x), ground.index.layout)
+        assert ground.constant + ground.theta_bar @ mu == pytest.approx(score(m, x), abs=1e-9)
+    for sym in sources:
         lm = build_lifted_model(m, sym)
-        theta = lm.index.layout.theta_vector()
-        reference = np.array([float(theta[list(c)].sum()) for c in lm.index.cells])
-        assert np.allclose(lm.theta_bar, reference, rtol=1e-12, atol=0.0)
-        if isinstance(sym, TrivialSymmetries):
-            assert lm.theta_bar.tobytes() == reference.tobytes()
+        reference = np.bincount(lm.index.rho, ground.theta_bar, minlength=lm.num_cells)
+        assert np.allclose(lm.theta_bar, reference, rtol=1e-12, atol=1e-12)
+        assert lm.constant == pytest.approx(ground.constant, abs=1e-12)

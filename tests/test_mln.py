@@ -333,8 +333,8 @@ def reference_ground(mln, domain_size, evidence):
     return model, gmap, templates
 
 
-def reference_factor_assignments(model, gmap, templates):
-    """Factor-assignment orbits keyed with each scope in template order."""
+def reference_factor_moments(model, gmap, templates):
+    """Factor-moment orbits keyed with each scope in template order."""
     fkey = [_feature_key(origin, gmap.distinguished) for origin in gmap.origins]
     perm = {}
     for j, (template, active) in templates.items():
@@ -346,7 +346,7 @@ def reference_factor_assignments(model, gmap, templates):
         j, a = element
         return (fkey[j], tuple(a[p] for p in perm[j]))
 
-    return OrbitPartition.group(_domain_elements("factor-assignments", model), key)
+    return OrbitPartition.group(_domain_elements("factor-moments", model), key)
 
 
 def assert_grounding_matches_reference(text, ev_text, d):
@@ -364,10 +364,10 @@ def assert_grounding_matches_reference(text, ev_text, d):
     bundle = RenamingSymmetries(model, gmap).bundle()
     ref_bundle = RenamingSymmetries(ref_model, ref_gmap).bundle()
     for f in dataclasses.fields(OrbitBundle):
-        if f.name != "factor_assignments":
+        if f.name != "factor_moments":
             assert getattr(bundle, f.name).cells == getattr(ref_bundle, f.name).cells, f.name
-    ref_fa = reference_factor_assignments(ref_model, ref_gmap, templates)
-    assert bundle.factor_assignments.cells == ref_fa.cells
+    ref_fm = reference_factor_moments(ref_model, ref_gmap, templates)
+    assert bundle.factor_moments.cells == ref_fm.cells
 
 
 @pytest.mark.parametrize("text,ev,domains", [
@@ -446,11 +446,11 @@ def test_lovers_smokers_renaming_cell_counts_invariant():
         model, gmap = ground(fixtures.LOVERS_SMOKERS_MLN, d)
         b = RenamingSymmetries(model, gmap).bundle()
         counts = (len(b.vars.cells), len(b.features.cells), len(b.edges.cells),
-                  len(b.arcs.cells), len(b.factor_assignments.cells))
+                  len(b.arcs.cells), len(b.factor_moments.cells))
         if expected is None:
             expected = counts
         assert counts == expected
-    assert expected == (5, 6, 12, 21, 24)
+    assert expected == (5, 6, 12, 21, 3)
 
 
 @pytest.mark.parametrize("text,ev,domains", [
@@ -467,7 +467,7 @@ def test_renaming_refines_search(text, ev, domains):
         assert refines(rb.features.cells, sb.features.cells)
         assert refines(rb.edges.cells, sb.edges.cells)
         assert refines(rb.arcs.cells, sb.arcs.cells)
-        assert refines(rb.factor_assignments.cells, sb.factor_assignments.cells)
+        assert refines(rb.factor_moments.cells, sb.factor_moments.cells)
 
 
 @pytest.mark.parametrize("d", (3, 4))

@@ -1,11 +1,13 @@
 """The local LP in moment coordinates against the overcomplete reference.
 
-build_local_lp writes the local polytope over moments, with a "cell >= 0"
-row per cell that no variable bound covers and no equality rows. The reference (overcomplete.py) writes
-it over the cells with the normalization and marginalization equalities and
-is solved by HiGHS. The two optima must agree, and the cell values M x of
-the moment optimum, which separation and decoding read, must be a point of
-the reference polytope.
+build_local_lp writes the local polytope over moment cells, with the
+distinct "P(a) >= 0" rows of the edge-orbit and factor-orbit
+representatives and no equality rows. The reference (overcomplete.py) is
+the overcomplete-cell lift: its LP over the same moment cells, with one row
+per overcomplete cell, and the normalization and marginalization equalities
+over its cells, solved by HiGHS. A ground model's LP must be the
+reference's row for row, a lifted LP's rows the reference's distinct rows,
+and the optima must agree.
 """
 
 import itertools
@@ -37,7 +39,15 @@ from liftedmap.fixtures import (
 )
 from liftedmap.model import Feature, Model, assignments
 from liftedmap.oracle import exact_enumerate
-from overcomplete import assert_matches_the_overcomplete_reference, lifted, overcomplete_optimum
+from overcomplete import (
+    assert_matches_the_overcomplete_reference,
+    assert_trivial_lp_is_the_reference,
+    highs_value,
+    overcomplete_lift,
+    overcomplete_optimum,
+    reference_cut_row,
+    reference_local_lp,
+)
 
 PARITY4 = tuple(float(sum(a) % 2) for a in assignments(4))
 AND4 = (0.0,) * 15 + (1.0,)
@@ -93,6 +103,57 @@ def test_fixture_matches_the_overcomplete_reference(name):
     )
 
 
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_fixture_trivial_lp_is_the_reference_row_for_row(name):
+    assert_trivial_lp_is_the_reference(FIXTURES[name]())
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lovers_smokers_trivial_lp_is_the_reference_row_for_row(d):
+    model, _ = ground_mln(parse_mln(LOVERS_SMOKERS_MLN), domain_size=d)
+    assert_trivial_lp_is_the_reference(model)
+    # dyadic weights: every sum is exact, so the objective is the same floats
+    lp = build_local_lp(model)
+    ref_lp, _ = reference_local_lp(overcomplete_lift(model))
+    assert lp.objective.tobytes() == ref_lp.objective.tobytes()
+
+
+def assert_cycle_run_matches_the_reference(target):
+    """A cycle run's objective is HiGHS on the reference LP plus the run's
+    cuts, each mapped through the reference's cells, within 1e-9."""
+    result = cutting_plane_map(target, MapOptions(polytope="cycle"))
+    assert result.status == "optimal"
+    ref = overcomplete_lift(target)
+    ref_lp, moments = reference_local_lp(ref)
+    ref_lp.rows += [reference_cut_row(cut, ref, moments) for cut in result.cuts_added]
+    assert abs(result.objective - highs_value(ref_lp)) <= 1e-9
+    return result
+
+
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_fixture_cycle_runs_match_the_reference(name):
+    model = FIXTURES[name]()
+    assert_cycle_run_matches_the_reference(model)
+    assert_cycle_run_matches_the_reference(build_lifted_model(model, GeneratorSymmetries(model)))
+
+
+# the cycle optima before the lift moved to moment cells
+LOVERS_SMOKERS_CYCLE = {2: 205.25, 3: 309.75, 4: 415.5, 5: 522.5}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_lovers_smokers_lifted_objectives_match_the_reference(d):
+    # local: the overcomplete reference, with renaming and with search
+    # orbits; cycle: HiGHS on the reference LP plus the run's cuts, each
+    # mapped through the reference's cells
+    model, gmap = ground_mln(parse_mln(LOVERS_SMOKERS_MLN), domain_size=d)
+    for sym in (RenamingSymmetries(model, gmap), GeneratorSymmetries(model)):
+        lm = build_lifted_model(model, sym)
+        assert_matches_the_overcomplete_reference(lm)
+        result = assert_cycle_run_matches_the_reference(lm)
+        assert abs(result.objective - LOVERS_SMOKERS_CYCLE[d]) <= 1e-9
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_lovers_smokers_matches_the_overcomplete_reference(d):
     model, gmap = ground_mln(parse_mln(LOVERS_SMOKERS_MLN), domain_size=d)
@@ -119,7 +180,7 @@ def test_four_ary_ground_equals_lifted(name, polytope):
     lifted_run = cutting_plane_map(build_lifted_model(model, GeneratorSymmetries(model)), opts)
     assert ground.status == lifted_run.status == "optimal"
     assert lifted_run.objective == pytest.approx(ground.objective, abs=1e-9)
-    local = overcomplete_optimum(lifted(model))
+    local = overcomplete_optimum(overcomplete_lift(model))
     if polytope == "local":
         assert ground.objective == pytest.approx(local, abs=1e-9)
     else:
@@ -133,4 +194,4 @@ def test_four_ary_ring_is_cut():
     result = cutting_plane_map(model, MapOptions(polytope="cycle"))
     assert result.cuts_added
     assert result.objective == pytest.approx(exact_enumerate(model).map_value, abs=1e-9)
-    assert result.objective < overcomplete_optimum(lifted(model)) - 0.1
+    assert result.objective < overcomplete_optimum(overcomplete_lift(model)) - 0.1

@@ -5,10 +5,19 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import circulant_7_1_3
-from overcomplete import lifted as trivial_or_lifted, max_violation
+from overcomplete import (
+    ground_moments,
+    lifted as trivial_or_lifted,
+    overcomplete_lift,
+    point_of,
+    reference_local_lp,
+    rep_point,
+)
 from liftedmap import (
     GeneratorSymmetries,
     MapOptions,
@@ -18,7 +27,6 @@ from liftedmap import (
     build_local_lp,
     cutting_plane_map,
     ground_mln,
-    lift_vector,
     parse_evidence,
     parse_mln,
     simplex_solve,
@@ -35,6 +43,7 @@ from liftedmap.fixtures import (
     triple_parity,
     unary_logistic,
 )
+from liftedmap.lift import MomentLayout
 from liftedmap.mln import _joint_signature, atom_signature
 from liftedmap.model import OvercompleteLayout, score, skeleton
 from liftedmap.oracle import enumerate_cycle_constraints, exact_enumerate
@@ -108,9 +117,13 @@ def stabilized_graphs_from_edge_orbits(lifted):
                  for edges, sources in groups.values())
 
 
-def moment_matrix(lp):
-    """M of a local LP, dense: column j is the cell values of the j-th unit vector."""
-    return np.column_stack([lp.moments.tau(e) for e in np.eye(lp.num_vars)])
+def uniform_moments(lm):
+    """The LP point of the uniform distribution: each moment 2^-|S|."""
+    x = np.ones(lm.num_cells + 1)
+    for info in lm.node_info + lm.edge_info + lm.factor_info:
+        for s, cell in enumerate(info.cells):
+            x[cell + 1] = 2.0 ** -bin(s).count("1")
+    return x
 
 
 def frustrated_point(model):
@@ -475,6 +488,29 @@ class TestMirrorShortestPath:
         assert steps is None
         assert total == np.inf
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5), st.integers(0, 5),
+                st.sampled_from((0.0, 0.125, 0.25, 0.5, 0.75, 1.0)),
+                st.sampled_from((0.0, 0.125, 0.25, 0.5, 0.75, 1.0)),
+            ),
+            max_size=12,
+        ),
+        st.integers(0, 5),
+        st.sampled_from((0.0, 0.125, 0.25, 0.5, 0.75, 1.0 - 1e-6, 1.0, 1.5)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bounded_walk_is_the_unbounded_one_within_its_bound(self, edges, source, bound):
+        # dyadic weights make ties at the bound common
+        adj = mirror_graph((k, a, b, cut_w, nocut_w) for k, (a, b, cut_w, nocut_w) in enumerate(edges))
+        walk = mirror_walk(adj, source)
+        bounded = mirror_walk(adj, source, bound)
+        if walk[1] <= bound:
+            assert bounded == walk
+        else:
+            assert bounded == (None, np.inf)
+
     def test_negative_weights_clamp_to_zero(self):
         steps, total = mirror_walk(mirror_graph(tri(cut_w=-1.0, nocut_w=-0.5)), 0)
         assert total == 0.0
@@ -547,10 +583,11 @@ class TestGroundSeparation:
             CycleConstraint(space="lifted", steps=steps, lhs=0.0, source=0), model
         )
         assert (sense, rhs) == (">=", 1.0)
+        moments = MomentLayout(model)
         values = []
         for x in np.ndindex(2, 2, 2):
-            tau = layout.phi_vector(tuple(x))
-            values.append(sum(c * tau[j] for j, c in row))
+            mu = np.concatenate(([1.0], ground_moments(layout.phi_vector(tuple(x)), moments)))
+            values.append(sum(c * mu[j] for j, c in row))
         # an odd cycle cannot disagree on every edge, so the row is tight at 1
         assert min(values) == pytest.approx(1.0, abs=1e-12)
         assert all(v >= 1.0 - 1e-12 for v in values)
@@ -563,7 +600,7 @@ class TestLiftedSeparation:
         lifted = build_lifted_model(model, sym)
         stabilized = build_stabilized_graphs(lifted)
         tau = frustrated_point(model)
-        tau_bar = lift_vector(tau, lifted.index)
+        tau_bar = rep_point(tau, lifted)
         ground_cut = separate_cycles_ground(model, tau)
         lifted_cut = separate_cycles_lifted(lifted, stabilized, tau_bar)
         assert ground_cut is not None and lifted_cut is not None
@@ -571,7 +608,7 @@ class TestLiftedSeparation:
         assert lifted_cut.lhs == pytest.approx(ground_cut.lhs, abs=1e-9)
         row, sense, rhs = constraint_row(lifted_cut, lifted)
         assert (sense, rhs) == (">=", 1.0)
-        assert all(0 <= j < lifted.num_cells for j, _ in row)
+        assert all(0 <= j <= lifted.num_cells for j, _ in row)
 
     def test_circulant_lifted_cycle_objective_matches_ground(self):
         model = circulant_7_1_3()
@@ -627,13 +664,14 @@ class TestLocalRelaxation:
         lp = build_local_lp(model)
         assert (lp.num_vars, len(lp.rows)) == (10, 15)
         assert lp.bounds == [(1.0, 1.0)] + [(0.0, 1.0)] * 9
-        layout = OvercompleteLayout(model)
-        assert lp.objective == pytest.approx(layout.theta_vector() @ moment_matrix(lp), abs=1e-12)
+        reference, _ = reference_local_lp(overcomplete_lift(model))
+        assert lp.objective == pytest.approx(reference.objective, abs=1e-12)
 
         lifted = build_lifted_model(model, GeneratorSymmetries(model))
         lp_bar = build_local_lp(lifted)
         assert (lp_bar.num_vars, len(lp_bar.rows)) == (5, 5)
-        assert lp_bar.objective == pytest.approx(lifted.theta_bar @ moment_matrix(lp_bar), abs=1e-12)
+        reference, _ = reference_local_lp(overcomplete_lift(lifted))
+        assert lp_bar.objective == pytest.approx(reference.objective, abs=1e-12)
 
     def test_higher_order_shape(self):
         # plus one moment per triple; 7 rows per triple, its 111 cell being a bound
@@ -646,8 +684,13 @@ class TestLocalRelaxation:
 
     @pytest.mark.parametrize("model", [ex1(), triangle(), triple_parity(4)])
     def test_uniform_point_is_feasible(self, model):
+        # the uniform distribution's moments satisfy every row, and their
+        # point is the uniform point
         for target in (model, build_lifted_model(model, GeneratorSymmetries(model))):
-            assert max_violation(uniform_interior(target), trivial_or_lifted(target)) <= 1e-12
+            lp = build_local_lp(target)
+            x = uniform_moments(trivial_or_lifted(target))
+            assert rows_satisfied(x, lp.rows, tol=0.0)
+            assert lp.marginals.tau(x).tobytes() == uniform_interior(target).tobytes()
 
     @pytest.mark.parametrize(
         "name, sources",
@@ -662,8 +705,8 @@ class TestLocalRelaxation:
         ],
     )
     def test_lifted_uniform_is_bitwise_the_cell_average(self, name, sources, models_dir):
-        # the ground uniform point averaged over each cell is the reference:
-        # the cells hold identical powers of two
+        # the ground uniform point averaged over each overcomplete cell is
+        # the reference: the cells hold identical powers of two
         if name.startswith("lovers_smokers"):
             d = int(name[-1])
             model, gmap = ground_mln(parse_mln(LOVERS_SMOKERS_MLN), domain_size=d)
@@ -678,12 +721,13 @@ class TestLocalRelaxation:
                 "renaming": lambda m: RenamingSymmetries(m, gmap)}
         for source in sources:
             lm = build_lifted_model(model, make[source](model))
-            ground = [
+            ref = overcomplete_lift(lm)
+            ground = np.array([
                 0.5 if key[0] == "node" else 0.25 if key[0] == "edge" else 2.0 ** -len(key[2])
-                for key in lm.index.layout.keys
-            ]
-            reference = lift_vector(ground, lm.index)
-            assert uniform_interior(lm).tobytes() == reference.tobytes()
+                for key in ref.layout.keys
+            ])
+            averages = np.array([ground[list(members)].mean() for members in ref.cells])
+            assert uniform_interior(lm).tobytes() == point_of(averages, ref).tobytes()
             if name == "triple_parity":
                 assert lm.factor_info
 
@@ -706,11 +750,13 @@ class TestLocalRelaxation:
         zeros_phi = OvercompleteLayout(model).phi_vector([0] * model.num_vars)
         if space == "ground":
             lp = build_local_lp(model)
-            assert np.array_equal(lp.moments.tau(lp.start), zeros_phi)
+            point = lp.marginals.tau(lp.start)
+            # the node and edge blocks of the overcomplete layout
+            assert np.array_equal(point, zeros_phi[: point.size])
         else:
             lifted = build_lifted_model(model, sym)
             lp = build_local_lp(lifted)
-            assert np.array_equal(lp.moments.tau(lp.start), lift_vector(zeros_phi, lifted.index))
+            assert np.array_equal(lp.marginals.tau(lp.start), rep_point(zeros_phi, lifted))
         assert lp.start.tolist() == [1.0] + [0.0] * (lp.num_vars - 1)
         assert rows_satisfied(lp.start, lp.rows, tol=0.0)
         zeros_score = score(model, [0] * model.num_vars)
@@ -840,7 +886,7 @@ class TestCuttingPlaneMap:
         rows = list(lp.rows)
         for k, bound in enumerate(result.bounds):
             if k:
-                rows.append(lp.moments.row(constraint_row(result.cuts_added[k - 1], model)))
+                rows.append(constraint_row(result.cuts_added[k - 1], model))
             cold = simplex_solve(
                 LinearProgram(lp.num_vars, lp.objective, rows, lp.bounds), start=lp.start
             )
@@ -857,13 +903,13 @@ class TestCuttingPlaneMap:
 
     def test_ground_run_builds_one_layout(self, monkeypatch):
         builds = []
-        init = OvercompleteLayout.__init__
+        init = MomentLayout.__init__
 
         def counting_init(self, model):
             builds.append(model)
             init(self, model)
 
-        monkeypatch.setattr(OvercompleteLayout, "__init__", counting_init)
+        monkeypatch.setattr(MomentLayout, "__init__", counting_init)
         result = cutting_plane_map(fully_connected_symmetric(5, -1.0), MapOptions(polytope="cycle"))
         assert result.cuts_added
         assert len(builds) == 1

@@ -424,7 +424,7 @@ def test_orbit_bundle_ex1_frozen_cells():
     assert sorted(len(c) for c in b.edges.cells) == [1, 4]
     assert sorted(len(c) for c in b.arcs.cells) == [2, 4, 4]
     assert sorted(len(c) for c in b.features.cells) == [1, 4]
-    assert b.factor_assignments.cells == ()  # pairwise model: no factor blocks
+    assert b.factor_moments.cells == ()  # pairwise model: no factor moments
 
 
 def test_orbit_cells_closed_under_generators():
@@ -434,7 +434,7 @@ def test_orbit_cells_closed_under_generators():
         b = s.bundle()
         for domain, part in (("vars", b.vars), ("features", b.features),
                              ("edges", b.edges), ("arcs", b.arcs),
-                             ("factor-assignments", b.factor_assignments)):
+                             ("factor-moments", b.factor_moments)):
             cell_of = {}
             for i, cell in enumerate(part.cells):
                 for e in cell:
