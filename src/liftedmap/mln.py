@@ -640,16 +640,14 @@ class RenamingSymmetries:
                 tags = [(atoms[v][0], _tags_of(atoms[v][1], dist, anon)) for v in f.scope]
                 order[j] = sorted(range(f.arity), key=tags.__getitem__)
 
-        def arc_key(arc):
-            u, v = arc
-            return _joint_signature(atoms[u], atoms[v], dist)
-
-        arcs = _by_signature("arcs", model, arc_key)
-
         def edge_key(e):
-            # the reverse arc's signature is a function of the arc's, so the
-            # smaller of the two arc orbits names the edge orbit
-            return min(arcs.cell_of[e], arcs.cell_of[e[::-1]])
+            # a renaming maps an edge onto another iff it maps one of its
+            # directions onto a direction of the other; the reverse
+            # direction's signature is a function of the forward one's, so
+            # the smaller of the two names the edge orbit
+            u, v = e
+            return min(_joint_signature(atoms[u], atoms[v], dist),
+                       _joint_signature(atoms[v], atoms[u], dist))
 
         def fm_key(element):
             j, a = element
@@ -659,7 +657,6 @@ class RenamingSymmetries:
             vars=_by_signature("vars", model, lambda v: atom_signature(atoms[v], dist)),
             features=_by_signature("features", model, fkey.__getitem__),
             edges=_by_signature("edges", model, edge_key),
-            arcs=arcs,
             factor_moments=_by_signature("factor-moments", model, fm_key),
         )
 

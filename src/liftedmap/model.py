@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 
@@ -65,24 +66,25 @@ class Feature:
     table: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "scope", tuple(int(v) for v in self.scope))
-        object.__setattr__(self, "table", tuple(float(t) for t in self.table))
-        if len(self.scope) < 1:
+        # each check is one C-level pass: a grounded MLN builds thousands of features
+        scope = tuple(map(int, self.scope))
+        table = tuple(map(float, self.table))
+        object.__setattr__(self, "scope", scope)
+        object.__setattr__(self, "table", table)
+        if len(scope) < 1:
             raise ModelError("feature scope is empty")
-        for a, b in zip(self.scope, self.scope[1:]):
-            if a >= b:
-                raise ModelError("scope must be strictly increasing: %r" % (self.scope,))
-        if self.scope[0] < 0:
-            raise ModelError("variable index out of range: %d" % self.scope[0])
-        expected = 2 ** len(self.scope)
-        if len(self.table) != expected:
+        if not all(map(operator.lt, scope, scope[1:])):
+            raise ModelError("scope must be strictly increasing: %r" % (scope,))
+        if scope[0] < 0:
+            raise ModelError("variable index out of range: %d" % scope[0])
+        expected = 2 ** len(scope)
+        if len(table) != expected:
             raise ModelError(
-                "table length mismatch: expected %d entries, got %d"
-                % (expected, len(self.table))
+                "table length mismatch: expected %d entries, got %d" % (expected, len(table))
             )
-        for t in self.table:
-            if not math.isfinite(t):
-                raise ModelError("table entry is not finite: %r" % t)
+        if not all(map(math.isfinite, table)):
+            bad = next(t for t in table if not math.isfinite(t))
+            raise ModelError("table entry is not finite: %r" % bad)
 
     @property
     def arity(self) -> int:

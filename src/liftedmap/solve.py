@@ -14,10 +14,9 @@ and one per moment cell. Its rows are the distinct "P(a) >= 0" of the
 edge-orbit and factor-orbit representatives, except the all-ones ones,
 which are single moments kept in [0, 1] by the variable bounds.
 Normalization and marginalization hold by construction, so there are no
-equality rows. Separation and decoding read a small point evaluated from
-each optimum (MarginalMap): each node orbit's marginals and each edge
-orbit's four assignment probabilities. A cycle row needs only the latter,
-so it is written over the LP variables directly.
+equality rows. The LP's point x is the only point a run handles:
+separation reads each edge orbit's disagreement mu_u + mu_v - 2 mu_uv off
+it, and decoding each node orbit's mu_v.
 
 Cycle tightening adds odd-crossing inequalities: around any closed walk, a
 configuration flips value an even number of times, so for an odd edge subset
@@ -37,18 +36,19 @@ the full edge orbit carries the edge's weights. Node orbits with the same
 variable orbits share one mirror graph, so under the trivial group one
 graph is searched from every variable, as in separate_cycles_ground.
 
-The cutting-plane driver uses an in-out step: separation happens at
-sigma = ALPHA * tau_out + (1 - ALPHA) * tau_in, where tau_in is a point
-known to satisfy all cycle inequalities (initially the uniform
-pseudomarginal) and tau_out is the current LP optimum. If sigma admits no
-cut it becomes the new tau_in and separation retries at tau_out; if that
-also finds nothing the loop has converged.
+The cutting-plane driver uses an in-out step over LP points: separation
+happens at sigma = ALPHA * x_out + (1 - ALPHA) * x_in, where x_in is a
+point known to satisfy all cycle inequalities (initially the uniform
+distribution's moments) and x_out is the current LP optimum. If sigma
+admits no cut it becomes the new x_in and separation retries at x_out; if
+that also finds nothing the loop has converged.
 
 The LP solver is one self-contained dense simplex tableau on the
 bounded-variable standard form (SimplexTableau); no external solver is
-involved. Every row has a slack and starts basic in it, so a start vertex
-must satisfy every row. The local LP starts at every moment 0, the vertex
-of the all-zeros configuration, which satisfies every local and cycle row.
+involved. Every variable starts at its lower bound, and every row has a
+slack and starts basic in it, so that vertex must satisfy every row. The
+local LP's lower-bound vertex has every moment 0: it is the all-zeros
+configuration, which satisfies every local and cycle row.
 A pivot updates only the rows where the pivot column is nonzero times the
 columns where the pivot row is. The cutting-plane driver keeps its tableau
 across rounds: each cut row is appended to the last optimal tableau with
@@ -59,6 +59,7 @@ feasibility, instead of a cold re-solve.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass
 
@@ -89,9 +90,7 @@ class LinearProgram:
     num_vars: int
     objective: np.ndarray
     rows: list
-    bounds: list  # (lo, hi) per variable; hi may be None for unbounded
-    start: np.ndarray = None  # optional start vertex for simplex_solve
-    marginals: MarginalMap = None  # a local LP's map from its variables to its point
+    bounds: list  # (lo, hi) per variable: lo finite, hi None for unbounded
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -101,6 +100,12 @@ class LinearProgram:
             raise SolveError("objective has non-finite coefficients")
         if len(self.bounds) != self.num_vars:
             raise SolveError("bounds length does not match num_vars")
+        for j, (lo, hi) in enumerate(self.bounds):
+            # the simplex starts every variable at its lower bound
+            if lo is None or not math.isfinite(lo):
+                raise SolveError("lower bound of variable %d is not finite" % j)
+            if hi is not None and (math.isnan(hi) or lo > hi):
+                raise SolveError("bounds %r of variable %d are not a range" % ((lo, hi), j))
         for row in self.rows:
             _check_row(row, self.num_vars)
 
@@ -133,35 +138,14 @@ _PIVOT_CAP = 200000
 _RESYNC_EVERY = 500
 
 
-def _start_at_upper(lp: LinearProgram, start, lo, hi) -> np.ndarray:
-    """Which structural variables start nonbasic at their upper bound."""
-    start = np.asarray(start, dtype=float)
-    if start.shape != (lp.num_vars,):
-        raise SolveError(
-            "start has shape %r, expected (%d,)" % (start.shape, lp.num_vars)
-        )
-    at_lo = np.isfinite(lo) & (start == lo)
-    at_hi = np.isfinite(hi) & (start == hi)
-    bad = np.flatnonzero(~(at_lo | at_hi))
-    if bad.size:
-        j = int(bad[0])
-        raise SolveError(
-            "start value %r of variable %d is not one of its finite bounds %r"
-            % (float(start[j]), j, lp.bounds[j])
-        )
-    return at_hi & ~at_lo
-
-
 class SimplexTableau:
     """Dense bounded-variable simplex tableau of one LP, growable by rows.
 
     Columns are the structural variables, then one slack per row (+1 for
     <=, -1 for >=, bounds [0, inf)). T holds B^-1 A over those columns and
     xB the value of each row's basic variable. Structural variables start
-    nonbasic at their lower bounds, or, with start (one value per structural
-    variable, each equal to a finite lower or upper bound of its variable,
-    else SolveError), at the bound it names. Every row starts basic in its
-    slack, so the start must satisfy every row to within 1e-7, else
+    nonbasic at their lower bounds and every row starts basic in its slack,
+    so that lower-bound vertex must satisfy every row to within 1e-7, else
     SolveError.
 
     solve() is the primal simplex from the start basis. add_row() appends a
@@ -186,7 +170,7 @@ class SimplexTableau:
     counting as one, and the degenerate ones among them.
     """
 
-    def __init__(self, lp: LinearProgram, start=None):
+    def __init__(self, lp: LinearProgram):
         n, m = lp.num_vars, len(lp.rows)
         self.lp = lp
         self.rows = list(lp.rows)
@@ -207,13 +191,10 @@ class SimplexTableau:
         self.cost = np.zeros(ncols)
         self.cost[:n] = lp.objective
         self.at_upper = np.zeros(ncols, dtype=bool)
-        if start is not None:
-            self.at_upper[:n] = _start_at_upper(lp, start, self.lo[:n], self.hi[:n])
 
-        x_nb = np.where(self.at_upper[:n], self.hi[:n], self.lo[:n])
         diag = A[np.arange(m), n + np.arange(m)]  # the slacks' signs
         self.T = A / diag[:, None]  # inverse of the +-1 diagonal slack basis
-        self.xB = (b - A[:, :n] @ x_nb) / diag
+        self.xB = (b - A[:, :n] @ self.lo[:n]) / diag
         bad = np.flatnonzero(self.xB < -_FEAS_TOL)
         if bad.size:
             raise SolveError(
@@ -399,9 +380,9 @@ class SimplexTableau:
         return SolveOutcome(status="optimal", x=x_struct, value=value)
 
 
-def simplex_solve(lp: LinearProgram, start=None) -> SolveOutcome:
-    """Solve lp by the primal simplex from start (see SimplexTableau)."""
-    return SimplexTableau(lp, start).solve()
+def simplex_solve(lp: LinearProgram) -> SolveOutcome:
+    """Solve lp by the primal simplex from its lower bounds (see SimplexTableau)."""
+    return SimplexTableau(lp).solve()
 
 
 # ---------------------------------------------------------------------------
@@ -424,35 +405,6 @@ def _probability(cells, i) -> list:
     return sorted(acc.items())
 
 
-class MarginalMap:
-    """The linear map from a local LP's variables to the point that
-    separation and decoding read.
-
-    The point holds P(x = 0) and P(x = 1) of each node orbit's
-    representative at 2k and 2k + 1, then the four assignment probabilities
-    of each edge orbit's representative in table order, from 2 * (number of
-    node orbits) on. Under the trivial group it is the node and edge blocks
-    of the overcomplete layout. expansions[i] lists the (variable,
-    coefficient) terms of entry i, in variable order.
-    """
-
-    def __init__(self, lm: LiftedModel):
-        self.expansions = tuple(
-            _probability(info.cells, i)
-            for info in lm.node_info + lm.edge_info
-            for i in range(len(info.cells))
-        )
-        sizes = [len(terms) for terms in self.expansions]
-        self._entry = np.repeat(np.arange(len(sizes)), sizes)
-        self._var = np.array([j for terms in self.expansions for j, _ in terms], dtype=np.int64)
-        self._coef = np.array([c for terms in self.expansions for _, c in terms])
-
-    def tau(self, x) -> np.ndarray:
-        """The point of the LP point x."""
-        x = np.asarray(x, dtype=float)
-        return np.bincount(self._entry, self._coef * x[self._var], minlength=len(self.expansions))
-
-
 def _lifted(target) -> LiftedModel:
     """target itself, or a ground Model lifted under the trivial group."""
     if isinstance(target, LiftedModel):
@@ -471,8 +423,7 @@ def build_local_lp(target) -> LinearProgram:
     theta_bar. The rows are "P(a) >= 0" for each assignment of each edge
     orbit's and each arity >= 3 feature orbit's representative, each
     distinct row once in first-seen order; an all-ones assignment is a
-    single moment, which its bounds keep in [0, 1]. The start is every
-    moment at 0, the vertex of the all-zeros configuration.
+    single moment, which its bounds keep in [0, 1].
     """
     lm = _lifted(target)
     num_vars = lm.num_cells + 1
@@ -481,25 +432,24 @@ def build_local_lp(target) -> LinearProgram:
         for i in range(len(info.cells) - 1):
             terms = _probability(info.cells, i)
             rows.setdefault(tuple(terms), terms)
-    start = np.zeros(num_vars)
-    start[0] = 1.0
     return LinearProgram(
         num_vars=num_vars,
         objective=np.concatenate(([lm.constant], lm.theta_bar)),
         rows=[(terms, ">=", 0.0) for terms in rows.values()],
         bounds=[(1.0, 1.0)] + [(0.0, 1.0)] * (num_vars - 1),
-        start=start,
-        marginals=MarginalMap(lm),
     )
 
 
-def uniform_interior(target):
-    """The uniform point: every node and edge assignment probability 1/2
-    and 1/4 (see MarginalMap)."""
-    lm = _lifted(target)
-    out = np.full(2 * len(lm.node_info) + 4 * len(lm.edge_info), 0.25)
-    out[: 2 * len(lm.node_info)] = 0.5
-    return out
+def uniform_interior(lifted: LiftedModel) -> np.ndarray:
+    """The LP point of the uniform distribution: 2^-|S| for the moment of S.
+
+    Cells come variable orbits first, then edge orbits, then factor-moment
+    orbits, whose representative (feature, assignment) has ones on S.
+    """
+    b = lifted.bundle
+    sizes = [1] * b.vars.num_cells + [2] * b.edges.num_cells
+    sizes += [sum(a) for _, a in b.factor_moments.reps]
+    return np.concatenate(([1.0], 2.0 ** -np.array(sizes, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +546,9 @@ def separate_cycles_ground(model, tau):
 
     The reference for separate_cycles_lifted: one mirror graph over the
     model's ground edges, searched from every variable, each walk unbounded.
-    tau is over the overcomplete layout, whose edge block alone is read, so
-    the point of a ground run serves. cutting_plane_map solves a ground
-    model by its trivial lift instead, which takes the same walks.
+    tau is over the overcomplete layout, whose edge block alone is read.
+    cutting_plane_map solves a ground model by its trivial lift instead,
+    which takes the same walks.
     """
     layout = OvercompleteLayout(model)
     tau = np.asarray(tau, dtype=float)
@@ -675,19 +625,21 @@ def build_stabilized_graphs(lifted: LiftedModel):
     return tuple(graphs)
 
 
-def separate_cycles_lifted(lifted: LiftedModel, stabilized, tau_bar):
+def separate_cycles_lifted(lifted: LiftedModel, stabilized, x):
     """Most violated lifted cycle inequality across node orbits, or None.
 
-    tau_bar is a point as MarginalMap lays it out. Ties go to the smallest
-    node orbit. Each walk is bounded by the least total found so far and by
+    x is a point of the local LP. Edge orbit k's cut weight is its
+    representative's disagreement P(01) + P(10) = (mu_v - mu_uv) + (mu_u -
+    mu_uv), and its nocut weight is 1 - cut. Ties go to the smallest node
+    orbit. Each walk is bounded by the least total found so far and by
     1 - CYCLE_TOL, so a walk that can neither win nor violate stops early.
     """
-    tau_bar = np.asarray(tau_bar, dtype=float)
-    first = 2 * len(lifted.node_info)
-    weights = {}
-    for k in range(len(lifted.edge_info)):
-        p00, p01, p10, p11 = tau_bar[first + 4 * k: first + 4 * k + 4]
-        weights[k] = (p01 + p10, p00 + p11)
+    x = np.asarray(x, dtype=float)
+    # OrbitInfo.cells of an edge: the constant, then the moments of v, u and uv
+    moments = np.array([info.cells[1:] for info in lifted.edge_info], dtype=np.int64)
+    mu_v, mu_u, mu_uv = x[moments.reshape(-1, 3) + 1].T
+    cut = (mu_v - mu_uv) + (mu_u - mu_uv)
+    weights = tuple(zip(cut.tolist(), (1.0 - cut).tolist()))
     best = None
     for g in stabilized:
         adj = mirror_graph((ek, a, b, *weights[ek]) for ek, a, b in g.edges)
@@ -704,19 +656,16 @@ def separate_cycles_lifted(lifted: LiftedModel, stabilized, tau_bar):
     return CycleConstraint(space="lifted", steps=steps, lhs=total, source=orbit)
 
 
-def constraint_row(constraint: CycleConstraint, target):
+def constraint_row(constraint: CycleConstraint, lifted: LiftedModel):
     """LP row (coeffs, ">=", 1.0) of a cycle constraint keyed by edge orbits,
     over the local LP's variables.
 
     Each step adds its edge's agreement P(00) + P(11) when in F, else its
-    disagreement P(01) + P(10) = mu_u + mu_v - 2 mu_uv. target is the
-    LiftedModel, or the ground Model whose trivial lift, the one
-    cutting_plane_map solves, has edge orbit k = the k-th skeleton edge.
+    disagreement P(01) + P(10) = mu_u + mu_v - 2 mu_uv.
     """
-    lm = _lifted(target)
     acc = {}
     for k, in_f in constraint.steps:
-        cells = lm.edge_info[k].cells
+        cells = lifted.edge_info[k].cells
         for i in (0, 3) if in_f else (1, 2):
             for j, c in _probability(cells, i):
                 acc[j] = acc.get(j, 0.0) + c
@@ -727,31 +676,27 @@ def constraint_row(constraint: CycleConstraint, target):
 # decoding and the cutting-plane driver
 
 
-def decode(tau, target, space=None):
+def decode(x, lifted: LiftedModel, space: str):
     """Round node marginals at 1/2 (ties to 0) and report fractionality.
 
-    tau is a point as MarginalMap lays it out: node orbit k's P(x = 1) is
-    tau[2k + 1]. target is a LiftedModel, or a ground Model decoded by its
-    trivial lift. space, by default the target's, shapes the output: a
-    lifted decode also reports the orbit representatives, values and
-    marginals.
+    x is a point of the local LP: node orbit k's P(x = 1) is its moment,
+    x[node_info[k].cells[1] + 1]. space shapes the output: a lifted decode
+    also reports the orbit representatives, values and marginals.
     """
-    tau = np.asarray(tau, dtype=float)
-    lm = _lifted(target)
-    marginals = [float(tau[2 * k + 1]) for k in range(len(lm.node_info))]
+    marginals = [float(x[info.cells[1] + 1]) for info in lifted.node_info]
     values = [1 if p1 > 0.5 else 0 for p1 in marginals]
-    config = [0] * lm.model.num_vars
-    for k, members in enumerate(lm.bundle.vars.cells):
+    config = [0] * lifted.model.num_vars
+    for k, members in enumerate(lifted.bundle.vars.cells):
         for v in members:
             config[v] = values[k]
     out = {
-        "space": space or ("lifted" if lm is target else "ground"),
+        "space": space,
         "fractional": any(1e-6 < p1 < 1.0 - 1e-6 for p1 in marginals),
         "configuration": config,
-        "score": score(lm.model, config),
+        "score": score(lifted.model, config),
     }
-    if out["space"] == "lifted":
-        out["orbit_reps"] = [info.rep for info in lm.node_info]
+    if space == "lifted":
+        out["orbit_reps"] = [info.rep for info in lifted.node_info]
         out["orbit_values"] = values
         out["orbit_marginals"] = marginals
     return out
@@ -768,7 +713,7 @@ class MapResult:
     status: str  # "optimal" | "cap"
     space: str
     objective: float
-    tau: np.ndarray  # the final point, as MarginalMap lays it out
+    tau: np.ndarray  # the final LP point x: the constant 1, then each cell's moment
     bounds: tuple
     cuts_added: tuple
     cut_iterations: int
@@ -813,10 +758,9 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
     lifted = _lifted(target)  # built once, shared by every step
     space = "lifted" if lifted is target else "ground"
     lp = build_local_lp(lifted)
-    marginals = lp.marginals
     timings["build_ms"] += (time.perf_counter() - t0) * 1000
     t0 = time.perf_counter()
-    tableau = SimplexTableau(lp, lp.start)
+    tableau = SimplexTableau(lp)
     timings["solve_ms"] += (time.perf_counter() - t0) * 1000
 
     def solve_now(row=None):
@@ -829,7 +773,7 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
 
     out = solve_now()
     bounds = [out.value]
-    tau_out = marginals.tau(out.x)
+    x_out = out.x
     cuts = []
     seen = set()
     status = "optimal"
@@ -838,14 +782,14 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
         t0 = time.perf_counter()
         stabilized = build_stabilized_graphs(lifted)
         timings["build_ms"] += (time.perf_counter() - t0) * 1000
-        tau_in = uniform_interior(lifted)
+        x_in = uniform_interior(lifted)
         while True:
             t1 = time.perf_counter()
-            sigma = ALPHA * tau_out + (1.0 - ALPHA) * tau_in
+            sigma = ALPHA * x_out + (1.0 - ALPHA) * x_in
             cut = separate_cycles_lifted(lifted, stabilized, sigma)
             if cut is None:
-                tau_in = sigma
-                cut = separate_cycles_lifted(lifted, stabilized, tau_out)
+                x_in = sigma
+                cut = separate_cycles_lifted(lifted, stabilized, x_out)
             timings["separate_ms"] += (time.perf_counter() - t1) * 1000
             if cut is None:
                 status = "optimal"
@@ -859,17 +803,17 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
             cuts.append(cut)
             out = solve_now(constraint_row(cut, lifted))
             bounds.append(out.value)
-            tau_out = marginals.tau(out.x)
+            x_out = out.x
 
     objective = out.value
-    decoded = decode(tau_out, lifted, space)
+    decoded = decode(x_out, lifted, space)
     timings["total_ms"] = (time.perf_counter() - t_start) * 1000
     timings = {k: round(v, 3) for k, v in timings.items()}
     return MapResult(
         status=status,
         space=space,
         objective=objective,
-        tau=tau_out,
+        tau=x_out,
         bounds=tuple(bounds),
         cuts_added=tuple(cuts),
         cut_iterations=len(bounds) - 1,

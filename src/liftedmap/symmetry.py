@@ -112,14 +112,13 @@ class OrbitPartition:
 
 @dataclass(frozen=True)
 class OrbitBundle:
-    """Orbit partitions of all five element domains of one model. A factor
+    """Orbit partitions of the four element domains of one model. A factor
     moment is an arity >= 3 feature's (feature, assignment) pair with at
-    least three ones; arcs make no lifted cells."""
+    least three ones."""
 
     vars: OrbitPartition
     features: OrbitPartition
     edges: OrbitPartition
-    arcs: OrbitPartition
     factor_moments: OrbitPartition
 
 
@@ -552,8 +551,6 @@ def _domain_elements(domain, model):
         return list(range(model.num_features))
     if domain == "edges":
         return list(skeleton(model).edges)
-    if domain == "arcs":
-        return [a for (u, v) in skeleton(model).edges for a in ((u, v), (v, u))]
     if domain == "factor-moments":
         return [(j, a) for j, f in enumerate(model.features) for a in moment_assignments(f.arity)]
     raise ModelError("unknown orbit domain %r" % (domain,))
@@ -570,9 +567,6 @@ def act_element(domain, element, pair: PermutationPair, model: Model):
         u, v = element
         a, b = pi[u], pi[v]
         return (a, b) if a < b else (b, a)
-    if domain == "arcs":
-        u, v = element
-        return (pi[u], pi[v])
     if domain == "factor-moments":
         j, a = element
         j2 = pair.feature_perm[j]
@@ -601,12 +595,11 @@ def orbits_of(gens, domain: str, model: Model) -> OrbitPartition:
 
 
 def compute_orbit_bundle(gens, model: Model) -> OrbitBundle:
-    """Orbit partitions of all five domains under one generator set."""
+    """Orbit partitions of all four domains under one generator set."""
     return OrbitBundle(
         vars=orbits_of(gens, "vars", model),
         features=orbits_of(gens, "features", model),
         edges=orbits_of(gens, "edges", model),
-        arcs=orbits_of(gens, "arcs", model),
         factor_moments=orbits_of(gens, "factor-moments", model),
     )
 

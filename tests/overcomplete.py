@@ -5,7 +5,9 @@ coordinate into cells: per variable orbit one cell for each value, per edge
 orbit one for (0,0) and one for (1,1), per arc orbit one holding the
 opposite-value coordinates, and one cell per factor-assignment orbit, all
 numbered by their first coordinate in the OvercompleteLayout
-(OvercompleteLift). Its local LP (reference_local_lp) had one variable
+(OvercompleteLift). The symmetry sources give neither arc nor
+factor-assignment orbits, so the reference computes its own (arc_orbits,
+factor_assignment_orbits). Its local LP (reference_local_lp) had one variable
 fixed at 1 and one per moment cell (node value 1, edge 11, factor
 assignment with >= 3 ones), the objective theta_bar M, and one row
 "cell >= 0" per cell that is not a single moment, where M maps the LP
@@ -33,8 +35,8 @@ from liftedmap import (
     build_local_lp,
     simplex_solve,
 )
-from liftedmap.mln import _feature_key, _tags_of
-from liftedmap.model import OvercompleteLayout, assignments
+from liftedmap.mln import _feature_key, _joint_signature, _tags_of
+from liftedmap.model import OvercompleteLayout, assignments, skeleton
 from liftedmap.solve import LinearProgram
 from liftedmap.symmetry import OrbitPartition, _UnionFind, act_element
 
@@ -48,27 +50,101 @@ def lifted(target) -> LiftedModel:
 
 def ground_moments(tau, layout) -> np.ndarray:
     """The moments of an overcomplete vector, in a MomentLayout's order:
-    each variable's value 1, each edge's 11 and each factor moment's
-    assignment."""
+    each variable's value 1, each edge's 11 and, per factor moment (j, a),
+    the sum of feature j's assignments that are 1 wherever a is."""
     over = OvercompleteLayout(layout.model)
-    index = [over.node_index(v, 1) for v in range(layout.model.num_vars)]
-    index += [over.edge_index(u, v, 1, 1) for u, v in layout.edges]
-    index += [over.factor_index(j, a) for j, a in layout.factor_moments]
-    return np.asarray(tau, dtype=float)[index]
+    tau = np.asarray(tau, dtype=float)
+    out = [tau[over.node_index(v, 1)] for v in range(layout.model.num_vars)]
+    out += [tau[over.edge_index(u, v, 1, 1)] for u, v in layout.edges]
+    for j, a in layout.factor_moments:
+        arity = layout.model.features[j].arity
+        out.append(sum(
+            tau[over.factor_index(j, b)]
+            for b in assignments(arity)
+            if all(bit >= need for bit, need in zip(b, a))
+        ))
+    return np.array(out)
 
 
-def rep_point(tau, lm) -> np.ndarray:
-    """An orbit-constant overcomplete vector as the point a lifted model's
-    separation and decoding read: each node orbit's two values and each
-    edge orbit's 00, 01, 10 and 11, read at the representatives."""
-    over = OvercompleteLayout(lm.model)
-    index = [over.node_index(info.rep, t) for info in lm.node_info for t in (0, 1)]
-    index += [over.edge_index(*info.rep, a, b) for info in lm.edge_info for a, b in assignments(2)]
-    return np.asarray(tau, dtype=float)[index]
+def lp_point(tau, target) -> np.ndarray:
+    """The local LP point of an overcomplete vector: the constant 1, then
+    each cell's mean ground moment (its moment, for an orbit-constant
+    vector)."""
+    lm = lifted(target)
+    mu = ground_moments(tau, lm.index.layout)
+    rho = lm.index.rho
+    sums = np.bincount(rho, mu, minlength=lm.num_cells)
+    return np.concatenate(([1.0], sums / np.bincount(rho, minlength=lm.num_cells)))
+
+
+def overcomplete_point(x, target) -> np.ndarray:
+    """The overcomplete vector of a local LP point x: each coordinate's
+    assignment probability P(a), the Moebius sum over the supersets T of
+    a's ones of (-1)^|T - ones(a)| times T's moment, read at its cell."""
+    lm = lifted(target)
+    model, layout = lm.model, lm.index.layout
+    mu = np.asarray(x, dtype=float)[lm.index.rho + 1]
+    position = {e: model.num_vars + i for i, e in enumerate(layout.edges)}
+    first = model.num_vars + len(layout.edges)
+    position.update({m: first + i for i, m in enumerate(layout.factor_moments)})
+
+    def moment(j, scope, bits):
+        ones = tuple(v for v, bit in zip(scope, bits) if bit)
+        if not ones:
+            return 1.0
+        if len(ones) == 1:
+            return mu[ones[0]]
+        return mu[position[ones if len(ones) == 2 else (j, tuple(bits))]]
+
+    out = []
+    for key in OvercompleteLayout(model).keys:
+        j, scope, a = _scope_assignment(key, model)
+        out.append(sum(
+            (-1.0) ** (sum(b) - sum(a)) * moment(j, scope, b)
+            for b in assignments(len(scope))
+            if all(bit >= need for bit, need in zip(b, a))
+        ))
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
 # the overcomplete-cell lift
+
+
+def _generator_orbits(sym, elements, act) -> OrbitPartition:
+    """Orbits of elements under a generator source's generators; act(e, g)
+    is the image of e under generator g."""
+    index = {e: i for i, e in enumerate(elements)}
+    uf = _UnionFind(len(elements))
+    for g in sym.gens.generators:
+        for e in elements:
+            uf.union(index[e], index[act(e, g)])
+    return OrbitPartition.group(elements, lambda e: uf.find(index[e]))
+
+
+def arc_orbits(sym) -> OrbitPartition:
+    """Orbits of the arcs (u, v) and (v, u) of every skeleton edge.
+
+    The renaming source keys an arc by the joint signature of its atoms; a
+    generator source takes the orbits of its generators.
+    """
+    elements = [a for (u, v) in skeleton(sym.model).edges for a in ((u, v), (v, u))]
+    if isinstance(sym, RenamingSymmetries):
+        atoms, dist = sym.gmap.atoms, sym.distinguished
+        return OrbitPartition.group(
+            elements, lambda a: _joint_signature(atoms[a[0]], atoms[a[1]], dist)
+        )
+    return _generator_orbits(sym, elements, lambda a, g: (g.var_perm[a[0]], g.var_perm[a[1]]))
+
+
+def arc_min_edge_orbits(sym) -> OrbitPartition:
+    """Edge orbits keyed as the renaming source keyed them while it built
+    arc orbits: an edge by the smaller arc-orbit index of its two
+    directions."""
+    arcs = arc_orbits(sym).cell_of
+    return OrbitPartition.group(
+        skeleton(sym.model).edges, lambda e: min(arcs[e], arcs[e[::-1]])
+    )
 
 
 def factor_assignment_orbits(sym) -> OrbitPartition:
@@ -95,12 +171,9 @@ def factor_assignment_orbits(sym) -> OrbitPartition:
         return OrbitPartition.group(
             elements, lambda e: (fkey[e[0]], tuple(e[1][p] for p in order[e[0]]))
         )
-    index = {e: i for i, e in enumerate(elements)}
-    uf = _UnionFind(len(elements))
-    for g in sym.gens.generators:
-        for e in elements:
-            uf.union(index[e], index[act_element("factor-moments", e, g, model)])
-    return OrbitPartition.group(elements, lambda e: uf.find(index[e]))
+    return _generator_orbits(
+        sym, elements, lambda e, g: act_element("factor-moments", e, g, model)
+    )
 
 
 @dataclass(frozen=True)
@@ -150,7 +223,8 @@ def overcomplete_lift(target) -> OvercompleteLift:
     lm = lifted(target)
     model, bundle = lm.model, lm.bundle
     layout = OvercompleteLayout(model)
-    vars_, edges, arcs = bundle.vars.cell_of, bundle.edges.cell_of, bundle.arcs.cell_of
+    vars_, edges = bundle.vars.cell_of, bundle.edges.cell_of
+    arcs = arc_orbits(lm.symmetries).cell_of
     factor = factor_assignment_orbits(lm.symmetries).cell_of
     cell_of_label = {}
     rho = []
@@ -279,14 +353,11 @@ def reference_local_lp(ref: OvercompleteLift):
             objective[j] += theta * m
         if sum(j > 0 for j, _ in terms) > 1:
             rows.append((terms, ">=", 0.0))
-    start = np.zeros(num_vars)
-    start[0] = 1.0
     lp = LinearProgram(
         num_vars=num_vars,
         objective=objective,
         rows=rows,
         bounds=[(1.0, 1.0)] + [(0.0, 1.0)] * (num_vars - 1),
-        start=start,
     )
     return lp, moments
 
@@ -299,17 +370,6 @@ def reference_cut_row(constraint, ref: OvercompleteLift, moments: MomentMap):
         for c in (info.cell00, info.cell11) if in_f else (info.cell_uv, info.cell_vu):
             acc[c] = acc.get(c, 0.0) + 1.0
     return moments.row((sorted(acc.items()), ">=", 1.0))
-
-
-def point_of(tau, ref: OvercompleteLift) -> np.ndarray:
-    """Cell values as the point separation and decoding read: each node
-    orbit's two values, then each edge orbit's 00, 01, 10 and 11."""
-    out = []
-    for info in ref.node_info:
-        out += [tau[info.cell0], tau[info.cell1]]
-    for info in ref.edge_info:
-        out += [tau[info.cell00], tau[info.cell_uv], tau[info.cell_vu], tau[info.cell11]]
-    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +507,8 @@ def assert_matches_the_overcomplete_reference(target):
     is the reference's within 1e-9 per coefficient; its optimum equals
     HiGHS on the overcomplete equalities within 1e-9; the reference's cell
     values M x of that optimum satisfy every overcomplete row and bound
-    within 1e-9; and the point it reads equals theirs.
+    within 1e-9; and the optimum's overcomplete vector is those cell
+    values, coordinate by coordinate.
     """
     lm = lifted(target)
     lp = build_local_lp(lm)
@@ -459,12 +520,12 @@ def assert_matches_the_overcomplete_reference(target):
     assert set(rows) == {tuple(coeffs) for coeffs, _, _ in ref_lp.rows}
     assert {(sense, rhs) for _, sense, rhs in lp.rows} <= {(">=", 0.0)}
     assert np.allclose(lp.objective, ref_lp.objective, rtol=0.0, atol=1e-9)
-    out = simplex_solve(lp, start=lp.start)
+    out = simplex_solve(lp)
     assert out.status == "optimal"
     assert abs(out.value - overcomplete_optimum(ref)) <= 1e-9
     tau = moments.tau(out.x)
     assert max_violation(tau, ref) <= 1e-9
-    assert np.allclose(lp.marginals.tau(out.x), point_of(tau, ref), rtol=0.0, atol=1e-12)
+    assert np.allclose(overcomplete_point(out.x, lm), tau[ref.rho], rtol=0.0, atol=1e-12)
 
 
 def assert_trivial_lp_is_the_reference(model):
@@ -474,5 +535,4 @@ def assert_trivial_lp_is_the_reference(model):
     assert lp.num_vars == ref_lp.num_vars
     assert lp.rows == ref_lp.rows
     assert lp.bounds == ref_lp.bounds
-    assert np.array_equal(lp.start, ref_lp.start)
     assert np.allclose(lp.objective, ref_lp.objective, rtol=1e-12, atol=1e-12)

@@ -43,7 +43,13 @@ from liftedmap.solve import (
 from liftedmap.symmetry import refine_colors
 
 from conftest import refines
-from overcomplete import ground_moments, overcomplete_lift, point_of
+from overcomplete import (
+    ground_moments,
+    lifted as trivial_lift,
+    lp_point,
+    overcomplete_lift,
+    overcomplete_point,
+)
 
 
 @contextmanager
@@ -70,7 +76,6 @@ def test_criterion_01_pairwise_example_end_to_end():
         bundle = sym.bundle()
         assert tuple(sorted(tuple(sorted(c)) for c in bundle.vars.cells)) == ((0, 3), (1, 2))
         assert sorted(len(c) for c in bundle.edges.cells) == [1, 4]
-        assert sorted(len(c) for c in bundle.arcs.cells) == [2, 4, 4]
         lifted = build_lifted_model(model, sym)
         assert build_local_lp(lifted).num_vars == 5
         assert build_local_lp(model).num_vars == 10
@@ -154,7 +159,9 @@ def test_criterion_05_separation_finds_the_most_violated_short_cycle():
             assert model.num_vars <= 8
             local = cutting_plane_map(model)
             one_cut = cutting_plane_map(model, MapOptions(polytope="cycle", max_cuts=1))
-            points = [uniform_interior(model), local.tau, one_cut.tau]
+            # the runs' LP points, as overcomplete vectors
+            xs = [uniform_interior(trivial_lift(model)), local.tau, one_cut.tau]
+            points = [overcomplete_point(x, model) for x in xs]
 
             for tau in points:
                 enumerated = enumerate_cycle_constraints(model, tau, max_len=6)
@@ -173,9 +180,9 @@ def test_criterion_05_separation_finds_the_most_violated_short_cycle():
             for tau in points:
                 averages = np.array([np.mean(tau[list(members)]) for members in ref.cells])
                 tau_sym = averages[ref.rho]
-                tau_bar = point_of(averages, ref)
+                x_bar = lp_point(tau_sym, lifted)
                 g_cut = separate_cycles_ground(model, tau_sym)
-                l_cut = separate_cycles_lifted(lifted, stabilized, tau_bar)
+                l_cut = separate_cycles_lifted(lifted, stabilized, x_bar)
                 if g_cut is None:
                     assert l_cut is None
                 else:
@@ -279,7 +286,6 @@ def test_criterion_08_renaming_orbits_without_search():
             assert refines(fine.vars.cells, coarse.vars.cells)
             assert refines(fine.features.cells, coarse.features.cells)
             assert refines(fine.edges.cells, coarse.edges.cells)
-            assert refines(fine.arcs.cells, coarse.arcs.cells)
             assert refines(fine.factor_moments.cells, coarse.factor_moments.cells)
 
         # orbit counts depend on the evidence pattern, not the domain size
@@ -308,14 +314,13 @@ def test_criterion_09_social_network_model_scales_by_lifting():
                     b.vars.num_cells,
                     b.features.num_cells,
                     b.edges.num_cells,
-                    b.arcs.num_cells,
                     b.factor_moments.num_cells,
                 )
             )
             if d == 4:
                 lifted4 = lifted
         # cells: the variable, edge and factor-moment orbits
-        assert shapes == {(20, 5, 6, 12, 21, 3)}
+        assert shapes == {(20, 5, 6, 12, 3)}
 
         ground_result = cutting_plane_map(model4)
         lifted_result = cutting_plane_map(lifted4)

@@ -42,7 +42,6 @@ class TestOrbits:
         orbits = search["orbits"]
         assert orbits["vars"] == {"count": 2, "cells": [[0, 3], [1, 2]]}
         assert cell_sizes(orbits["edges"]) == [1, 4]
-        assert cell_sizes(orbits["arcs"]) == [2, 4, 4]
         assert orbits["features"]["count"] == 2
         assert orbits["factor_moments"] == {"count": 0, "cells": []}
 
@@ -80,7 +79,7 @@ class TestOrbits:
         assert payload["methods"]["search"]["group_order"] == 36
         checks = payload["renaming_refines_search"]
         assert checks["all"] is True
-        assert set(checks) == {"vars", "features", "edges", "arcs", "factor_moments", "all"}
+        assert set(checks) == {"vars", "features", "edges", "factor_moments", "all"}
 
     def test_method_none_gives_singletons(self, capsys, models_dir):
         code, payload = run_json(
@@ -212,7 +211,6 @@ class TestMap:
             "vars": 1,
             "features": 1,
             "edges": 1,
-            "arcs": 1,
             "factor_moments": 0,
         }
 

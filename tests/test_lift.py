@@ -36,11 +36,10 @@ def test_ex1_lifted_layout_frozen():
 def test_triangle_lifted_layout():
     m = fixtures.triangle()
     lm = build_lifted_model(m, GeneratorSymmetries(m))
-    # one node orbit and one edge orbit; arcs make no cells
+    # one node orbit and one edge orbit
     assert lm.num_cells == 1 + 1
     assert len(lm.node_info) == 1 and len(lm.edge_info) == 1
     assert len(lm.bundle.edges.cells[0]) == 3
-    assert lm.bundle.arcs.num_cells == 1
     # both ends of the representative edge are in the one node orbit
     assert lm.edge_info[0].cells == (-1, 0, 0, 1)
 

@@ -422,7 +422,6 @@ def test_orbit_bundle_ex1_frozen_cells():
     b = GeneratorSymmetries(m).bundle()
     assert sorted_cells(b.vars.cells) == ((0, 3), (1, 2))
     assert sorted(len(c) for c in b.edges.cells) == [1, 4]
-    assert sorted(len(c) for c in b.arcs.cells) == [2, 4, 4]
     assert sorted(len(c) for c in b.features.cells) == [1, 4]
     assert b.factor_moments.cells == ()  # pairwise model: no factor moments
 
@@ -433,7 +432,7 @@ def test_orbit_cells_closed_under_generators():
         s = GeneratorSymmetries(m)
         b = s.bundle()
         for domain, part in (("vars", b.vars), ("features", b.features),
-                             ("edges", b.edges), ("arcs", b.arcs),
+                             ("edges", b.edges),
                              ("factor-moments", b.factor_moments)):
             cell_of = {}
             for i, cell in enumerate(part.cells):
@@ -448,7 +447,7 @@ def test_trivial_symmetries_are_singletons():
     m = fixtures.triangle()
     b = TrivialSymmetries(m).bundle()
     assert all(len(c) == 1 for c in b.vars.cells)
-    assert len(b.arcs.cells) == 6
+    assert len(b.edges.cells) == 3
     trivial = compute_orbit_bundle(TrivialSymmetries(m).gens, m)
     assert sorted_cells(trivial.vars.cells) == ((0,), (1,), (2,))
 
@@ -458,4 +457,4 @@ def test_search_orbits_coarser_than_trivial_finer_than_everything():
     s = GeneratorSymmetries(m).bundle()
     t = TrivialSymmetries(m).bundle()
     assert refines(t.vars.cells, s.vars.cells)
-    assert refines(t.arcs.cells, s.arcs.cells)
+    assert refines(t.edges.cells, s.edges.cells)
