@@ -43,16 +43,16 @@ distribution's moments) and x_out is the current LP optimum. If sigma
 admits no cut it becomes the new x_in and separation retries at x_out; if
 that also finds nothing the loop has converged.
 
-The LP solver is one self-contained dense simplex tableau on the
-bounded-variable standard form (SimplexTableau); no external solver is
-involved. Every variable starts at its lower bound, and every row has a
-slack and starts basic in it, so that vertex must satisfy every row. The
-local LP's lower-bound vertex has every moment 0: it is the all-zeros
-configuration, which satisfies every local and cycle row.
+The LP solver is one self-contained dense bounded dual simplex tableau
+(SimplexTableau); no external solver is involved. Every variable has a
+finite range and every row a slack that starts basic in it. Each variable
+starts at the bound its objective coefficient points to, which makes the
+slack basis dual feasible, so the dual simplex solves the cold LP with no
+phase 1 and no feasible start.
 A pivot updates only the rows where the pivot column is nonzero times the
 columns where the pivot row is. The cutting-plane driver keeps its tableau
 across rounds: each cut row is appended to the last optimal tableau with
-its slack basic and negative, and a bounded dual simplex restores
+its slack basic and negative, and the same dual simplex restores
 feasibility, instead of a cold re-solve.
 """
 
@@ -90,7 +90,7 @@ class LinearProgram:
     num_vars: int
     objective: np.ndarray
     rows: list
-    bounds: list  # (lo, hi) per variable: lo finite, hi None for unbounded
+    bounds: list  # (lo, hi) per variable, both finite, lo <= hi
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -101,11 +101,10 @@ class LinearProgram:
         if len(self.bounds) != self.num_vars:
             raise SolveError("bounds length does not match num_vars")
         for j, (lo, hi) in enumerate(self.bounds):
-            # the simplex starts every variable at its lower bound
-            if lo is None or not math.isfinite(lo):
-                raise SolveError("lower bound of variable %d is not finite" % j)
-            if hi is not None and (math.isnan(hi) or lo > hi):
-                raise SolveError("bounds %r of variable %d are not a range" % ((lo, hi), j))
+            # the simplex starts every variable at one of its bounds
+            finite = lo is not None and hi is not None and math.isfinite(lo) and math.isfinite(hi)
+            if not (finite and lo <= hi):
+                raise SolveError("bounds %r of variable %d are not a finite range" % ((lo, hi), j))
         for row in self.rows:
             _check_row(row, self.num_vars)
 
@@ -125,7 +124,7 @@ def _check_row(row, num_vars: int):
 
 @dataclass(eq=False)
 class SolveOutcome:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible"
     x: np.ndarray
     value: float
 
@@ -139,35 +138,31 @@ _RESYNC_EVERY = 500
 
 
 class SimplexTableau:
-    """Dense bounded-variable simplex tableau of one LP, growable by rows.
+    """Dense bounded-variable dual simplex tableau of one LP, growable by rows.
 
     Columns are the structural variables, then one slack per row (+1 for
     <=, -1 for >=, bounds [0, inf)). T holds B^-1 A over those columns and
-    xB the value of each row's basic variable. Structural variables start
-    nonbasic at their lower bounds and every row starts basic in its slack,
-    so that lower-bound vertex must satisfy every row to within 1e-7, else
-    SolveError.
+    xB the value of each row's basic variable. Every row starts basic in its
+    slack, where the reduced costs are the objective, and each structural
+    variable starts nonbasic at its upper bound if its objective coefficient
+    is positive, else at its lower bound. That basis is dual feasible, so
+    solve() is the bounded dual simplex from it, which drives out every row
+    the start violates or reports "infeasible" when no entering column can.
+    add_row() appends a row to an optimal tableau with its slack basic
+    (negative when the row cuts off the optimum) and re-solves with the same
+    dual simplex. A pivot updates only the block of rows where the pivot
+    column is nonzero times the columns where the pivot row is.
 
-    solve() is the primal simplex from the start basis. add_row() appends a
-    row to an optimal tableau with its slack basic (negative when the row
-    cuts off the optimum), restores feasibility with the bounded dual
-    simplex, which reports "infeasible" when no entering column can, and
-    confirms optimality with the primal. A pivot updates only the block of
-    rows where the pivot column is nonzero times the columns where the pivot
-    row is.
+    Deterministic: the dual leaves by the largest bound violation and enters
+    by the smallest ratio, ties to the largest pivot. After 1000 degenerate
+    pivots it switches to Bland's rule: it leaves by the smallest basis
+    index and breaks ratio ties by the smallest column index. After 200 000
+    pivots it raises NumericalInstabilityError. Every optimum is audited
+    against every row and bound, added rows included, and raises
+    NumericalInstabilityError if one is violated by more than 1e-6.
 
-    Deterministic: the primal enters by Dantzig's rule (largest reduced
-    cost, ties to the smallest index) and leaves by the smallest basis
-    index; the dual leaves by the largest bound violation and enters by the
-    smallest ratio, ties to the largest pivot. After 1000 degenerate pivots
-    the primal switches to Bland's rule and the dual leaves by the smallest
-    basis index; after 200 000 pivots either raises
-    NumericalInstabilityError. Every optimum is audited against every row
-    and bound, added rows included, and raises NumericalInstabilityError if
-    one is violated by more than 1e-6.
-
-    pivots counts the primal and the dual simplex iterations, a bound flip
-    counting as one, and the degenerate ones among them.
+    pivots counts the dual simplex iterations and the degenerate ones among
+    them.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -185,30 +180,24 @@ class SimplexTableau:
 
         self.lo = np.zeros(ncols)
         self.hi = np.full(ncols, np.inf)
-        for j, (lo, hi) in enumerate(lp.bounds):
-            self.lo[j] = lo
-            self.hi[j] = np.inf if hi is None else hi
+        self.lo[:n], self.hi[:n] = np.array(lp.bounds, dtype=float).reshape(n, 2).T
         self.cost = np.zeros(ncols)
         self.cost[:n] = lp.objective
-        self.at_upper = np.zeros(ncols, dtype=bool)
+        self.at_upper = self.cost > 0.0  # slacks cost 0, so they stay at 0
 
         diag = A[np.arange(m), n + np.arange(m)]  # the slacks' signs
         self.T = A / diag[:, None]  # inverse of the +-1 diagonal slack basis
-        self.xB = (b - A[:, :n] @ self.lo[:n]) / diag
-        bad = np.flatnonzero(self.xB < -_FEAS_TOL)
-        if bad.size:
-            raise SolveError(
-                "start violates row %d by %r" % (int(bad[0]), -float(self.xB[bad[0]]))
-            )
+        x_start = np.where(self.at_upper, self.hi, self.lo)[:n]
+        self.xB = (b - A[:, :n] @ x_start) / diag
         self.basis = n + np.arange(m)
         self.in_basis = np.zeros(ncols, dtype=bool)
         self.in_basis[self.basis] = True
         self.status = None
-        self.pivots = {"primal": 0, "dual": 0, "degenerate": 0}
+        self.pivots = {"dual": 0, "degenerate": 0}
 
     def solve(self) -> SolveOutcome:
-        """Primal solve from the start basis."""
-        return self._finish(self._primal())
+        """Dual solve from the start basis."""
+        return self._finish(self._dual())
 
     def add_row(self, row) -> SolveOutcome:
         """Append one (coeffs, sense, rhs) row and re-solve from the last optimum."""
@@ -236,10 +225,7 @@ class SimplexTableau:
         self.at_upper = np.append(self.at_upper, False)
         self.in_basis = np.append(self.in_basis, True)
         self.rows.append(row)
-        status = self._dual()
-        if status == "optimal":
-            status = self._primal()
-        return self._finish(status)
+        return self._finish(self._dual())
 
     # -- internals ---------------------------------------------------------
 
@@ -264,53 +250,6 @@ class SimplexTableau:
         self.basis[r] = j
         self.xB[r] = enter_val
 
-    def _primal(self) -> str:
-        d = self._reduced_costs()
-        movable = self.lo < self.hi  # zero-range variables can never move
-        degenerate = 0
-        for it in range(1, _PIVOT_CAP + 1):
-            at_upper = self.at_upper
-            improving = ~self.in_basis & movable & (
-                (~at_upper & (d > _FEAS_TOL)) | (at_upper & (d < -_FEAS_TOL))
-            )
-            cand = np.flatnonzero(improving)
-            if cand.size == 0:
-                return "optimal"
-            if degenerate > _BLAND_AFTER:
-                j = int(cand[0])
-            else:
-                j = int(cand[np.argmax(np.abs(d[cand]))])
-            self.pivots["primal"] += 1
-            from_lower = not at_upper[j]
-            col = self.T[:, j] if from_lower else -self.T[:, j]
-            # ratio test: basics move by -t*col, entering moves t off its bound
-            xB, loB, hiB = self.xB, self.lo[self.basis], self.hi[self.basis]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_dec = np.where(col > _PIV_TOL, (xB - loB) / col, np.inf)
-                t_inc = np.where(col < -_PIV_TOL, (hiB - xB) / (-col), np.inf)
-            t_all = np.minimum(t_dec, t_inc)
-            t_rows = float(t_all.min()) if t_all.size else np.inf
-            t_own = self.hi[j] - self.lo[j]
-            if not np.isfinite(t_rows) and not np.isfinite(t_own):
-                return "unbounded"
-            flip = t_own < t_rows - 1e-12  # the entering variable hits its other bound
-            t = max(t_own if flip else t_rows, 0.0)
-            if t < 1e-12:
-                degenerate += 1
-                self.pivots["degenerate"] += 1
-            xB -= t * col
-            if flip:
-                at_upper[j] = not at_upper[j]
-                continue
-            ties = np.flatnonzero(t_all <= t_rows + 1e-12)
-            r = int(ties[np.argmin(self.basis[ties])])
-            at_upper[self.basis[r]] = col[r] < 0  # hit upper bound iff it was rising
-            enter_val = (self.lo[j] + t) if from_lower else (self.hi[j] - t)
-            self._pivot(r, j, d, enter_val)
-            if it % _RESYNC_EVERY == 0:
-                d = self._reduced_costs()
-        raise NumericalInstabilityError("simplex did not converge within the pivot cap")
-
     def _dual(self) -> str:
         """Bounded dual simplex from a dual-feasible basis."""
         d = self._reduced_costs()
@@ -324,7 +263,8 @@ class SimplexTableau:
             bad = np.flatnonzero(violation > _FEAS_TOL)
             if bad.size == 0:
                 return "optimal"
-            if degenerate > _BLAND_AFTER:
+            bland = degenerate > _BLAND_AFTER
+            if bland:
                 r = int(bad[np.argmin(self.basis[bad])])
             else:
                 r = int(bad[np.argmax(violation[bad])])
@@ -340,7 +280,7 @@ class SimplexTableau:
             ratios = np.abs(d[cand]) / np.abs(slope[cand])
             best = float(ratios.min())
             ties = cand[ratios <= best + 1e-12]
-            j = int(ties[np.argmax(np.abs(slope[ties]))])
+            j = int(ties[0] if bland else ties[np.argmax(np.abs(slope[ties]))])
             if best < 1e-12:
                 degenerate += 1
                 self.pivots["degenerate"] += 1
@@ -355,7 +295,7 @@ class SimplexTableau:
         raise NumericalInstabilityError("dual simplex did not converge within the pivot cap")
 
     def _point(self) -> np.ndarray:
-        x = np.where(self.at_upper, np.where(np.isfinite(self.hi), self.hi, 0.0), self.lo)
+        x = np.where(self.at_upper, self.hi, self.lo)
         x[self.basis] = self.xB
         return x
 
@@ -374,14 +314,14 @@ class SimplexTableau:
                 )
         for j in range(n):
             l, u = self.lp.bounds[j]
-            if x_struct[j] < l - _RESIDUAL_TOL or (u is not None and x_struct[j] > u + _RESIDUAL_TOL):
+            if x_struct[j] < l - _RESIDUAL_TOL or x_struct[j] > u + _RESIDUAL_TOL:
                 raise NumericalInstabilityError("solution violates a variable bound")
         value = float(self.lp.objective @ x_struct)
         return SolveOutcome(status="optimal", x=x_struct, value=value)
 
 
 def simplex_solve(lp: LinearProgram) -> SolveOutcome:
-    """Solve lp by the primal simplex from its lower bounds (see SimplexTableau)."""
+    """Solve lp by the dual simplex from its slack basis (see SimplexTableau)."""
     return SimplexTableau(lp).solve()
 
 
@@ -721,7 +661,7 @@ class MapResult:
     num_lp_vars: int
     num_lp_rows: int
     timings_ms: dict
-    pivots: dict  # simplex iterations: primal, dual, degenerate
+    pivots: dict  # dual simplex iterations, and the degenerate ones among them
 
     def as_dict(self) -> dict:
         return {

@@ -31,6 +31,7 @@ from liftedmap import (
     simplex_solve,
     symmetry,
 )
+from liftedmap import solve as solve_module
 from liftedmap.fixtures import (
     LOVERS_SMOKERS_MLN,
     cycle_model,
@@ -204,33 +205,35 @@ class TestLinearProgramValidation:
     @pytest.mark.parametrize(
         "bounds",
         [
-            (-np.inf, 2.0),  # the simplex starts at the lower bound
+            (-np.inf, 2.0),  # the simplex starts every variable at a bound
             (None, 2.0),
             (np.nan, 2.0),
             (0.0, np.nan),
             (2.0, 1.0),
             (0.0, -np.inf),
+            (-2.0, None),
+            (0.0, np.inf),
         ],
         ids=["lower_-inf", "lower_None", "lower_nan", "upper_nan", "lower_above_upper",
-             "upper_-inf"],
+             "upper_-inf", "upper_None", "upper_inf"],
     )
-    def test_bounds_that_are_not_a_range_from_a_finite_lower_bound(self, bounds):
+    def test_bounds_that_are_not_a_finite_range(self, bounds):
         # max x0 + x1 s.t. x0 + x1 <= 3 is bounded whatever x0's range
         with pytest.raises(SolveError, match="variable 0"):
             LinearProgram(
                 num_vars=2,
                 objective=[1.0, 1.0],
                 rows=[([(0, 1.0), (1, 1.0)], "<=", 3.0)],
-                bounds=[bounds, (0.0, None)],
+                bounds=[bounds, (0.0, 3.0)],
             )
 
-    @pytest.mark.parametrize("bounds", [(-2.0, None), (1.0, 1.0), (0.0, np.inf)])
-    def test_finite_lower_bounds_are_accepted(self, bounds):
+    @pytest.mark.parametrize("bounds", [(-2.0, 5.0), (1.0, 1.0)])
+    def test_finite_ranges_are_accepted(self, bounds):
         lp = LinearProgram(
             num_vars=2,
             objective=[1.0, 1.0],
             rows=[([(0, 1.0), (1, 1.0)], "<=", 3.0)],
-            bounds=[bounds, (0.0, None)],
+            bounds=[bounds, (0.0, 3.0)],
         )
         assert simplex_solve(lp).value == pytest.approx(3.0, abs=1e-9)
 
@@ -278,32 +281,32 @@ class TestSimplex:
         assert tableau.solve().status == "optimal"
         assert tableau.add_row(([(0, 1.0)], ">=", 2.0)).status == "infeasible"
 
-    def test_start_violating_a_row_is_rejected(self):
-        # no phase 1: every variable starts at its lower bound and every
-        # row basic in its slack
+    def test_infeasible_cold(self):
+        lp = LinearProgram(
+            num_vars=2,
+            objective=[1.0, -1.0],
+            rows=[([(0, 1.0), (1, 1.0)], ">=", 3.0)],
+            bounds=[(0.0, 1.0), (0.0, 1.0)],
+        )
+        assert simplex_solve(lp).status == "infeasible"
+
+    def test_start_violating_a_row_is_repaired(self):
+        # no phase 1: each variable starts at the bound its objective
+        # coefficient points to, and the dual simplex drives out every row
+        # that start violates
         lp = LinearProgram(
             num_vars=2,
             objective=[1.0, 1.0],
             rows=[([(0, 1.0)], ">=", 0.5)],
             bounds=[(0.0, 1.0), (0.0, 1.0)],
         )
-        with pytest.raises(SolveError, match="start violates row 0"):
-            simplex_solve(lp)
-        lp.bounds[0] = (0.5, 1.0)
         assert simplex_solve(lp).value == pytest.approx(2.0, abs=1e-9)
-
-    def test_unbounded_no_rows(self):
-        lp = LinearProgram(num_vars=1, objective=[1.0], rows=[], bounds=[(0.0, None)])
-        assert simplex_solve(lp).status == "unbounded"
-
-    def test_unbounded_with_rows(self):
-        lp = LinearProgram(
-            num_vars=2,
-            objective=[1.0, 0.0],
-            rows=[([(0, 1.0), (1, -1.0)], "<=", 1.0)],
-            bounds=[(0.0, None), (0.0, None)],
-        )
-        assert simplex_solve(lp).status == "unbounded"
+        lp.objective = -lp.objective  # now the start (0, 0) violates the row
+        tableau = SimplexTableau(lp)
+        out = tableau.solve()
+        assert out.value == pytest.approx(-0.5, abs=1e-9)
+        assert tuple(np.round(out.x, 9)) == (0.5, 0.0)
+        assert tableau.pivots["dual"] == 1
 
     def test_survives_classic_degenerate_cycle(self):
         # a tableau known to cycle under naive largest-coefficient pivoting
@@ -315,35 +318,32 @@ class TestSimplex:
                 ([(0, 0.5), (1, -90.0), (2, -0.02), (3, 3.0)], "<=", 0.0),
                 ([(2, 1.0)], "<=", 1.0),
             ],
-            bounds=[(0.0, None)] * 4,
+            bounds=[(0.0, 1.0)] * 4,
         )
         out = simplex_solve(lp)
         assert out.status == "optimal"
         assert out.value == pytest.approx(0.05, abs=1e-9)
+        assert tuple(np.round(out.x, 9)) == (0.04, 0.0, 1.0, 0.0)
 
 
 def random_program(seed):
-    """A seeded LP whose lower bounds satisfy every row: each rhs lies 0 to
-    3 beyond the looser of the row's values there and at bound_start."""
+    """A seeded LP in a finite box. Each rhs lies within 3 of the row's
+    value at the lower-bound vertex, on either side, so some rows cut that
+    vertex off and some LPs are infeasible."""
     rng = random.Random(seed)
     n = rng.randint(2, 6)
     m = rng.randint(1, 5)
     objective = [float(rng.randint(-3, 3)) for _ in range(n)]
-    bounds = []
-    for _ in range(n):
-        lo = rng.choice((0.0, 0.0, -1.0))
-        hi = rng.choice((None, 1.0, 2.0, 3.0))
-        bounds.append((lo, hi))
-    starts = ([lo for lo, _ in bounds], bound_start(bounds, seed))
+    bounds = [(rng.choice((0.0, 0.0, -1.0)), rng.choice((1.0, 2.0, 3.0))) for _ in range(n)]
     rows = []
     for _ in range(m):
         coeffs = [(j, float(rng.randint(-3, 3))) for j in range(n) if rng.random() < 0.7]
         if not coeffs:
             coeffs = [(rng.randrange(n), 1.0)]
         sense = rng.choice(("<=", "<=", ">="))
-        at = [sum(c * x[j] for j, c in coeffs) for x in starts]
-        room = float(rng.randint(0, 3))
-        rows.append((coeffs, sense, max(at) + room if sense == "<=" else min(at) - room))
+        at = sum(c * bounds[j][0] for j, c in coeffs)
+        room = float(rng.randint(-3, 3))
+        rows.append((coeffs, sense, at + room if sense == "<=" else at - room))
     return LinearProgram(num_vars=n, objective=objective, rows=rows, bounds=bounds)
 
 
@@ -363,17 +363,8 @@ def reference_solve(lp):
         bounds=list(lp.bounds),
         method="highs",
     )
-    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status)
+    status = {0: "optimal", 2: "infeasible"}.get(res.status)
     return status, (-res.fun if res.status == 0 else None)
-
-
-def bound_start(bounds, seed):
-    """A seeded vertex of the bound box: each variable at its lower or finite
-    upper bound."""
-    rng = random.Random(1000 + seed)
-    return np.array(
-        [lo if hi is None or rng.random() < 0.5 else hi for lo, hi in bounds]
-    )
 
 
 def cutting_row(lp, x, rng):
@@ -386,19 +377,18 @@ def cutting_row(lp, x, rng):
     return (coeffs, sense, at_x - gap if sense == "<=" else at_x + gap)
 
 
-OPTIMAL_SEEDS = [s for s in range(30) if simplex_solve(random_program(s)).status == "optimal"]
+SEEDS = range(40)
+OPTIMAL_SEEDS = [s for s in SEEDS if simplex_solve(random_program(s)).status == "optimal"]
 
 
 def grow_by_cutting_rows(seed):
     """Solve random_program(seed), then append 1-3 seeded rows, each cutting
-    off the optimum before it. Returns the tableau, the primal pivots of
-    the cold solve, and (grown LP, outcome) after each append, up to the
-    first outcome that is not optimal."""
+    off the optimum before it. Returns the tableau and (grown LP, outcome)
+    after each append, up to the first outcome that is not optimal."""
     lp = random_program(seed)
     rng = random.Random(2000 + seed)
     tableau = SimplexTableau(lp)
     out = tableau.solve()
-    cold_primal = tableau.pivots["primal"]
     rows = list(lp.rows)
     steps = []
     for _ in range(rng.randint(1, 3)):
@@ -409,7 +399,7 @@ def grow_by_cutting_rows(seed):
         steps.append((LinearProgram(lp.num_vars, lp.objective, list(rows), lp.bounds), out))
         if out.status != "optimal":
             break
-    return tableau, cold_primal, steps
+    return tableau, steps
 
 
 class TestSimplexAgainstReferenceSolver:
@@ -423,40 +413,55 @@ class TestSimplexAgainstReferenceSolver:
             assert rows_satisfied(ours.x, lp.rows, tol=1e-6)
             for j, (lo, hi) in enumerate(lp.bounds):
                 assert ours.x[j] >= lo - 1e-7
-                if hi is not None:
-                    assert ours.x[j] <= hi + 1e-7
+                assert ours.x[j] <= hi + 1e-7
 
-    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_status_and_value_match(self, seed):
         lp = random_program(seed)
         self.assert_matches_reference(lp, simplex_solve(lp))
 
     def test_seeds_cover_every_cold_status(self):
-        # a cold solve starts feasible, so only an added row can make it infeasible
-        statuses = {simplex_solve(random_program(seed)).status for seed in range(30)}
-        assert statuses == {"optimal", "unbounded"}
+        # every variable is boxed, so no LP is unbounded
+        statuses = {simplex_solve(random_program(seed)).status for seed in SEEDS}
+        assert statuses == {"optimal", "infeasible"}
 
     @pytest.mark.parametrize("seed", OPTIMAL_SEEDS)
     def test_appended_rows_match_a_cold_reference_solve(self, seed):
         # the warm dual re-solve must agree with HiGHS on the grown LP after
-        # every append, and keep the basis dual feasible, so the confirming
-        # primal makes no pivot
-        tableau, cold_primal, steps = grow_by_cutting_rows(seed)
+        # every append
+        tableau, steps = grow_by_cutting_rows(seed)
         for grown, out in steps:
             self.assert_matches_reference(grown, out)
         if out.status != "optimal":
             with pytest.raises(SolveError):
                 tableau.add_row(grown.rows[-1])
-        assert tableau.pivots["primal"] == cold_primal
 
     def test_appended_rows_cover_both_outcomes_and_the_dual(self):
         runs = [grow_by_cutting_rows(seed) for seed in OPTIMAL_SEEDS]
         assert len(runs) >= 10
-        assert {out.status for _, _, steps in runs for _, out in steps} == {
+        assert {out.status for _, steps in runs for _, out in steps} == {
             "optimal",
             "infeasible",
         }
-        assert sum(tableau.pivots["dual"] for tableau, _, _ in runs) > 0
+        assert sum(tableau.pivots["dual"] for tableau, _ in runs) > 0
+
+    def test_blands_rule_from_the_first_pivot(self, monkeypatch):
+        # Bland's rule, forced from the first pivot, keeps every cold and warm
+        # answer and the converged cycle bound of a fixture
+        model = random_tied_pairwise(1)
+        default = cutting_plane_map(model, MapOptions(polytope="cycle"))
+        monkeypatch.setattr(solve_module, "_BLAND_AFTER", -1)
+        for seed in SEEDS:
+            lp = random_program(seed)
+            self.assert_matches_reference(lp, simplex_solve(lp))
+        for seed in OPTIMAL_SEEDS:
+            for grown, out in grow_by_cutting_rows(seed)[1]:
+                self.assert_matches_reference(grown, out)
+        bland = cutting_plane_map(model, MapOptions(polytope="cycle"))
+        assert bland.status == default.status == "optimal"
+        assert bland.cuts_added
+        assert abs(bland.objective - default.objective) <= 1e-9
+        assert bland.objective >= exact_enumerate(model).map_value - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +773,7 @@ class TestLocalRelaxation:
                 "frucht": frucht,
             }[name]()
             sym = GeneratorSymmetries(model)
-        # the simplex starts every variable at its lower bound
+        # every moment at 0 is the all-zeros configuration, a feasible point
         target = model if space == "ground" else build_lifted_model(model, sym)
         lp = build_local_lp(target)
         x0 = np.array([lo for lo, _ in lp.bounds])
@@ -913,7 +918,7 @@ class TestCuttingPlaneMap:
         first = cutting_plane_map(model, MapOptions(polytope="cycle")).pivots
         second = cutting_plane_map(model, MapOptions(polytope="cycle")).pivots
         assert first == second
-        assert set(first) == {"primal", "dual", "degenerate"}
+        assert set(first) == {"dual", "degenerate"}
         assert first["dual"] > 0
 
     def test_ground_run_builds_one_layout(self, monkeypatch):
