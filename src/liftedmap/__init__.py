@@ -10,8 +10,8 @@ The package is organized around a small pipeline:
 * :mod:`liftedmap.lift` -- collapsing a ground model onto orbit cells.
 * :mod:`liftedmap.solve` -- LP-based MAP inference on the local polytope with
   optional cycle-inequality tightening; a ground model is its trivial lift.
-* :mod:`liftedmap.oracle` -- brute-force reference implementations used to
-  validate everything else on small instances.
+* :mod:`liftedmap.oracle` -- exact MAP, log-partition and means by brute-force
+  enumeration of small models, for the ``exact`` command and the tests.
 """
 
 from .model import Feature, Model, parse_model, format_model, score

@@ -5,11 +5,18 @@ or generated constants. Grounding produces one binary variable per ground
 atom (hard-evidence atoms are conditioned away) and one indicator feature
 per formula grounding, with all groundings of a formula tied to one weight.
 
+Grounding and the renaming orbits work on integer arrays, with constants
+as their indices in the domain: Python runs once per formula, leaf and
+substitution pattern, not once per ground element.
+
 Renaming orbits exploit that permuting interchangeable constants leaves the
 grounded model invariant: ground atoms, formula groundings, variable pairs,
-and factor moments are grouped by signatures built from the
+and factor moments are grouped by integer keys built from the
 distinguished constants (those named in formulas or evidence) and the
-equality pattern of the remaining ones. No automorphism search is involved.
+equality pattern of the remaining ones. A key is one row of integers: a
+distinguished constant stays itself, any other becomes the first column of
+the row that holds it, so two elements get equal rows exactly when a
+renaming maps one onto the other. No automorphism search is involved.
 
 File formats:
   MLN: optional `predicate Name/arity` headers, then `<weight> <formula>`
@@ -27,11 +34,22 @@ File formats:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
 
-from .model import Feature, Model, depended_positions
+import numpy as np
+
+from .model import (
+    Feature,
+    Model,
+    depended_positions,
+    group_codes,
+    moment_assignments,
+    row_codes,
+    skeleton,
+)
 from .symmetry import OrbitBundle, OrbitPartition, _domain_elements
 
 
@@ -259,6 +277,11 @@ def parse_mln(text: str) -> MLN:
             if not m:
                 raise MLNFormatError("line %d: expected 'predicate Name/arity'" % line_no)
             name, arity = m.group(1), int(m.group(2))
+            if arity < 1:
+                raise MLNFormatError(
+                    "line %d: predicate %s needs an arity of at least 1, got %d"
+                    % (line_no, name, arity)
+                )
             if not name[0].isupper():
                 raise MLNFormatError(
                     "line %d: predicate names must be capitalized, got %r" % (line_no, name)
@@ -367,12 +390,30 @@ class GroundingMap:
     atoms: tuple  # ground atom per variable index
     atom_index: dict
     observed: dict  # ground atom -> bool (hard evidence)
-    origins: tuple  # FeatureOrigin per feature
+    soft: dict  # ground atom -> weight (soft evidence)
+    # integer rows, constants as domain indices and -1 past the end:
+    atom_rows: np.ndarray  # per variable: predicate index, then its constants
+    # per feature: a formula grounding's formula index, then its substitution;
+    # soft evidence's len(formulas) plus predicate index, then its constants
+    origin_rows: np.ndarray
 
-
-def _term_value(term, subst):
-    kind, name = term
-    return subst[name] if kind == "var" else name
+    @functools.cached_property
+    def origins(self) -> tuple:
+        """FeatureOrigin per feature, read off origin_rows on first use: the
+        formula groundings come first, then one feature per soft evidence
+        atom, in variable order."""
+        rows = self.origin_rows[:len(self.origin_rows) - len(self.soft)].tolist()
+        formula = [
+            FeatureOrigin(kind="formula", formula=row[0],
+                          subst=tuple(self.domain[i] for i in row[1:] if i >= 0))
+            for row in rows
+        ]
+        soft = [
+            FeatureOrigin(kind="soft", atom=atom, weight=self.soft[atom])
+            for atom in self.atoms
+            if atom in self.soft
+        ]
+        return tuple(formula + soft)
 
 
 def _leaves(node):
@@ -434,16 +475,36 @@ def build_domain(mln: MLN, evidence: Evidence, domain_size: int):
     return tuple(domain), frozenset(named)
 
 
+def _first_columns(ids):
+    """For each entry of a 2-d integer array, the first column of its row
+    that holds the same value."""
+    same = (ids[:, :, None] == ids[:, None, :]) & np.tri(ids.shape[1], dtype=bool)
+    return same.argmax(axis=2)
+
+
+def _rows(first, ids, width):
+    """Integer rows of the given width: first, then the ids, then -1s."""
+    out = np.full((len(ids), width), -1, dtype=np.int64)
+    out[:, 0] = first
+    out[:, 1:1 + ids.shape[1]] = ids
+    return out
+
+
 def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
     """Ground the MLN into a Model plus the book-keeping GroundingMap.
 
     One variable per non-hard-evidence ground atom; one feature per formula
     grounding that is not made constant by evidence or equality atoms; all
     groundings of a formula share a tie class. Each formula is evaluated once,
-    over every value of its leaves (atoms and equality atoms), and a
-    grounding's table is read from that truth table; groundings whose leaves
-    fall on the same evidence values and atom pattern share one reduced
-    table. Soft evidence adds a unary feature per atom, tied by weight value.
+    over every value of its leaves (atoms and equality atoms). Its
+    substitutions are the rows of one array of constant ids, in
+    itertools.product order, and each leaf is a column: an equality atom's
+    truth, or an atom's code (predicate offset plus constant ids in base d),
+    which names its variable or its evidence. A grounding's pattern says per
+    leaf whether it is false, true or the r-th smallest distinct unobserved
+    atom; each pattern's reduced table is read from the truth table once,
+    and its groundings' scopes are gathered from the array. Soft evidence
+    adds a unary feature per atom, tied by weight value.
     """
     evidence = EMPTY_EVIDENCE if evidence is None else evidence
     arity_of = mln.predicate_arity
@@ -462,17 +523,41 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
         if atom in observed:
             raise MLNError("soft evidence on an observed atom %r" % (atom,))
 
-    atoms = []
+    d = len(domain)
+    const_id = {c: i for i, c in enumerate(domain)}
+    pred_id = {}
+    offset = {}  # an atom's code is its predicate's offset plus its constant ids in base d
+    rows = []  # per ground atom in code order: predicate index, then constant ids
+    width = 1 + max((arity for _, arity in mln.predicates), default=0)
     for pname, arity in mln.predicates:
-        for args in itertools.product(domain, repeat=arity):
-            atom = (pname, args)
-            if atom not in observed:
-                atoms.append(atom)
+        pred_id[pname] = len(pred_id)
+        offset[pname] = sum(len(r) for r in rows)
+        ids = np.indices((d,) * arity, dtype=np.int64).reshape(arity, d ** arity).T
+        rows.append(_rows(pred_id[pname], ids, width))
+    rows = np.concatenate(rows) if rows else np.zeros((0, width), dtype=np.int64)
+
+    def code_of(pred, args):
+        return offset[pred] + sum(a * d ** (len(args) - 1 - p) for p, a in enumerate(args))
+
+    is_observed = np.zeros(len(rows), dtype=bool)
+    observed_true = np.zeros(len(rows), dtype=np.int64)
+    for (pred, args), truth in observed.items():
+        code = code_of(pred, [const_id[c] for c in args])
+        is_observed[code] = True
+        observed_true[code] = truth
+    var_of = np.where(is_observed, -1, np.cumsum(~is_observed) - 1)
+    atom_rows = rows[~is_observed]
+    atoms = [
+        (pname, args)
+        for pname, arity in mln.predicates
+        for args in itertools.product(domain, repeat=arity)
+        if (pname, args) not in observed
+    ]
     atom_index = {a: i for i, a in enumerate(atoms)}
 
     features = []
     tie_of = []
-    origins = []
+    origin_blocks = []  # of GroundingMap.origin_rows: (first column, constant ids)
     formula_tie = {}
 
     for fi, (_, ast) in enumerate(mln.formulas):
@@ -488,46 +573,69 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
             for t in (leaf.args if isinstance(leaf, Atom) else (leaf.left, leaf.right))
         ]
         fvars = sorted({name for kind, name in terms if kind == "var"})
-        reduced = {}  # (base, masks) -> (kept scope positions, table)
-        for subst_tuple in itertools.product(domain, repeat=len(fvars)):
-            subst = dict(zip(fvars, subst_tuple))
-            base = 0  # the leaves the substitution or the evidence makes true
-            mask = {}  # unobserved ground atom -> its leaves
-            for i, leaf in enumerate(leaves):
-                bit = 1 << (n - 1 - i)
-                if isinstance(leaf, Compare):
-                    same = _term_value(leaf.left, subst) == _term_value(leaf.right, subst)
-                    if same == (leaf.op == "="):
-                        base |= bit
-                    continue
-                atom = (leaf.pred, tuple(_term_value(t, subst) for t in leaf.args))
-                if atom not in observed:
-                    mask[atom] = mask.get(atom, 0) | bit
-                elif observed[atom]:
-                    base |= bit
-            scope = sorted(atom_index[a] for a in mask)
-            masks = tuple(mask[atoms[v]] for v in scope)
-            if (base, masks) not in reduced:
-                keep = depended_positions(_lookup(truth, base, masks), len(scope))
-                reduced[(base, masks)] = keep, _lookup(truth, base, [masks[p] for p in keep])
-            keep, table = reduced[(base, masks)]
+        k = len(fvars)
+        subst = np.indices((d,) * k, dtype=np.int64).reshape(k, d ** k).T
+
+        def column(term):
+            kind, name = term
+            if kind == "var":
+                return subst[:, fvars.index(name)]
+            return np.full(len(subst), const_id[name])
+
+        # per leaf: 0 false, 1 true, 2 + r the r-th smallest distinct unobserved atom
+        state = np.zeros((len(subst), n), dtype=np.int64)
+        var = np.full((len(subst), n), -1, dtype=np.int64)
+        for i, leaf in enumerate(leaves):
+            if isinstance(leaf, Compare):
+                state[:, i] = (column(leaf.left) == column(leaf.right)) == (leaf.op == "=")
+                continue
+            code = code_of(leaf.pred, [column(t) for t in leaf.args])
+            var[:, i] = var_of[code]
+            state[:, i] = observed_true[code]
+        # an atom's rank counts the distinct atoms (first occurrences) below it
+        repeat = (var[:, :, None] == var[:, None, :]) & np.tri(n, k=-1, dtype=bool)
+        distinct = (var >= 0) & ~repeat.any(axis=2)
+        below = (distinct[:, None, :] & (var[:, None, :] < var[:, :, None])).sum(axis=2)
+        state = np.where(var >= 0, 2 + below, state)
+
+        by_pattern, starts = group_codes(row_codes(state))
+        ends = starts.tolist()[1:] + [len(subst)]
+        kept, made = [], []  # the kept substitutions and their features, pattern by pattern
+        for p, row in enumerate(state[by_pattern[starts]].tolist()):
+            base = sum(1 << (n - 1 - i) for i, s in enumerate(row) if s == 1)
+            masks = [0] * max([s - 1 for s in row if s >= 2], default=0)
+            leaf_of = [0] * len(masks)  # a leaf of each scope atom
+            for i, s in enumerate(row):
+                if s >= 2:
+                    masks[s - 2] |= 1 << (n - 1 - i)
+                    leaf_of[s - 2] = i
+            keep = depended_positions(_lookup(truth, base, masks), len(masks))
             if not keep:
                 continue  # constant indicator
-            scope = [scope[p] for p in keep]
-            if fi not in formula_tie:
-                formula_tie[fi] = len(formula_tie)
-            features.append(Feature(scope=tuple(scope), table=table))
-            tie_of.append(formula_tie[fi])
-            origins.append(FeatureOrigin(kind="formula", formula=fi, subst=subst_tuple))
+            table = _lookup(truth, base, [masks[q] for q in keep])
+            group = by_pattern[starts[p]:ends[p]]
+            kept.append(group)
+            made += Feature.many(var[group][:, [leaf_of[q] for q in keep]], table)
+        if not made:
+            continue
+        kept = np.concatenate(kept)
+        order = np.argsort(kept, kind="stable")
+        kept = kept[order]
+        formula_tie[fi] = len(formula_tie)
+        features += map(made.__getitem__, order.tolist())
+        tie_of += [formula_tie[fi]] * len(kept)
+        origin_blocks.append((fi, subst[kept]))
 
     weight_tie = {
         w: len(formula_tie) + i for i, w in enumerate(sorted(set(soft.values())))
     }
+    soft_vars = []
     for atom in atoms:
         if atom in soft:
+            soft_vars.append(atom_index[atom])
             features.append(Feature(scope=(atom_index[atom],), table=(0.0, 1.0)))
             tie_of.append(weight_tie[soft[atom]])
-            origins.append(FeatureOrigin(kind="soft", atom=atom, weight=soft[atom]))
+    origin_blocks.append((len(mln.formulas) + atom_rows[soft_vars, 0], atom_rows[soft_vars, 1:]))
 
     theta = [0.0] * (len(formula_tie) + len(weight_tie))
     for fi, t in formula_tie.items():
@@ -545,13 +653,16 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
         tie_class_of=tuple(tie_of),
         theta=tuple(theta),
     )
+    width = 1 + max(ids.shape[1] for _, ids in origin_blocks)
     gmap = GroundingMap(
         domain=domain,
         distinguished=named,
         atoms=tuple(atoms),
         atom_index=atom_index,
         observed=observed,
-        origins=tuple(origins),
+        soft=soft,
+        atom_rows=atom_rows,
+        origin_rows=np.concatenate([_rows(first, ids, width) for first, ids in origin_blocks]),
     )
     return model, gmap
 
@@ -560,108 +671,110 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
 # renaming orbits
 
 
-@dataclass(frozen=True)
-class AtomSignature:
-    """What a ground atom looks like up to renaming of interchangeable constants."""
-
-    pred: str
-    tags: tuple  # ("const", name) for distinguished constants, else ("anon", class id)
-
-
-def _tags_of(args, distinguished, anon):
-    tags = []
-    for c in args:
-        if c in distinguished:
-            tags.append(("const", c))
-        else:
-            if c not in anon:
-                anon[c] = len(anon)
-            tags.append(("anon", anon[c]))
-    return tuple(tags)
-
-
-def atom_signature(atom, distinguished) -> AtomSignature:
-    pred, args = atom
-    return AtomSignature(pred=pred, tags=_tags_of(args, distinguished, {}))
-
-
-def orbit_sizes_analytic(signature, domain_size: int, num_distinguished: int) -> int:
-    """Count groundings matching a signature: a falling factorial per anon class."""
-    tags = signature.tags if isinstance(signature, AtomSignature) else tuple(signature)
-    classes = {t[1] for t in tags if t[0] == "anon"}
-    size = 1
-    for i in range(len(classes)):
-        size *= max(0, domain_size - num_distinguished - i)
-    return size
-
-
-def _joint_signature(atom_a, atom_b, distinguished):
-    # shared anon numbering across the two atoms, order-sensitive
-    anon = {}
-    return (
-        (atom_a[0], _tags_of(atom_a[1], distinguished, anon)),
-        (atom_b[0], _tags_of(atom_b[1], distinguished, anon)),
-    )
-
-
-def _feature_key(origin: FeatureOrigin, distinguished):
-    if origin.kind == "soft":
-        return ("soft", origin.weight, atom_signature(origin.atom, distinguished))
-    return ("formula", origin.formula, _tags_of(origin.subst, distinguished, {}))
-
-
-def _by_signature(domain, model: Model, key) -> OrbitPartition:
-    return OrbitPartition.group(_domain_elements(domain, model), key)
+def _renaming_tags(ids, distinguished):
+    """What a renaming of the interchangeable constants keeps of rows of
+    constant ids: a distinguished constant, or a -1 past the end, stays
+    itself; any other constant becomes -2 minus the first column of its row
+    that holds it."""
+    keep = (ids < 0) | distinguished[ids]
+    return np.where(keep, ids, -2 - _first_columns(ids))
 
 
 class RenamingSymmetries:
-    """Renaming-group orbits for a grounded MLN, computed from signatures."""
+    """Renaming-group orbits for a grounded MLN, computed from integer keys.
+
+    Each element's key is a row of integers, the same for two elements
+    exactly when a renaming of the interchangeable constants maps one onto
+    the other, and each domain's cells are the classes of equal rows.
+    """
 
     def __init__(self, model: Model, gmap: GroundingMap):
         self.model = model
         self.gmap = gmap
         self.distinguished = gmap.distinguished
 
+    def _mask(self, constants):
+        mask = np.zeros(len(self.gmap.domain), dtype=bool)
+        mask[[i for i, c in enumerate(self.gmap.domain) if c in constants]] = True
+        return mask
+
+    def _var_codes(self, distinguished):
+        # an atom's key: its predicate, then its constants' tags
+        rows = self.gmap.atom_rows
+        return row_codes(np.column_stack([rows[:, 0], _renaming_tags(rows[:, 1:], distinguished)]))
+
     def bundle(self) -> OrbitBundle:
-        model, gmap, dist = self.model, self.gmap, self.distinguished
-        atoms = gmap.atoms
+        model, gmap = self.model, self.gmap
+        dist = self._mask(self.distinguished)
+        rows = gmap.atom_rows
 
-        fkey = [_feature_key(origin, dist) for origin in gmap.origins]
-        # An arity >= 4 feature's scope positions, ordered by their atoms' tags
-        # under the anonymous numbering of the feature's substitution. Features
-        # with equal keys differ by a renaming fixed on their substitution
-        # constants, which maps scope atoms with equal tags onto each other.
-        # An arity-3 feature has one factor moment, all ones, and needs none.
-        order = {}
-        for j, f in enumerate(model.features):
-            if f.arity >= 4:
-                anon = {}
-                _tags_of(gmap.origins[j].subst, dist, anon)
-                tags = [(atoms[v][0], _tags_of(atoms[v][1], dist, anon)) for v in f.scope]
-                order[j] = sorted(range(f.arity), key=tags.__getitem__)
+        # a feature's key: its tie class and source (formula, or soft
+        # evidence on a predicate), then its substitution's or atom's tags
+        source = gmap.origin_rows
+        feature_codes = row_codes(np.column_stack([
+            model.tie_class_of, source[:, 0], _renaming_tags(source[:, 1:], dist),
+        ]))
 
-        def edge_key(e):
-            # a renaming maps an edge onto another iff it maps one of its
-            # directions onto a direction of the other; the reverse
-            # direction's signature is a function of the forward one's, so
-            # the smaller of the two names the edge orbit
-            u, v = e
-            return min(_joint_signature(atoms[u], atoms[v], dist),
-                       _joint_signature(atoms[v], atoms[u], dist))
+        # a renaming maps an edge onto another iff it maps one of its
+        # directions onto a direction of the other; the reverse direction's
+        # key is a function of the forward one's, so the smaller of the two
+        # names the edge orbit. A direction's key numbers the constants of
+        # both atoms together.
+        edges = skeleton(model).edges
+        flat = itertools.chain.from_iterable(edges)
+        pairs = np.fromiter(flat, np.int64, 2 * len(edges)).reshape(-1, 2)
 
-        def fm_key(element):
-            j, a = element
-            return (fkey[j], tuple(a[p] for p in order[j]) if j in order else a)
+        def direction(a, b):
+            return np.column_stack([
+                rows[a, 0], rows[b, 0],
+                _renaming_tags(np.hstack([rows[a, 1:], rows[b, 1:]]), dist),
+            ])
+
+        codes = row_codes(np.vstack([direction(pairs[:, 0], pairs[:, 1]),
+                                      direction(pairs[:, 1], pairs[:, 0])]))
+        edge_codes = np.minimum(codes[:len(pairs)], codes[len(pairs):])
+
+        # a factor moment's key: its feature's key and its assignment read in
+        # the order of the scope atoms' keys, where a constant of the
+        # substitution is tagged by its first position there. Features with
+        # equal keys differ by a renaming fixed on their substitution
+        # constants, which maps scope atoms with equal keys onto each other.
+        # An arity-3 feature has one factor moment, all ones, and needs no order.
+        moments = _domain_elements("factor-moments", model)
+        moment_rows = np.zeros((len(moments), 2), dtype=np.int64)
+        counts = np.zeros(model.num_features, dtype=np.int64)
+        for k, (js, _) in model.scope_arrays.items():
+            counts[js] = len(moment_assignments(k))
+        first = np.cumsum(counts) - counts  # each feature's first factor moment
+        for k, (js, scopes) in model.scope_arrays.items():
+            if k < 3:
+                continue
+            order = np.tile(np.arange(k), (len(js), 1))
+            if k >= 4:
+                args = rows[scopes, 1:]  # (features, k, arity)
+                subst = source[js, 1:]
+                found = args[..., None] == subst[:, None, None, :]
+                tags = np.where(args < 0, -1, np.where(
+                    found.any(-1) & ~dist[args], found.argmax(-1), subst.shape[1] + args))
+                keys = row_codes(np.column_stack([
+                    rows[scopes, 0].ravel(), tags.reshape(-1, tags.shape[-1]),
+                ]))
+                order = np.argsort(keys.reshape(len(js), k), axis=1)
+            assign = np.array(moment_assignments(k), dtype=np.int64)  # (moments, k)
+            read = assign[:, order].transpose(1, 0, 2)  # (features, moments, k)
+            at = first[js][:, None] + np.arange(len(assign))
+            moment_rows[at, 0] = feature_codes[js][:, None]
+            moment_rows[at, 1] = read @ (1 << np.arange(k - 1, -1, -1))
 
         return OrbitBundle(
-            vars=_by_signature("vars", model, lambda v: atom_signature(atoms[v], dist)),
-            features=_by_signature("features", model, fkey.__getitem__),
-            edges=_by_signature("edges", model, edge_key),
-            factor_moments=_by_signature("factor-moments", model, fm_key),
+            vars=OrbitPartition.from_labels(range(model.num_vars), self._var_codes(dist).tolist()),
+            features=OrbitPartition.from_labels(range(model.num_features), feature_codes.tolist()),
+            edges=OrbitPartition.from_labels(edges, edge_codes.tolist()),
+            factor_moments=OrbitPartition.from_labels(moments, row_codes(moment_rows).tolist()),
         )
 
     def stabilized_light(self, fixed_var: int) -> OrbitPartition:
         """Variable orbits once the fixed atom's constants are pinned."""
-        atoms = self.gmap.atoms
-        dist = self.distinguished | set(atoms[fixed_var][1])
-        return _by_signature("vars", self.model, lambda v: atom_signature(atoms[v], dist))
+        dist = self._mask(self.distinguished | set(self.gmap.atoms[fixed_var][1]))
+        labels = self._var_codes(dist).tolist()
+        return OrbitPartition.from_labels(range(self.model.num_vars), labels)

@@ -29,6 +29,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class ModelError(ValueError):
     """A structurally invalid model (bad scope, table, tie class, ...)."""
@@ -58,7 +60,7 @@ def moment_assignments(arity: int) -> tuple:
     return tuple(a for a in assignments(arity) if sum(a) >= 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Feature:
     """One table-valued feature: an ordered scope and 2^K table entries."""
 
@@ -85,6 +87,28 @@ class Feature:
         if not all(map(math.isfinite, table)):
             bad = next(t for t in table if not math.isfinite(t))
             raise ModelError("table entry is not finite: %r" % bad)
+
+    @classmethod
+    def many(cls, scopes, table) -> list:
+        """One feature per row of a 2-d integer array of scopes, all with
+        one table. The checks of __post_init__ are made once: on the table
+        for the array's arity, then over the array's rows."""
+        scopes = np.asarray(scopes, dtype=np.int64)
+        table = cls(scope=range(scopes.shape[1]), table=table).table
+        falling = (scopes[:, 1:] <= scopes[:, :-1]).any(axis=1)
+        if falling.any():
+            bad = tuple(scopes[falling.argmax()].tolist())
+            raise ModelError("scope must be strictly increasing: %r" % (bad,))
+        if scopes.size and scopes[:, 0].min() < 0:
+            raise ModelError("variable index out of range: %d" % scopes[:, 0].min())
+        ints = np.arange(scopes.max(initial=0) + 1, dtype=object)  # the scopes share these
+        out = []
+        for scope in zip(*ints[scopes].T.tolist()):
+            f = object.__new__(cls)
+            object.__setattr__(f, "scope", scope)
+            object.__setattr__(f, "table", table)
+            out.append(f)
+        return out
 
     @property
     def arity(self) -> int:
@@ -157,16 +181,81 @@ class Model:
         return self.theta[self.tie_class_of[j]]
 
     @functools.cached_property
+    def scope_arrays(self) -> dict:
+        """Arity -> (the indices of the features of that arity, their scopes
+        as the rows of one array), arities ascending. A Model is immutable,
+        so this is built once."""
+        groups = {}
+        for j, f in enumerate(self.features):
+            groups.setdefault(len(f.scope), []).append(j)
+        out = {}
+        for k, js in sorted(groups.items()):
+            flat = itertools.chain.from_iterable(self.features[j].scope for j in js)
+            out[k] = np.array(js), np.fromiter(flat, np.int64, len(js) * k).reshape(len(js), k)
+        return out
+
+    @functools.cached_property
+    def factor_moments(self) -> tuple:
+        """The factor moments (j, a): each arity >= 3 feature j with each of
+        its assignments a with at least three ones, feature by feature in
+        table order. Built once, and shared by the orbits and the lift."""
+        return tuple(
+            (j, a)
+            for j, f in enumerate(self.features)
+            if len(f.scope) >= 3
+            for a in moment_assignments(len(f.scope))
+        )
+
+    @functools.cached_property
     def _skeleton(self) -> Skeleton:
-        # a Model is immutable, so its skeleton is built once
-        edges = set()
-        hyper = set()
-        for f in self.features:
-            for u, v in itertools.combinations(f.scope, 2):
-                edges.add((u, v))
-            if f.arity >= 3:
-                hyper.add(f.scope)
-        return Skeleton(edges=tuple(sorted(edges)), hyperedges=tuple(sorted(hyper)))
+        # one array pass per arity: the scope pairs as codes u * n + v, and
+        # the arity >= 3 scopes, deduplicated and sorted by their row codes
+        # (the hyperedges are the features' own scope tuples)
+        n = self.num_vars
+        ints = np.arange(n, dtype=object)  # the edge tuples share these
+        codes = [np.zeros(0, dtype=np.int64)]
+        hyper = []
+        for k, (js, scopes) in self.scope_arrays.items():
+            pairs = itertools.combinations(range(k), 2)
+            codes += [scopes[:, a] * n + scopes[:, b] for a, b in pairs]
+            if k >= 3:
+                order, starts = group_codes(row_codes(scopes))
+                hyper += [self.features[j].scope for j in js[order[starts]].tolist()]
+        codes = np.concatenate(codes)
+        order, starts = group_codes(codes)
+        codes = codes[order[starts]]
+        return Skeleton(
+            edges=tuple(zip(ints[codes // n].tolist(), ints[codes % n].tolist())),
+            hyperedges=tuple(sorted(hyper)),
+        )
+
+
+def group_codes(codes):
+    """(order, starts): the positions of an integer array sorted by code,
+    equal codes in position order, and where each run of one code starts
+    in that order. One stable argsort, the sort a lift makes anyway:
+    np.unique or the default sort would load more of numpy's sorting code,
+    about 0.5 MB more resident memory in a small run."""
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return order, np.flatnonzero(first)
+
+
+def row_codes(rows):
+    """Integer codes of the rows of a 2-d integer array: equal rows get equal
+    codes, and codes are ordered as the rows are lexicographically."""
+    code = np.zeros(len(rows), dtype=np.int64)
+    span = 1  # code < span
+    for col in rows.T:
+        lo, hi = (int(col.min()), int(col.max())) if len(col) else (0, 0)
+        if span * (hi - lo + 1) >= 1 << 62:
+            _, code = np.unique(code, return_inverse=True)
+            span = len(rows)
+        code = code * (hi - lo + 1) + col - lo
+        span *= hi - lo + 1
+    return code
 
 
 def depended_positions(table, k: int) -> list:
@@ -315,8 +404,6 @@ class OvercompleteLayout:
         added into its node or edge block, in feature order as there, so the
         sums are the same floats; an arity >= 3 feature owns its block.
         """
-        import numpy as np
-
         theta = [0.0] * self.size
         for j, f in enumerate(self.model.features):
             w = self.model.weight_of(j)
@@ -331,8 +418,6 @@ class OvercompleteLayout:
 
     def phi_vector(self, x):
         """Indicator statistics of configuration x in this layout."""
-        import numpy as np
-
         x = tuple(x)
         phi = np.zeros(self.size)
         for v in range(self.model.num_vars):

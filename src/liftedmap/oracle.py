@@ -1,25 +1,21 @@
 """Brute-force ground truth for small models.
 
-Everything here works by enumeration: exact MAP and log-partition over all
-2^n configurations, configuration orbits closed under variable permutations,
-exhaustive automorphism search over all n! variable permutations, and direct
-enumeration of odd-set cycle constraints. These are deliberately independent
-of the search, lifting, and separation code they are used to validate.
+exact_enumerate finds the exact MAP, log-partition and overcomplete means
+by enumerating all 2^n configurations, independently of the lifting and
+solver code it is used to check. The `exact` command runs it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Model, OvercompleteLayout, table_index
-from .symmetry import GeneratorSet, PermutationPair
+from .model import Model, OvercompleteLayout
 
 
 class OracleError(Exception):
-    """An internal consistency check of the oracle failed."""
+    """The oracle cannot give a result, or a check of its own failed."""
 
 
 class LimitExceededError(OracleError):
@@ -33,13 +29,6 @@ class ExactResult:
     mean_params: np.ndarray
     log_partition: float
     layout: OvercompleteLayout
-
-
-@dataclass(frozen=True, eq=False)
-class ConfigOrbit:
-    configs: tuple
-    centroid: np.ndarray
-    score: float
 
 
 def _config_matrix(n):
@@ -94,211 +83,3 @@ def exact_enumerate(model: Model, limit: int = 20) -> ExactResult:
         log_partition=log_partition,
         layout=layout,
     )
-
-
-def configuration_orbits(model: Model, gens, limit: int = 16):
-    """Orbits of whole configurations with their mean statistics vectors.
-
-    Closes {0,1}^n under x -> permuted x for each generator, computes the
-    per-orbit centroid of the overcomplete statistics, and checks that the
-    best centroid score equals the exact MAP value.
-    """
-    n = model.num_vars
-    if n > limit:
-        raise LimitExceededError("orbit enumeration needs num_vars <= %d, got %d" % (limit, n))
-    pairs = gens.generators if isinstance(gens, GeneratorSet) else tuple(gens)
-    perms = [p.var_perm for p in pairs]
-    X = _config_matrix(n)
-    layout = OvercompleteLayout(model)
-    theta = layout.theta_vector()
-    seen = [False] * (2 ** n)
-    orbits = []
-    for c0 in range(2 ** n):
-        if seen[c0]:
-            continue
-        comp = []
-        stack = [c0]
-        seen[c0] = True
-        while stack:
-            c = stack.pop()
-            comp.append(c)
-            x = X[c]
-            for pi in perms:
-                img = 0
-                for i in range(n):
-                    img = (img << 1) | int(x[pi[i]])
-                if not seen[img]:
-                    seen[img] = True
-                    stack.append(img)
-        comp.sort()
-        configs = tuple(tuple(int(b) for b in X[c]) for c in comp)
-        centroid = np.mean([layout.phi_vector(x) for x in configs], axis=0)
-        orbits.append(
-            ConfigOrbit(configs=configs, centroid=centroid, score=float(theta @ centroid))
-        )
-    best = max(o.score for o in orbits)
-    exact = exact_enumerate(model, limit=max(limit, n))
-    if abs(best - exact.map_value) > 1e-9:
-        raise OracleError(
-            "best orbit-centroid score %r does not match the exact optimum %r"
-            % (best, exact.map_value)
-        )
-    return orbits
-
-
-# ---------------------------------------------------------------------------
-# exhaustive automorphisms
-
-
-def _tables_match(f, f2, pi):
-    # value equality under the position correspondence induced by pi
-    pos = {u: i for i, u in enumerate(f2.scope)}
-    for a in itertools.product((0, 1), repeat=f.arity):
-        b = [0] * f.arity
-        for k, v in enumerate(f.scope):
-            b[pos[pi[v]]] = a[k]
-        if f.table[table_index(a)] != f2.table[table_index(b)]:
-            return False
-    return True
-
-
-def _bijections(cand, m):
-    out = []
-    used = [False] * m
-    pick = [0] * m
-
-    def rec(j):
-        if j == m:
-            out.append(tuple(pick))
-            return
-        for j2 in cand[j]:
-            if not used[j2]:
-                used[j2] = True
-                pick[j] = j2
-                rec(j + 1)
-                used[j2] = False
-
-    rec(0)
-    return out
-
-
-def _defining_property(model, pair, configs):
-    pi, ga = pair.var_perm, pair.feature_perm
-    for x in configs:
-        xp = tuple(x[pi[i]] for i in range(len(pi)))
-        for j, f in enumerate(model.features):
-            if f.value(xp) != model.features[ga[j]].value(x):
-                return False
-    return True
-
-
-def exhaustive_automorphisms(model: Model, limit: int = 6):
-    """All symmetry pairs of the model, found by trying every variable permutation.
-
-    For each of the n! variable permutations, feature images are matched by
-    scope, tie class, and table values (with backtracking when duplicates
-    allow several bijections), then each candidate pair is verified on all
-    2^n configurations.
-    """
-    n, m = model.num_vars, model.num_features
-    if n > limit:
-        raise LimitExceededError("exhaustive search needs num_vars <= %d, got %d" % (limit, n))
-    by_scope = {}
-    for j2, f2 in enumerate(model.features):
-        by_scope.setdefault(f2.scope, []).append(j2)
-    configs = [tuple((c >> (n - 1 - i)) & 1 for i in range(n)) for c in range(2 ** n)]
-    results = []
-    for pi in itertools.permutations(range(n)):
-        cand = []
-        for j, f in enumerate(model.features):
-            scope_img = tuple(sorted(pi[v] for v in f.scope))
-            opts = [
-                j2
-                for j2 in by_scope.get(scope_img, ())
-                if model.tie_class_of[j2] == model.tie_class_of[j]
-                and _tables_match(f, model.features[j2], pi)
-            ]
-            if not opts:
-                cand = None
-                break
-            cand.append(opts)
-        if cand is None:
-            continue
-        for ga in _bijections(cand, m):
-            pair = PermutationPair(var_perm=pi, feature_perm=ga)
-            if _defining_property(model, pair, configs):
-                results.append(pair)
-    return results
-
-
-def generated_group(gens, model: Model):
-    """Closure of a generator set under composition (small groups only)."""
-    pairs = gens.generators if isinstance(gens, GeneratorSet) else tuple(gens)
-    ident = PermutationPair(tuple(range(model.num_vars)), tuple(range(model.num_features)))
-    group = {ident}
-    frontier = [ident]
-    while frontier:
-        cur = frontier.pop()
-        for g in pairs:
-            nxt = PermutationPair(
-                tuple(cur.var_perm[g.var_perm[i]] for i in range(model.num_vars)),
-                tuple(cur.feature_perm[g.feature_perm[j]] for j in range(model.num_features)),
-            )
-            if nxt not in group:
-                group.add(nxt)
-                frontier.append(nxt)
-    return frozenset(group)
-
-
-# ---------------------------------------------------------------------------
-# cycle constraints by enumeration
-
-
-def enumerate_cycle_constraints(model: Model, tau, max_len: int = 6):
-    """All odd-set cycle constraints on simple cycles up to max_len.
-
-    tau is a vector over the model's overcomplete layout. Returns a list of
-    (cycle edges, odd subset, left-hand side) triples; a consistent integral
-    tau satisfies every constraint with LHS >= 1.
-    """
-    layout = OvercompleteLayout(model)
-    tau = np.asarray(tau, dtype=float)
-    adj = {}
-    for (u, v) in layout.edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-
-    def cut(e):
-        u, v = e
-        return float(tau[layout.edge_index(u, v, 0, 1)] + tau[layout.edge_index(u, v, 1, 0)])
-
-    def nocut(e):
-        u, v = e
-        return float(tau[layout.edge_index(u, v, 0, 0)] + tau[layout.edge_index(u, v, 1, 1)])
-
-    cycles = []
-
-    def dfs(path):
-        last = path[-1]
-        for w in sorted(adj[last]):
-            if w == path[0] and len(path) >= 3:
-                if path[1] < path[-1]:
-                    cycles.append(tuple(path))
-            elif w > path[0] and w not in path and len(path) < max_len:
-                dfs(path + [w])
-
-    for s in sorted(adj):
-        dfs([s])
-
-    out = []
-    for cyc in cycles:
-        edges = tuple(
-            tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)]))) for i in range(len(cyc))
-        )
-        for r in range(1, len(edges) + 1, 2):
-            for F in itertools.combinations(edges, r):
-                chosen = set(F)
-                lhs = sum(nocut(e) for e in F)
-                lhs += sum(cut(e) for e in edges if e not in chosen)
-                out.append((edges, F, lhs))
-    return out

@@ -25,7 +25,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .model import Model, ModelError, moment_assignments, skeleton, table_index
+from .model import Model, ModelError, skeleton, table_index
 
 
 class _UnionFind:
@@ -96,12 +96,20 @@ class OrbitPartition:
     @classmethod
     def group(cls, elements, key) -> "OrbitPartition":
         """Group the sorted elements by key; cells come in order of their
-        smallest member. The one constructor of every orbit partition."""
+        smallest member."""
         elements = tuple(sorted(elements))
+        return cls.from_labels(elements, map(key, elements))
+
+    @classmethod
+    def from_labels(cls, elements, labels) -> "OrbitPartition":
+        """The classes of equal labels of the sorted elements; cells come in
+        order of their smallest member. The one constructor of every orbit
+        partition."""
+        elements = tuple(elements)
         groups = {}
-        for e in elements:
-            groups.setdefault(key(e), []).append(e)
-        cells = tuple(tuple(members) for members in groups.values())
+        for e, label in zip(elements, labels):
+            groups.setdefault(label, []).append(e)
+        cells = tuple(map(tuple, groups.values()))
         cell_of = {e: ci for ci, members in enumerate(cells) for e in members}
         return cls(elements, cells, cell_of, tuple(members[0] for members in cells))
 
@@ -552,7 +560,7 @@ def _domain_elements(domain, model):
     if domain == "edges":
         return list(skeleton(model).edges)
     if domain == "factor-moments":
-        return [(j, a) for j, f in enumerate(model.features) for a in moment_assignments(f.arity)]
+        return model.factor_moments
     raise ModelError("unknown orbit domain %r" % (domain,))
 
 

@@ -35,10 +35,11 @@ from liftedmap import (
     build_local_lp,
     simplex_solve,
 )
-from liftedmap.mln import _feature_key, _joint_signature, _tags_of
 from liftedmap.model import OvercompleteLayout, assignments, skeleton
 from liftedmap.solve import LinearProgram
 from liftedmap.symmetry import OrbitPartition, _UnionFind, act_element
+
+from signatures import feature_key, joint_signature, tags_of
 
 
 def lifted(target) -> LiftedModel:
@@ -132,7 +133,7 @@ def arc_orbits(sym) -> OrbitPartition:
     if isinstance(sym, RenamingSymmetries):
         atoms, dist = sym.gmap.atoms, sym.distinguished
         return OrbitPartition.group(
-            elements, lambda a: _joint_signature(atoms[a[0]], atoms[a[1]], dist)
+            elements, lambda a: joint_signature(atoms[a[0]], atoms[a[1]], dist)
         )
     return _generator_orbits(sym, elements, lambda a, g: (g.var_perm[a[0]], g.var_perm[a[1]]))
 
@@ -160,13 +161,13 @@ def factor_assignment_orbits(sym) -> OrbitPartition:
     ]
     if isinstance(sym, RenamingSymmetries):
         gmap, dist = sym.gmap, sym.distinguished
-        fkey = [_feature_key(origin, dist) for origin in gmap.origins]
+        fkey = [feature_key(origin, dist) for origin in gmap.origins]
         order = {}
         for j, f in enumerate(model.features):
             if f.arity >= 3:
                 anon = {}
-                _tags_of(gmap.origins[j].subst, dist, anon)
-                tags = [(gmap.atoms[v][0], _tags_of(gmap.atoms[v][1], dist, anon)) for v in f.scope]
+                tags_of(gmap.origins[j].subst, dist, anon)
+                tags = [(gmap.atoms[v][0], tags_of(gmap.atoms[v][1], dist, anon)) for v in f.scope]
                 order[j] = sorted(range(f.arity), key=tags.__getitem__)
         return OrbitPartition.group(
             elements, lambda e: (fkey[e[0]], tuple(e[1][p] for p in order[e[0]]))

@@ -26,14 +26,7 @@ from liftedmap import (
     verify_generator,
 )
 from liftedmap import fixtures
-from liftedmap.oracle import (
-    configuration_orbits,
-    enumerate_cycle_constraints,
-    exact_enumerate,
-    exhaustive_automorphisms,
-    generated_group,
-)
-from liftedmap.mln import atom_signature, orbit_sizes_analytic
+from liftedmap.oracle import exact_enumerate
 from liftedmap.solve import (
     build_stabilized_graphs,
     separate_cycles_ground,
@@ -43,6 +36,13 @@ from liftedmap.solve import (
 from liftedmap.symmetry import refine_colors
 
 from conftest import refines
+from reference import (
+    configuration_orbits,
+    enumerate_cycle_constraints,
+    exhaustive_automorphisms,
+    generated_group,
+)
+from signatures import atom_signature, orbit_sizes_analytic
 from overcomplete import (
     ground_moments,
     lifted as trivial_lift,

@@ -145,6 +145,15 @@ class TestInputHandling:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_zero_arity_predicate_is_input_error(self, capsys, tmp_path):
+        # no formula can use R, so it would only add a variable with no feature
+        path = tmp_path / "zero.mln"
+        path.write_text("predicate R/0\npredicate P/1\n1.0 P(x)\n")
+        code, out, err = run(capsys, "ground", str(path), "--domain-size", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 1: predicate R needs an arity of at least 1")
+
     def test_mln_with_no_surviving_features(self, capsys, models_dir):
         # q2 declares a predicate but no formulas; without evidence nothing grounds
         code, _, err = run(

@@ -2,12 +2,21 @@
 
 import dataclasses
 import itertools
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import refines
 from overcomplete import arc_min_edge_orbits
+from signatures import (
+    atom_signature,
+    feature_key,
+    orbit_sizes_analytic,
+    reference_bundle,
+    reference_stabilized_light,
+)
 from test_random_mln import POSITIVE_GUARDS, random_mlns
 from liftedmap import fixtures
 from liftedmap.mln import (
@@ -15,17 +24,12 @@ from liftedmap.mln import (
     BinOp,
     Compare,
     FeatureOrigin,
-    GroundingMap,
     MLNError,
     MLNFormatError,
     Not,
     RenamingSymmetries,
-    _feature_key,
-    _term_value,
-    atom_signature,
     build_domain,
     ground_mln,
-    orbit_sizes_analytic,
     parse_evidence,
     parse_mln,
 )
@@ -70,6 +74,15 @@ def test_parse_rejects_malformed_lines():
         parse_mln("predicate P/1\n1.0 P(x, y)")  # arity mismatch
     with pytest.raises(MLNFormatError):
         parse_mln("1.0 P(x ^ ")  # unbalanced
+
+
+def test_parse_rejects_zero_arity_predicates():
+    # a formula cannot use R (`R` and `R()` do not parse), so grounding
+    # would add R() as a variable that no feature touches
+    with pytest.raises(MLNFormatError, match=r"^line 2: predicate R needs an arity of at least 1"):
+        parse_mln("predicate P/1\npredicate R/0\n1.0 P(x)\n")
+    with pytest.raises(MLNFormatError):
+        parse_mln("1.0 R()")
 
 
 def test_evidence_parsing():
@@ -211,6 +224,11 @@ def test_negated_and_disjunctive_equality_atoms_are_evaluated(formula, atoms):
 # atoms. On positive top-level guards it is exact.
 
 
+def _term_value(term, subst):
+    kind, name = term
+    return subst[name] if kind == "var" else name
+
+
 def _ref_free_vars(node):
     if isinstance(node, Atom):
         return {n for (kind, n) in node.args if kind == "var"}
@@ -262,8 +280,9 @@ def _ref_eval(node, subst, valuation):
 
 
 def reference_ground(mln, domain_size, evidence):
-    """(model, gmap, templates): templates[j] pairs feature j's template atoms
-    with the flags of those that survived into its scope."""
+    """(model, gmap, templates): gmap has the fields of a GroundingMap, with
+    origins built one feature at a time; templates[j] pairs feature j's
+    template atoms with the flags of those that survived into its scope."""
     domain, named = build_domain(mln, evidence, domain_size)
     observed = dict(evidence.hard)
     soft = dict(evidence.soft)
@@ -330,13 +349,38 @@ def reference_ground(mln, domain_size, evidence):
         raise MLNError("no ground features survive")
     model = Model(num_vars=len(atoms), features=tuple(features),
                   tie_class_of=tuple(tie_of), theta=tuple(theta))
-    gmap = GroundingMap(domain, named, tuple(atoms), atom_index, observed, tuple(origins))
+    atom_rows, origin_rows = reference_rows(mln, domain, atoms, origins)
+    gmap = SimpleNamespace(domain=domain, distinguished=named, atoms=tuple(atoms),
+                           atom_index=atom_index, observed=observed, soft=soft,
+                           origins=tuple(origins), atom_rows=atom_rows, origin_rows=origin_rows)
     return model, gmap, templates
+
+
+def reference_rows(mln, domain, atoms, origins):
+    """GroundingMap's atom_rows and origin_rows, one element at a time."""
+    const = {c: i for i, c in enumerate(domain)}
+    pred = {p: i for i, (p, _) in enumerate(mln.predicates)}
+    atom_rows = [[pred[p]] + [const[c] for c in args] for p, args in atoms]
+    origin_rows = [
+        [o.formula] + [const[c] for c in o.subst] if o.kind == "formula"
+        else [len(mln.formulas) + pred[o.atom[0]]] + [const[c] for c in o.atom[1]]
+        for o in origins
+    ]
+    # atoms are as wide as the widest predicate; origins also as the widest
+    # substitution with a feature
+    atom_width = 1 + max((arity for _, arity in mln.predicates), default=0)
+    origin_width = max([atom_width] + [len(r) for r in origin_rows])
+
+    def padded(rows, width):
+        out = np.array([r + [-1] * (width - len(r)) for r in rows], dtype=np.int64)
+        return out.reshape(-1, width)
+
+    return padded(atom_rows, atom_width), padded(origin_rows, origin_width)
 
 
 def reference_factor_moments(model, gmap, templates):
     """Factor-moment orbits keyed with each scope in template order."""
-    fkey = [_feature_key(origin, gmap.distinguished) for origin in gmap.origins]
+    fkey = [feature_key(origin, gmap.distinguished) for origin in gmap.origins]
     perm = {}
     for j, (template, active) in templates.items():
         if model.features[j].arity >= 3:
@@ -360,15 +404,21 @@ def assert_grounding_matches_reference(text, ev_text, d):
         return
     model, gmap = ground_mln(mln, d, ev)
     assert format_model(model) == format_model(ref_model)
-    assert (gmap.domain, gmap.atoms, gmap.observed) == (ref_gmap.domain, ref_gmap.atoms, ref_gmap.observed)
+    assert (gmap.domain, gmap.atoms, gmap.observed, gmap.soft) == (
+        ref_gmap.domain, ref_gmap.atoms, ref_gmap.observed, ref_gmap.soft)
     assert gmap.origins == ref_gmap.origins
-    bundle = RenamingSymmetries(model, gmap).bundle()
-    ref_bundle = RenamingSymmetries(ref_model, ref_gmap).bundle()
+    assert np.array_equal(gmap.atom_rows, ref_gmap.atom_rows)
+    assert np.array_equal(gmap.origin_rows, ref_gmap.origin_rows)
+    # the array keys against the per-element signatures on the reference grounding
+    renaming = RenamingSymmetries(model, gmap)
+    bundle = renaming.bundle()
+    ref_bundle = reference_bundle(ref_model, ref_gmap)
     for f in dataclasses.fields(OrbitBundle):
-        if f.name != "factor_moments":
-            assert getattr(bundle, f.name).cells == getattr(ref_bundle, f.name).cells, f.name
+        assert getattr(bundle, f.name) == getattr(ref_bundle, f.name), f.name
     ref_fm = reference_factor_moments(ref_model, ref_gmap, templates)
     assert bundle.factor_moments.cells == ref_fm.cells
+    for v in range(model.num_vars):
+        assert renaming.stabilized_light(v) == reference_stabilized_light(ref_model, ref_gmap, v)
 
 
 @pytest.mark.parametrize("text,ev,domains", [
@@ -379,6 +429,22 @@ def assert_grounding_matches_reference(text, ev_text, d):
 def test_shipped_models_ground_as_the_reference(text, ev, domains):
     for d in domains:
         assert_grounding_matches_reference(text, ev, d)
+
+
+# features of arity 3, 4 and 5, whose factor moments need the scope order
+WIDE_MLN = """predicate P/1
+predicate R/2
+1.0 R(x, y) ^ R(y, z) ^ P(x) => P(z)
+-0.5 x != y ^ (R(x, y) ^ R(y, x) ^ P(A) ^ P(y) v R(x, A))
+"""
+WIDE_EVIDENCE = "R(A, A)\nsoft R(A, B) 0.5\n!P(B)\n"
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_wide_features_ground_as_the_reference(d):
+    model, _ = ground(WIDE_MLN, d, WIDE_EVIDENCE)
+    assert {f.arity for f in model.features} >= ({3, 4, 5} if d >= 3 else {3})
+    assert_grounding_matches_reference(WIDE_MLN, WIDE_EVIDENCE, d)
 
 
 @given(random_mlns(POSITIVE_GUARDS))

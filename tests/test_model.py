@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from liftedmap import fixtures
 from liftedmap.mln import ground_mln, parse_evidence, parse_mln
+from test_mln import WIDE_EVIDENCE, WIDE_MLN
 from liftedmap.model import (
     Feature,
     Model,
@@ -19,6 +20,7 @@ from liftedmap.model import (
     assignments,
     format_model,
     parse_model,
+    row_codes,
     score,
     skeleton,
     table_index,
@@ -51,6 +53,42 @@ def test_feature_value_reads_scope_in_order():
 def test_feature_scope_must_be_increasing():
     with pytest.raises(ModelError):
         Feature(scope=(2, 0), table=fixtures.FIRST_ONLY)
+
+
+def test_features_made_many_at_once_equal_those_made_one_by_one():
+    scopes = np.array([[0, 2], [1, 5], [3, 4]])
+    many = Feature.many(scopes, [1, 0, 0, 0])
+    assert many == [Feature(scope=tuple(s), table=(1.0, 0.0, 0.0, 0.0)) for s in scopes.tolist()]
+    assert all(type(v) is int for f in many for v in f.scope)
+    assert all(type(t) is float for f in many for t in f.table)
+    assert Feature.many(np.zeros((0, 2), dtype=int), fixtures.FIRST_ONLY) == []
+
+
+@pytest.mark.parametrize("scopes,table,message", [
+    ([[0, 2], [2, 2]], fixtures.FIRST_ONLY, r"scope must be strictly increasing: \(2, 2\)"),
+    ([[0, 2], [-1, 2]], fixtures.FIRST_ONLY, "variable index out of range: -1"),
+    ([[0, 2]], (1.0, 0.0), "table length mismatch: expected 4 entries, got 2"),
+    ([[0, 2]], (1.0, 0.0, math.inf, 0.0), "table entry is not finite: inf"),
+    (np.zeros((2, 0), dtype=int), (1.0,), "feature scope is empty"),
+])
+def test_features_made_many_at_once_are_checked(scopes, table, message):
+    # the checks and messages of a single Feature, made once over the array
+    with pytest.raises(ModelError, match=message):
+        Feature.many(np.array(scopes), table)
+
+
+def test_row_codes_order_rows_lexicographically():
+    rows = np.array([[3, -1, 7], [0, 5, 5], [3, -1, 2], [0, 5, 5], [-4, 9, 0]])
+    codes = row_codes(rows)
+    assert codes[1] == codes[3]
+    lexicographic = sorted(range(5), key=lambda i: rows[i].tolist())
+    assert np.argsort(codes, kind="stable").tolist() == lexicographic
+    # columns whose ranges overflow a 64-bit mixed radix are renumbered on the way
+    wide = np.array([[2 ** 40, 1, 2 ** 40], [0, 1, 2 ** 40], [2 ** 40, 0, 0], [0, 1, 2 ** 40]])
+    codes = row_codes(wide)
+    assert codes[1] == codes[3] and len(set(codes.tolist())) == 3
+    lexicographic = sorted(range(4), key=lambda i: wide[i].tolist())
+    assert np.argsort(codes, kind="stable").tolist() == lexicographic
 
 
 def test_score_sums_tied_weights():
@@ -125,6 +163,57 @@ def test_skeleton_edges_sorted_and_deduplicated():
     assert sk.hyperedges == tuple(sorted(f.scope for f in m.features))
     p = fixtures.ex1()
     assert skeleton(p).hyperedges == ()
+
+
+def reference_skeleton(model):
+    """The skeleton as sets of scope pairs and wide scopes, one feature at a time."""
+    edges, hyper = set(), set()
+    for f in model.features:
+        edges.update(itertools.combinations(f.scope, 2))
+        if f.arity >= 3:
+            hyper.add(f.scope)
+    return tuple(sorted(edges)), tuple(sorted(hyper))
+
+
+def parity(k):
+    return tuple(float(bin(i).count("1") % 2) for i in range(2 ** k))
+
+
+def skeleton_cases():
+    yield "mixed_wide", Model(  # a wide scope next to its prefix and its extension
+        num_vars=5,
+        features=tuple(Feature(scope=s, table=parity(len(s)))
+                       for s in ((1, 2, 4), (0, 1, 2, 3), (0, 1, 2), (0, 4), (3,), (0, 1, 2, 3))),
+        tie_class_of=(0,) * 6,
+        theta=(1.0,),
+    )
+    yield "ex1", fixtures.ex1()
+    yield "triangle", fixtures.triangle()
+    yield "cycle_model", fixtures.cycle_model(6)
+    yield "frucht", fixtures.frucht()
+    yield "fully_connected_symmetric", fixtures.fully_connected_symmetric(5)
+    yield "triple_parity", fixtures.triple_parity(4)
+    yield "unary_logistic", fixtures.unary_logistic()
+    for seed in range(20):
+        yield "random_tied_pairwise_%d" % seed, fixtures.random_tied_pairwise(seed)
+    yield "lovers_smokers_d5", ground_mln(parse_mln(fixtures.LOVERS_SMOKERS_MLN), 5)[0]
+    for d in (3, 4):
+        evidence = parse_evidence(WIDE_EVIDENCE)
+        yield "wide_mln_d%d" % d, ground_mln(parse_mln(WIDE_MLN), d, evidence)[0]
+
+
+SKELETON_CASES = dict(skeleton_cases())
+
+
+@pytest.mark.parametrize("name", SKELETON_CASES)
+def test_skeleton_matches_the_pairwise_reference(name):
+    model = SKELETON_CASES[name]
+    edges, hyperedges = reference_skeleton(model)
+    sk = skeleton(model)
+    assert sk.edges == edges
+    assert sk.hyperedges == hyperedges
+    if name.startswith(("wide", "mixed")):
+        assert len({len(h) for h in hyperedges}) >= 2
 
 
 def test_layout_block_structure():

@@ -1,4 +1,5 @@
-"""Brute-force reference implementations, pinned to closed forms first."""
+"""Brute-force reference implementations (liftedmap.oracle and the tests' own
+reference.py), pinned to closed forms first."""
 
 import itertools
 import math
@@ -8,16 +9,14 @@ import pytest
 
 from liftedmap import fixtures
 from liftedmap.model import Feature, Model, OvercompleteLayout
-from liftedmap.oracle import (
-    LimitExceededError,
-    OracleError,
+from liftedmap.oracle import LimitExceededError, OracleError, exact_enumerate
+from liftedmap.symmetry import GeneratorSet, GeneratorSymmetries, PermutationPair
+from reference import (
     configuration_orbits,
     enumerate_cycle_constraints,
-    exact_enumerate,
     exhaustive_automorphisms,
     generated_group,
 )
-from liftedmap.symmetry import GeneratorSet, GeneratorSymmetries, PermutationPair
 
 
 def test_exact_unary_closed_form():

@@ -17,6 +17,8 @@ from overcomplete import (
     overcomplete_point,
     reference_local_lp,
 )
+from reference import enumerate_cycle_constraints
+from signatures import reference_edge_orbits, reference_stabilized_light
 from liftedmap import (
     GeneratorSymmetries,
     MapOptions,
@@ -44,9 +46,8 @@ from liftedmap.fixtures import (
     unary_logistic,
 )
 from liftedmap.lift import MomentLayout
-from liftedmap.mln import _joint_signature, atom_signature
-from liftedmap.model import OvercompleteLayout, score, skeleton
-from liftedmap.oracle import enumerate_cycle_constraints, exact_enumerate
+from liftedmap.model import OvercompleteLayout, score
+from liftedmap.oracle import exact_enumerate
 from liftedmap.solve import (
     CycleConstraint,
     LinearProgram,
@@ -79,18 +80,10 @@ def stabilized_partitions(sym, rep):
     the edge orbits computed directly rather than from the variable cells."""
     model = sym.model
     if isinstance(sym, RenamingSymmetries):
-        atoms = sym.gmap.atoms
-        dist = sym.distinguished | set(atoms[rep][1])
-
-        def edge_key(e):
-            u, v = e
-            return min(_joint_signature(atoms[u], atoms[v], dist),
-                       _joint_signature(atoms[v], atoms[u], dist))
-
+        gmap = sym.gmap
         return (
-            symmetry.OrbitPartition.group(range(model.num_vars),
-                                          lambda v: atom_signature(atoms[v], dist)),
-            symmetry.OrbitPartition.group(skeleton(model).edges, edge_key),
+            reference_stabilized_light(model, gmap, rep),
+            reference_edge_orbits(model, gmap, sym.distinguished | set(gmap.atoms[rep][1])),
         )
     sub = [g for g in sym.gens.generators if g.var_perm[rep] == rep]
     return symmetry.orbits_of(sub, "vars", model), symmetry.orbits_of(sub, "edges", model)

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import circulant_7_1_3, refines, sorted_cells
+from reference import exhaustive_automorphisms, generated_group
 from liftedmap import fixtures
 from liftedmap.mln import ground_mln, parse_mln
 from liftedmap.model import Feature, Model
-from liftedmap.oracle import exhaustive_automorphisms, generated_group
 from liftedmap import symmetry
 from liftedmap.symmetry import (
     ColoredFactorGraph,
