@@ -51,21 +51,21 @@ class MomentLayout:
     def theta(self):
         """Objective coefficient of every ground moment, and the constant.
 
-        Features are taken by arity, their tables turned into weighted
-        Moebius coefficients c, so that table[a] sums c[s] over the subsets
-        s of a's ones. Each scope subset's coefficient goes to its node,
+        Features are taken by arity, with their scopes from
+        Model.scope_arrays, and their tables turned into weighted Moebius
+        coefficients c, so that table[a] sums c[s] over the subsets s of
+        a's ones. Each scope subset's coefficient goes to its node,
         edge or factor moment; the empty subset's to the constant, the
         all-zeros score, held in one more slot.
         """
         model = self.model
         n = model.num_vars
         codes = np.array([u * n + v for u, v in self.edges], dtype=np.int64)
-        by_arity = {}
-        for j, f in enumerate(model.features):
-            by_arity.setdefault(f.arity, []).append(j)
         theta = np.zeros(self.size + 1)
-        for k, js in by_arity.items():
-            scopes = np.array([model.features[j].scope for j in js], dtype=np.int64)
+        # arities in the order of their first feature: a fixed order of the float sums
+        by_first = sorted(model.scope_arrays.items(), key=lambda item: item[1][0][0])
+        for k, (js, scopes) in by_first:
+            js = js.tolist()
             coef = np.array([model.features[j].table for j in js]).reshape((-1,) + (2,) * k)
             for axis in range(1, k + 1):
                 coef = np.diff(coef, axis=axis, prepend=0.0)  # (t0, t1) -> (t0, t1 - t0)

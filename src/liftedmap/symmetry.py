@@ -20,6 +20,7 @@ is coarser than the tables.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -209,6 +210,21 @@ class ColoredFactorGraph:
     def factor_nodes(self):
         return range(self.num_vars, self.num_nodes)
 
+    @functools.cached_property
+    def edge_colors(self) -> tuple:
+        """The distinct edge colors, ascending."""
+        return tuple(sorted({ec for nbrs in self.adj for _, ec in nbrs}))
+
+    @functools.cached_property
+    def neighbors(self) -> tuple:
+        """Per node, its neighbors and the ranks of their edge colors in
+        edge_colors, as two tuples in adj order: what refinement reads,
+        built once per graph."""
+        rank = {ec: i for i, ec in enumerate(self.edge_colors)}
+        return tuple(
+            (tuple(w for w, _ in nbrs), tuple(rank[ec] for _, ec in nbrs)) for nbrs in self.adj
+        )
+
 
 def build_colored_factor_graph(model: Model) -> ColoredFactorGraph:
     """Encode the model so every model symmetry is a graph automorphism.
@@ -239,17 +255,7 @@ def build_colored_factor_graph(model: Model) -> ColoredFactorGraph:
     )
 
 
-class _Cell:
-    """One color class. Cells own disjoint id intervals [id, hi), ordered
-    as the classes' colors are, and a split divides its cell's interval."""
-
-    __slots__ = ("id", "hi", "members")
-
-    def __init__(self, members, lo, hi):
-        self.id, self.hi, self.members = lo, hi, members
-
-
-def refine_colors(graph: ColoredFactorGraph, colors=None):
+def refine_colors(graph: ColoredFactorGraph, colors=None, individualize=None):
     """Coarsest equitable refinement of the node coloring.
 
     Runs in rounds. A round gives each node the rank of its signature: its
@@ -258,7 +264,15 @@ def refine_colors(graph: ColoredFactorGraph, colors=None):
     canonical: ranks of signatures compared by order alone, so they are
     comparable across runs on relabeled graphs.
 
-    Only the first round signs every node. After a round in which a class
+    With `individualize` = v, `colors` must be equitable, as a refinement's
+    output is, and the result is that of `colors` with v given a color of
+    its own above all others: the search refines each child from its
+    parent this way. v starts as the last class, and the first round signs
+    only v's neighbors, since every other node keeps the signature it
+    shared with its classmates. Without it, the first round signs every
+    node.
+
+    Later rounds are incremental too. After a round in which a class
     splits, only the neighbors of its new subclasses other than the largest
     are re-signed. An untouched node sees each old class of a neighbor turn
     into exactly one new class (the only one, or the largest subclass), so
@@ -266,99 +280,94 @@ def refine_colors(graph: ColoredFactorGraph, colors=None):
     touched members cannot split; one with touched members signs its
     untouched rest once, from any one of them.
 
-    The ids stay canonical. Signatures are compared by order only, so any
-    ids in the order of the full round's ranks sort them alike. A class's
-    subclasses take its place in signature order, each in a slice of its
-    id interval, which keeps the ids in that order after every round; the
-    result is the rank of the final ids. A split
-    into k parts leaves each part at least k - 1 nodes smaller and divides
-    its width by k <= 2**(k-1), so along any chain of splits the width
-    shrinks by at most 2**(n-1) in all: first-round widths of 2**n never
-    run out.
+    A class's id is its first position in the ordered partition, as in
+    nauty. A split class's subclasses take consecutive slices of its
+    positions in signature order, so ids stay below the number of nodes
+    and in the order of the full rounds' ranks. A signature is the sorted
+    tuple of `id * len(edge_colors) + edge color rank` over the neighbors,
+    ints that order as the (id, edge color) pairs do. The result is the
+    rank of the final ids.
     """
-    adj = graph.adj
+    nbrs, num_ec = graph.neighbors, len(graph.edge_colors)
     n = graph.num_nodes
     colors = graph.init_colors if colors is None else colors
-    groups = {}
-    for u in range(n):
-        sig = (colors[u], tuple(sorted((colors[w], ec) for (w, ec) in adj[u])))
-        groups.setdefault(sig, set()).add(u)
-    order = sorted(groups)
-    cell_of = [None] * n
-    splits = []  # the subclasses of every class the last round split
-    for _, run in itertools.groupby(enumerate(order), key=lambda item: item[1][0]):
-        subs = [_Cell(groups[s], i << n, (i + 1) << n) for i, s in run]
-        for cell in subs:
-            for u in cell.members:
-                cell_of[u] = cell
-        if len(subs) > 1:
-            splits.append(subs)
+    classes = {}
+    for u, c in enumerate(colors):
+        classes.setdefault(c, set()).add(u)
+    cell = [0] * n  # node -> first position of its class
+    members = {}  # first position -> the class
+    first = 0
+    for c in sorted(classes):
+        ms = classes[c]
+        ms.discard(individualize)
+        if ms:
+            members[first] = ms
+            for u in ms:
+                cell[u] = first
+            first += len(ms)
+    if individualize is None:
+        touched = set(range(n))
+    else:
+        cell[individualize] = n - 1
+        members[n - 1] = {individualize}
+        touched = set(nbrs[individualize][0])
 
     def sign(u):
-        return tuple(sorted((cell_of[w].id, ec) for (w, ec) in adj[u]))
+        ws, ecs = nbrs[u]
+        return tuple(sorted([cell[w] * num_ec + e for w, e in zip(ws, ecs)]))
 
-    while splits:
-        touched = set()
-        for subs in splits:
-            largest = max(subs, key=lambda c: len(c.members))
-            for cell in subs:
-                if cell is not largest:
-                    for u in cell.members:
-                        touched.update(w for (w, _) in adj[u])
+    while touched:
         by_cell = {}
         for u in touched:
-            by_cell.setdefault(cell_of[u], []).append(u)
+            by_cell.setdefault(cell[u], []).append(u)
         plans = []
-        for cell, us in by_cell.items():
+        for c, us in by_cell.items():
+            ms = members[c]
+            if len(ms) == 1:
+                continue
             by_sig = {}
             for u in us:
                 by_sig.setdefault(sign(u), []).append(u)
-            if len(us) < len(cell.members):
-                keep = sign(next(u for u in cell.members if u not in touched))
+            if len(us) < len(ms):
+                keep = sign(next(u for u in ms if u not in touched))
                 by_sig.setdefault(keep, [])
             else:
                 keep = max(by_sig, key=lambda s: len(by_sig[s]))
             if len(by_sig) > 1:
-                plans.append((cell, by_sig, keep))
-        # every signature of the round is taken before any cell changes
-        splits = []
-        for cell, by_sig, keep in plans:
-            start, step = cell.id, (cell.hi - cell.id) // len(by_sig)
+                plans.append((c, by_sig, keep))
+        # every signature of the round is taken before any class changes
+        touched = set()
+        for c, by_sig, keep in plans:
+            kept = members[c]  # the untouched rest keeps the class's set
             subs = []
-            for i, s in enumerate(sorted(by_sig)):
-                lo, hi = start + i * step, start + (i + 1) * step
+            for s in sorted(by_sig):
                 if s == keep:
-                    cell.id, cell.hi = lo, hi
-                    subs.append(cell)
-                    continue
-                sub = _Cell(set(by_sig[s]), lo, hi)
-                cell.members -= sub.members
-                for u in sub.members:
-                    cell_of[u] = sub
-                subs.append(sub)
-            splits.append(subs)
-    rank = {c: i for i, c in enumerate(sorted(set(cell_of), key=lambda c: c.id))}
-    return tuple(rank[c] for c in cell_of)
-
-
-def _color_classes(colors):
-    classes = {}
-    for u, c in enumerate(colors):
-        classes.setdefault(c, []).append(u)
-    return classes
+                    subs.append(kept)
+                else:
+                    subs.append(set(by_sig[s]))
+                    kept -= subs[-1]
+            largest = max(subs, key=len)
+            first = c
+            for sub in subs:
+                if sub is not largest:
+                    for u in sub:
+                        touched.update(nbrs[u][0])
+                if sub is not kept or first != c:  # the kept nodes hold c
+                    for u in sub:
+                        cell[u] = first
+                members[first] = sub
+                first += len(sub)
+    rank = {c: r for r, c in enumerate(sorted(members))}
+    return tuple([rank[c] for c in cell])
 
 
 def _target_cell(colors):
     # largest non-singleton class; ties broken by smallest color id
-    classes = _color_classes(colors)
-    best = None
-    for c in sorted(classes):
-        members = classes[c]
-        if len(members) < 2:
-            continue
-        if best is None or len(members) > len(best):
-            best = members
-    return best
+    sizes = Counter(colors)
+    best = min(sizes, key=lambda c: (-sizes[c], c))
+    if sizes[best] < 2:
+        return None
+    return [u for u, c in enumerate(colors) if c == best]
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +385,16 @@ def is_model_automorphism(graph: ColoredFactorGraph, perm) -> bool:
     """
     feats = graph.model.features
     nv = graph.num_vars
+    preserved = set()  # (table, reordering, image table) seen to match
     for j, f in enumerate(feats):
         f2 = feats[perm[nv + j] - nv]
         pos = {v: k for k, v in enumerate(f2.scope)}
         sigma = tuple(pos[perm[v]] for v in f.scope)
-        if _permuted_table(f.table, sigma, f.arity) != f2.table:
-            return False
+        key = (f.table, sigma, f2.table)
+        if key not in preserved:
+            if _permuted_table(f.table, sigma, f.arity) != f2.table:
+                return False
+            preserved.add(key)
     return True
 
 
@@ -462,9 +475,7 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
                 if any(uf.find(v) == uf.find(w) for w in explored):
                     continue
             explored.append(v)
-            child = list(colors)
-            child[v] = max(colors) + 1
-            refined = refine_colors(graph, tuple(child))
+            refined = refine_colors(graph, colors, v)
             found = search(refined, path + (v,), on_base and base_leaf[0] is None)
             if found:
                 found_any = True

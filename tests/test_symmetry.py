@@ -1,12 +1,13 @@
 """Colored factor graph, refinement, automorphism search, and orbits."""
 
+import hashlib
 import itertools
 import time
-from dataclasses import replace
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import circulant_7_1_3, refines, sorted_cells
@@ -162,12 +163,20 @@ def _reference_refine_colors(graph, colors=None):
         colors = new
 
 
+def _individualized(colors, v):
+    # the coloring a child of the search starts from: v in a color of its own
+    child = list(colors)
+    child[v] = max(colors) + 1
+    return tuple(child)
+
+
 def test_refinement_ids_match_full_rounds_on_every_search_call(monkeypatch):
     calls = []
 
-    def checked(graph, colors=None):
-        out = refine_colors(graph, colors)
-        assert out == _reference_refine_colors(graph, colors)
+    def checked(graph, colors=None, individualize=None):
+        out = refine_colors(graph, colors, individualize)
+        start = colors if individualize is None else _individualized(colors, individualize)
+        assert out == _reference_refine_colors(graph, start)
         calls.append(out)
         return out
 
@@ -214,8 +223,22 @@ def test_refinement_ids_match_full_rounds_on_random_graphs(case):
     assert refine_colors(graph, individualized) == _reference_refine_colors(graph, individualized)
 
 
-class _CountingAdj(tuple):
-    """An adjacency that counts the neighbor lists read from it."""
+@given(colored_graphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_refinement_from_an_equitable_parent_matches_full_rounds(case, data):
+    # the search's call: a child refined from its parent's equitable coloring
+    graph, _ = case
+    parent = refine_colors(graph)
+    sizes = Counter(parent)
+    split = [u for u in range(graph.num_nodes) if sizes[parent[u]] > 1]
+    assume(split)
+    v = data.draw(st.sampled_from(split))
+    child = _individualized(parent, v)
+    assert refine_colors(graph, parent, v) == _reference_refine_colors(graph, child)
+
+
+class _CountingLists(tuple):
+    """Per-node lists that count the reads made from them."""
 
     def __getitem__(self, u):
         self.reads += 1
@@ -228,13 +251,13 @@ def test_refinement_reads_linear_adjacency_after_individualizing_on_a_cycle():
     # the subclasses other than the largest reads each neighbor list O(1)
     # times; re-signing the remainder's neighbors would read O(n^2).
     graph = build_colored_factor_graph(fixtures.cycle_model(200))
-    colors = list(refine_colors(graph))
-    colors[0] = max(colors) + 1
-    adj = _CountingAdj(graph.adj)
-    adj.reads = 0
-    refined = refine_colors(replace(graph, adj=adj), tuple(colors))
-    assert refined == _reference_refine_colors(graph, tuple(colors))
-    assert adj.reads < 8 * graph.num_nodes
+    parent = refine_colors(graph)
+    nbrs = _CountingLists(graph.neighbors)
+    nbrs.reads = 0
+    vars(graph)["neighbors"] = nbrs  # the lists the rounds read, built once per graph
+    refined = refine_colors(graph, parent, 0)
+    assert refined == _reference_refine_colors(graph, _individualized(parent, 0))
+    assert nbrs.reads < 8 * graph.num_nodes
 
 
 def test_search_on_a_long_cycle_within_2s():
@@ -318,6 +341,75 @@ def test_search_random_models_match_exhaustive(seed):
         assert verify_generator(m, pair, num_samples=100, seed=seed).ok
     if m.num_vars <= 6:
         assert set(generated_group(gens, m)) == set(exhaustive_automorphisms(m))
+
+
+# group order, generator count and a digest of the generators, in order, as
+# the search gave them before children were refined from their parents: the
+# search tree, and so every generator, must not move
+SEARCH_PINS = {
+    "ex1": (4, 2, "41add03824978930"),
+    "triangle": (6, 2, "670b84868c97850e"),
+    "cycle6": (12, 2, "46154fcd292fdbc4"),
+    "frucht": (1, 0, "4f53cda18c2baa0c"),
+    "fully_connected5": (120, 4, "ab89686b146b886a"),
+    "triple_parity4": (24, 3, "932c1b977e035127"),
+    "unary_logistic": (1, 0, "4f53cda18c2baa0c"),
+    "graph_only": (8, 3, "ea7720b8da0d471c"),
+    "cycle50": (100, 2, "84cd6c8b8e9335f4"),
+    "circulant_7_1_3": (14, 2, "5537a7987acdc652"),
+    "cycle200": (400, 2, "e125b950a295b60e"),
+    "lovers_smokers3": (36, 4, "c085d9283af7da85"),
+    "lovers_smokers5": (14400, 8, "1d9b223540766576"),
+    "friends3": (288, 5, "2e75aa7bccfb51ca"),
+    "random_tied_pairwise0": (8, 2, "1de2206935918d14"),
+    "random_tied_pairwise1": (24, 3, "d46d6620eb2358a8"),
+    "random_tied_pairwise2": (6, 2, "8cfc4b7e443ef6b8"),
+    "random_tied_pairwise3": (48, 4, "86586bda0b00950d"),
+    "random_tied_pairwise4": (8, 2, "1de2206935918d14"),
+    "random_tied_pairwise5": (720, 5, "3dacd07d3e29612c"),
+    "random_tied_pairwise6": (120, 4, "22a0157f57911538"),
+    "random_tied_pairwise7": (144, 5, "00c19fcdb220edfc"),
+    "random_tied_pairwise8": (14, 2, "68e286bae9889ad6"),
+    "random_tied_pairwise9": (120, 4, "ab89686b146b886a"),
+    "random_tied_pairwise10": (720, 5, "ddda59be5dca3f60"),
+    "random_tied_pairwise11": (72, 4, "ec084562137cd320"),
+    "random_tied_pairwise12": (16, 2, "c4a38d39c1071758"),
+    "random_tied_pairwise13": (720, 5, "3dacd07d3e29612c"),
+    "random_tied_pairwise14": (5040, 6, "5a0d193cadc79c2e"),
+    "random_tied_pairwise15": (1152, 5, "2891a778ae02d712"),
+    "random_tied_pairwise16": (14, 2, "68e286bae9889ad6"),
+    "random_tied_pairwise17": (120, 4, "ab89686b146b886a"),
+    "random_tied_pairwise18": (720, 5, "ddda59be5dca3f60"),
+    "random_tied_pairwise19": (48, 4, "c2df1b674cc460e2"),
+}
+
+
+def _pinned_models():
+    ls = parse_mln(fixtures.LOVERS_SMOKERS_MLN)
+    models = {
+        "ex1": fixtures.ex1(), "triangle": fixtures.triangle(),
+        "cycle6": fixtures.cycle_model(6), "frucht": fixtures.frucht(),
+        "fully_connected5": fixtures.fully_connected_symmetric(5),
+        "triple_parity4": fixtures.triple_parity(4),
+        "unary_logistic": fixtures.unary_logistic(),
+        "graph_only": graph_only_candidates_model(), "cycle50": fixtures.cycle_model(50),
+        "circulant_7_1_3": circulant_7_1_3(), "cycle200": fixtures.cycle_model(200),
+        "lovers_smokers3": ground_mln(ls, domain_size=3)[0],
+        "lovers_smokers5": ground_mln(ls, domain_size=5)[0],
+        "friends3": ground_mln(parse_mln(fixtures.FRIENDS_MLN), domain_size=3)[0],
+    }
+    models.update(("random_tied_pairwise%d" % s, fixtures.random_tied_pairwise(s)) for s in range(20))
+    return models
+
+
+def test_search_generators_and_orders_are_pinned():
+    found = {}
+    for name, m in _pinned_models().items():
+        gens = search_automorphisms(build_colored_factor_graph(m))
+        text = repr([(g.var_perm, g.feature_perm) for g in gens.generators])
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        found[name] = (gens.group_order, len(gens.generators), digest)
+    assert found == SEARCH_PINS
 
 
 def test_verify_generator_rejects_bad_pairs():
