@@ -28,7 +28,7 @@ from .symmetry import (
     GeneratorSymmetries,
     TrivialSymmetries,
 )
-from .mln import parse_mln, parse_evidence, ground_mln, RenamingSymmetries
+from .mln import parse_mln, parse_evidence, ground_mln, lift_mln, RenamingSymmetries
 from .lift import LiftedModel, build_lifted_model
 from .solve import MapOptions, MapResult, cutting_plane_map, build_local_lp, simplex_solve
 
@@ -54,6 +54,7 @@ __all__ = [
     "parse_mln",
     "parse_evidence",
     "ground_mln",
+    "lift_mln",
     "RenamingSymmetries",
     "LiftedModel",
     "build_lifted_model",

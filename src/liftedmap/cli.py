@@ -24,6 +24,7 @@ from .mln import (
     MLNError,
     RenamingSymmetries,
     ground_mln,
+    lift_mln,
     parse_evidence,
     parse_mln,
 )
@@ -46,12 +47,17 @@ class UsageError(Exception):
 class _Inputs:
     path: str
     kind: str  # "fgm" | "mln"
-    model: object
+    model: object  # None for an MLN that is not grounded at its domain size
     gmap: object = None
     domain_size: int = None
+    mln: object = None
+    evidence: object = None
 
 
-def _load(args) -> _Inputs:
+def _load(args, ground=True) -> _Inputs:
+    """Read the input file, and ground an MLN at --domain-size unless
+    ground is False (model None): the renaming lift of `map --space
+    lifted`, mln.lift_mln, grounds it at a representative size only."""
     path = args.input
     if path.endswith(".fgm"):
         kind = "fgm"
@@ -74,13 +80,15 @@ def _load(args) -> _Inputs:
     if getattr(args, "evidence", None):
         with open(args.evidence, "r", encoding="utf-8") as fh:
             evidence = parse_evidence(fh.read())
-    model, gmap = ground_mln(mln, args.domain_size, evidence)
+    model, gmap = ground_mln(mln, args.domain_size, evidence) if ground else (None, None)
     return _Inputs(
         path=path,
         kind="mln",
         model=model,
         gmap=gmap,
         domain_size=args.domain_size,
+        mln=mln,
+        evidence=evidence,
     )
 
 
@@ -140,14 +148,15 @@ def _emit_json(args, payload: dict):
     _write_output(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _base_payload(inputs: _Inputs) -> dict:
+def _base_payload(inputs: _Inputs, counted) -> dict:
+    # counted, a Model or LiftedModel, has the ground model's size
     return {
         "input": inputs.path,
         "type": inputs.kind,
         "domain_size": inputs.domain_size,
         "model": {
-            "variables": inputs.model.num_vars,
-            "features": inputs.model.num_features,
+            "variables": counted.num_vars,
+            "features": counted.num_features,
         },
     }
 
@@ -162,7 +171,7 @@ def cmd_orbits(args) -> int:
         methods = ["search" if inputs.kind == "fgm" else "renaming"]
     else:
         methods = [args.method]
-    payload = _base_payload(inputs)
+    payload = _base_payload(inputs, inputs.model)
     payload["methods"] = {}
     bundles = {}
     for name in methods:
@@ -190,16 +199,21 @@ def cmd_map(args) -> int:
         raise UsageError(
             "--method %s needs --space lifted; ground space is the trivial group" % args.method
         )
-    inputs = _load(args)
+    renaming = args.space == "lifted" and args.method in ("auto", "renaming")
+    inputs = _load(args, ground=not renaming)
     opts = MapOptions(polytope=args.polytope, max_cuts=args.max_cuts)
-    payload = _base_payload(inputs)
     if args.space == "lifted":
-        method, sym = _make_symmetries(inputs, args.method)
-        lifted = build_lifted_model(inputs.model, sym)
+        if inputs.model is None:
+            method, lifted = "renaming", lift_mln(inputs.mln, inputs.domain_size, inputs.evidence)
+        else:
+            method, sym = _make_symmetries(inputs, args.method)
+            lifted = build_lifted_model(inputs.model, sym)
+        payload = _base_payload(inputs, lifted)
         payload["method"] = method
         payload["orbit_counts"] = _per_domain(lambda p: p.num_cells, lifted.bundle)
         result = cutting_plane_map(lifted, opts)
     else:
+        payload = _base_payload(inputs, inputs.model)
         payload["method"] = None
         result = cutting_plane_map(inputs.model, opts)
     payload["polytope"] = args.polytope
@@ -227,7 +241,7 @@ def cmd_exact(args) -> int:
         raise UsageError("--limit must be at least 0")
     inputs = _load(args)
     res = exact_enumerate(inputs.model, limit=args.limit)
-    payload = _base_payload(inputs)
+    payload = _base_payload(inputs, inputs.model)
     payload.update(
         {
             "map_value": res.map_value,

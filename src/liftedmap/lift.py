@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Model, assignments, moment_assignments, skeleton
+from .model import Model, assignments, group_codes, moment_assignments, skeleton
 from .symmetry import OrbitBundle, _domain_elements
 
 
@@ -48,7 +48,7 @@ class MomentLayout:
         self.factor_base = first + np.cumsum(counts) - counts
         self.size = first + len(self.factor_moments)
 
-    def theta(self):
+    def theta(self, scale=None):
         """Objective coefficient of every ground moment, and the constant.
 
         Features are taken by arity, with their scopes from
@@ -56,7 +56,8 @@ class MomentLayout:
         coefficients c, so that table[a] sums c[s] over the subsets s of
         a's ones. Each scope subset's coefficient goes to its node,
         edge or factor moment; the empty subset's to the constant, the
-        all-zeros score, held in one more slot.
+        all-zeros score, held in one more slot. scale, an array over the
+        features, multiplies each feature's coefficients.
         """
         model = self.model
         n = model.num_vars
@@ -70,6 +71,8 @@ class MomentLayout:
             for axis in range(1, k + 1):
                 coef = np.diff(coef, axis=axis, prepend=0.0)  # (t0, t1) -> (t0, t1 - t0)
             coef = coef.reshape(len(js), -1) * [[model.weight_of(j)] for j in js]
+            if scale is not None:
+                coef *= scale[js][:, None]
             top = {a: r for r, a in enumerate(moment_assignments(k))}
             idx = np.empty(coef.shape, dtype=np.int64)
             for s, a in enumerate(assignments(k)):
@@ -116,7 +119,11 @@ class LiftedModel:
     """A ground model with its moment cells, lifted parameters and symmetry source.
 
     theta_bar[c] is cell c's objective coefficient and constant the
-    objective's constant term.
+    objective's constant term. Node orbit k's cell is cell k. The ground
+    model it stands for has len(var_cells) variables, var_cells[v] being
+    variable v's node orbit and node_reps[k] node orbit k's smallest
+    variable, and num_features features: `model`'s own, or those at the
+    full domain size when mln.lift_mln grounded `model` at a smaller one.
     """
 
     model: Model
@@ -128,10 +135,34 @@ class LiftedModel:
     theta_bar: np.ndarray
     constant: float
     symmetries: object
+    var_cells: np.ndarray
+    num_features: int
 
     @property
     def num_cells(self) -> int:
         return self.index.num_cells
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.var_cells)
+
+    @property
+    def node_reps(self) -> tuple:
+        order, starts = group_codes(self.var_cells)
+        return tuple(order[starts].tolist())
+
+    def score(self, values) -> float:
+        """Score of the configuration that gives node orbit k the value
+        values[k]: constant + theta_bar . m, where m_c is the product of the
+        values over the scope of cell c's moments. A scope subset's product
+        is its last position's value times that of the smaller rest."""
+        m = list(values) + [0] * (self.num_cells - len(values))
+        for info in self.edge_info + self.factor_info:
+            cells = info.cells
+            for s in range(3, len(cells)):
+                if s & (s - 1):
+                    m[cells[s]] = m[cells[s & -s]] * m[cells[s & (s - 1)]]
+        return float(self.constant + self.theta_bar @ np.array(m, dtype=float))
 
 
 def build_lifted_model(model: Model, symmetries) -> LiftedModel:
@@ -212,4 +243,6 @@ def build_lifted_model(model: Model, symmetries) -> LiftedModel:
         theta_bar=theta_bar,
         constant=constant,
         symmetries=symmetries,
+        var_cells=rho[:model.num_vars],
+        num_features=model.num_features,
     )

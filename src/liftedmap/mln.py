@@ -34,13 +34,16 @@ File formats:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from .lift import LiftedModel, build_lifted_model
 from .model import (
     Feature,
     Model,
@@ -453,6 +456,16 @@ def _lookup(truth, base, masks):
     return tuple(truth[i] for i in index)
 
 
+def _variables(leaves) -> list:
+    """The logical variables of a formula's leaves, sorted."""
+    terms = [
+        t
+        for leaf in leaves
+        for t in (leaf.args if isinstance(leaf, Atom) else (leaf.left, leaf.right))
+    ]
+    return sorted({name for kind, name in terms if kind == "var"})
+
+
 def build_domain(mln: MLN, evidence: Evidence, domain_size: int):
     """Named constants (sorted) plus generated fillers up to domain_size total."""
     if domain_size < 1:
@@ -490,6 +503,34 @@ def _rows(first, ids, width):
     return out
 
 
+def _ground_atoms(mln: MLN, domain: tuple, observed: dict):
+    """Every ground atom over the domain by its code, its predicate's offset
+    plus its constant ids in base d: code_of(predicate, ids) for ints or
+    integer arrays, the atoms' rows (predicate index, constant ids, -1s),
+    and whether hard evidence observes each atom, and its truth."""
+    d = len(domain)
+    const_id = {c: i for i, c in enumerate(domain)}
+    offset = {}
+    rows = []
+    width = 1 + max((arity for _, arity in mln.predicates), default=0)
+    for pid, (pname, arity) in enumerate(mln.predicates):
+        offset[pname] = sum(len(r) for r in rows)
+        ids = np.indices((d,) * arity, dtype=np.int64).reshape(arity, d ** arity).T
+        rows.append(_rows(pid, ids, width))
+    rows = np.concatenate(rows) if rows else np.zeros((0, width), dtype=np.int64)
+
+    def code_of(pred, args):
+        return offset[pred] + sum(a * d ** (len(args) - 1 - p) for p, a in enumerate(args))
+
+    is_observed = np.zeros(len(rows), dtype=bool)
+    observed_true = np.zeros(len(rows), dtype=np.int64)
+    for (pred, args), truth in observed.items():
+        code = code_of(pred, [const_id[c] for c in args])
+        is_observed[code] = True
+        observed_true[code] = truth
+    return code_of, rows, is_observed, observed_true
+
+
 def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
     """Ground the MLN into a Model plus the book-keeping GroundingMap.
 
@@ -525,26 +566,7 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
 
     d = len(domain)
     const_id = {c: i for i, c in enumerate(domain)}
-    pred_id = {}
-    offset = {}  # an atom's code is its predicate's offset plus its constant ids in base d
-    rows = []  # per ground atom in code order: predicate index, then constant ids
-    width = 1 + max((arity for _, arity in mln.predicates), default=0)
-    for pname, arity in mln.predicates:
-        pred_id[pname] = len(pred_id)
-        offset[pname] = sum(len(r) for r in rows)
-        ids = np.indices((d,) * arity, dtype=np.int64).reshape(arity, d ** arity).T
-        rows.append(_rows(pred_id[pname], ids, width))
-    rows = np.concatenate(rows) if rows else np.zeros((0, width), dtype=np.int64)
-
-    def code_of(pred, args):
-        return offset[pred] + sum(a * d ** (len(args) - 1 - p) for p, a in enumerate(args))
-
-    is_observed = np.zeros(len(rows), dtype=bool)
-    observed_true = np.zeros(len(rows), dtype=np.int64)
-    for (pred, args), truth in observed.items():
-        code = code_of(pred, [const_id[c] for c in args])
-        is_observed[code] = True
-        observed_true[code] = truth
+    code_of, rows, is_observed, observed_true = _ground_atoms(mln, domain, observed)
     var_of = np.where(is_observed, -1, np.cumsum(~is_observed) - 1)
     atom_rows = rows[~is_observed]
     atoms = [
@@ -567,12 +589,7 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
             1.0 if _eval(ast, iter(bits)) else 0.0
             for bits in itertools.product((False, True), repeat=n)
         ]
-        terms = [
-            t
-            for leaf in leaves
-            for t in (leaf.args if isinstance(leaf, Atom) else (leaf.left, leaf.right))
-        ]
-        fvars = sorted({name for kind, name in terms if kind == "var"})
+        fvars = _variables(leaves)
         k = len(fvars)
         subst = np.indices((d,) * k, dtype=np.int64).reshape(k, d ** k).T
 
@@ -778,3 +795,62 @@ class RenamingSymmetries:
         dist = self._mask(self.distinguished | set(self.gmap.atoms[fixed_var][1]))
         labels = self._var_codes(dist).tolist()
         return OrbitPartition.from_labels(range(self.model.num_vars), labels)
+
+
+# ---------------------------------------------------------------------------
+# lifting at a representative domain size
+
+
+def lift_mln(mln: MLN, domain_size: int, evidence: Evidence = None) -> LiftedModel:
+    """The renaming lift of the MLN at domain size d, from a grounding at d0 <= d.
+
+    d0 = min(d, |named| + A + max(A, K, 1)): named holds the constants
+    named in formulas or evidence, A is the largest predicate arity and K
+    the most logical variables in one formula. A renaming class is fixed by
+    the named constants and the equality pattern of its members' anonymous
+    constants: at most A in an atom, K in a feature or its moments, and A
+    more where a stabilized graph pins a node orbit representative's
+    constants. So every class has members at d0, and its smallest member
+    uses the first fillers, the same constants at d0 and at d: the lift at
+    d0 has the cells, in order, and the orbit tables, LP rows and
+    stabilized graphs of the lift at d.
+
+    theta_bar and constant add each feature class representative's
+    weighted Moebius coefficients times the class size at d: the falling
+    factorial (d - |named|)_a for the groundings of a formula with a
+    distinct anonymous constants, 1 for soft evidence. Each unobserved
+    atom over d constants finds its node cell by its renaming key among
+    those of the node orbit representatives.
+    """
+    evidence = EMPTY_EVIDENCE if evidence is None else evidence
+    domain, named = build_domain(mln, evidence, domain_size)
+    named = len(named)
+    arity = max((a for _, a in mln.predicates), default=0)
+    width = max((len(_variables(_leaves(ast))) for _, ast in mln.formulas), default=0)
+    model, gmap = ground_mln(mln, min(domain_size, named + arity + max(arity, width, 1)), evidence)
+    lifted = build_lifted_model(model, RenamingSymmetries(model, gmap))
+
+    # named constants come first in a domain, so a larger id is anonymous
+    reps = list(lifted.bundle.features.reps)
+    ids = gmap.origin_rows[reps, 1:]
+    anonymous = (ids >= named) & (_first_columns(ids) == np.arange(ids.shape[1]))
+    sizes = [math.perm(domain_size - named, a) for a in anonymous.sum(axis=1).tolist()]
+    scale = np.zeros(model.num_features)
+    scale[reps] = sizes
+    theta, constant = lifted.index.layout.theta(scale)
+    theta_bar = np.bincount(lifted.index.rho, theta, minlength=lifted.num_cells) + 0.0
+
+    _, rows, is_observed, _ = _ground_atoms(mln, domain, gmap.observed)
+    cells = lifted.bundle.vars.num_cells
+    rows = np.vstack([gmap.atom_rows[list(lifted.bundle.vars.reps)], rows[~is_observed]])
+    keys = row_codes(np.column_stack([
+        rows[:, 0], _renaming_tags(rows[:, 1:], np.arange(domain_size) < named),
+    ]))
+    order = np.argsort(keys[:cells], kind="stable")
+    return dataclasses.replace(
+        lifted,
+        theta_bar=theta_bar,
+        constant=constant,
+        var_cells=order[np.searchsorted(keys[:cells], keys[cells:], sorter=order)],
+        num_features=sum(sizes),
+    )

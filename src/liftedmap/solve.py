@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lift import LiftedModel, build_lifted_model
-from .model import Model, OvercompleteLayout, score
+from .model import Model, OvercompleteLayout
 from .symmetry import TrivialSymmetries
 
 
@@ -620,23 +620,21 @@ def decode(x, lifted: LiftedModel, space: str):
     """Round node marginals at 1/2 (ties to 0) and report fractionality.
 
     x is a point of the local LP: node orbit k's P(x = 1) is its moment,
-    x[node_info[k].cells[1] + 1]. space shapes the output: a lifted decode
-    also reports the orbit representatives, values and marginals.
+    x[node_info[k].cells[1] + 1]. The rounded configuration is uniform on
+    node orbits: it is scored on cells and expanded through var_cells.
+    space shapes the output: a lifted decode also reports the orbit
+    representatives, values and marginals.
     """
     marginals = [float(x[info.cells[1] + 1]) for info in lifted.node_info]
     values = [1 if p1 > 0.5 else 0 for p1 in marginals]
-    config = [0] * lifted.model.num_vars
-    for k, members in enumerate(lifted.bundle.vars.cells):
-        for v in members:
-            config[v] = values[k]
     out = {
         "space": space,
         "fractional": any(1e-6 < p1 < 1.0 - 1e-6 for p1 in marginals),
-        "configuration": config,
-        "score": score(lifted.model, config),
+        "configuration": np.array(values, dtype=np.int64)[lifted.var_cells].tolist(),
+        "score": lifted.score(values),
     }
     if space == "lifted":
-        out["orbit_reps"] = [info.rep for info in lifted.node_info]
+        out["orbit_reps"] = list(lifted.node_reps)
         out["orbit_values"] = values
         out["orbit_marginals"] = marginals
     return out

@@ -430,15 +430,8 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
                 return False
         return True
 
-    def stab_gens(path):
-        return [g for g in gens if all(g[v] == v for v in path)]
-
-    def node_orbits(sub):
-        uf = _UnionFind(n_nodes)
-        for g in sub:
-            for u in range(n_nodes):
-                uf.union(u, g[u])
-        return uf
+    def stab_gens(path, among):
+        return [g for g in among if all(g[v] == v for v in path)]
 
     def search(colors, path, on_base):
         depth = len(path)
@@ -467,11 +460,15 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
             return False
         found_any = False
         explored = []
-        uf = None
+        uf, seen = None, 0  # orbits of those of gens[:seen] that fix the path
         for v in sorted(cell):
             if explored:
-                if uf is None:
-                    uf = node_orbits(stab_gens(path))
+                uf = uf or _UnionFind(n_nodes)
+                for g in stab_gens(path, gens[seen:]):
+                    for u, w in enumerate(g):
+                        if u != w:
+                            uf.union(u, w)
+                seen = len(gens)
                 if any(uf.find(v) == uf.find(w) for w in explored):
                     continue
             explored.append(v)
@@ -481,7 +478,6 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
                 found_any = True
                 if not on_base:
                     return True  # backjump off the base path
-                uf = None  # new generator: recompute sibling orbits
         return found_any
 
     search(root, (), True)
@@ -493,7 +489,7 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
 
     order = 1
     for i, v in enumerate(base_path):
-        sub = stab_gens(base_path[:i])
+        sub = stab_gens(base_path[:i], gens)
         orbit = {v}
         frontier = [v]
         while frontier:

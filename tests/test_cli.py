@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from liftedmap import parse_model
+from liftedmap import cli, mln, parse_model
 from liftedmap.cli import main
 
 
@@ -309,6 +309,30 @@ class TestMap:
         for key in ("configuration", "score", "fractional"):
             assert ground["decode"][key] == lifted["decode"][key], key
         assert (ground["space"], lifted["space"]) == ("ground", "lifted")
+
+    def test_renaming_lift_grounds_at_the_representative_size_only(
+        self, capsys, models_dir, monkeypatch
+    ):
+        sizes = []
+        real = mln.ground_mln
+
+        def recording(mln_, domain_size, evidence=None):
+            sizes.append(domain_size)
+            return real(mln_, domain_size, evidence)
+
+        monkeypatch.setattr(mln, "ground_mln", recording)
+        monkeypatch.setattr(cli, "ground_mln", recording)
+        argv = ["map", str(models_dir / "lovers_smokers.mln"), "--space", "lifted"]
+        code, payload = run_json(capsys, *argv, "--domain-size", "20")
+        assert code == 0
+        assert sizes == [5]
+        # falling-factorial counts: 3d + 2d(d-1) + d(d-1)(d-2) features
+        assert payload["model"] == {"variables": 3 * 20 + 20 * 20, "features": 60 + 760 + 6840}
+        assert len(payload["decode"]["configuration"]) == 460
+        sizes.clear()
+        code, _ = run_json(capsys, *argv, "--domain-size", "5", "--method", "search")
+        assert code == 0
+        assert sizes == [5]
 
     def test_csv_bound_curve(self, capsys, models_dir, tmp_path):
         csv_path = tmp_path / "curve.csv"

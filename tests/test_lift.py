@@ -5,7 +5,7 @@ import pytest
 
 from liftedmap import fixtures
 from liftedmap.lift import LiftError, build_lifted_model
-from liftedmap.mln import RenamingSymmetries, ground_mln, parse_mln
+from liftedmap.mln import RenamingSymmetries, ground_mln, lift_mln, parse_evidence, parse_mln
 from liftedmap.model import OvercompleteLayout, score
 from liftedmap.oracle import exact_enumerate
 from liftedmap.symmetry import (
@@ -139,3 +139,33 @@ def test_theta_bar_is_the_per_cell_sum(name):
         reference = np.bincount(lm.index.rho, ground.theta_bar, minlength=lm.num_cells)
         assert np.allclose(lm.theta_bar, reference, rtol=1e-12, atol=1e-12)
         assert lm.constant == pytest.approx(ground.constant, abs=1e-12)
+
+
+def _fixture_lifts():
+    models = [fixtures.ex1(), fixtures.triangle(), fixtures.cycle_model(6), fixtures.frucht(),
+              fixtures.fully_connected_symmetric(), fixtures.triple_parity(4, weight=-0.7),
+              fixtures.unary_logistic()]
+    models += [fixtures.random_tied_pairwise(seed) for seed in range(4)]
+    for m in models:
+        yield m, build_lifted_model(m, TrivialSymmetries(m))
+        yield m, build_lifted_model(m, GeneratorSymmetries(m))
+    for text, ev in ((fixtures.LOVERS_SMOKERS_MLN, ""), (fixtures.FRIENDS_MLN, ""),
+                     (fixtures.Q2_MLN, fixtures.Q2_EVIDENCE)):
+        mln, evidence = parse_mln(text), parse_evidence(ev)
+        m, gmap = ground_mln(mln, 3, evidence)
+        yield m, build_lifted_model(m, RenamingSymmetries(m, gmap))
+        yield m, build_lifted_model(m, GeneratorSymmetries(m))
+        yield m, lift_mln(mln, 3, evidence)
+
+
+def test_cell_score_is_the_ground_score_of_orbit_uniform_configurations():
+    rng = np.random.default_rng(5)
+    for m, lm in _fixture_lifts():
+        k = len(lm.node_info)
+        if k <= 8:
+            value_sets = [[(i >> b) & 1 for b in range(k)] for i in range(2 ** k)]
+        else:
+            value_sets = rng.integers(0, 2, (32, k)).tolist()
+        for values in value_sets:
+            x = np.array(values)[lm.var_cells].tolist()
+            assert lm.score(values) == pytest.approx(score(m, x), abs=1e-9)

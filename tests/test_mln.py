@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import refines
 from overcomplete import arc_min_edge_orbits
@@ -18,7 +19,7 @@ from signatures import (
     reference_stabilized_light,
 )
 from test_random_mln import POSITIVE_GUARDS, random_mlns
-from liftedmap import fixtures
+from liftedmap import build_lifted_model, fixtures
 from liftedmap.mln import (
     Atom,
     BinOp,
@@ -30,10 +31,12 @@ from liftedmap.mln import (
     RenamingSymmetries,
     build_domain,
     ground_mln,
+    lift_mln,
     parse_evidence,
     parse_mln,
 )
 from liftedmap.model import Feature, Model, depended_positions, format_model, score, table_index
+from liftedmap.solve import build_stabilized_graphs
 from liftedmap.symmetry import (
     GeneratorSymmetries,
     OrbitBundle,
@@ -584,3 +587,90 @@ def test_renaming_stabilizer_orbits_refine_search_stabilizer_orbits(d):
         assert refines(r_vars.cells, s_vars.cells)
         largest = max([largest] + [len(c) for c in r_vars.cells])
     assert largest > 1
+
+
+# --- lifting at a representative domain size ----------------------------------
+
+
+def representative_size(mln, evidence):
+    """|named| + A + max(A, K, 1), from the parsed MLN and evidence."""
+    named = set(mln.constants)
+    for atom, _ in evidence.hard + evidence.soft:
+        named |= set(atom[1])
+    arity = max(a for _, a in mln.predicates)
+    width = max((len(_ref_free_vars(ast)) for _, ast in mln.formulas), default=0)
+    return len(named) + arity + max(arity, width, 1)
+
+
+def _element_names(gmap, domain, elements):
+    # elements named by their atoms and formula groundings, which keep
+    # their constants from one domain size to another
+    atoms, origins = gmap.atoms, gmap.origins
+    if domain == "vars":
+        return [atoms[v] for v in elements]
+    if domain == "features":
+        return [origins[j] for j in elements]
+    if domain == "edges":
+        return [(atoms[u], atoms[v]) for u, v in elements]
+    return [(origins[j], a) for j, a in elements]
+
+
+def assert_lift_matches_the_grounded_lift(mln, evidence, d):
+    lm = lift_mln(mln, d, evidence)
+    model, gmap = ground_mln(mln, d, evidence)
+    ref = build_lifted_model(model, RenamingSymmetries(model, gmap))
+    small = lm.symmetries.gmap
+    assert len(small.domain) == min(d, representative_size(mln, evidence))
+    for f in dataclasses.fields(OrbitBundle):
+        # as many cells, in the same order, with the same smallest members
+        mine, theirs = getattr(lm.bundle, f.name).reps, getattr(ref.bundle, f.name).reps
+        assert _element_names(small, f.name, mine) == _element_names(gmap, f.name, theirs), f.name
+    for attr in ("node_info", "edge_info", "factor_info"):
+        assert [i.cells for i in getattr(lm, attr)] == [i.cells for i in getattr(ref, attr)], attr
+    assert build_stabilized_graphs(lm) == build_stabilized_graphs(ref)
+    assert (lm.num_vars, lm.num_features) == (model.num_vars, model.num_features)
+    assert lm.var_cells.tolist() == ref.var_cells.tolist()
+    assert lm.node_reps == ref.node_reps
+    close = np.abs(lm.theta_bar - ref.theta_bar) <= 1e-12 * (1 + np.abs(ref.theta_bar))
+    assert close.all()
+    assert abs(lm.constant - ref.constant) <= 1e-12 * (1 + abs(ref.constant))
+
+
+@pytest.mark.parametrize("name,domains", [
+    ("lovers_smokers", range(2, 10)),
+    ("friends", range(1, 8)),
+    # d0 = 5: the stabilized graphs group node orbits at d = 3 otherwise
+    # than at d >= 4, so a smaller d0 would change them
+    ("q2", range(3, 7)),
+])
+def test_shipped_models_lift_as_the_grounded_lift(name, domains):
+    text, ev = MLNS[name]
+    mln, evidence = parse_mln(text), parse_evidence(ev or "")
+    for d in domains:
+        if name == "friends" and d == 1:
+            with pytest.raises(MLNError, match="no ground features"):
+                lift_mln(mln, d, evidence)
+            continue
+        assert_lift_matches_the_grounded_lift(mln, evidence, d)
+
+
+@given(random_mlns(), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_random_mlns_lift_as_the_grounded_lift(example, extra):
+    text, ev, _ = example
+    mln, evidence = parse_mln(text), parse_evidence(ev)
+    d = representative_size(mln, evidence) + extra
+    try:
+        ground_mln(mln, d, evidence)
+    except MLNError:
+        return  # every grounding is constant under the evidence
+    assert_lift_matches_the_grounded_lift(mln, evidence, d)
+
+
+def test_lift_counts_the_features_at_the_domain_size():
+    # lovers_smokers: three unary formulas, two over x != y and the triangle
+    # over three distinct constants, so 3d + 2d(d-1) + d(d-1)(d-2) groundings
+    lm = lift_mln(parse_mln(fixtures.LOVERS_SMOKERS_MLN), 100)
+    assert len(lm.symmetries.gmap.domain) == 5
+    assert lm.num_vars == 3 * 100 + 100 * 100
+    assert lm.num_features == 300 + 2 * 9900 + 100 * 99 * 98

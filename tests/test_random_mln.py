@@ -16,8 +16,10 @@ from liftedmap import (
     build_lifted_model,
     cutting_plane_map,
     ground_mln,
+    lift_mln,
     parse_evidence,
     parse_mln,
+    score,
 )
 from liftedmap.mln import MLNError
 from liftedmap.oracle import exact_enumerate
@@ -76,8 +78,9 @@ def random_mlns(draw, guards=GUARDS):
 @settings(max_examples=40, deadline=None)
 def test_random_mln_lifted_bounds_match_ground_and_exact(example):
     text, evidence, d = example
+    mln, evidence = parse_mln(text), parse_evidence(evidence)
     try:
-        model, gmap = ground_mln(parse_mln(text), d, parse_evidence(evidence))
+        model, gmap = ground_mln(mln, d, evidence)
     except MLNError:
         return  # every grounding is constant under the evidence
     renaming = RenamingSymmetries(model, gmap)
@@ -91,6 +94,7 @@ def test_random_mln_lifted_bounds_match_ground_and_exact(example):
         "ground": model,
         "renaming": build_lifted_model(model, renaming),
         "search": build_lifted_model(model, search),
+        "lift_mln": lift_mln(mln, d, evidence),
     }
     for t in targets.values():
         assert_matches_the_overcomplete_reference(t)
@@ -104,3 +108,5 @@ def test_random_mln_lifted_bounds_match_ground_and_exact(example):
             assert r.objective == pytest.approx(ground, abs=1e-6), where
             assert exact.map_value <= min(r.bounds) + 1e-6, where
             assert r.decode["score"] <= exact.map_value + 1e-6, where
+            config = r.decode["configuration"]
+            assert r.decode["score"] == pytest.approx(score(model, config), abs=1e-9), where
