@@ -34,7 +34,9 @@ renamings that pin its constants. The quotient has those variable orbits as
 nodes and one edge per distinct (full edge orbit, pair of variable orbits);
 the full edge orbit carries the edge's weights. Node orbits with the same
 variable orbits share one mirror graph, so under the trivial group one
-graph is searched from every variable, as in separate_cycles_ground.
+graph is searched from every variable, as in separate_cycles_ground. Each
+mirror graph is built once per run, on integer nodes 2 * cell + copy; a
+separation call computes only the flat list of edge-orbit weights.
 
 The cutting-plane driver uses an in-out step over LP points: separation
 happens at sigma = ALPHA * x_out + (1 - ALPHA) * x_in, where x_in is a
@@ -53,11 +55,14 @@ A pivot updates only the rows where the pivot column is nonzero times the
 columns where the pivot row is. The cutting-plane driver keeps its tableau
 across rounds: each cut row is appended to the last optimal tableau with
 its slack basic and negative, and the same dual simplex restores
-feasibility, instead of a cold re-solve.
+feasibility, instead of a cold re-solve. Every optimum is audited against
+the rows, cuts included, in one array pass over their flat (row, column,
+coefficient) entries.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import time
@@ -157,9 +162,15 @@ class SimplexTableau:
     by the smallest ratio, ties to the largest pivot. After 1000 degenerate
     pivots it switches to Bland's rule: it leaves by the smallest basis
     index and breaks ratio ties by the smallest column index. After 200 000
-    pivots it raises NumericalInstabilityError. Every optimum is audited
-    against every row and bound, added rows included, and raises
-    NumericalInstabilityError if one is violated by more than 1e-6.
+    pivots it raises NumericalInstabilityError. Within one solve the basic
+    bounds, the nonbasic directions and the columns free to enter are kept
+    across pivots and changed only where a pivot changes them.
+
+    Every optimum is audited against every row and bound, added rows
+    included, and raises NumericalInstabilityError if one is violated by
+    more than 1e-6. The audit holds no dense copy of the rows: their
+    nonzeros are kept as flat (row, column, coefficient) arrays, extended by
+    add_row, and every row's value is one gather and one bincount.
 
     pivots counts the dual simplex iterations and the degenerate ones among
     them.
@@ -168,15 +179,18 @@ class SimplexTableau:
     def __init__(self, lp: LinearProgram):
         n, m = lp.num_vars, len(lp.rows)
         self.lp = lp
-        self.rows = list(lp.rows)
         ncols = n + m
+        # the audit's (row, column, coefficient) triples, extended by add_row
+        self.entry_row = np.array(
+            [i for i, (coeffs, _, _) in enumerate(lp.rows) for _ in coeffs], dtype=np.int64
+        )
+        self.entry_col = np.array([j for coeffs, _, _ in lp.rows for j, _ in coeffs], dtype=np.int64)
+        self.entry_coef = np.array([c for coeffs, _, _ in lp.rows for _, c in coeffs], dtype=float)
+        self.rhs = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
+        self.sign = np.array([1.0 if sense == "<=" else -1.0 for _, sense, _ in lp.rows])
         A = np.zeros((m, ncols))
-        b = np.zeros(m)
-        for i, (coeffs, sense, rhs) in enumerate(lp.rows):
-            for j, c in coeffs:
-                A[i, j] += c
-            b[i] = rhs
-            A[i, n + i] = 1.0 if sense == "<=" else -1.0
+        np.add.at(A, (self.entry_row, self.entry_col), self.entry_coef)
+        A[np.arange(m), n + np.arange(m)] = self.sign
 
         self.lo = np.zeros(ncols)
         self.hi = np.full(ncols, np.inf)
@@ -185,10 +199,10 @@ class SimplexTableau:
         self.cost[:n] = lp.objective
         self.at_upper = self.cost > 0.0  # slacks cost 0, so they stay at 0
 
-        diag = A[np.arange(m), n + np.arange(m)]  # the slacks' signs
-        self.T = A / diag[:, None]  # inverse of the +-1 diagonal slack basis
         x_start = np.where(self.at_upper, self.hi, self.lo)[:n]
-        self.xB = (b - A[:, :n] @ x_start) / diag
+        self.xB = (self.rhs - A[:, :n] @ x_start) / self.sign
+        A /= self.sign[:, None]  # inverse of the +-1 diagonal slack basis
+        self.T = A
         self.basis = n + np.arange(m)
         self.in_basis = np.zeros(ncols, dtype=bool)
         self.in_basis[self.basis] = True
@@ -207,11 +221,12 @@ class SimplexTableau:
         coeffs, sense, rhs = row
         m, ncols = self.T.shape
         sign = 1.0 if sense == "<=" else -1.0
+        cols = np.array([j for j, _ in coeffs], dtype=np.int64)
+        vals = np.array([c for _, c in coeffs], dtype=float)
         a = np.zeros(ncols)
-        for j, c in coeffs:
-            a[j] += c
+        np.add.at(a, cols, vals)
         a_basic = a[self.basis]
-        nz = np.flatnonzero(a_basic)
+        nz = a_basic.nonzero()[0]
         T = np.zeros((m + 1, ncols + 1))
         T[:m, :ncols] = self.T
         T[m, :ncols] = (a - a_basic[nz] @ self.T[nz]) / sign
@@ -224,7 +239,11 @@ class SimplexTableau:
         self.cost = np.append(self.cost, 0.0)
         self.at_upper = np.append(self.at_upper, False)
         self.in_basis = np.append(self.in_basis, True)
-        self.rows.append(row)
+        self.entry_row = np.append(self.entry_row, np.full(cols.size, m))
+        self.entry_col = np.append(self.entry_col, cols)
+        self.entry_coef = np.append(self.entry_coef, vals)
+        self.rhs = np.append(self.rhs, rhs)
+        self.sign = np.append(self.sign, sign)
         return self._finish(self._dual())
 
     # -- internals ---------------------------------------------------------
@@ -241,9 +260,9 @@ class SimplexTableau:
         prow = T[r]
         colv = T[:, j].copy()
         colv[r] = 0.0
-        rows = np.flatnonzero(colv)
-        cols = np.flatnonzero(prow)
-        T[np.ix_(rows, cols)] -= np.outer(colv[rows], prow[cols])
+        rows = colv.nonzero()[0]
+        cols = prow.nonzero()[0]
+        T[rows[:, None], cols] -= np.outer(colv[rows], prow[cols])
         d[cols] -= d[j] * prow[cols]
         self.in_basis[self.basis[r]] = False
         self.in_basis[j] = True
@@ -254,13 +273,16 @@ class SimplexTableau:
         """Bounded dual simplex from a dual-feasible basis."""
         d = self._reduced_costs()
         movable = self.lo < self.hi
+        free = movable & ~self.in_basis  # the columns that may enter
+        loB, hiB = self.lo[self.basis], self.hi[self.basis]
+        # moving nonbasic j off its bound by t changes it by direction[j] * t
+        direction = np.where(self.at_upper, -1.0, 1.0)
         degenerate = 0
         for it in range(1, _PIVOT_CAP + 1):
-            loB, hiB = self.lo[self.basis], self.hi[self.basis]
             below = loB - self.xB
             above = self.xB - hiB
             violation = np.maximum(below, above)
-            bad = np.flatnonzero(violation > _FEAS_TOL)
+            bad = (violation > _FEAS_TOL).nonzero()[0]
             if bad.size == 0:
                 return "optimal"
             bland = degenerate > _BLAND_AFTER
@@ -270,11 +292,10 @@ class SimplexTableau:
                 r = int(bad[np.argmax(violation[bad])])
             self.pivots["dual"] += 1
             to_lower = below[r] > 0.0
-            direction = np.where(self.at_upper, -1.0, 1.0)
             # moving nonbasic j off its bound by t moves xB[r] by -slope[j]*t
             slope = self.T[r] * direction
             helps = (slope < -_PIV_TOL) if to_lower else (slope > _PIV_TOL)
-            cand = np.flatnonzero(~self.in_basis & movable & helps)
+            cand = (free & helps).nonzero()[0]
             if cand.size == 0:
                 return "infeasible"
             ratios = np.abs(d[cand]) / np.abs(slope[cand])
@@ -287,9 +308,13 @@ class SimplexTableau:
             target = loB[r] if to_lower else hiB[r]
             t = (self.xB[r] - target) / slope[j]
             self.xB -= t * direction[j] * self.T[:, j]
-            self.at_upper[self.basis[r]] = not to_lower
+            leave = self.basis[r]
+            self.at_upper[leave] = not to_lower
+            direction[leave] = 1.0 if to_lower else -1.0
+            free[leave], free[j] = movable[leave], False
             enter_val = (self.lo[j] + t) if direction[j] > 0 else (self.hi[j] - t)
             self._pivot(r, j, d, enter_val)
+            loB[r], hiB[r] = self.lo[j], self.hi[j]
             if it % _RESYNC_EVERY == 0:
                 d = self._reduced_costs()
         raise NumericalInstabilityError("dual simplex did not converge within the pivot cap")
@@ -305,17 +330,18 @@ class SimplexTableau:
             return SolveOutcome(status=status, x=None, value=None)
         n = self.lp.num_vars
         x_struct = self._point()[:n]
-        for coeffs, sense, rhs in self.rows:
-            val = sum(c * x_struct[j] for j, c in coeffs)
-            excess = val - rhs if sense == "<=" else rhs - val
-            if excess > _RESIDUAL_TOL:
-                raise NumericalInstabilityError(
-                    "solution violates a row by %r" % (abs(val - rhs),)
-                )
-        for j in range(n):
-            l, u = self.lp.bounds[j]
-            if x_struct[j] < l - _RESIDUAL_TOL or x_struct[j] > u + _RESIDUAL_TOL:
-                raise NumericalInstabilityError("solution violates a variable bound")
+        val = np.bincount(self.entry_row, self.entry_coef * x_struct[self.entry_col],
+                          minlength=self.rhs.size)
+        excess = (val - self.rhs) * self.sign  # > 0 where the row is violated
+        bad = (excess > _RESIDUAL_TOL).nonzero()[0]
+        if bad.size:
+            i = bad[0]
+            raise NumericalInstabilityError(
+                "solution violates a row by %r" % float(abs(val[i] - self.rhs[i]))
+            )
+        lo, hi = self.lo[:n], self.hi[:n]
+        if ((x_struct < lo - _RESIDUAL_TOL) | (x_struct > hi + _RESIDUAL_TOL)).any():
+            raise NumericalInstabilityError("solution violates a variable bound")
         value = float(self.lp.objective @ x_struct)
         return SolveOutcome(status="optimal", x=x_struct, value=value)
 
@@ -404,7 +430,7 @@ class CycleConstraint:
     """One odd-crossing closed-walk inequality.
 
     steps hold (edge key, in_F) pairs; keys are edge-orbit indices of a lifted
-    model, or ground edges (u, v) from the reference separate_cycles_ground.
+    model, or ground edges (u, v) from separate_cycles_ground.
     lhs caches the value at the separating point.
     """
 
@@ -418,102 +444,6 @@ class CycleConstraint:
         return tuple(sorted(self.steps))
 
 
-def mirror_graph(edges) -> dict:
-    """Adjacency of the two-copy graph: node (a, copy) -> [(node, w, key, crossed)].
-
-    edges: iterable of (key, a, b, cut_w, nocut_w); within-copy images carry
-    cut_w, copy-switching images carry nocut_w (self-loops only switch).
-    Weights are clamped at zero.
-    """
-    adj = {}
-
-    def add(na, nb, w, key, crossed):
-        adj.setdefault(na, []).append((nb, w, key, crossed))
-        adj.setdefault(nb, []).append((na, w, key, crossed))
-
-    for key, a, b, cut_w, nocut_w in edges:
-        cut_w = max(0.0, float(cut_w))
-        nocut_w = max(0.0, float(nocut_w))
-        if a == b:
-            add((a, 0), (a, 1), nocut_w, key, True)
-            continue
-        add((a, 0), (b, 0), cut_w, key, False)
-        add((a, 1), (b, 1), cut_w, key, False)
-        add((a, 0), (b, 1), nocut_w, key, True)
-        add((a, 1), (b, 0), nocut_w, key, True)
-    return adj
-
-
-def mirror_walk(adj, source, bound=np.inf):
-    """Shortest walk from (source, 0) to its mirror image (source, 1).
-
-    adj is a mirror_graph adjacency. Returns (steps, total) with steps a tuple
-    of (key, crossed); (None, inf) when the mirror image is unreachable or
-    only by walks longer than bound. Walks longer than bound are not
-    followed, which leaves every walk of total <= bound as the unbounded
-    search finds it: Dijkstra settles the nodes within the bound in the
-    same order either way.
-    """
-    start, goal = (source, 0), (source, 1)
-    dist = {start: 0.0}
-    prev = {}
-    heap = [(0.0, start)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if d > dist.get(node, np.inf):
-            continue
-        if node == goal:
-            break
-        for nbr, w, key, crossed in adj.get(node, ()):
-            nd = d + w
-            if nd <= bound and nd < dist.get(nbr, np.inf):
-                dist[nbr] = nd
-                prev[nbr] = (node, key, crossed)
-                heapq.heappush(heap, (nd, nbr))
-    if goal not in dist:
-        return None, np.inf
-    steps = []
-    node = goal
-    while node != start:
-        node, key, crossed = prev[node]
-        steps.append((key, crossed))
-    steps.reverse()
-    return tuple(steps), float(dist[goal])
-
-
-def separate_cycles_ground(model, tau):
-    """Most violated cycle inequality on the skeleton, or None.
-
-    The reference for separate_cycles_lifted: one mirror graph over the
-    model's ground edges, searched from every variable, each walk unbounded.
-    tau is over the overcomplete layout, whose edge block alone is read.
-    cutting_plane_map solves a ground model by its trivial lift instead,
-    which takes the same walks.
-    """
-    layout = OvercompleteLayout(model)
-    tau = np.asarray(tau, dtype=float)
-    edges = []
-    nodes = set()
-    for (u, v) in layout.edges:
-        cut_w = tau[layout.edge_index(u, v, 0, 1)] + tau[layout.edge_index(u, v, 1, 0)]
-        nocut_w = tau[layout.edge_index(u, v, 0, 0)] + tau[layout.edge_index(u, v, 1, 1)]
-        edges.append(((u, v), u, v, cut_w, nocut_w))
-        nodes.add(u)
-        nodes.add(v)
-    adj = mirror_graph(edges)
-    best = None
-    for i in sorted(nodes):
-        steps, total = mirror_walk(adj, i)
-        if steps is None:
-            continue
-        if best is None or total < best[1]:
-            best = (steps, total, i)
-    if best is None or best[1] >= 1.0 - CYCLE_TOL:
-        return None
-    steps, total, src = best
-    return CycleConstraint(space="ground", steps=steps, lhs=total, source=src)
-
-
 @dataclass(frozen=True)
 class StabilizedGraph:
     """Mirror-search graph shared by the node orbits whose representatives
@@ -523,6 +453,130 @@ class StabilizedGraph:
 
     sources: tuple  # (node orbit, its representative's cell), orbits increasing
     edges: tuple  # (full edge orbit id, cell a, cell b)
+
+    @functools.cached_property
+    def mirror(self) -> list:
+        """Adjacency of the two-copy graph, built on first use and kept:
+        node 2 * cell + copy -> [(node, weight slot, edge orbit, crossed)].
+
+        Edge orbit e's within-copy images weigh slot 2e (its cut weight), its
+        copy-switching images slot 2e + 1 (its nocut weight); a self-loop only
+        switches. Only the weights change between separation calls.
+        """
+        cells = [c for _, c in self.sources] + [c for _, a, b in self.edges for c in (a, b)]
+        adj = [[] for _ in range(2 * (max(cells, default=-1) + 1))]
+
+        def add(na, nb, slot, e, crossed):
+            adj[na].append((nb, slot, e, crossed))
+            adj[nb].append((na, slot, e, crossed))
+
+        for e, a, b in self.edges:
+            if a == b:
+                add(2 * a, 2 * a + 1, 2 * e + 1, e, True)
+                continue
+            add(2 * a, 2 * b, 2 * e, e, False)
+            add(2 * a + 1, 2 * b + 1, 2 * e, e, False)
+            add(2 * a, 2 * b + 1, 2 * e + 1, e, True)
+            add(2 * a + 1, 2 * b, 2 * e + 1, e, True)
+        return adj
+
+
+def mirror_weights(cut, nocut) -> list:
+    """The flat weight list of a mirror graph: slot 2e is edge orbit e's cut
+    weight, slot 2e + 1 its nocut weight, both clamped at zero."""
+    return np.maximum(np.column_stack((cut, nocut)), 0.0).ravel().tolist()
+
+
+def mirror_walk(adj, weights, source, bound=math.inf):
+    """Shortest walk from node 2 * source to its mirror image 2 * source + 1.
+
+    adj is a StabilizedGraph.mirror and weights its mirror_weights. Returns
+    (steps, total) with steps a tuple of (edge orbit, crossed); (None, inf)
+    when the mirror image is unreachable or only by walks longer than bound.
+    Walks longer than bound are not followed, which leaves every walk of
+    total <= bound as the unbounded search finds it: Dijkstra settles the
+    nodes within the bound in the same order either way. Heap ties go to the
+    smaller node, that is to the smaller (cell, copy).
+    """
+    start, goal = 2 * source, 2 * source + 1
+    dist = [math.inf] * len(adj)
+    prev = [None] * len(adj)
+    dist[start] = 0.0
+    heap = [(0.0, start)]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        d, node = pop(heap)
+        if d > dist[node]:
+            continue
+        if node == goal:
+            break
+        for nbr, slot, e, crossed in adj[node]:
+            nd = d + weights[slot]
+            if nd <= bound and nd < dist[nbr]:
+                dist[nbr] = nd
+                prev[nbr] = (node, e, crossed)
+                push(heap, (nd, nbr))
+    if prev[goal] is None:
+        return None, math.inf
+    steps = []
+    node = goal
+    while node != start:
+        node, e, crossed = prev[node]
+        steps.append((e, crossed))
+    steps.reverse()
+    return tuple(steps), dist[goal]
+
+
+def _most_violated(graphs, weights):
+    """(steps, total, orbit) of the least mirror walk over every source of
+    graphs, or None when none is a violated cycle (total < 1 - CYCLE_TOL).
+
+    Ties go to the smallest orbit. Each walk is bounded by the least total
+    found so far and by 1 - CYCLE_TOL, so a walk that can neither win nor
+    violate stops early.
+    """
+    best = None
+    for g in graphs:
+        adj = g.mirror
+        for orbit, source in g.sources:
+            bound = 1.0 - CYCLE_TOL if best is None else best[1]
+            steps, total = mirror_walk(adj, weights, source, bound)
+            if steps is None:
+                continue
+            if best is None or (total, orbit) < (best[1], best[2]):
+                best = (steps, total, orbit)
+    if best is None or best[1] >= 1.0 - CYCLE_TOL:
+        return None
+    return best
+
+
+def separate_cycles_ground(model, tau):
+    """Most violated cycle inequality on the skeleton, or None.
+
+    The ground counterpart of separate_cycles_lifted, on the same mirror
+    walk: one mirror graph over the model's ground edges, searched from
+    every variable. tau is over the overcomplete layout, whose edge block
+    alone is read; the steps are keyed by ground edges (u, v).
+    cutting_plane_map solves a ground model by its trivial lift instead,
+    which takes the same walks.
+    """
+    layout = OvercompleteLayout(model)
+    tau = np.asarray(tau, dtype=float)
+    values = ((0, 1), (1, 0), (0, 0), (1, 1))  # cut, then nocut assignments
+    index = [[layout.edge_index(u, v, a, b) for a, b in values] for (u, v) in layout.edges]
+    t = tau[np.array(index, dtype=np.int64).reshape(-1, 4)]
+    weights = mirror_weights(t[:, 0] + t[:, 1], t[:, 2] + t[:, 3])
+    nodes = sorted({w for edge in layout.edges for w in edge})
+    graph = StabilizedGraph(
+        sources=tuple((i, i) for i in nodes),
+        edges=tuple((k, u, v) for k, (u, v) in enumerate(layout.edges)),
+    )
+    best = _most_violated((graph,), weights)
+    if best is None:
+        return None
+    steps, total, src = best
+    steps = tuple((layout.edges[k], crossed) for k, crossed in steps)
+    return CycleConstraint(space="ground", steps=steps, lhs=total, source=src)
 
 
 def build_stabilized_graphs(lifted: LiftedModel):
@@ -571,26 +625,15 @@ def separate_cycles_lifted(lifted: LiftedModel, stabilized, x):
     x is a point of the local LP. Edge orbit k's cut weight is its
     representative's disagreement P(01) + P(10) = (mu_v - mu_uv) + (mu_u -
     mu_uv), and its nocut weight is 1 - cut. Ties go to the smallest node
-    orbit. Each walk is bounded by the least total found so far and by
-    1 - CYCLE_TOL, so a walk that can neither win nor violate stops early.
+    orbit (see _most_violated).
     """
     x = np.asarray(x, dtype=float)
     # OrbitInfo.cells of an edge: the constant, then the moments of v, u and uv
     moments = np.array([info.cells[1:] for info in lifted.edge_info], dtype=np.int64)
     mu_v, mu_u, mu_uv = x[moments.reshape(-1, 3) + 1].T
     cut = (mu_v - mu_uv) + (mu_u - mu_uv)
-    weights = tuple(zip(cut.tolist(), (1.0 - cut).tolist()))
-    best = None
-    for g in stabilized:
-        adj = mirror_graph((ek, a, b, *weights[ek]) for ek, a, b in g.edges)
-        for orbit, source in g.sources:
-            bound = 1.0 - CYCLE_TOL if best is None else best[1]
-            steps, total = mirror_walk(adj, source, bound)
-            if steps is None:
-                continue
-            if best is None or (total, orbit) < (best[1], best[2]):
-                best = (steps, total, orbit)
-    if best is None or best[1] >= 1.0 - CYCLE_TOL:
+    best = _most_violated(stabilized, mirror_weights(cut, 1.0 - cut))
+    if best is None:
         return None
     steps, total, orbit = best
     return CycleConstraint(space="lifted", steps=steps, lhs=total, source=orbit)

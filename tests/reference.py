@@ -4,9 +4,12 @@ Everything here works by enumeration: configuration orbits closed under
 variable permutations, exhaustive automorphism search over all n! variable
 permutations, the group a generator set generates, and direct enumeration
 of odd-set cycle constraints. They are deliberately independent of the
-search, lifting, and separation code they are used to validate.
+search, lifting, and separation code they are used to validate. The
+tuple-keyed mirror graph and walk are the plain form of the integer-node
+walk the separation runs on.
 """
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -230,3 +233,67 @@ def enumerate_cycle_constraints(model: Model, tau, max_len: int = 6):
                 lhs += sum(cut(e) for e in edges if e not in chosen)
                 out.append((edges, F, lhs))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the mirror walk on a tuple-keyed two-copy graph
+
+
+def mirror_graph(edges) -> dict:
+    """Adjacency of the two-copy graph: node (a, copy) -> [(node, w, key, crossed)].
+
+    edges: iterable of (key, a, b, cut_w, nocut_w); within-copy images carry
+    cut_w, copy-switching images carry nocut_w (self-loops only switch).
+    Weights are clamped at zero.
+    """
+    adj = {}
+
+    def add(na, nb, w, key, crossed):
+        adj.setdefault(na, []).append((nb, w, key, crossed))
+        adj.setdefault(nb, []).append((na, w, key, crossed))
+
+    for key, a, b, cut_w, nocut_w in edges:
+        cut_w = max(0.0, float(cut_w))
+        nocut_w = max(0.0, float(nocut_w))
+        if a == b:
+            add((a, 0), (a, 1), nocut_w, key, True)
+            continue
+        add((a, 0), (b, 0), cut_w, key, False)
+        add((a, 1), (b, 1), cut_w, key, False)
+        add((a, 0), (b, 1), nocut_w, key, True)
+        add((a, 1), (b, 0), nocut_w, key, True)
+    return adj
+
+
+def mirror_walk(adj, source, bound=np.inf):
+    """Shortest walk from (source, 0) to its mirror image (source, 1).
+
+    adj is a mirror_graph adjacency. Returns (steps, total) with steps a tuple
+    of (key, crossed); (None, inf) when the mirror image is unreachable or
+    only by walks longer than bound, which are not followed.
+    """
+    start, goal = (source, 0), (source, 1)
+    dist = {start: 0.0}
+    prev = {}
+    heap = [(0.0, start)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist.get(node, np.inf):
+            continue
+        if node == goal:
+            break
+        for nbr, w, key, crossed in adj.get(node, ()):
+            nd = d + w
+            if nd <= bound and nd < dist.get(nbr, np.inf):
+                dist[nbr] = nd
+                prev[nbr] = (node, key, crossed)
+                heapq.heappush(heap, (nd, nbr))
+    if goal not in dist:
+        return None, np.inf
+    steps = []
+    node = goal
+    while node != start:
+        node, key, crossed = prev[node]
+        steps.append((key, crossed))
+    steps.reverse()
+    return tuple(steps), float(dist[goal])

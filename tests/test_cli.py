@@ -440,6 +440,43 @@ class TestDeterminism:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    def test_successive_calls_share_one_parser_and_no_defaults(self, capsys, models_dir, tmp_path):
+        # main parses with one parser per process; each call must give what a
+        # call with a parser of its own gives, whatever flags came before
+        out, csv = tmp_path / "out.json", tmp_path / "curve.csv"
+        q2 = [str(models_dir / "q2.mln"), "--domain-size", "3"]
+        triangle = str(models_dir / "triangle.fgm")
+        calls = [
+            ["map", *q2, "--evidence", str(models_dir / "q2.evidence"), "--polytope", "cycle",
+             "--out", str(out), "--csv", str(csv)],
+            ["orbits", triangle],
+            # q2 has no features without its evidence: exit 2 unless it leaked
+            ["map", *q2, "--space", "lifted"],
+            ["ground", str(models_dir / "lovers_smokers.mln"), "--domain-size", "2", "--out", str(out)],
+            ["map", triangle, "--polytope", "cycle"],
+        ]
+
+        def outputs(argv):
+            for path in (out, csv):
+                path.unlink(missing_ok=True)
+            code, stdout, err = run(capsys, *argv)
+            files = [p.read_text() if p.exists() else None for p in (out, csv)]
+            without_timings = [
+                None if text is None else [line for line in text.splitlines() if '_ms"' not in line]
+                for text in [stdout] + files
+            ]
+            return code, err, without_timings
+
+        shared = [outputs(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(outputs(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0]
+        for argv in calls:
+            assert vars(cli._parser().parse_args(argv[:2])) == vars(cli.build_parser().parse_args(argv[:2]))
+
     def test_map_output_is_stable_modulo_timings(self, capsys, models_dir):
         args = ("map", str(models_dir / "triangle.fgm"), "--polytope", "cycle")
         _, first_payload = run_json(capsys, *args)

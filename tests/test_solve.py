@@ -1,5 +1,7 @@
 """Solver layer: simplex core, local relaxation, cycle cuts, MAP driver."""
 
+import hashlib
+import json
 import random
 import time
 
@@ -18,6 +20,8 @@ from overcomplete import (
     reference_local_lp,
 )
 from reference import enumerate_cycle_constraints
+from reference import mirror_graph as reference_mirror_graph
+from reference import mirror_walk as reference_mirror_walk
 from signatures import reference_edge_orbits, reference_stabilized_light
 from liftedmap import (
     GeneratorSymmetries,
@@ -51,14 +55,15 @@ from liftedmap.oracle import exact_enumerate
 from liftedmap.solve import (
     CycleConstraint,
     LinearProgram,
+    NumericalInstabilityError,
     SimplexTableau,
     SolveError,
     StabilizedGraph,
     build_stabilized_graphs,
     constraint_row,
     decode,
-    mirror_graph,
     mirror_walk,
+    mirror_weights,
     separate_cycles_ground,
     separate_cycles_lifted,
     uniform_interior,
@@ -395,6 +400,55 @@ def grow_by_cutting_rows(seed):
     return tableau, steps
 
 
+class TestResidualAudit:
+    """_finish audits every row, cuts included, and every bound at the point
+    the tableau reports, and raises when one is off by more than 1e-6."""
+
+    @staticmethod
+    def corrupted(value, cut=False):
+        # max x0 + 2 x1, x0 + x1 <= 1.5 (x0 = 0.5 basic, x1 = 1), and with
+        # cut the row x0 <= 0.25 (x0 = 0.25 basic); then x0 := value
+        lp = LinearProgram(
+            num_vars=2,
+            objective=[1.0, 2.0],
+            rows=[([(0, 1.0), (1, 1.0)], "<=", 1.5)],
+            bounds=[(0.0, 1.0), (0.0, 1.0)],
+        )
+        tableau = SimplexTableau(lp)
+        out = tableau.solve()
+        if cut:
+            out = tableau.add_row(([(0, 1.0)], "<=", 0.25))
+        assert out.status == "optimal"
+        assert out.x.tolist() == [0.25 if cut else 0.5, 1.0]
+        tableau.xB[tableau.basis.tolist().index(0)] = value
+        return tableau
+
+    def test_clean_optimum_passes(self):
+        for cut in (False, True):
+            assert self.corrupted(0.25 if cut else 0.5, cut)._finish("optimal").status == "optimal"
+
+    def test_base_row_violation_raises(self):
+        # x0 + x1 = 1.9 > 1.5, x0 inside its bounds
+        with pytest.raises(NumericalInstabilityError, match="violates a row by") as info:
+            self.corrupted(0.9)._finish("optimal")
+        assert float(str(info.value).split()[-1]) == pytest.approx(0.4, abs=1e-12)
+
+    def test_cut_row_violation_raises(self):
+        # x0 = 0.4 > 0.25 on the added row only
+        with pytest.raises(NumericalInstabilityError, match="violates a row by") as info:
+            self.corrupted(0.4, cut=True)._finish("optimal")
+        assert float(str(info.value).split()[-1]) == pytest.approx(0.15, abs=1e-12)
+
+    def test_bound_violation_raises(self):
+        # x0 = -0.5 satisfies both rows but not x0 >= 0
+        with pytest.raises(NumericalInstabilityError, match="violates a variable bound"):
+            self.corrupted(-0.5, cut=True)._finish("optimal")
+
+    def test_violations_within_the_tolerance_pass(self):
+        assert self.corrupted(0.25 + 5e-7, cut=True)._finish("optimal").status == "optimal"
+        assert self.corrupted(-5e-7, cut=True)._finish("optimal").status == "optimal"
+
+
 class TestSimplexAgainstReferenceSolver:
     def assert_matches_reference(self, lp, ours):
         ref_status, ref_value = reference_solve(lp)
@@ -461,32 +515,41 @@ class TestSimplexAgainstReferenceSolver:
 # mirror-graph shortest paths
 
 
-TRI_EDGES = (("a", 0, 1), ("b", 1, 2), ("c", 0, 2))
+TRI_EDGES = ((0, 1), (1, 2), (0, 2))
 
 
 def tri(cut_w, nocut_w):
-    return [(k, u, v, cut_w, nocut_w) for k, u, v in TRI_EDGES]
+    return [(u, v, cut_w, nocut_w) for u, v in TRI_EDGES]
+
+
+def walk(edges, source, bound=np.inf):
+    """mirror_walk over edges (a, b, cut_w, nocut_w), the k-th keyed k."""
+    graph = StabilizedGraph(
+        sources=((0, source),), edges=tuple((k, a, b) for k, (a, b, _, _) in enumerate(edges))
+    )
+    weights = mirror_weights([e[2] for e in edges], [e[3] for e in edges])
+    return mirror_walk(graph.mirror, weights, source, bound)
 
 
 class TestMirrorShortestPath:
     def test_free_crossings_take_every_edge(self):
-        steps, total = mirror_walk(mirror_graph(tri(cut_w=1.0, nocut_w=0.0)), 0)
+        steps, total = walk(tri(cut_w=1.0, nocut_w=0.0), 0)
         assert total == pytest.approx(0.0, abs=1e-12)
         assert len(steps) == 3
         assert all(crossed for _, crossed in steps)
 
     def test_expensive_crossings_take_exactly_one(self):
-        steps, total = mirror_walk(mirror_graph(tri(cut_w=0.0, nocut_w=1.0)), 0)
+        steps, total = walk(tri(cut_w=0.0, nocut_w=1.0), 0)
         assert total == pytest.approx(1.0, abs=1e-12)
         assert sum(crossed for _, crossed in steps) == 1
 
     def test_self_loop_switches_copies(self):
-        steps, total = mirror_walk(mirror_graph([("L", 0, 0, 0.7, 0.125)]), 0)
+        steps, total = walk([(0, 0, 0.7, 0.125)], 0)
         assert total == pytest.approx(0.125, abs=1e-12)
-        assert steps == (("L", True),)
+        assert steps == ((0, True),)
 
     def test_unreachable_mirror(self):
-        steps, total = mirror_walk(mirror_graph([("e", 1, 2, 0.1, 0.2)]), 0)
+        steps, total = walk([(1, 2, 0.1, 0.2)], 0)
         assert steps is None
         assert total == np.inf
 
@@ -505,16 +568,38 @@ class TestMirrorShortestPath:
     @settings(max_examples=300, deadline=None)
     def test_bounded_walk_is_the_unbounded_one_within_its_bound(self, edges, source, bound):
         # dyadic weights make ties at the bound common
-        adj = mirror_graph((k, a, b, cut_w, nocut_w) for k, (a, b, cut_w, nocut_w) in enumerate(edges))
-        walk = mirror_walk(adj, source)
-        bounded = mirror_walk(adj, source, bound)
-        if walk[1] <= bound:
-            assert bounded == walk
+        unbounded = walk(edges, source)
+        bounded = walk(edges, source, bound)
+        if unbounded[1] <= bound:
+            assert bounded == unbounded
         else:
             assert bounded == (None, np.inf)
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 6), st.integers(0, 6)),
+            max_size=14,
+        ),
+        st.lists(
+            st.tuples(st.sampled_from((-0.5, 0.0, 0.5, 1.0)), st.sampled_from((-1.0, 0.0, 0.5, 1.0))),
+            min_size=4, max_size=4,
+        ),
+        st.integers(0, 7),
+        st.sampled_from((np.inf, 0.0, 0.5, 1.0 - 1e-6, 1.0, 1.5)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_walk_is_the_tuple_keyed_reference_walk(self, edges, orbit_weights, source, bound):
+        # multigraphs whose parallel edges and self-loops may share an edge
+        # orbit's weights, ties from {0, 0.5, 1}, negative weights clamped,
+        # source 7 on no edge: the same steps and total, to the bit
+        graph = StabilizedGraph(sources=((0, source),), edges=tuple(edges))
+        cut, nocut = zip(*orbit_weights)
+        got = mirror_walk(graph.mirror, mirror_weights(cut, nocut), source, bound)
+        adj = reference_mirror_graph((e, a, b, cut[e], nocut[e]) for e, a, b in edges)
+        assert got == reference_mirror_walk(adj, source, bound)
+
     def test_negative_weights_clamp_to_zero(self):
-        steps, total = mirror_walk(mirror_graph(tri(cut_w=-1.0, nocut_w=-0.5)), 0)
+        steps, total = walk(tri(cut_w=-1.0, nocut_w=-0.5), 0)
         assert total == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
@@ -522,22 +607,25 @@ class TestMirrorShortestPath:
         rng = random.Random(seed)
         n = 5
         edges = []
-        weights = {}
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.random() < 0.6:
-                    key = (i, j)
                     cut_w = round(rng.uniform(0.0, 1.0), 3)
                     nocut_w = round(rng.uniform(0.0, 1.0), 3)
-                    edges.append((key, i, j, cut_w, nocut_w))
-                    weights[key] = (cut_w, nocut_w)
-        steps, total = mirror_walk(mirror_graph(edges), 0)
+                    edges.append((i, j, cut_w, nocut_w))
+        steps, total = walk(edges, 0)
         if steps is None:
             assert total == np.inf
             return
         assert sum(crossed for _, crossed in steps) % 2 == 1
-        recomputed = sum(weights[k][1] if crossed else weights[k][0] for k, crossed in steps)
+        recomputed = sum(edges[k][3] if crossed else edges[k][2] for k, crossed in steps)
         assert total == pytest.approx(recomputed, abs=1e-12)
+
+    def test_mirror_graph_is_built_once_and_not_compared(self):
+        # the adjacency is cached on the graph and stays out of ==
+        graph = StabilizedGraph(sources=((0, 0),), edges=((0, 0, 1), (1, 1, 2), (2, 0, 2)))
+        assert graph.mirror is graph.mirror
+        assert graph == StabilizedGraph(sources=graph.sources, edges=graph.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -997,3 +1085,65 @@ class TestGroundIsTheTrivialLift:
         for key in ("configuration", "score", "fractional"):
             assert ground.decode[key] == lifted.decode[key]
         assert set(ground.decode) == {"space", "configuration", "fractional", "score"}
+
+
+# ---------------------------------------------------------------------------
+# the cut loop, pinned
+
+# (ground cycle, lifted search cycle) per fixture; lovers_smokers3 is ground
+# (local, cycle). Digests of the pivot counts, the cuts, the bounds and the
+# decode: a change to the pivot path or to the walks moves them.
+CUT_LOOP_PINS = {
+    "ex1": ("e80500a44f867ae8", "fdd5e1b4f61d3eed"),
+    "triangle": ("0344a3b18afb9969", "323919832f944580"),
+    "cycle6": ("84f08b9e08119767", "aa1cef6e24a6f721"),
+    "frucht": ("899ccfbd64eced20", "11cf77dd95e6b6fe"),
+    "fully_connected5": ("b1989c764c279a6a", "086422709d57ced6"),
+    "triple_parity": ("ad1128ac9006870e", "01d81f7cca0cffbd"),
+    "unary_logistic": ("6a663fd2afcd6702", "9f37aa82f3dc411c"),
+    "circulant_7_1_3": ("81bc1d0a4c94599f", "590b2af97aa47395"),
+    "random0": ("180fa1a8617bf932", "5c9e80c5b74296fe"),
+    "random1": ("f1ff8bdd3f129235", "004178538767472c"),
+    "random2": ("da43794a3e6f829d", "d6b20a20787777c3"),
+    "random3": ("d31c489c2f34beab", "d51d9b71309fac65"),
+    "random4": ("355687aa7eece2bc", "c408b8d577516e64"),
+    "random5": ("e42d658da00004c7", "d51f5d473d7cb512"),
+    "random6": ("6af2b04d22de46a9", "522979689dd0337a"),
+    "random7": ("5e6465214f3ee60a", "75d9789749dec446"),
+    "random8": ("5ab131e247abc7d7", "d9ddb68c8c9f136f"),
+    "random9": ("2163989e0d263e22", "f3f3736a2e210f71"),
+    "random10": ("b57064e7d2d4ea60", "ff3de8536717067b"),
+    "random11": ("b319a8dbd7dcedeb", "fea7bb0748957b69"),
+    "random12": ("18fc2983d3abd2a4", "e05bfed2978107f9"),
+    "random13": ("e42d658da00004c7", "d51f5d473d7cb512"),
+    "random14": ("129339aced1fb2ee", "4717dd918c30ca23"),
+    "random15": ("2bc6ce3fe0519c8d", "d0cca946b89c4e38"),
+    "random16": ("d2917bf190baab37", "efb414f8b0503502"),
+    "random17": ("9fdd6de334d87320", "db2f097d8f8c4fea"),
+    "random18": ("d8f312195b3bf492", "86652d1c13def092"),
+    "random19": ("43179536eeb351d8", "92ea6ed8eda1a37a"),
+    "lovers_smokers3": ("ff9d168914ac2bbd", "9bac691b67a2c54b"),
+}
+
+
+def cut_loop_digest(result):
+    cuts = [(tuple((int(k), bool(c)) for k, c in cut.steps), float(cut.lhs), int(cut.source))
+            for cut in result.cuts_added]
+    text = repr((result.status, sorted(result.pivots.items()), cuts,
+                 tuple(float(b) for b in result.bounds)))
+    text += json.dumps(result.decode, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_cut_loop_pivots_cuts_bounds_and_decodes_are_pinned():
+    found = {}
+    cycle = MapOptions(polytope="cycle")
+    for name, make in FIXTURES.items():
+        model = make()
+        lifted = build_lifted_model(model, GeneratorSymmetries(model))
+        found[name] = (cut_loop_digest(cutting_plane_map(model, cycle)),
+                       cut_loop_digest(cutting_plane_map(lifted, cycle)))
+    model = ground_mln(parse_mln(LOVERS_SMOKERS_MLN), domain_size=3)[0]
+    found["lovers_smokers3"] = (cut_loop_digest(cutting_plane_map(model)),
+                                cut_loop_digest(cutting_plane_map(model, cycle)))
+    assert found == CUT_LOOP_PINS
