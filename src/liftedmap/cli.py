@@ -183,6 +183,9 @@ def cmd_orbits(args) -> int:
         payload["methods"][name] = {
             "group_order": None if gens is None else gens.group_order,
             "num_generators": None if gens is None else len(gens.generators),
+            "tree_nodes": None if gens is None else gens.tree_nodes,
+            "leaves": None if gens is None else gens.leaves,
+            "refine_rounds": None if gens is None else gens.refine_rounds,
             "orbits": _per_domain(_partition_json, bundle),
         }
     if len(methods) == 2:

@@ -19,6 +19,7 @@ within each cell, which requires them to be constant on every cell.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +152,18 @@ class LiftedModel:
         order, starts = group_codes(self.var_cells)
         return tuple(order[starts].tolist())
 
+    @functools.cached_property
+    def probability_rows(self) -> tuple:
+        """P(a) of every assignment of each edge orbit, then of each factor
+        orbit (edge_info + factor_info order), over the local LP's
+        variables: rows[k][i] is the sorted (variable, coefficient) list of
+        orbit k's assignment with table index i. Built once per lifted
+        model, for the LP's rows and every cut's."""
+        return tuple(
+            tuple(_probability(info.cells, i) for i in range(len(info.cells)))
+            for info in self.edge_info + self.factor_info
+        )
+
     def score(self, values) -> float:
         """Score of the configuration that gives node orbit k the value
         values[k]: constant + theta_bar . m, where m_c is the product of the
@@ -163,6 +176,31 @@ class LiftedModel:
                 if s & (s - 1):
                     m[cells[s]] = m[cells[s & -s]] * m[cells[s & (s - 1)]]
         return float(self.constant + self.theta_bar @ np.array(m, dtype=float))
+
+
+def _probability(cells, i) -> list:
+    """P(a) of the assignment a with table index i, over LP variables.
+
+    cells holds the moment cell of each subset of a scope (see OrbitInfo);
+    variable 0 is the constant and cell c is variable c + 1. P(a) sums
+    (-1)^|T - ones(a)| mu_T over the supersets T of ones(a), so an all-ones
+    assignment is a single moment and any other one takes at least two.
+    """
+    acc = {}
+    for s, sign in _supersets(len(cells), i):
+        var = cells[s] + 1
+        acc[var] = acc.get(var, 0.0) + sign
+    return sorted(acc.items())
+
+
+@functools.cache
+def _supersets(num_subsets, i) -> tuple:
+    """(s, (-1)^|s - i|) for each subset s of a scope that contains the
+    subset i, in increasing s: P(a)'s Moebius terms, the same for every
+    scope of one arity."""
+    return tuple(
+        (s, (-1.0) ** bin(s ^ i).count("1")) for s in range(num_subsets) if s & i == i
+    )
 
 
 def build_lifted_model(model: Model, symmetries) -> LiftedModel:

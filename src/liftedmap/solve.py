@@ -355,22 +355,6 @@ def simplex_solve(lp: LinearProgram) -> SolveOutcome:
 # the local polytope in moment coordinates
 
 
-def _probability(cells, i) -> list:
-    """P(a) of the assignment a with table index i, over LP variables.
-
-    cells holds the moment cell of each subset of a scope (see OrbitInfo);
-    variable 0 is the constant and cell c is variable c + 1. P(a) sums
-    (-1)^|T - ones(a)| mu_T over the supersets T of ones(a), so an all-ones
-    assignment is a single moment and any other one takes at least two.
-    """
-    acc = {}
-    for s in range(len(cells)):
-        if s & i == i:
-            var = cells[s] + 1
-            acc[var] = acc.get(var, 0.0) + (-1.0) ** bin(s ^ i).count("1")
-    return sorted(acc.items())
-
-
 def _lifted(target) -> LiftedModel:
     """target itself, or a ground Model lifted under the trivial group."""
     if isinstance(target, LiftedModel):
@@ -394,9 +378,8 @@ def build_local_lp(target) -> LinearProgram:
     lm = _lifted(target)
     num_vars = lm.num_cells + 1
     rows = {}
-    for info in lm.edge_info + lm.factor_info:
-        for i in range(len(info.cells) - 1):
-            terms = _probability(info.cells, i)
+    for orbit_rows in lm.probability_rows:
+        for terms in orbit_rows[:-1]:
             rows.setdefault(tuple(terms), terms)
     return LinearProgram(
         num_vars=num_vars,
@@ -648,9 +631,9 @@ def constraint_row(constraint: CycleConstraint, lifted: LiftedModel):
     """
     acc = {}
     for k, in_f in constraint.steps:
-        cells = lifted.edge_info[k].cells
+        orbit_rows = lifted.probability_rows[k]
         for i in (0, 3) if in_f else (1, 2):
-            for j, c in _probability(cells, i):
+            for j, c in orbit_rows[i]:
                 acc[j] = acc.get(j, 0.0) + c
     return (sorted(kv for kv in acc.items() if kv[1] != 0.0), ">=", 1.0)
 

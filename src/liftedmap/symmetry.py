@@ -16,15 +16,25 @@ produce one automorphism. A leaf becomes a generator only when it passes
 the exact table check (`is_model_automorphism`) as well as the graph check,
 so orbits computed from the result are sound even though the graph encoding
 is coarser than the tables.
+
+Each tree node holds one OrderedPartition: node to label, label to member
+set, a label being its cell's first position (McKay & Piperno, Practical
+graph isomorphism II, 2014). `refine_colors` makes a child from its parent
+copy-on-write, so a call costs the nodes its rounds touch, and the ranks
+of the labels are the color ids that refining every node in every round
+gives. The search reads its node invariant, target cell and leaf
+permutations off the labels, and checks leaves on integer arrays.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .model import Model, ModelError, skeleton, table_index
 
@@ -64,10 +74,16 @@ class PermutationPair:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Verified generators of a symmetry group, with its order when known."""
+    """Verified generators of a symmetry group, with its order when known,
+    and the counts of the search that found them (0 when none ran): its
+    tree nodes, its leaves and its refinement rounds. The counts do not
+    take part in equality."""
 
     generators: tuple
     group_order: int = None
+    tree_nodes: int = field(default=0, compare=False)
+    leaves: int = field(default=0, compare=False)
+    refine_rounds: int = field(default=0, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -135,6 +151,7 @@ class OrbitBundle:
 # feature canonicalization
 
 
+@functools.lru_cache(maxsize=4096)
 def _permuted_table(table, perm, arity):
     # argument i of the reordered function reads argument position perm[i]
     out = []
@@ -218,12 +235,50 @@ class ColoredFactorGraph:
     @functools.cached_property
     def neighbors(self) -> tuple:
         """Per node, its neighbors and the ranks of their edge colors in
-        edge_colors, as two tuples in adj order: what refinement reads,
-        built once per graph."""
-        rank = {ec: i for i, ec in enumerate(self.edge_colors)}
-        return tuple(
-            (tuple(w for w, _ in nbrs), tuple(rank[ec] for _, ec in nbrs)) for nbrs in self.adj
-        )
+        edge_colors, as two tuples in adj order, and a function from a label
+        list to the neighbors' labels: what refinement reads, built once per
+        graph."""
+        rank = {ec: i for i, ec in enumerate(self.edge_colors)}.__getitem__
+        out = []
+        for nbrs in self.adj:
+            ws, ecs = tuple(zip(*nbrs)) or ((), ())
+            out.append((ws, tuple(map(rank, ecs)), _labels_of(ws)))
+        return tuple(out)
+
+    @functools.cached_property
+    def edge_codes(self) -> np.ndarray:
+        """Every edge, once from each end u to w with edge color rank c, as
+        the int64 code (u * num_nodes + w) * len(edge_colors) + c, sorted:
+        what the graph check compares a permutation's image with."""
+        n, step = self.num_nodes, max(len(self.edge_colors), 1)
+        ws, ecs, _ = zip(*self.neighbors)
+        u = np.repeat(np.arange(n, dtype=np.int64), list(map(len, ws)))
+        w = np.fromiter(itertools.chain.from_iterable(ws), np.int64, len(u))
+        ec = np.fromiter(itertools.chain.from_iterable(ecs), np.int64, len(u))
+        return np.sort((u * n + w) * step + ec)
+
+    @functools.cached_property
+    def feature_arrays(self) -> tuple:
+        """What the exact table check reads: the distinct tables, each
+        feature's table id, each feature's row among the features of its
+        arity, and per arity those features' indices and scopes as arrays."""
+        feats = self.model.features
+        ids = {}
+        table_id = np.array([ids.setdefault(f.table, len(ids)) for f in feats], dtype=np.int64)
+        row = np.zeros(len(feats), dtype=np.int64)
+        by_arity = {}
+        for arity in sorted({f.arity for f in feats}):
+            js = np.array([j for j, f in enumerate(feats) if f.arity == arity], dtype=np.int64)
+            row[js] = np.arange(len(js))
+            by_arity[arity] = (js, np.array([feats[j].scope for j in js], dtype=np.int64))
+        return tuple(ids), table_id, row, by_arity
+
+
+def _labels_of(ws):
+    # the labels of the nodes ws, read in one C call when there are two or more
+    if len(ws) > 1:
+        return operator.itemgetter(*ws)
+    return lambda label: tuple(label[w] for w in ws)
 
 
 def build_colored_factor_graph(model: Model) -> ColoredFactorGraph:
@@ -255,22 +310,68 @@ def build_colored_factor_graph(model: Model) -> ColoredFactorGraph:
     )
 
 
-def refine_colors(graph: ColoredFactorGraph, colors=None, individualize=None):
-    """Coarsest equitable refinement of the node coloring.
+@dataclass(eq=False)
+class OrderedPartition:
+    """An ordered partition of a graph's nodes, one per search-tree node.
 
-    Runs in rounds. A round gives each node the rank of its signature: its
-    color, then the sorted multiset of (neighbor color, edge color) pairs.
-    It stops at the first round that splits no class. Color ids are
-    canonical: ranks of signatures compared by order alone, so they are
+    label[u] is the label of u's cell, and cells maps each label to the
+    cell's member set. A cell's label is its first position in the ordered
+    partition times `step`, the number of edge colors (at least 1), as in
+    nauty; an individualized node is labeled (num_nodes + depth) * step,
+    above every other label, while the class it left keeps its label. So
+    labels order the cells as their positions do. depth counts the
+    individualized nodes and rounds the refinement rounds that made this
+    partition. A child shares every member set it does not split with its
+    parent, so neither may change one in place.
+    """
+
+    label: list
+    cells: dict
+    depth: int = 0
+    rounds: int = 0
+
+    @classmethod
+    def of_colors(cls, colors, step: int) -> "OrderedPartition":
+        """The classes of equal colors, in ascending color order."""
+        classes = {}
+        for u, c in enumerate(colors):
+            classes.setdefault(c, set()).add(u)
+        label, cells, first = [0] * len(colors), {}, 0
+        for c in sorted(classes):
+            ms = cells[first] = classes[c]
+            for u in ms:
+                label[u] = first
+            first += len(ms) * step
+        return cls(label, cells)
+
+    @property
+    def colors(self) -> tuple:
+        """Each node's color id: the rank of its label."""
+        rank = {c: r for r, c in enumerate(sorted(self.cells))}
+        return tuple(map(rank.__getitem__, self.label))
+
+
+def refine_colors(graph: ColoredFactorGraph, parent=None, v=None) -> OrderedPartition:
+    """Coarsest equitable refinement of a node coloring, as an ordered
+    partition whose `.colors` are canonical color ids.
+
+    The ids are those of refining in full rounds: a round gives each node
+    the rank of its signature, its color and then the sorted multiset of
+    (neighbor color, edge color) pairs, and the rounds stop at the first
+    one that splits no class. Ids compare by order alone, so they are
     comparable across runs on relabeled graphs.
 
-    With `individualize` = v, `colors` must be equitable, as a refinement's
-    output is, and the result is that of `colors` with v given a color of
-    its own above all others: the search refines each child from its
-    parent this way. v starts as the last class, and the first round signs
-    only v's neighbors, since every other node keeps the signature it
-    shared with its classmates. Without it, the first round signs every
-    node.
+    `parent` is a coloring (the graph's initial one when None), whose
+    classes are refined from a first round that signs every node. With
+    v, parent must be an equitable OrderedPartition, as this function
+    returns, and the result is that of its coloring with v given a color
+    of its own above all others: the search refines each child from its
+    parent this way. The child starts from one copy of the parent's label
+    list and one of its cell dict; v takes the label (num_nodes + depth) *
+    step and its old class keeps its label, and the first round signs only
+    v's neighbors, since every other node keeps the signature it shared
+    with its classmates. A member set is copied only when the call first
+    splits it, so a call costs the nodes its rounds touch, not num_nodes.
 
     Later rounds are incremental too. After a round in which a class
     splits, only the neighbors of its new subclasses other than the largest
@@ -280,98 +381,113 @@ def refine_colors(graph: ColoredFactorGraph, colors=None, individualize=None):
     touched members cannot split; one with touched members signs its
     untouched rest once, from any one of them.
 
-    A class's id is its first position in the ordered partition, as in
-    nauty. A split class's subclasses take consecutive slices of its
-    positions in signature order, so ids stay below the number of nodes
-    and in the order of the full rounds' ranks. A signature is the sorted
-    tuple of `id * len(edge_colors) + edge color rank` over the neighbors,
-    ints that order as the (id, edge color) pairs do. The result is the
-    rank of the final ids.
+    A node's key is its label followed by its signature, the sorted
+    `label + edge color rank` over its neighbors: ints that order as the
+    (label, edge color) pairs do, since labels are multiples of step. A
+    split class's subclasses take consecutive slices of its positions in
+    key order, so they stay inside its own range of labels, and the labels
+    order the cells as the full rounds order their classes. So the cells
+    are the full rounds' classes and the rank of a cell's label is their
+    id, which `.colors` reads.
     """
-    nbrs, num_ec = graph.neighbors, len(graph.edge_colors)
+    nbrs, step = graph.neighbors, max(len(graph.edge_colors), 1)
     n = graph.num_nodes
-    colors = graph.init_colors if colors is None else colors
-    classes = {}
-    for u, c in enumerate(colors):
-        classes.setdefault(c, set()).add(u)
-    cell = [0] * n  # node -> first position of its class
-    members = {}  # first position -> the class
-    first = 0
-    for c in sorted(classes):
-        ms = classes[c]
-        ms.discard(individualize)
-        if ms:
-            members[first] = ms
-            for u in ms:
-                cell[u] = first
-            first += len(ms)
-    if individualize is None:
-        touched = set(range(n))
+    if v is None:
+        part = OrderedPartition.of_colors(graph.init_colors if parent is None else parent, step)
+        label, cells, shared = part.label, part.cells, {}
+        depth, touched = 0, set(range(n))
     else:
-        cell[individualize] = n - 1
-        members[n - 1] = {individualize}
-        touched = set(nbrs[individualize][0])
+        label, cells, shared = parent.label.copy(), parent.cells.copy(), parent.cells
+        depth, c = parent.depth + 1, label[v]
+        rest = cells[c] - {v}
+        if rest:
+            cells[c] = rest
+        else:
+            del cells[c]
+        label[v] = (n + parent.depth) * step
+        cells[label[v]] = {v}
+        touched = set(nbrs[v][0])
 
-    def sign(u):
-        ws, ecs = nbrs[u]
-        return tuple(sorted([cell[w] * num_ec + e for w, e in zip(ws, ecs)]))
+    at, add = label.__getitem__, operator.add
 
+    def key_of(u):  # a node's key: its class, then its signature
+        _, ecs, labels_of = nbrs[u]
+        labels = labels_of(label)
+        return (at(u), *sorted(map(add, labels, ecs) if step > 1 else labels))
+
+    rounds = 0
     while touched:
-        by_cell = {}
+        rounds += 1
+        groups = {}  # key -> the touched nodes that have it
         for u in touched:
-            by_cell.setdefault(cell[u], []).append(u)
+            if len(cells[at(u)]) > 1:
+                groups.setdefault(key_of(u), []).append(u)
+        # every key of the round is taken before any class changes
         plans = []
-        for c, us in by_cell.items():
-            ms = members[c]
-            if len(ms) == 1:
+        for c, keys in itertools.groupby(sorted(groups), key=operator.itemgetter(0)):
+            keys = list(keys)
+            ms = cells[c]
+            if len(keys) == 1:
+                if len(groups[keys[0]]) == len(ms):
+                    continue  # every member touched, one key
+            elif sum(map(len, map(groups.__getitem__, keys))) == len(ms):
+                plans.append((c, keys, None))
                 continue
-            by_sig = {}
-            for u in us:
-                by_sig.setdefault(sign(u), []).append(u)
-            if len(us) < len(ms):
-                keep = sign(next(u for u in ms if u not in touched))
-                by_sig.setdefault(keep, [])
-            else:
-                keep = max(by_sig, key=lambda s: len(by_sig[s]))
-            if len(by_sig) > 1:
-                plans.append((c, by_sig, keep))
-        # every signature of the round is taken before any class changes
+            # one untouched member signs for the untouched rest
+            keep = key_of(next(itertools.filterfalse(touched.__contains__, ms)))
+            if keep not in groups:
+                keys.append(keep)
+                keys.sort()
+            elif len(keys) == 1:
+                continue
+            plans.append((c, keys, keep))
         touched = set()
-        for c, by_sig, keep in plans:
-            kept = members[c]  # the untouched rest keeps the class's set
-            subs = []
-            for s in sorted(by_sig):
-                if s == keep:
-                    subs.append(kept)
-                else:
-                    subs.append(set(by_sig[s]))
-                    kept -= subs[-1]
+        for c, keys, keep in plans:
+            if keep is None:  # every member touched: the subclasses are the groups
+                subs = [set(groups[k]) for k in keys]
+            else:  # the untouched rest keeps the class's set, or a copy of the parent's
+                kept = cells[c]
+                if kept is shared.get(c):
+                    kept = set(kept)
+                subs = []
+                for k in keys:
+                    if k == keep:
+                        subs.append(kept)
+                    else:
+                        sub = set(groups[k])
+                        kept -= sub
+                        subs.append(sub)
             largest = max(subs, key=len)
             first = c
             for sub in subs:
                 if sub is not largest:
                     for u in sub:
                         touched.update(nbrs[u][0])
-                if sub is not kept or first != c:  # the kept nodes hold c
+                if first != c:  # the first subclass holds c already
                     for u in sub:
-                        cell[u] = first
-                members[first] = sub
-                first += len(sub)
-    rank = {c: r for r, c in enumerate(sorted(members))}
-    return tuple([rank[c] for c in cell])
-
-
-def _target_cell(colors):
-    # largest non-singleton class; ties broken by smallest color id
-    sizes = Counter(colors)
-    best = min(sizes, key=lambda c: (-sizes[c], c))
-    if sizes[best] < 2:
-        return None
-    return [u for u, c in enumerate(colors) if c == best]
+                        label[u] = first
+                cells[first] = sub
+                first += len(sub) * step
+    return OrderedPartition(label, cells, depth, rounds)
 
 
 # ---------------------------------------------------------------------------
 # automorphism search
+
+
+def is_graph_automorphism(graph: ColoredFactorGraph, perm) -> bool:
+    """Whether a node permutation keeps every node's color and maps the
+    colored edges onto themselves: the sorted codes of the edges' images
+    equal `graph.edge_codes`."""
+    p = np.asarray(perm, dtype=np.int64)
+    colors = np.asarray(graph.init_colors)
+    if not np.array_equal(colors[p], colors):
+        return False
+    n, step = graph.num_nodes, max(len(graph.edge_colors), 1)
+    codes = graph.edge_codes
+    uw, ec = np.divmod(codes, step)
+    u, w = np.divmod(uw, n)
+    return np.array_equal(np.sort((p[u] * n + p[w]) * step + ec), codes)
 
 
 def is_model_automorphism(graph: ColoredFactorGraph, perm) -> bool:
@@ -381,20 +497,22 @@ def is_model_automorphism(graph: ColoredFactorGraph, perm) -> bool:
     each feature's table is compared, entry by entry, with its image's table
     under the induced scope reordering. For a graph automorphism (which
     keeps tie classes, being color-preserving) this holds exactly when every
-    feature statistic is preserved on every configuration.
+    feature statistic is preserved on every configuration. The reorderings
+    are read off the scope arrays of each arity at once, and each distinct
+    (table, reordering, image table) is compared once.
     """
-    feats = graph.model.features
+    p = np.asarray(perm, dtype=np.int64)
     nv = graph.num_vars
-    preserved = set()  # (table, reordering, image table) seen to match
-    for j, f in enumerate(feats):
-        f2 = feats[perm[nv + j] - nv]
-        pos = {v: k for k, v in enumerate(f2.scope)}
-        sigma = tuple(pos[perm[v]] for v in f.scope)
-        key = (f.table, sigma, f2.table)
-        if key not in preserved:
-            if _permuted_table(f.table, sigma, f.arity) != f2.table:
+    tables, table_id, row, by_arity = graph.feature_arrays
+    image = p[nv:] - nv
+    for arity, (js, scopes) in by_arity.items():
+        img = image[js]
+        # sigma[i, k]: the position in the image's scope of scope k's image
+        sigma = (p[scopes][:, :, None] == scopes[row[img]][:, None, :]).argmax(axis=2)
+        keys = set(zip(table_id[js].tolist(), map(tuple, sigma.tolist()), table_id[img].tolist()))
+        for t, sigma_t, t2 in keys:
+            if _permuted_table(tables[t], sigma_t, arity) != tables[t2]:
                 return False
-            preserved.add(key)
     return True
 
 
@@ -403,65 +521,59 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
 
     Returns generators of the full color-preserving automorphism group of
     the graph that also pass the exact table check, split into (variable,
-    feature) permutation pairs, and the exact group order from the search
-    tree's base path.
+    feature) permutation pairs, the exact group order from the search
+    tree's base path, and the search's counts.
+
+    Each tree node is one OrderedPartition, and the search reads everything
+    off it: the node invariant compared with the base path's is the sorted
+    tuple of cell labels; the target cell is the largest non-singleton one,
+    ties to the smallest label; and a leaf's permutation maps each node of
+    the base leaf to the node with the same label here.
     """
     n_nodes = graph.num_nodes
+    identity = list(range(n_nodes))
     root = refine_colors(graph)
 
     gens = []  # node permutations over the whole graph
     base_path = []
     base_invariants = []
-    base_leaf = [None]
-
-    def histogram(colors):
-        return tuple(sorted(Counter(colors).items()))
-
-    def leaf_map(colors):
-        return {c: u for u, c in enumerate(colors)}
-
-    def is_graph_automorphism(perm):
-        ic = graph.init_colors
-        for u in range(n_nodes):
-            if ic[u] != ic[perm[u]]:
-                return False
-            image = tuple(sorted((perm[w], c) for (w, c) in graph.adj[u]))
-            if image != graph.adj[perm[u]]:
-                return False
-        return True
+    base_leaf = [None]  # the base leaf's label list
+    counts = {"tree_nodes": 0, "leaves": 0, "refine_rounds": root.rounds}
 
     def stab_gens(path, among):
         return [g for g in among if all(g[v] == v for v in path)]
 
-    def search(colors, path, on_base):
+    def search(part, path, on_base):
+        counts["tree_nodes"] += 1
         depth = len(path)
+        cells = part.cells
         if base_leaf[0] is None:
-            base_invariants.append(histogram(colors))
-        elif depth >= len(base_invariants) or histogram(colors) != base_invariants[depth]:
+            base_invariants.append(tuple(sorted(cells)))
+        elif depth >= len(base_invariants) or tuple(sorted(cells)) != base_invariants[depth]:
             return False
-        cell = _target_cell(colors)
-        if cell is None:
+        if len(cells) == n_nodes:  # every cell a singleton
+            counts["leaves"] += 1
             if base_leaf[0] is None:
-                base_leaf[0] = leaf_map(colors)
+                base_leaf[0] = part.label
                 base_path.extend(path)
                 return False
-            here = leaf_map(colors)
-            perm = [0] * n_nodes
-            for c, u in base_leaf[0].items():
-                perm[u] = here[c]
-            perm = tuple(perm)
+            here = dict(zip(part.label, identity))  # label -> node
+            perm = list(map(here.__getitem__, base_leaf[0]))
             if (
-                perm != tuple(range(n_nodes))
-                and is_graph_automorphism(perm)
+                perm != identity
+                and is_graph_automorphism(graph, perm)
                 and is_model_automorphism(graph, perm)
             ):
-                gens.append(perm)
+                gens.append(tuple(perm))
                 return True
             return False
+        sizes = list(map(len, cells.values()))
+        largest = max(sizes)
+        target = cells[min(itertools.compress(cells, map(largest.__eq__, sizes)))]
         found_any = False
         explored = []
         uf, seen = None, 0  # orbits of those of gens[:seen] that fix the path
-        for v in sorted(cell):
+        for v in sorted(target):
             if explored:
                 uf = uf or _UnionFind(n_nodes)
                 for g in stab_gens(path, gens[seen:]):
@@ -472,8 +584,9 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
                 if any(uf.find(v) == uf.find(w) for w in explored):
                     continue
             explored.append(v)
-            refined = refine_colors(graph, colors, v)
-            found = search(refined, path + (v,), on_base and base_leaf[0] is None)
+            child = refine_colors(graph, part, v)
+            counts["refine_rounds"] += child.rounds
+            found = search(child, path + (v,), on_base and base_leaf[0] is None)
             if found:
                 found_any = True
                 if not on_base:
@@ -500,7 +613,7 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
                     orbit.add(w)
                     frontier.append(w)
         order *= len(orbit)
-    return GeneratorSet(generators=tuple(pairs), group_order=order)
+    return GeneratorSet(generators=tuple(pairs), group_order=order, **counts)
 
 
 def stabilizer_generators(graph: ColoredFactorGraph, fixed_var: int) -> GeneratorSet:

@@ -6,7 +6,9 @@ permutations, the group a generator set generates, and direct enumeration
 of odd-set cycle constraints. They are deliberately independent of the
 search, lifting, and separation code they are used to validate. The
 tuple-keyed mirror graph and walk are the plain form of the integer-node
-walk the separation runs on.
+walk the separation runs on; the per-node graph check, the per-feature
+table check and the per-assignment Moebius row are the plain forms of the
+search's array leaf checks and of the lifted model's cached rows.
 """
 
 import heapq
@@ -17,7 +19,7 @@ import numpy as np
 
 from liftedmap.model import Model, OvercompleteLayout, table_index
 from liftedmap.oracle import LimitExceededError, OracleError, _config_matrix, exact_enumerate
-from liftedmap.symmetry import GeneratorSet, PermutationPair
+from liftedmap.symmetry import GeneratorSet, PermutationPair, _permuted_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +181,52 @@ def generated_group(gens, model: Model):
                 group.add(nxt)
                 frontier.append(nxt)
     return frozenset(group)
+
+
+# ---------------------------------------------------------------------------
+# the search's leaf checks, one node and one feature at a time
+
+
+def graph_automorphism(graph, perm) -> bool:
+    """Whether perm keeps every node color and maps each node's sorted
+    (neighbor, edge color) list onto its image's."""
+    ic = graph.init_colors
+    for u in range(graph.num_nodes):
+        if ic[u] != ic[perm[u]]:
+            return False
+        image = tuple(sorted((perm[w], c) for (w, c) in graph.adj[u]))
+        if image != graph.adj[perm[u]]:
+            return False
+    return True
+
+
+def model_automorphism(graph, perm) -> bool:
+    """The exact table check of a graph automorphism, feature by feature:
+    each table against its image's under the induced scope reordering."""
+    feats = graph.model.features
+    nv = graph.num_vars
+    for j, f in enumerate(feats):
+        f2 = feats[perm[nv + j] - nv]
+        pos = {v: k for k, v in enumerate(f2.scope)}
+        sigma = tuple(pos[perm[v]] for v in f.scope)
+        if _permuted_table(f.table, sigma, f.arity) != f2.table:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Moebius rows, one assignment at a time
+
+
+def probability(cells, i) -> list:
+    """P(a) of the assignment with table index i over LP variables (cell c is
+    variable c + 1): (-1)^|T - ones(a)| mu_T summed over supersets T."""
+    acc = {}
+    for s in range(len(cells)):
+        if s & i == i:
+            var = cells[s] + 1
+            acc[var] = acc.get(var, 0.0) + (-1.0) ** bin(s ^ i).count("1")
+    return sorted(acc.items())
 
 
 # ---------------------------------------------------------------------------

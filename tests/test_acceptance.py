@@ -337,7 +337,7 @@ def test_criterion_10_an_asymmetric_model_stays_ground_sized():
     with verdict(10, "asymmetric cubic model: trivial group is proven, lift is a no-op"):
         model = fixtures.frucht()
         graph = build_colored_factor_graph(model)
-        refined = refine_colors(graph)
+        refined = refine_colors(graph).colors
         # refinement alone cannot split the variables; the search has to
         assert len({refined[v] for v in graph.var_nodes}) == 1
         sym = GeneratorSymmetries(model)

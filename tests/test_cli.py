@@ -39,6 +39,8 @@ class TestOrbits:
         search = payload["methods"]["search"]
         assert search["group_order"] == 4
         assert search["num_generators"] >= 1
+        assert search["tree_nodes"] >= search["leaves"] > search["num_generators"]
+        assert search["refine_rounds"] >= search["tree_nodes"]
         orbits = search["orbits"]
         assert orbits["vars"] == {"count": 2, "cells": [[0, 3], [1, 2]]}
         assert cell_sizes(orbits["edges"]) == [1, 4]
@@ -62,6 +64,7 @@ class TestOrbits:
         renaming = payload["methods"]["renaming"]
         assert renaming["group_order"] is None
         assert renaming["num_generators"] is None
+        assert renaming["tree_nodes"] is renaming["leaves"] is renaming["refine_rounds"] is None
         assert cell_sizes(renaming["orbits"]["vars"]) == [1, 4, 4, 4, 12]
 
     def test_both_methods_compare(self, capsys, models_dir):
@@ -88,6 +91,8 @@ class TestOrbits:
         assert code == 0
         orbits = payload["methods"]["none"]["orbits"]
         assert orbits["vars"]["count"] == 4
+        none = payload["methods"]["none"]
+        assert (none["tree_nodes"], none["leaves"], none["refine_rounds"]) == (0, 0, 0)
         assert all(len(cell) == 1 for cell in orbits["vars"]["cells"])
 
     def test_both_on_model_file_is_input_error(self, capsys, models_dir):

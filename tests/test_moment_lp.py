@@ -39,6 +39,8 @@ from liftedmap.fixtures import (
 )
 from liftedmap.model import Feature, Model, assignments
 from liftedmap.oracle import exact_enumerate
+from liftedmap.solve import CycleConstraint, constraint_row
+from liftedmap.symmetry import TrivialSymmetries
 from overcomplete import (
     assert_matches_the_overcomplete_reference,
     assert_trivial_lp_is_the_reference,
@@ -48,6 +50,7 @@ from overcomplete import (
     reference_cut_row,
     reference_local_lp,
 )
+from reference import probability
 
 PARITY4 = tuple(float(sum(a) % 2) for a in assignments(4))
 AND4 = (0.0,) * 15 + (1.0,)
@@ -195,3 +198,51 @@ def test_four_ary_ring_is_cut():
     assert result.cuts_added
     assert result.objective == pytest.approx(exact_enumerate(model).map_value, abs=1e-9)
     assert result.objective < overcomplete_optimum(overcomplete_lift(model)) - 0.1
+
+
+def _reference_rows(lifted):
+    """The LP rows and a cut row as built one assignment at a time."""
+    rows = {}
+    for info in lifted.edge_info + lifted.factor_info:
+        for i in range(len(info.cells) - 1):
+            terms = probability(info.cells, i)
+            rows.setdefault(tuple(terms), terms)
+    return [(terms, ">=", 0.0) for terms in rows.values()]
+
+
+def _reference_constraint_row(constraint, lifted):
+    acc = {}
+    for k, in_f in constraint.steps:
+        for i in (0, 3) if in_f else (1, 2):
+            for j, c in probability(lifted.edge_info[k].cells, i):
+                acc[j] = acc.get(j, 0.0) + c
+    return (sorted(kv for kv in acc.items() if kv[1] != 0.0), ">=", 1.0)
+
+
+@pytest.mark.parametrize("name", list(FIXTURES) + ["lovers_smokers3"])
+def test_probability_rows_are_the_per_assignment_rows(name):
+    # each orbit's P(a) rows are built once per lifted model; the LP's rows
+    # and every cut row read them and stay bit-identical to the rows built
+    # one assignment at a time
+    if name == "lovers_smokers3":
+        model = ground_mln(parse_mln(LOVERS_SMOKERS_MLN), domain_size=3)[0]
+    else:
+        model = FIXTURES[name]()
+    rng = random.Random(name)
+    for sym in (TrivialSymmetries(model), GeneratorSymmetries(model)):
+        lifted = build_lifted_model(model, sym)
+        infos = lifted.edge_info + lifted.factor_info
+        assert lifted.probability_rows == tuple(
+            tuple(probability(info.cells, i) for i in range(len(info.cells))) for info in infos
+        )
+        assert build_local_lp(lifted).rows == _reference_rows(lifted)
+        assert lifted.probability_rows is lifted.probability_rows  # built once
+        if not lifted.edge_info:
+            continue
+        for _ in range(10):
+            steps = tuple(
+                (rng.randrange(len(lifted.edge_info)), rng.random() < 0.5)
+                for _ in range(rng.randint(1, 6))
+            )
+            cut = CycleConstraint(space="lifted", steps=steps, lhs=0.0, source=0)
+            assert constraint_row(cut, lifted) == _reference_constraint_row(cut, lifted)

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 import time
 from collections import Counter
 
@@ -12,12 +13,15 @@ from hypothesis import strategies as st
 
 from conftest import circulant_7_1_3, refines, sorted_cells
 from reference import exhaustive_automorphisms, generated_group
+from reference import graph_automorphism as reference_graph_automorphism
+from reference import model_automorphism as reference_model_automorphism
 from liftedmap import fixtures
 from liftedmap.mln import ground_mln, parse_mln
 from liftedmap.model import Feature, Model
 from liftedmap import symmetry
 from liftedmap.symmetry import (
     ColoredFactorGraph,
+    GeneratorSet,
     GeneratorSymmetries,
     PermutationPair,
     TrivialSymmetries,
@@ -26,6 +30,7 @@ from liftedmap.symmetry import (
     build_colored_factor_graph,
     canonicalize_feature,
     compute_orbit_bundle,
+    is_graph_automorphism,
     is_model_automorphism,
     orbits_of,
     refine_colors,
@@ -135,15 +140,15 @@ def test_tie_classes_split_factor_colors():
 def test_refinement_reaches_fixpoint_and_is_canonical():
     m = fixtures.ex1()
     g = build_colored_factor_graph(m)
-    ref = refine_colors(g)
-    assert refine_colors(g, ref) == ref
+    ref = refine_colors(g).colors
+    assert refine_colors(g, ref).colors == ref
     # EX1 refinement: outer pair {0,3}, inner pair {1,2}
     assert ref[0] == ref[3] and ref[1] == ref[2] and ref[0] != ref[1]
 
 
 def test_refinement_on_frucht_leaves_one_variable_class():
     g = build_colored_factor_graph(fixtures.frucht())
-    ref = refine_colors(g)
+    ref = refine_colors(g).colors
     assert len({ref[v] for v in g.var_nodes}) == 1
 
 
@@ -173,10 +178,10 @@ def _individualized(colors, v):
 def test_refinement_ids_match_full_rounds_on_every_search_call(monkeypatch):
     calls = []
 
-    def checked(graph, colors=None, individualize=None):
-        out = refine_colors(graph, colors, individualize)
-        start = colors if individualize is None else _individualized(colors, individualize)
-        assert out == _reference_refine_colors(graph, start)
+    def checked(graph, parent=None, v=None):
+        out = refine_colors(graph, parent, v)
+        start = parent if v is None else _individualized(parent.colors, v)
+        assert out.colors == _reference_refine_colors(graph, start)
         calls.append(out)
         return out
 
@@ -219,8 +224,9 @@ def colored_graphs(draw):
 @settings(max_examples=300, deadline=None)
 def test_refinement_ids_match_full_rounds_on_random_graphs(case):
     graph, individualized = case
-    assert refine_colors(graph) == _reference_refine_colors(graph)
-    assert refine_colors(graph, individualized) == _reference_refine_colors(graph, individualized)
+    assert refine_colors(graph).colors == _reference_refine_colors(graph)
+    assert refine_colors(graph, individualized).colors == _reference_refine_colors(
+        graph, individualized)
 
 
 @given(colored_graphs(), st.data())
@@ -229,12 +235,36 @@ def test_refinement_from_an_equitable_parent_matches_full_rounds(case, data):
     # the search's call: a child refined from its parent's equitable coloring
     graph, _ = case
     parent = refine_colors(graph)
-    sizes = Counter(parent)
-    split = [u for u in range(graph.num_nodes) if sizes[parent[u]] > 1]
+    sizes = Counter(parent.colors)
+    split = [u for u in range(graph.num_nodes) if sizes[parent.colors[u]] > 1]
     assume(split)
     v = data.draw(st.sampled_from(split))
-    child = _individualized(parent, v)
-    assert refine_colors(graph, parent, v) == _reference_refine_colors(graph, child)
+    child = _individualized(parent.colors, v)
+    assert refine_colors(graph, parent, v).colors == _reference_refine_colors(graph, child)
+
+
+@given(colored_graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_children_of_a_random_equitable_partition_match_full_rounds(case, data):
+    # a path of individualizations from the refinement of a random coloring:
+    # every child's colors are the full rounds' of its parent's colors with
+    # the node split off, and making a child leaves its parent as it was
+    graph, colors = case
+    part = refine_colors(graph, colors)
+    for _ in range(data.draw(st.integers(1, 4))):
+        sizes = Counter(part.colors)
+        split = [u for u in range(graph.num_nodes) if sizes[part.colors[u]] > 1]
+        if not split:
+            break
+        v = data.draw(st.sampled_from(split))
+        before = (list(part.label), {c: set(ms) for c, ms in part.cells.items()}, part.colors)
+        child = refine_colors(graph, part, v)
+        assert (part.label, part.cells, part.colors) == before
+        assert child.colors == _reference_refine_colors(graph, _individualized(part.colors, v))
+        assert child.depth == part.depth + 1
+        assert sorted(u for ms in child.cells.values() for u in ms) == list(range(graph.num_nodes))
+        assert all(child.label[u] == c for c, ms in child.cells.items() for u in ms)
+        part = child
 
 
 class _CountingLists(tuple):
@@ -256,8 +286,8 @@ def test_refinement_reads_linear_adjacency_after_individualizing_on_a_cycle():
     nbrs.reads = 0
     vars(graph)["neighbors"] = nbrs  # the lists the rounds read, built once per graph
     refined = refine_colors(graph, parent, 0)
-    assert refined == _reference_refine_colors(graph, _individualized(parent, 0))
-    assert nbrs.reads < 8 * graph.num_nodes
+    assert refined.colors == _reference_refine_colors(graph, _individualized(parent.colors, 0))
+    assert graph.num_nodes // 2 < nbrs.reads < 8 * graph.num_nodes
 
 
 def test_search_on_a_long_cycle_within_2s():
@@ -473,6 +503,93 @@ def test_exact_table_check_covers_sampled_check(monkeypatch):
             assert verify_generator(m, pair).ok
         verdicts.append(exact)
     assert True in verdicts and False in verdicts
+
+
+def _random_color_preserving(graph, rng):
+    # shuffle the nodes within each initial color class
+    perm = list(range(graph.num_nodes))
+    classes = {}
+    for u, c in enumerate(graph.init_colors):
+        classes.setdefault(c, []).append(u)
+    for us in classes.values():
+        for u, w in zip(us, rng.sample(us, len(us))):
+            perm[u] = w
+    return tuple(perm)
+
+
+def _random_group_element(gens, nv, rng):
+    # a random word in the found generators, on the whole graph
+    perm = list(range(nv + len(gens.generators[0].feature_perm)))
+    for _ in range(rng.randint(1, 6)):
+        pair = rng.choice(gens.generators)
+        g = pair.var_perm + tuple(nv + j for j in pair.feature_perm)
+        perm = [g[u] for u in perm]
+    return tuple(perm)
+
+
+def test_leaf_checks_match_the_per_node_references(monkeypatch):
+    # the array graph check and the batched table check against the
+    # one-node and one-feature forms, at every leaf the search tries and on
+    # random permutations, color-preserving ones and group elements
+    tried = []
+
+    def recording(graph, perm):
+        tried.append((graph, tuple(perm)))
+        return is_graph_automorphism(graph, perm)
+
+    monkeypatch.setattr(symmetry, "is_graph_automorphism", recording)
+    mln = parse_mln(fixtures.LOVERS_SMOKERS_MLN)
+    models = [fixtures.ex1(), fixtures.triangle(), fixtures.cycle_model(6),
+              fixtures.frucht(), fixtures.fully_connected_symmetric(5),
+              fixtures.triple_parity(4), fixtures.unary_logistic(),
+              graph_only_candidates_model(), fixtures.cycle_model(50),
+              circulant_7_1_3(), ground_mln(mln, domain_size=3)[0]]
+    models += [fixtures.random_tied_pairwise(seed) for seed in range(20)]
+    rng = random.Random(0)
+    for m in models:
+        graph = build_colored_factor_graph(m)
+        gens = search_automorphisms(graph)
+        stabilizer_generators(graph, 0)
+        tried += [(graph, _random_color_preserving(graph, rng)) for _ in range(5)]
+        tried.append((graph, tuple(rng.sample(range(graph.num_nodes), graph.num_nodes))))
+        if gens.generators:
+            tried += [(graph, _random_group_element(gens, m.num_vars, rng)) for _ in range(5)]
+    # one variable and its unary feature: swapping them keeps the edges,
+    # not the colors
+    tried.append((build_colored_factor_graph(fixtures.unary_logistic()), (1, 0)))
+    graph_verdicts, table_verdicts = set(), set()
+    for graph, perm in tried:
+        on_graph = is_graph_automorphism(graph, perm)
+        assert on_graph == reference_graph_automorphism(graph, perm)
+        graph_verdicts.add(on_graph)
+        if on_graph:  # the table check is defined on graph automorphisms
+            exact = is_model_automorphism(graph, perm)
+            assert exact == reference_model_automorphism(graph, perm)
+            table_verdicts.add(exact)
+    assert graph_verdicts == table_verdicts == {True, False}
+
+
+def test_search_counts_its_tree_and_rounds(monkeypatch):
+    # nodes, leaves and refinement rounds of the search; they do not take
+    # part in equality, so a GeneratorSet compares by its group alone
+    graph = build_colored_factor_graph(fixtures.triangle())
+    gens = search_automorphisms(graph)
+    assert gens.tree_nodes >= gens.leaves > len(gens.generators) > 0
+    assert gens.refine_rounds >= gens.tree_nodes
+    assert gens == GeneratorSet(generators=gens.generators, group_order=gens.group_order)
+    assert TrivialSymmetries(fixtures.triangle()).gens.tree_nodes == 0
+    rounds = []
+    original = symmetry.refine_colors
+
+    def counting(*args):
+        out = original(*args)
+        rounds.append(out.rounds)
+        return out
+
+    monkeypatch.setattr(symmetry, "refine_colors", counting)
+    again = search_automorphisms(graph)
+    assert again.refine_rounds == sum(rounds)
+    assert again.tree_nodes == len(rounds)
 
 
 def test_stabilizer_generators_fix_the_variable():
