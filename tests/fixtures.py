@@ -1,4 +1,4 @@
-"""Small example models shared by the test suite, docs, and demos.
+"""Small example models shared by the test suite.
 
 Everything here is deterministic: the seeded generator always returns the
 same model for the same seed.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .model import Feature, Model
+from liftedmap.model import Feature, Model
 
 # binary tables over two arguments, indexed (a << 1) | b
 EQUALITY = (1.0, 0.0, 0.0, 1.0)

@@ -1,4 +1,12 @@
-"""The overcomplete-cell lift and its local LP, kept as the test reference.
+"""The overcomplete coordinates, the overcomplete-cell lift and its local
+LP, kept as the test reference.
+
+The program works in moment coordinates and keeps of the overcomplete
+layout only its size and edge block. The whole layout is here: each
+coordinate's key and index, the parameter and statistic vectors
+(OvercompleteLayout, to_overcomplete), and the exact overcomplete means
+(overcomplete_means), which `exact` reported before its means moved to
+moment order.
 
 Before the lift moved to moment cells, it grouped every overcomplete
 coordinate into cells: per variable orbit one cell for each value, per edge
@@ -21,7 +29,7 @@ with coordinates substituted by their cells, then deduplicated.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,11 +43,156 @@ from liftedmap import (
     build_local_lp,
     simplex_solve,
 )
-from liftedmap.model import OvercompleteLayout, assignments, skeleton
+from liftedmap.model import Model, assignments, skeleton, table_index
+from liftedmap.model import OvercompleteLayout as PackageLayout
+from liftedmap.oracle import _all_scores, _config_matrix, exact_enumerate
 from liftedmap.solve import LinearProgram
 from liftedmap.symmetry import OrbitPartition, _UnionFind, act_element
 
 from signatures import feature_key, joint_signature, tags_of
+
+
+# ---------------------------------------------------------------------------
+# the overcomplete coordinates
+
+
+class OvercompleteLayout(PackageLayout):
+    """Fixed ordering of the overcomplete coordinates of one model: the
+    package's sizes and edge block, with each coordinate's key and index
+    and the parameter and statistic vectors.
+
+    Coordinates come in three blocks:
+      nodes:   (v, t) at index 2*v + t
+      edges:   ((u, v), (a, b)) in sorted edge order, 4 coordinates per edge
+      factors: (j, a) for each arity >= 3 feature j, 2^K coordinates in table order
+    """
+
+    def __init__(self, model: Model):
+        super().__init__(model)
+        self.model = model
+        self.factor_features = tuple(
+            j for j, f in enumerate(model.features) if f.arity >= 3
+        )
+        self._factor_base = {}
+        pos = 2 * model.num_vars + 4 * len(self.edges)
+        for j in self.factor_features:
+            self._factor_base[j] = pos
+            pos += 2 ** model.features[j].arity
+        self.keys = []
+        for v in range(model.num_vars):
+            self.keys.append(("node", v, 0))
+            self.keys.append(("node", v, 1))
+        for (u, v) in self.edges:
+            for a, b in assignments(2):
+                self.keys.append(("edge", u, v, a, b))
+        for j in self.factor_features:
+            for a in assignments(model.features[j].arity):
+                self.keys.append(("factor", j, a))
+        self.keys = tuple(self.keys)
+
+    def node_index(self, v: int, t: int) -> int:
+        return 2 * v + t
+
+    def factor_index(self, j: int, a) -> int:
+        return self._factor_base[j] + table_index(a)
+
+    def theta_vector(self):
+        """Overcomplete parameters laid out as a dense vector.
+
+        The layout of `to_overcomplete`: each feature's weighted table is
+        added into its node or edge block, in feature order as there, so the
+        sums are the same floats; an arity >= 3 feature owns its block.
+        """
+        theta = [0.0] * self.size
+        for j, f in enumerate(self.model.features):
+            w = self.model.weight_of(j)
+            if f.arity >= 3:
+                base = self._factor_base[j]
+                theta[base:base + len(f.table)] = [w * t for t in f.table]
+                continue
+            base = 2 * f.scope[0] if f.arity == 1 else self._edge_base[f.scope]
+            for i, t in enumerate(f.table):
+                theta[base + i] += w * t
+        return np.array(theta)
+
+    def phi_vector(self, x):
+        """Indicator statistics of configuration x in this layout."""
+        x = tuple(x)
+        phi = np.zeros(self.size)
+        for v in range(self.model.num_vars):
+            phi[self.node_index(v, x[v])] = 1.0
+        for (u, v) in self.edges:
+            phi[self.edge_index(u, v, x[u], x[v])] = 1.0
+        for j in self.factor_features:
+            a = tuple(x[v] for v in self.model.features[j].scope)
+            phi[self.factor_index(j, a)] = 1.0
+        return phi
+
+
+@dataclass
+class OvercompleteParams:
+    """Equivalent parameters over indicator coordinates.
+
+    node_theta[(v, t)] sums theta_j * f_j(t) over unary features with scope (v,).
+    pair_theta[((u, v), (t, t'))] sums over binary features with scope (u, v).
+    factor_theta[(j, a)] keeps each arity >= 3 feature separate: theta_j * f_j(a).
+    """
+
+    node_theta: dict = field(default_factory=dict)
+    pair_theta: dict = field(default_factory=dict)
+    factor_theta: dict = field(default_factory=dict)
+
+
+def to_overcomplete(model: Model) -> OvercompleteParams:
+    """Re-express the model over indicator coordinates; scoring is preserved."""
+    out = OvercompleteParams()
+    for v in range(model.num_vars):
+        out.node_theta[(v, 0)] = 0.0
+        out.node_theta[(v, 1)] = 0.0
+    for u, v in skeleton(model).edges:
+        for a in assignments(2):
+            out.pair_theta[((u, v), a)] = 0.0
+    for j, f in enumerate(model.features):
+        w = model.weight_of(j)
+        if f.arity == 1:
+            v = f.scope[0]
+            out.node_theta[(v, 0)] += w * f.table[0]
+            out.node_theta[(v, 1)] += w * f.table[1]
+        elif f.arity == 2:
+            uv = f.scope
+            for i, a in enumerate(assignments(2)):
+                out.pair_theta[(uv, a)] += w * f.table[i]
+        else:
+            for i, a in enumerate(assignments(f.arity)):
+                out.factor_theta[(j, a)] = w * f.table[i]
+    return out
+
+
+def overcomplete_means(model: Model) -> np.ndarray:
+    """The exact means of every overcomplete coordinate, by enumeration of
+    all 2^n configurations: what `exact` reported before it moved to
+    moment coordinates."""
+    X = _config_matrix(model.num_vars)
+    p = np.exp(_all_scores(model, X) - exact_enumerate(model).log_partition)
+    layout = OvercompleteLayout(model)
+    mean = np.zeros(layout.size)
+    for i, key in enumerate(layout.keys):
+        if key[0] == "node":
+            _, v, t = key
+            ind = X[:, v] == t
+        elif key[0] == "edge":
+            _, u, v, a, b = key
+            ind = (X[:, u] == a) & (X[:, v] == b)
+        else:
+            _, j, a = key
+            scope = list(model.features[j].scope)
+            ind = np.all(X[:, scope] == np.asarray(a, dtype=np.int8), axis=1)
+        mean[i] = float(p @ ind)
+    return mean
+
+
+# ---------------------------------------------------------------------------
+# moments and LP points
 
 
 def lifted(target) -> LiftedModel:

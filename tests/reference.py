@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from liftedmap.model import Model, OvercompleteLayout, table_index
+from liftedmap.model import Model, table_index
 from liftedmap.oracle import LimitExceededError, OracleError, _config_matrix, exact_enumerate
 from liftedmap.symmetry import GeneratorSet, PermutationPair, _permuted_table
+
+from overcomplete import OvercompleteLayout
 
 
 @dataclass(frozen=True, eq=False)

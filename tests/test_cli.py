@@ -384,9 +384,10 @@ class TestExact:
         assert code == 0
         assert payload["map_value"] == pytest.approx(4.0, abs=1e-12)
         assert payload["argmax"] == [[1, 0, 0, 1]]
-        assert len(payload["coords"]) == 28
-        assert len(payload["mean_params"]) == 28
-        assert payload["coords"][0] == "node:0:0"
+        assert len(payload["coords"]) == 9
+        assert len(payload["mean_params"]) == 9
+        assert payload["coords"][0] == "node:0"
+        assert payload["coords"][4] == "edge:0:1"
         assert isinstance(payload["log_partition"], float)
 
     def test_variable_limit_is_solve_error(self, capsys, models_dir):

@@ -19,7 +19,8 @@ from signatures import (
     reference_stabilized_light,
 )
 from test_random_mln import POSITIVE_GUARDS, random_mlns
-from liftedmap import build_lifted_model, fixtures
+import fixtures
+from liftedmap import build_lifted_model
 from liftedmap.mln import (
     Atom,
     BinOp,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftedmap import fixtures
+import fixtures
 from liftedmap.mln import ground_mln, parse_evidence, parse_mln
 from test_mln import WIDE_EVIDENCE, WIDE_MLN
 from liftedmap.model import (
@@ -16,7 +16,6 @@ from liftedmap.model import (
     Model,
     ModelError,
     ModelFormatError,
-    OvercompleteLayout,
     assignments,
     format_model,
     parse_model,
@@ -24,8 +23,8 @@ from liftedmap.model import (
     score,
     skeleton,
     table_index,
-    to_overcomplete,
 )
+from overcomplete import OvercompleteLayout, to_overcomplete
 
 
 def test_table_index_first_variable_most_significant():
@@ -160,19 +159,14 @@ def test_skeleton_edges_sorted_and_deduplicated():
     m = fixtures.triple_parity(4)
     sk = skeleton(m)
     assert sk.edges == tuple(sorted(itertools.combinations(range(4), 2)))
-    assert sk.hyperedges == tuple(sorted(f.scope for f in m.features))
-    p = fixtures.ex1()
-    assert skeleton(p).hyperedges == ()
 
 
 def reference_skeleton(model):
-    """The skeleton as sets of scope pairs and wide scopes, one feature at a time."""
-    edges, hyper = set(), set()
+    """The skeleton's edges as a set of scope pairs, one feature at a time."""
+    edges = set()
     for f in model.features:
         edges.update(itertools.combinations(f.scope, 2))
-        if f.arity >= 3:
-            hyper.add(f.scope)
-    return tuple(sorted(edges)), tuple(sorted(hyper))
+    return tuple(sorted(edges))
 
 
 def parity(k):
@@ -208,12 +202,9 @@ SKELETON_CASES = dict(skeleton_cases())
 @pytest.mark.parametrize("name", SKELETON_CASES)
 def test_skeleton_matches_the_pairwise_reference(name):
     model = SKELETON_CASES[name]
-    edges, hyperedges = reference_skeleton(model)
-    sk = skeleton(model)
-    assert sk.edges == edges
-    assert sk.hyperedges == hyperedges
+    assert skeleton(model).edges == reference_skeleton(model)
     if name.startswith(("wide", "mixed")):
-        assert len({len(h) for h in hyperedges}) >= 2
+        assert len({f.arity for f in model.features if f.arity >= 3}) >= 2
 
 
 def test_layout_block_structure():

@@ -26,7 +26,7 @@ from liftedmap import (
     ground_mln,
     parse_mln,
 )
-from liftedmap.fixtures import (
+from fixtures import (
     LOVERS_SMOKERS_MLN,
     cycle_model,
     ex1,

@@ -7,10 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from liftedmap import fixtures
-from liftedmap.model import Feature, Model, OvercompleteLayout
+import fixtures
+from liftedmap.lift import MomentLayout
+from liftedmap.mln import ground_mln, parse_evidence, parse_mln
+from liftedmap.model import Feature, Model
 from liftedmap.oracle import LimitExceededError, OracleError, exact_enumerate
 from liftedmap.symmetry import GeneratorSet, GeneratorSymmetries, PermutationPair
+from overcomplete import OvercompleteLayout, ground_moments, overcomplete_means
+from test_mln import WIDE_EVIDENCE, WIDE_MLN
 from reference import (
     configuration_orbits,
     enumerate_cycle_constraints,
@@ -26,9 +30,8 @@ def test_exact_unary_closed_form():
     assert res.argmax == ((1,),)
     assert res.log_partition == pytest.approx(math.log(1 + math.exp(w)))
     sig = 1.0 / (1.0 + math.exp(-w))
-    layout = res.layout
-    assert res.mean_params[layout.node_index(0, 1)] == pytest.approx(sig)
-    assert res.mean_params[layout.node_index(0, 0)] == pytest.approx(1 - sig)
+    assert res.coords == ("node:0",)
+    assert res.mean_params[0] == pytest.approx(sig)
 
 
 def test_exact_triangle_hand_values():
@@ -57,8 +60,7 @@ def test_exact_triple_parity():
 def test_exact_mean_params_are_expectations():
     m = fixtures.triangle(weight=0.3)
     res = exact_enumerate(m)
-    layout = OvercompleteLayout(m)
-    # recompute E[node indicator] directly
+    # recompute E[x_0] and E[x_0 x_1] directly
     weights = []
     for x in itertools.product((0, 1), repeat=3):
         s = sum(0.3 * f.value(x) for f in m.features)
@@ -66,7 +68,49 @@ def test_exact_mean_params_are_expectations():
     Z = sum(weights)
     p1 = sum(w for w, x in zip(weights, itertools.product((0, 1), repeat=3))
              if x[0] == 1) / Z
-    assert res.mean_params[layout.node_index(0, 1)] == pytest.approx(p1)
+    p11 = sum(w for w, x in zip(weights, itertools.product((0, 1), repeat=3))
+              if x[0] == x[1] == 1) / Z
+    assert res.mean_params[res.coords.index("node:0")] == pytest.approx(p1)
+    assert res.mean_params[res.coords.index("edge:0:1")] == pytest.approx(p11)
+
+
+def moment_cases():
+    yield "ex1", fixtures.ex1()
+    yield "triangle", fixtures.triangle()
+    yield "cycle_model", fixtures.cycle_model(6)
+    yield "frucht", fixtures.frucht()
+    yield "fully_connected_symmetric", fixtures.fully_connected_symmetric(5)
+    yield "triple_parity", fixtures.triple_parity(4, weight=-0.7)
+    yield "unary_logistic", fixtures.unary_logistic()
+    for seed in range(5):
+        yield "random_tied_pairwise_%d" % seed, fixtures.random_tied_pairwise(seed)
+    for d in (2, 3):
+        yield "lovers_smokers_d%d" % d, ground_mln(parse_mln(fixtures.LOVERS_SMOKERS_MLN), d)[0]
+    q2 = parse_mln(fixtures.Q2_MLN)
+    yield "q2_d3", ground_mln(q2, 3, parse_evidence(fixtures.Q2_EVIDENCE))[0]
+    # features of arity 4 and 5, whose factor moments are proper scope subsets
+    yield "wide_mln_d3", ground_mln(parse_mln(WIDE_MLN), 3, parse_evidence(WIDE_EVIDENCE))[0]
+
+
+MOMENT_CASES = dict(moment_cases())
+
+
+@pytest.mark.parametrize("name", MOMENT_CASES)
+def test_exact_means_are_the_moments_of_the_overcomplete_means(name):
+    # the means come in MomentLayout order, named by coords, and each is
+    # the moment of the overcomplete means the oracle reported before
+    model = MOMENT_CASES[name]
+    layout = MomentLayout(model)
+    res = exact_enumerate(model)
+    names = ["node:%d" % v for v in range(model.num_vars)]
+    names += ["edge:%d:%d" % e for e in layout.edges]
+    names += ["factor:%d:%s" % (j, "".join(map(str, a))) for j, a in layout.factor_moments]
+    assert res.coords == tuple(names)
+    assert res.mean_params.shape == (layout.size,)
+    moments = ground_moments(overcomplete_means(model), layout)
+    assert np.abs(res.mean_params - moments).max() <= 1e-12
+    if name.startswith("wide"):
+        assert any(sum(a) < model.features[j].arity for j, a in layout.factor_moments)
 
 
 def test_exact_respects_limit():

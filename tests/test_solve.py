@@ -13,6 +13,7 @@ from scipy.optimize import linprog
 
 from conftest import circulant_7_1_3
 from overcomplete import (
+    OvercompleteLayout,
     lifted as trivial_or_lifted,
     lp_point,
     overcomplete_lift,
@@ -38,7 +39,7 @@ from liftedmap import (
     symmetry,
 )
 from liftedmap import solve as solve_module
-from liftedmap.fixtures import (
+from fixtures import (
     LOVERS_SMOKERS_MLN,
     cycle_model,
     ex1,
@@ -50,7 +51,7 @@ from liftedmap.fixtures import (
     unary_logistic,
 )
 from liftedmap.lift import MomentLayout
-from liftedmap.model import OvercompleteLayout, score
+from liftedmap.model import score
 from liftedmap.oracle import exact_enumerate
 from liftedmap.solve import (
     CycleConstraint,

@@ -15,7 +15,7 @@ from conftest import circulant_7_1_3, refines, sorted_cells
 from reference import exhaustive_automorphisms, generated_group
 from reference import graph_automorphism as reference_graph_automorphism
 from reference import model_automorphism as reference_model_automorphism
-from liftedmap import fixtures
+import fixtures
 from liftedmap.mln import ground_mln, parse_mln
 from liftedmap.model import Feature, Model
 from liftedmap import symmetry
@@ -30,7 +30,6 @@ from liftedmap.symmetry import (
     build_colored_factor_graph,
     canonicalize_feature,
     compute_orbit_bundle,
-    is_graph_automorphism,
     is_model_automorphism,
     orbits_of,
     refine_colors,
@@ -117,8 +116,8 @@ def test_graph_structure_ex1():
     assert g.num_vars == 4 and g.num_factors == 5
     assert g.num_nodes == 9
     # variables share one color; factors are colored by (canonical table, tie)
-    assert len({g.init_colors[v] for v in g.var_nodes}) == 1
-    factor_colors = {g.init_colors[u] for u in g.factor_nodes}
+    assert len({g.init_colors[v] for v in range(g.num_vars)}) == 1
+    factor_colors = {g.init_colors[u] for u in range(g.num_vars, g.num_nodes)}
     assert len(factor_colors) == 2  # FIRST/SECOND_ONLY merge, AND differs
     # adjacency is mirrored
     for u in range(g.num_nodes):
@@ -133,8 +132,8 @@ def test_tie_classes_split_factor_colors():
     untied = Model(num_vars=3, features=feats, tie_class_of=(0, 1), theta=(1.0, 1.0))
     g1 = build_colored_factor_graph(tied)
     g2 = build_colored_factor_graph(untied)
-    assert len({g1.init_colors[u] for u in g1.factor_nodes}) == 1
-    assert len({g2.init_colors[u] for u in g2.factor_nodes}) == 2
+    assert len({g1.init_colors[u] for u in range(g1.num_vars, g1.num_nodes)}) == 1
+    assert len({g2.init_colors[u] for u in range(g2.num_vars, g2.num_nodes)}) == 2
 
 
 def test_refinement_reaches_fixpoint_and_is_canonical():
@@ -149,7 +148,7 @@ def test_refinement_reaches_fixpoint_and_is_canonical():
 def test_refinement_on_frucht_leaves_one_variable_class():
     g = build_colored_factor_graph(fixtures.frucht())
     ref = refine_colors(g).colors
-    assert len({ref[v] for v in g.var_nodes}) == 1
+    assert len({ref[v] for v in range(g.num_vars)}) == 1
 
 
 def _reference_refine_colors(graph, colors=None):
@@ -471,10 +470,10 @@ def preserves_statistics_everywhere(m, pair):
 
 
 def test_exact_table_check_covers_sampled_check(monkeypatch):
-    # Every leaf the search hands to the exact check has passed the graph
-    # check; on each, the exact check must agree with the statistics test
-    # over all configurations, and what it accepts must pass the sampled
-    # verify_generator, which the search therefore no longer calls.
+    # On every leaf the search hands to the exact check, the check must
+    # agree with the statistics test over all configurations, and what it
+    # accepts must pass the sampled verify_generator, which the search
+    # therefore no longer calls.
     candidates = []
 
     def recording(graph, perm):
@@ -528,16 +527,16 @@ def _random_group_element(gens, nv, rng):
 
 
 def test_leaf_checks_match_the_per_node_references(monkeypatch):
-    # the array graph check and the batched table check against the
-    # one-node and one-feature forms, at every leaf the search tries and on
-    # random permutations, color-preserving ones and group elements
+    # the one leaf check against the one-node graph check and the
+    # one-feature table check together, at every leaf the search tries and
+    # on random permutations, color-preserving ones and group elements
     tried = []
 
     def recording(graph, perm):
         tried.append((graph, tuple(perm)))
-        return is_graph_automorphism(graph, perm)
+        return is_model_automorphism(graph, perm)
 
-    monkeypatch.setattr(symmetry, "is_graph_automorphism", recording)
+    monkeypatch.setattr(symmetry, "is_model_automorphism", recording)
     mln = parse_mln(fixtures.LOVERS_SMOKERS_MLN)
     models = [fixtures.ex1(), fixtures.triangle(), fixtures.cycle_model(6),
               fixtures.frucht(), fixtures.fully_connected_symmetric(5),
@@ -557,16 +556,14 @@ def test_leaf_checks_match_the_per_node_references(monkeypatch):
     # one variable and its unary feature: swapping them keeps the edges,
     # not the colors
     tried.append((build_colored_factor_graph(fixtures.unary_logistic()), (1, 0)))
-    graph_verdicts, table_verdicts = set(), set()
+    verdicts = set()
     for graph, perm in tried:
-        on_graph = is_graph_automorphism(graph, perm)
-        assert on_graph == reference_graph_automorphism(graph, perm)
-        graph_verdicts.add(on_graph)
-        if on_graph:  # the table check is defined on graph automorphisms
-            exact = is_model_automorphism(graph, perm)
-            assert exact == reference_model_automorphism(graph, perm)
-            table_verdicts.add(exact)
-    assert graph_verdicts == table_verdicts == {True, False}
+        exact = is_model_automorphism(graph, perm)
+        # the reference table check is defined on graph automorphisms
+        assert exact == (reference_graph_automorphism(graph, perm)
+                         and reference_model_automorphism(graph, perm))
+        verdicts.add(exact)
+    assert verdicts == {True, False}
 
 
 def test_search_counts_its_tree_and_rounds(monkeypatch):
