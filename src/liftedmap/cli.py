@@ -186,6 +186,7 @@ def cmd_orbits(args) -> int:
             "tree_nodes": None if gens is None else gens.tree_nodes,
             "leaves": None if gens is None else gens.leaves,
             "refine_rounds": None if gens is None else gens.refine_rounds,
+            "trace_pruned": None if gens is None else gens.trace_pruned,
             "orbits": _per_domain(_partition_json, bundle),
         }
     if len(methods) == 2:

@@ -35,7 +35,6 @@ File formats:
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 import re
@@ -375,17 +374,6 @@ def parse_evidence(text: str) -> Evidence:
 # grounding
 
 
-@dataclass(frozen=True)
-class FeatureOrigin:
-    """Where one ground feature came from."""
-
-    kind: str  # "formula" | "soft"
-    formula: int = None
-    subst: tuple = None
-    atom: tuple = None
-    weight: float = None
-
-
 @dataclass(eq=False)
 class GroundingMap:
     domain: tuple
@@ -399,24 +387,6 @@ class GroundingMap:
     # per feature: a formula grounding's formula index, then its substitution;
     # soft evidence's len(formulas) plus predicate index, then its constants
     origin_rows: np.ndarray
-
-    @functools.cached_property
-    def origins(self) -> tuple:
-        """FeatureOrigin per feature, read off origin_rows on first use: the
-        formula groundings come first, then one feature per soft evidence
-        atom, in variable order."""
-        rows = self.origin_rows[:len(self.origin_rows) - len(self.soft)].tolist()
-        formula = [
-            FeatureOrigin(kind="formula", formula=row[0],
-                          subst=tuple(self.domain[i] for i in row[1:] if i >= 0))
-            for row in rows
-        ]
-        soft = [
-            FeatureOrigin(kind="soft", atom=atom, weight=self.soft[atom])
-            for atom in self.atoms
-            if atom in self.soft
-        ]
-        return tuple(formula + soft)
 
 
 def _leaves(node):

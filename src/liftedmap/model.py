@@ -195,6 +195,17 @@ class Model:
         return out
 
     @functools.cached_property
+    def scope_rows(self) -> tuple:
+        """Each feature's arity and its row among the scopes of that arity
+        in scope_arrays, as two integer arrays."""
+        arity = np.zeros(self.num_features, dtype=np.int64)
+        row = np.zeros(self.num_features, dtype=np.int64)
+        for k, (js, _) in self.scope_arrays.items():
+            arity[js] = k
+            row[js] = np.arange(len(js))
+        return arity, row
+
+    @functools.cached_property
     def factor_moments(self) -> tuple:
         """The factor moments (j, a): each arity >= 3 feature j with each of
         its assignments a with at least three ones, feature by feature in

@@ -12,18 +12,25 @@ under every argument permutation).
 The search is individualization-refinement backtracking with orbit pruning:
 discovered automorphisms prune sibling branches at every tree node, and
 subtrees off the first (base) leaf's path are abandoned as soon as they
-produce one automorphism. A leaf becomes a generator only when it passes
-the exact table check (`is_model_automorphism`), so orbits computed from
-the result are sound even though the graph encoding is coarser than the
-tables.
+produce one automorphism. A child off the base path is dropped as soon as
+its refinement trace departs from that of the base path's node at its
+depth, since no automorphism maps the one to the other. A leaf becomes a
+generator only when it passes the exact table check
+(`is_model_automorphism`), so orbits computed from the result are sound
+even though the graph encoding is coarser than the tables.
 
 Each tree node holds one OrderedPartition: node to label, label to member
 set, a label being its cell's first position (McKay & Piperno, Practical
 graph isomorphism II, 2014). `refine_colors` makes a child from its parent
 copy-on-write, so a call costs the nodes its rounds touch, and the ranks
 of the labels are the color ids that refining every node in every round
-gives. The search reads its node invariant, target cell and leaf
-permutations off the labels, and checks leaves on integer arrays.
+gives. The search reads its target cell and leaf permutations off the
+labels, and checks leaves on integer arrays.
+
+Orbits come from integer arrays too: each generator maps the sorted
+elements of a domain (variables, features, edges, factor moments) to their
+images' indices, and the orbits are the components of those maps, found
+by min-label propagation with pointer jumping.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import Model, ModelError, skeleton, table_index
+from .model import Model, ModelError, moment_assignments, skeleton, table_index
 
 
 class _UnionFind:
@@ -71,19 +78,26 @@ class PermutationPair:
         object.__setattr__(self, "var_perm", tuple(int(v) for v in self.var_perm))
         object.__setattr__(self, "feature_perm", tuple(int(j) for j in self.feature_perm))
 
+    @functools.cached_property
+    def arrays(self) -> tuple:
+        """var_perm and feature_perm as integer arrays, built on first use."""
+        return np.array(self.var_perm, dtype=np.int64), np.array(self.feature_perm, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class GeneratorSet:
     """Verified generators of a symmetry group, with its order when known,
     and the counts of the search that found them (0 when none ran): its
-    tree nodes, its leaves and its refinement rounds. The counts do not
-    take part in equality."""
+    tree nodes, its leaves, its refinement rounds (those of stopped
+    refinements too) and the children it dropped by their refinement trace,
+    which are not tree nodes. The counts do not take part in equality."""
 
     generators: tuple
     group_order: int = None
     tree_nodes: int = field(default=0, compare=False)
     leaves: int = field(default=0, compare=False)
     refine_rounds: int = field(default=0, compare=False)
+    trace_pruned: int = field(default=0, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -234,19 +248,11 @@ class ColoredFactorGraph:
 
     @functools.cached_property
     def feature_arrays(self) -> tuple:
-        """What the exact table check reads: the distinct tables, each
-        feature's table id, each feature's row among the features of its
-        arity, and per arity those features' indices and scopes as arrays."""
-        feats = self.model.features
+        """What the exact table check reads besides the model's scope
+        arrays: the distinct tables and each feature's table id."""
         ids = {}
-        table_id = np.array([ids.setdefault(f.table, len(ids)) for f in feats], dtype=np.int64)
-        row = np.zeros(len(feats), dtype=np.int64)
-        by_arity = {}
-        for arity in sorted({f.arity for f in feats}):
-            js = np.array([j for j, f in enumerate(feats) if f.arity == arity], dtype=np.int64)
-            row[js] = np.arange(len(js))
-            by_arity[arity] = (js, np.array([feats[j].scope for j in js], dtype=np.int64))
-        return tuple(ids), table_id, row, by_arity
+        table_id = [ids.setdefault(f.table, len(ids)) for f in self.model.features]
+        return tuple(ids), np.array(table_id, dtype=np.int64)
 
 
 def _labels_of(ws):
@@ -296,14 +302,17 @@ class OrderedPartition:
     above every other label, while the class it left keeps its label. So
     labels order the cells as their positions do. depth counts the
     individualized nodes and rounds the refinement rounds that made this
-    partition. A child shares every member set it does not split with its
-    parent, so neither may change one in place.
+    partition, and trace lists each round's trace (see refine_colors). A
+    child shares every member set it does not split with its parent, so
+    neither may change one in place. A refinement stopped by its trace
+    makes no partition: its label, cells and trace are None.
     """
 
     label: list
     cells: dict
     depth: int = 0
     rounds: int = 0
+    trace: list = None
 
     @classmethod
     def of_colors(cls, colors, step: int) -> "OrderedPartition":
@@ -326,7 +335,7 @@ class OrderedPartition:
         return tuple(map(rank.__getitem__, self.label))
 
 
-def refine_colors(graph: ColoredFactorGraph, parent=None, v=None) -> OrderedPartition:
+def refine_colors(graph: ColoredFactorGraph, parent=None, v=None, base=None) -> OrderedPartition:
     """Coarsest equitable refinement of a node coloring, as an ordered
     partition whose `.colors` are canonical color ids.
 
@@ -364,6 +373,18 @@ def refine_colors(graph: ColoredFactorGraph, parent=None, v=None) -> OrderedPart
     order the cells as the full rounds order their classes. So the cells
     are the full rounds' classes and the rank of a cell's label is their
     id, which `.colors` reads.
+
+    A round's trace lists, for each class it splits in label order, the
+    keys of its subclasses and then their sizes, in key order. Like the
+    ids it is the same on relabeled graphs, and it tells more apart: the
+    keys separate refinements that split the same classes into the same
+    sizes (on the benchmark's circulant, sizes alone leave two failing
+    leaves unpruned). With `base`, the trace of another refinement, the
+    call stops at the first round whose trace differs from base's or that
+    goes past base's last round, or when it ends before base's last round,
+    and returns an OrderedPartition without label or cells: no automorphism
+    maps that refinement's partition to this one's. A call that completes
+    against base keeps base as its trace, which it equals.
     """
     nbrs, step = graph.neighbors, max(len(graph.edge_colors), 1)
     n = graph.num_nodes
@@ -390,9 +411,11 @@ def refine_colors(graph: ColoredFactorGraph, parent=None, v=None) -> OrderedPart
         labels = labels_of(label)
         return (at(u), *sorted(map(add, labels, ecs) if step > 1 else labels))
 
-    rounds = 0
+    rounds, trace = 0, []
     while touched:
         rounds += 1
+        if base is not None and rounds > len(base):
+            return OrderedPartition(None, None, depth, rounds)
         groups = {}  # key -> the touched nodes that have it
         for u in touched:
             if len(cells[at(u)]) > 1:
@@ -416,7 +439,7 @@ def refine_colors(graph: ColoredFactorGraph, parent=None, v=None) -> OrderedPart
             elif len(keys) == 1:
                 continue
             plans.append((c, keys, keep))
-        touched = set()
+        touched, splits = set(), []
         for c, keys, keep in plans:
             if keep is None:  # every member touched: the subclasses are the groups
                 subs = [set(groups[k]) for k in keys]
@@ -432,6 +455,7 @@ def refine_colors(graph: ColoredFactorGraph, parent=None, v=None) -> OrderedPart
                         sub = set(groups[k])
                         kept -= sub
                         subs.append(sub)
+            splits += keys, list(map(len, subs))
             largest = max(subs, key=len)
             first = c
             for sub in subs:
@@ -443,11 +467,33 @@ def refine_colors(graph: ColoredFactorGraph, parent=None, v=None) -> OrderedPart
                         label[u] = first
                 cells[first] = sub
                 first += len(sub) * step
-    return OrderedPartition(label, cells, depth, rounds)
+        if base is None:
+            trace.append(splits)
+        elif splits != base[rounds - 1]:
+            return OrderedPartition(None, None, depth, rounds)
+    if base is not None and rounds < len(base):
+        return OrderedPartition(None, None, depth, rounds)
+    return OrderedPartition(label, cells, depth, rounds, trace if base is None else base)
 
 
 # ---------------------------------------------------------------------------
 # automorphism search
+
+
+def _scope_reordering(model: Model, pi, gamma, js, scopes):
+    """For the features js of one arity, whose scopes are the rows of
+    scopes: their images gamma[js]; the reorderings sigma, sigma[i, k]
+    being the position in the image's scope of pi's image of js[i]'s k-th
+    scope variable; and whether each image has that arity and the image of
+    the scope as its scope, without which its row of sigma means nothing.
+    pi and gamma are integer arrays of a variable and a feature permutation.
+    """
+    arity, row = model.scope_rows
+    img = gamma[js]
+    fits = arity[img] == scopes.shape[1]
+    # same[i, k, l]: whether scope k's image is the image scope's l-th variable
+    same = pi[scopes][:, :, None] == scopes[np.where(fits, row[img], 0)][:, None, :]
+    return img, same.argmax(axis=2), fits & same.any(axis=2).all(axis=1)
 
 
 def is_model_automorphism(graph: ColoredFactorGraph, perm) -> bool:
@@ -465,15 +511,12 @@ def is_model_automorphism(graph: ColoredFactorGraph, perm) -> bool:
     if not np.array_equal(colors[p], colors):
         return False
     nv = graph.num_vars
-    tables, table_id, row, by_arity = graph.feature_arrays
-    image = p[nv:] - nv
-    for arity, (js, scopes) in by_arity.items():
-        img = image[js]
-        # same[i, k, l]: whether scope k's image is the image scope's l-th variable
-        same = p[scopes][:, :, None] == scopes[row[img]][:, None, :]
-        if not same.any(axis=2).all():
+    pi, gamma = p[:nv], p[nv:] - nv
+    tables, table_id = graph.feature_arrays
+    for arity, (js, scopes) in graph.model.scope_arrays.items():
+        img, sigma, fits = _scope_reordering(graph.model, pi, gamma, js, scopes)
+        if not fits.all():
             return False
-        sigma = same.argmax(axis=2)
         keys = set(zip(table_id[js].tolist(), map(tuple, sigma.tolist()), table_id[img].tolist()))
         for t, sigma_t, t2 in keys:
             if _permuted_table(tables[t], sigma_t, arity) != tables[t2]:
@@ -490,10 +533,19 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
     tree's base path, and the search's counts.
 
     Each tree node is one OrderedPartition, and the search reads everything
-    off it: the node invariant compared with the base path's is the sorted
-    tuple of cell labels; the target cell is the largest non-singleton one,
-    ties to the smallest label; and a leaf's permutation maps each node of
-    the base leaf to the node with the same label here.
+    off it: the target cell is the largest non-singleton one, ties to the
+    smallest label; and a leaf's permutation maps each node of the base
+    leaf to the node with the same label here.
+
+    A child off the base path is refined against the trace of the base
+    path's node at its depth, and dropped when the refinement stops
+    (McKay & Piperno, Practical graph isomorphism II, 2014): an
+    automorphism found below it would map that base node to it, and carry
+    the base node's refinement onto its refinement round by round. Equal
+    traces from equal parents give equal cell labels, so no other node
+    invariant is compared. The tree is walked depth first from an explicit
+    stack, one frame per inner node of the current path, so its depth is
+    not bounded by Python's recursion limit.
     """
     n_nodes = graph.num_nodes
     identity = list(range(n_nodes))
@@ -501,37 +553,22 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
 
     gens = []  # node permutations over the whole graph
     base_path = []
-    base_invariants = []
-    base_leaf = [None]  # the base leaf's label list
-    counts = {"tree_nodes": 0, "leaves": 0, "refine_rounds": root.rounds}
+    base_traces = [root.trace]  # the refinement trace of the base path's node per depth
+    base_leaf = None  # the base leaf's label list
+    counts = {"tree_nodes": 0, "leaves": 0, "refine_rounds": root.rounds, "trace_pruned": 0}
+    stack = []  # (path, whether on the base path, its children) per inner node
 
     def stab_gens(path, among):
         return [g for g in among if all(g[v] == v for v in path)]
 
-    def search(part, path, on_base):
-        counts["tree_nodes"] += 1
-        depth = len(path)
+    def children(part, path):
+        # each child of an inner node, refined, with its individualized node,
+        # skipping those in the orbit of an explored one under the generators
+        # found so far that fix the path
         cells = part.cells
-        if base_leaf[0] is None:
-            base_invariants.append(tuple(sorted(cells)))
-        elif depth >= len(base_invariants) or tuple(sorted(cells)) != base_invariants[depth]:
-            return False
-        if len(cells) == n_nodes:  # every cell a singleton
-            counts["leaves"] += 1
-            if base_leaf[0] is None:
-                base_leaf[0] = part.label
-                base_path.extend(path)
-                return False
-            here = dict(zip(part.label, identity))  # label -> node
-            perm = list(map(here.__getitem__, base_leaf[0]))
-            if perm != identity and is_model_automorphism(graph, perm):
-                gens.append(tuple(perm))
-                return True
-            return False
         sizes = list(map(len, cells.values()))
         largest = max(sizes)
         target = cells[min(itertools.compress(cells, map(largest.__eq__, sizes)))]
-        found_any = False
         explored = []
         uf, seen = None, 0  # orbits of those of gens[:seen] that fix the path
         for v in sorted(target):
@@ -545,16 +582,44 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
                 if any(uf.find(v) == uf.find(w) for w in explored):
                     continue
             explored.append(v)
-            child = refine_colors(graph, part, v)
-            counts["refine_rounds"] += child.rounds
-            found = search(child, path + (v,), on_base and base_leaf[0] is None)
-            if found:
-                found_any = True
-                if not on_base:
-                    return True  # backjump off the base path
-        return found_any
+            base = None if base_leaf is None else base_traces[part.depth + 1]
+            yield refine_colors(graph, part, v, base), v
 
-    search(root, (), True)
+    def visit(part, path, on_base):
+        # count a node and push it if inner; whether a leaf gave a generator
+        nonlocal base_leaf
+        counts["tree_nodes"] += 1
+        if len(part.cells) < n_nodes:
+            stack.append((path, on_base, children(part, path)))
+            return False
+        counts["leaves"] += 1
+        if base_leaf is None:
+            base_leaf = part.label
+            base_path.extend(path)
+            return False
+        here = dict(zip(part.label, identity))  # label -> node
+        perm = list(map(here.__getitem__, base_leaf))
+        if perm != identity and is_model_automorphism(graph, perm):
+            gens.append(tuple(perm))
+            return True
+        return False
+
+    visit(root, (), True)
+    while stack:
+        path, on_base, todo = stack[-1]
+        child, v = next(todo, (None, None))
+        if child is None:
+            stack.pop()
+            continue
+        counts["refine_rounds"] += child.rounds
+        if child.cells is None:
+            counts["trace_pruned"] += 1
+            continue
+        if base_leaf is None:  # still descending the base path
+            base_traces.append(child.trace)
+        if visit(child, path + (v,), on_base and base_leaf is None) and not on_base:
+            while not stack[-1][1]:
+                stack.pop()  # backjump to the base path
 
     nv = graph.num_vars
     pairs = [
@@ -645,42 +710,83 @@ def _domain_elements(domain, model):
     raise ModelError("unknown orbit domain %r" % (domain,))
 
 
-def act_element(domain, element, pair: PermutationPair, model: Model):
-    """Image of one domain element under a permutation pair."""
-    pi = pair.var_perm
-    if domain == "vars":
-        return pi[element]
-    if domain == "features":
-        return pair.feature_perm[element]
+def _orbit_images(domain, elements, pairs, model):
+    """Per pair, where it maps each of the sorted elements of one coordinate
+    domain: an array of their indices, -1 outside the domain. Edges are
+    codes u * n + v, found by binary search; a factor moment's image is the
+    image feature's, its assignment read through the scope reordering that
+    the leaf check computes."""
+    n = model.num_vars
+    pis, gammas = [p.arrays[0] for p in pairs], [p.arrays[1] for p in pairs]
+    if domain in ("vars", "features"):
+        size = len(elements)
+        perms = pis if domain == "vars" else gammas
+        return [np.where((p >= 0) & (p < size), p, -1) for p in perms]
     if domain == "edges":
-        u, v = element
-        a, b = pi[u], pi[v]
-        return (a, b) if a < b else (b, a)
-    if domain == "factor-moments":
-        j, a = element
-        j2 = pair.feature_perm[j]
-        pos = {u: i for i, u in enumerate(model.features[j2].scope)}
-        out = [0] * len(a)
-        for k, u in enumerate(model.features[j].scope):
-            out[pos[pi[u]]] = a[k]
-        return (j2, tuple(out))
-    raise ModelError("unknown orbit domain %r" % (domain,))
+        ends = np.array(elements, dtype=np.int64).reshape(-1, 2).T
+        codes = ends[0] * n + ends[1]  # ascending, as the edges are
+        images = []
+        for pi in pis:
+            a, b = pi[ends]
+            img = np.minimum(a, b) * n + np.maximum(a, b)
+            at = np.minimum(np.searchsorted(codes, img), len(codes) - 1)
+            images.append(np.where(codes[at] == img, at, -1))
+        return images
+    arity = model.scope_rows[0]
+    per_arity = {}  # arity -> its moments' assignments, and each table index's rank among them
+    for k in model.scope_arrays:
+        if k >= 3:
+            assign = np.array(moment_assignments(k), dtype=np.int64)
+            rank = np.full(2 ** k, -1)
+            rank[assign @ (1 << np.arange(k - 1, -1, -1))] = np.arange(len(assign))
+            per_arity[k] = assign, rank
+    sizes = np.array([len(per_arity[k][0]) if k >= 3 else 0 for k in arity.tolist()], np.int64)
+    first = np.cumsum(sizes) - sizes  # each feature's first moment
+    images = []
+    for pi, gamma in zip(pis, gammas):
+        at = np.full(len(elements), -1)
+        for k, (assign, rank) in per_arity.items():
+            js, scopes = model.scope_arrays[k]
+            img, sigma, fits = _scope_reordering(model, pi, gamma, js, scopes)
+            # the image assignment holds a's k-th bit at position sigma[k]
+            codes = (1 << (k - 1 - sigma[fits])) @ assign.T
+            rows = first[js[fits]][:, None] + np.arange(len(assign))
+            at[rows] = first[img[fits]][:, None] + rank[codes]
+        images.append(at)
+    return images
+
+
+def _orbit_labels(images, size):
+    """Each element's smallest orbit-mate: the smallest index joined to it
+    by the maps of the image arrays. Labels start as the indices, take the
+    smaller label along every map both ways, and jump to their label's
+    label, until a round changes nothing."""
+    label = np.arange(size)
+    while True:
+        before = label.copy()
+        for at in images:
+            np.minimum(label, label[at], out=label)
+            np.minimum.at(label, at, label.copy())
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+        if np.array_equal(label, before):
+            return label
 
 
 def orbits_of(gens, domain: str, model: Model) -> OrbitPartition:
-    """Orbit partition of one coordinate domain under the generated group."""
+    """Orbit partition of one coordinate domain under the generated group:
+    the components of the generators' image arrays."""
     domain = domain.replace("_", "-")
-    elements = sorted(_domain_elements(domain, model))
-    index = {e: i for i, e in enumerate(elements)}
-    uf = _UnionFind(len(elements))
+    elements = _domain_elements(domain, model)
     pairs = gens.generators if isinstance(gens, GeneratorSet) else tuple(gens)
-    for pair in pairs:
-        for e in elements:
-            img = act_element(domain, e, pair, model)
-            if img not in index:
-                raise ModelError("generator maps %r outside the %s domain" % (e, domain))
-            uf.union(index[e], index[img])
-    return OrbitPartition.group(elements, lambda e: uf.find(index[e]))
+    images = _orbit_images(domain, elements, pairs, model) if pairs else []
+    for at in images:
+        outside = np.flatnonzero(at < 0)
+        if len(outside):
+            raise ModelError(
+                "generator maps %r outside the %s domain" % (elements[outside[0]], domain))
+    return OrbitPartition.from_labels(elements, _orbit_labels(images, len(elements)).tolist())
 
 
 def compute_orbit_bundle(gens, model: Model) -> OrbitBundle:
@@ -705,7 +811,9 @@ class GeneratorSymmetries:
         if gens is None:
             gens = search_automorphisms(build_colored_factor_graph(model))
         self.gens = gens
-        self._stabilized = {}  # generators fixing a variable -> their variable orbits
+        perms = [g.var_perm for g in gens.generators]
+        self._var_perms = np.array(perms, dtype=np.int64).reshape(len(perms), model.num_vars)
+        self._stabilized = {}  # which generators fix a variable -> their variable orbits
 
     def bundle(self) -> OrbitBundle:
         return compute_orbit_bundle(self.gens, self.model)
@@ -718,10 +826,12 @@ class GeneratorSymmetries:
         generators share one partition, computed once: under the trivial
         group, one in all.
         """
-        sub = tuple(g for g in self.gens.generators if g.var_perm[fixed_var] == fixed_var)
-        if sub not in self._stabilized:
-            self._stabilized[sub] = orbits_of(sub, "vars", self.model)
-        return self._stabilized[sub]
+        fixes = self._var_perms[:, fixed_var] == fixed_var
+        key = fixes.tobytes()
+        if key not in self._stabilized:
+            sub = itertools.compress(self.gens.generators, fixes.tolist())
+            self._stabilized[key] = orbits_of(sub, "vars", self.model)
+        return self._stabilized[key]
 
 
 class TrivialSymmetries(GeneratorSymmetries):

@@ -47,9 +47,9 @@ from liftedmap.model import Model, assignments, skeleton, table_index
 from liftedmap.model import OvercompleteLayout as PackageLayout
 from liftedmap.oracle import _all_scores, _config_matrix, exact_enumerate
 from liftedmap.solve import LinearProgram
-from liftedmap.symmetry import OrbitPartition, _UnionFind, act_element
+from liftedmap.symmetry import OrbitPartition, _UnionFind
 
-from signatures import feature_key, joint_signature, tags_of
+from signatures import feature_key, feature_origins, joint_signature, tags_of
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +314,20 @@ def factor_assignment_orbits(sym) -> OrbitPartition:
     ]
     if isinstance(sym, RenamingSymmetries):
         gmap, dist = sym.gmap, sym.distinguished
-        fkey = [feature_key(origin, dist) for origin in gmap.origins]
+        origins = feature_origins(gmap)
+        fkey = [feature_key(origin, dist) for origin in origins]
         order = {}
         for j, f in enumerate(model.features):
             if f.arity >= 3:
                 anon = {}
-                tags_of(gmap.origins[j].subst, dist, anon)
+                tags_of(origins[j].subst, dist, anon)
                 tags = [(gmap.atoms[v][0], tags_of(gmap.atoms[v][1], dist, anon)) for v in f.scope]
                 order[j] = sorted(range(f.arity), key=tags.__getitem__)
         return OrbitPartition.group(
             elements, lambda e: (fkey[e[0]], tuple(e[1][p] for p in order[e[0]]))
         )
+    from reference import act_element  # reference imports this module
+
     return _generator_orbits(
         sym, elements, lambda e, g: act_element("factor-moments", e, g, model)
     )

@@ -8,7 +8,10 @@ search, lifting, and separation code they are used to validate. The
 tuple-keyed mirror graph and walk are the plain form of the integer-node
 walk the separation runs on; the per-node graph check, the per-feature
 table check and the per-assignment Moebius row are the plain forms of the
-search's array leaf checks and of the lifted model's cached rows.
+search's array leaf checks and of the lifted model's cached rows;
+act_element and element_orbits, one element and one generator at a time,
+are the plain form of the orbits' image arrays; and recursive_search is
+the search as it was before its refinement trace pruned children.
 """
 
 import heapq
@@ -17,9 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from liftedmap.model import Model, table_index
+from liftedmap.model import Model, ModelError, table_index
 from liftedmap.oracle import LimitExceededError, OracleError, _config_matrix, exact_enumerate
-from liftedmap.symmetry import GeneratorSet, PermutationPair, _permuted_table
+from liftedmap.symmetry import (
+    GeneratorSet,
+    OrbitPartition,
+    PermutationPair,
+    _domain_elements,
+    _permuted_table,
+    _UnionFind,
+    is_model_automorphism,
+    refine_colors,
+)
 
 from overcomplete import OvercompleteLayout
 
@@ -183,6 +195,118 @@ def generated_group(gens, model: Model):
                 group.add(nxt)
                 frontier.append(nxt)
     return frozenset(group)
+
+
+# ---------------------------------------------------------------------------
+# orbits, one element and one generator at a time
+
+
+def act_element(domain, element, pair: PermutationPair, model: Model):
+    """Image of one domain element under a permutation pair."""
+    pi = pair.var_perm
+    if domain == "vars":
+        return pi[element]
+    if domain == "features":
+        return pair.feature_perm[element]
+    if domain == "edges":
+        u, v = element
+        a, b = pi[u], pi[v]
+        return (a, b) if a < b else (b, a)
+    if domain == "factor-moments":
+        j, a = element
+        j2 = pair.feature_perm[j]
+        pos = {u: i for i, u in enumerate(model.features[j2].scope)}
+        out = [0] * len(a)
+        for k, u in enumerate(model.features[j].scope):
+            out[pos[pi[u]]] = a[k]
+        return (j2, tuple(out))
+    raise ModelError("unknown orbit domain %r" % (domain,))
+
+
+def element_orbits(gens, domain, model: Model) -> OrbitPartition:
+    """orbits_of as it was before the image arrays: every generator applied
+    to every element with act_element, joined by a union-find."""
+    elements = sorted(_domain_elements(domain, model))
+    index = {e: i for i, e in enumerate(elements)}
+    uf = _UnionFind(len(elements))
+    pairs = gens.generators if isinstance(gens, GeneratorSet) else tuple(gens)
+    for pair in pairs:
+        for e in elements:
+            img = act_element(domain, e, pair, model)
+            if img not in index:
+                raise ModelError("generator maps %r outside the %s domain" % (e, domain))
+            uf.union(index[e], index[img])
+    return OrbitPartition.group(elements, lambda e: uf.find(index[e]))
+
+
+# ---------------------------------------------------------------------------
+# the search as it was before trace pruning
+
+
+def recursive_search(graph) -> GeneratorSet:
+    """search_automorphisms before its refinement trace pruned children and
+    its recursion became a stack: one call per tree node, every child
+    refined to its end and compared with the base path by its sorted cell
+    labels. Its generators come in the same order, and it counts every
+    child as a tree node."""
+    n_nodes = graph.num_nodes
+    identity = list(range(n_nodes))
+    gens, base_path, base_invariants, base_leaf = [], [], [], [None]
+    counts = {"tree_nodes": 0, "leaves": 0}
+
+    def stab_gens(path, among):
+        return [g for g in among if all(g[v] == v for v in path)]
+
+    def search(part, path, on_base):
+        counts["tree_nodes"] += 1
+        cells = part.cells
+        if base_leaf[0] is None:
+            base_invariants.append(tuple(sorted(cells)))
+        elif len(path) >= len(base_invariants) or tuple(sorted(cells)) != base_invariants[len(path)]:
+            return False
+        if len(cells) == n_nodes:
+            counts["leaves"] += 1
+            if base_leaf[0] is None:
+                base_leaf[0] = part.label
+                base_path.extend(path)
+                return False
+            here = dict(zip(part.label, identity))
+            perm = list(map(here.__getitem__, base_leaf[0]))
+            if perm != identity and is_model_automorphism(graph, perm):
+                gens.append(tuple(perm))
+                return True
+            return False
+        sizes = list(map(len, cells.values()))
+        target = cells[min(c for c, size in zip(cells, sizes) if size == max(sizes))]
+        found_any, explored, uf = False, [], _UnionFind(n_nodes)
+        for v in sorted(target):
+            for g in stab_gens(path, gens):
+                for u, w in enumerate(g):
+                    uf.union(u, w)
+            if any(uf.find(v) == uf.find(w) for w in explored):
+                continue
+            explored.append(v)
+            found = search(refine_colors(graph, part, v), path + (v,),
+                           on_base and base_leaf[0] is None)
+            found_any = found_any or found
+            if found and not on_base:
+                return True  # backjump off the base path
+        return found_any
+
+    search(refine_colors(graph), (), True)
+    order = 1
+    for i, v in enumerate(base_path):
+        sub, orbit, frontier = stab_gens(base_path[:i], gens), {v}, [v]
+        while frontier:
+            u = frontier.pop()
+            for g in sub:
+                if g[u] not in orbit:
+                    orbit.add(g[u])
+                    frontier.append(g[u])
+        order *= len(orbit)
+    nv = graph.num_vars
+    pairs = [PermutationPair(g[:nv], [w - nv for w in g[nv:]]) for g in gens]
+    return GeneratorSet(generators=pairs, group_order=order, **counts)
 
 
 # ---------------------------------------------------------------------------

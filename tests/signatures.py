@@ -10,14 +10,42 @@ of its substitution (or, for soft evidence, its weight and its atom's
 signature); a factor moment by its feature's key and its assignment read in
 the order of the scope atoms' tags under the numbering of the substitution.
 reference_bundle and reference_stabilized_light compute the orbits that way,
-from the atoms and origins of a GroundingMap alone.
+from the atoms and feature origins of a GroundingMap alone.
 """
 
 from dataclasses import dataclass
 
-from liftedmap.mln import FeatureOrigin
 from liftedmap.model import skeleton
 from liftedmap.symmetry import OrbitBundle, OrbitPartition, _domain_elements
+
+
+@dataclass(frozen=True)
+class FeatureOrigin:
+    """Where one ground feature came from."""
+
+    kind: str  # "formula" | "soft"
+    formula: int = None
+    subst: tuple = None
+    atom: tuple = None
+    weight: float = None
+
+
+def feature_origins(gmap) -> tuple:
+    """FeatureOrigin per feature of a GroundingMap, read off its
+    origin_rows: the formula groundings come first, then one feature per
+    soft evidence atom, in variable order."""
+    rows = gmap.origin_rows[:len(gmap.origin_rows) - len(gmap.soft)].tolist()
+    formula = [
+        FeatureOrigin(kind="formula", formula=row[0],
+                      subst=tuple(gmap.domain[i] for i in row[1:] if i >= 0))
+        for row in rows
+    ]
+    soft = [
+        FeatureOrigin(kind="soft", atom=atom, weight=gmap.soft[atom])
+        for atom in gmap.atoms
+        if atom in gmap.soft
+    ]
+    return tuple(formula + soft)
 
 
 @dataclass(frozen=True)
@@ -74,15 +102,15 @@ def _by_signature(domain, model, key) -> OrbitPartition:
 
 
 def reference_bundle(model, gmap) -> OrbitBundle:
-    atoms, dist = gmap.atoms, gmap.distinguished
-    fkey = [feature_key(origin, dist) for origin in gmap.origins]
+    atoms, dist, origins = gmap.atoms, gmap.distinguished, feature_origins(gmap)
+    fkey = [feature_key(origin, dist) for origin in origins]
     # an arity >= 4 feature's scope positions, ordered by their atoms' tags
     # under the anonymous numbering of the feature's substitution
     order = {}
     for j, f in enumerate(model.features):
         if f.arity >= 4:
             anon = {}
-            tags_of(gmap.origins[j].subst, dist, anon)
+            tags_of(origins[j].subst, dist, anon)
             tags = [(atoms[v][0], tags_of(atoms[v][1], dist, anon)) for v in f.scope]
             order[j] = sorted(range(f.arity), key=tags.__getitem__)
 

@@ -41,6 +41,7 @@ class TestOrbits:
         assert search["num_generators"] >= 1
         assert search["tree_nodes"] >= search["leaves"] > search["num_generators"]
         assert search["refine_rounds"] >= search["tree_nodes"]
+        assert search["trace_pruned"] == 0  # every child of ex1's tree holds an automorphism
         orbits = search["orbits"]
         assert orbits["vars"] == {"count": 2, "cells": [[0, 3], [1, 2]]}
         assert cell_sizes(orbits["edges"]) == [1, 4]
@@ -65,6 +66,7 @@ class TestOrbits:
         assert renaming["group_order"] is None
         assert renaming["num_generators"] is None
         assert renaming["tree_nodes"] is renaming["leaves"] is renaming["refine_rounds"] is None
+        assert renaming["trace_pruned"] is None
         assert cell_sizes(renaming["orbits"]["vars"]) == [1, 4, 4, 4, 12]
 
     def test_both_methods_compare(self, capsys, models_dir):
@@ -93,7 +95,17 @@ class TestOrbits:
         assert orbits["vars"]["count"] == 4
         none = payload["methods"]["none"]
         assert (none["tree_nodes"], none["leaves"], none["refine_rounds"]) == (0, 0, 0)
+        assert none["trace_pruned"] == 0
         assert all(len(cell) == 1 for cell in orbits["vars"]["cells"])
+
+    def test_search_counts_the_children_its_trace_stops(self, capsys, models_dir):
+        code, payload = run_json(
+            capsys, "orbits", str(models_dir / "frucht.fgm"), "--method", "search"
+        )
+        assert code == 0
+        search = payload["methods"]["search"]
+        counts = [search[k] for k in ("group_order", "tree_nodes", "leaves", "trace_pruned")]
+        assert counts == [1, 2, 1, 17]
 
     def test_both_on_model_file_is_input_error(self, capsys, models_dir):
         code, out, err = run(capsys, "orbits", str(models_dir / "ex1.fgm"), "--method", "both")

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from conftest import refines
 from overcomplete import arc_min_edge_orbits
 from signatures import (
+    FeatureOrigin,
     atom_signature,
     feature_key,
+    feature_origins,
     orbit_sizes_analytic,
     reference_bundle,
     reference_stabilized_light,
@@ -25,7 +27,6 @@ from liftedmap.mln import (
     Atom,
     BinOp,
     Compare,
-    FeatureOrigin,
     MLNError,
     MLNFormatError,
     Not,
@@ -141,7 +142,7 @@ def test_equality_constraints_prune_substitutions():
     text = "predicate Q/2\n1.0 x != y ^ Q(x, y)\n"
     model, gmap = ground(text, 3)
     assert model.num_features == 6  # ordered pairs, no diagonal
-    subs = {o.subst for o in gmap.origins}
+    subs = {o.subst for o in feature_origins(gmap)}
     assert all(s[0][1] != s[1][1] for s in subs)
 
 
@@ -384,7 +385,7 @@ def reference_rows(mln, domain, atoms, origins):
 
 def reference_factor_moments(model, gmap, templates):
     """Factor-moment orbits keyed with each scope in template order."""
-    fkey = [feature_key(origin, gmap.distinguished) for origin in gmap.origins]
+    fkey = [feature_key(origin, gmap.distinguished) for origin in feature_origins(gmap)]
     perm = {}
     for j, (template, active) in templates.items():
         if model.features[j].arity >= 3:
@@ -410,7 +411,7 @@ def assert_grounding_matches_reference(text, ev_text, d):
     assert format_model(model) == format_model(ref_model)
     assert (gmap.domain, gmap.atoms, gmap.observed, gmap.soft) == (
         ref_gmap.domain, ref_gmap.atoms, ref_gmap.observed, ref_gmap.soft)
-    assert gmap.origins == ref_gmap.origins
+    assert feature_origins(gmap) == ref_gmap.origins
     assert np.array_equal(gmap.atom_rows, ref_gmap.atom_rows)
     assert np.array_equal(gmap.origin_rows, ref_gmap.origin_rows)
     # the array keys against the per-element signatures on the reference grounding
@@ -606,7 +607,7 @@ def representative_size(mln, evidence):
 def _element_names(gmap, domain, elements):
     # elements named by their atoms and formula groundings, which keep
     # their constants from one domain size to another
-    atoms, origins = gmap.atoms, gmap.origins
+    atoms, origins = gmap.atoms, feature_origins(gmap)
     if domain == "vars":
         return [atoms[v] for v in elements]
     if domain == "features":

@@ -1,8 +1,11 @@
 """Colored factor graph, refinement, automorphism search, and orbits."""
 
+import functools
 import hashlib
 import itertools
+import math
 import random
+import sys
 import time
 from collections import Counter
 
@@ -12,12 +15,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import circulant_7_1_3, refines, sorted_cells
-from reference import exhaustive_automorphisms, generated_group
+from reference import act_element, element_orbits, exhaustive_automorphisms, generated_group
+from reference import recursive_search
 from reference import graph_automorphism as reference_graph_automorphism
 from reference import model_automorphism as reference_model_automorphism
 import fixtures
 from liftedmap.mln import ground_mln, parse_mln
-from liftedmap.model import Feature, Model
+from liftedmap.model import Feature, Model, ModelError, parse_model
 from liftedmap import symmetry
 from liftedmap.symmetry import (
     ColoredFactorGraph,
@@ -26,7 +30,6 @@ from liftedmap.symmetry import (
     PermutationPair,
     TrivialSymmetries,
     _permuted_table,
-    act_element,
     build_colored_factor_graph,
     canonicalize_feature,
     compute_orbit_bundle,
@@ -175,10 +178,16 @@ def _individualized(colors, v):
 
 
 def test_refinement_ids_match_full_rounds_on_every_search_call(monkeypatch):
-    calls = []
+    # every refinement that completes has the full rounds' ids; one that its
+    # base trace stops would have run to a different trace
+    calls, stopped = [], []
 
-    def checked(graph, parent=None, v=None):
-        out = refine_colors(graph, parent, v)
+    def checked(graph, parent=None, v=None, base=None):
+        out = refine_colors(graph, parent, v, base)
+        if out.cells is None:
+            assert refine_colors(graph, parent, v).trace != base
+            stopped.append(out)
+            return out
         start = parent if v is None else _individualized(parent.colors, v)
         assert out.colors == _reference_refine_colors(graph, start)
         calls.append(out)
@@ -195,6 +204,7 @@ def test_refinement_ids_match_full_rounds_on_every_search_call(monkeypatch):
     for m in models:
         search_automorphisms(build_colored_factor_graph(m))
     assert len(calls) > 2 * len(models)
+    assert stopped
 
 
 @st.composite
@@ -567,26 +577,120 @@ def test_leaf_checks_match_the_per_node_references(monkeypatch):
 
 
 def test_search_counts_its_tree_and_rounds(monkeypatch):
-    # nodes, leaves and refinement rounds of the search; they do not take
-    # part in equality, so a GeneratorSet compares by its group alone
+    # nodes, leaves, refinement rounds and trace-pruned children of the
+    # search; they do not take part in equality, so a GeneratorSet compares
+    # by its group alone
     graph = build_colored_factor_graph(fixtures.triangle())
     gens = search_automorphisms(graph)
     assert gens.tree_nodes >= gens.leaves > len(gens.generators) > 0
     assert gens.refine_rounds >= gens.tree_nodes
+    assert gens.trace_pruned == 0  # every child holds an automorphism
     assert gens == GeneratorSet(generators=gens.generators, group_order=gens.group_order)
     assert TrivialSymmetries(fixtures.triangle()).gens.tree_nodes == 0
-    rounds = []
-    original = symmetry.refine_colors
+    for m in (fixtures.triangle(), fixtures.frucht(), circulant_7_1_3()):
+        rounds = []
+        original = symmetry.refine_colors
 
-    def counting(*args):
-        out = original(*args)
-        rounds.append(out.rounds)
-        return out
+        def counting(graph, parent=None, v=None, base=None):
+            out = original(graph, parent, v, base)
+            rounds.append(out.rounds)
+            return out
 
-    monkeypatch.setattr(symmetry, "refine_colors", counting)
-    again = search_automorphisms(graph)
-    assert again.refine_rounds == sum(rounds)
-    assert again.tree_nodes == len(rounds)
+        monkeypatch.setattr(symmetry, "refine_colors", counting)
+        again = search_automorphisms(build_colored_factor_graph(m))
+        monkeypatch.undo()
+        # every refinement is a tree node or a pruned child, and its rounds
+        # count, those of a stopped refinement too
+        assert again.refine_rounds == sum(rounds)
+        assert again.tree_nodes + again.trace_pruned == len(rounds)
+
+
+# --- trace pruning and the explicit stack --------------------------------------
+
+
+def test_trace_pruning_stops_every_child_of_frucht_off_the_base_path(models_dir):
+    # frucht's group is trivial: each of the 18 feature nodes of the root's
+    # target cell refines to a leaf, and only the base leaf is a tree node
+    m = parse_model((models_dir / "frucht.fgm").read_text())
+    gens = search_automorphisms(build_colored_factor_graph(m))
+    assert (gens.group_order, gens.generators) == (1, ())
+    assert (gens.tree_nodes, gens.leaves, gens.trace_pruned) == (2, 1, 17)
+
+
+def test_trace_keys_stop_children_that_subclass_sizes_pass():
+    # circulant_7_1_3: with the sizes alone in the trace, 2 children stop
+    # and 2 more reach leaves that fail the check (8 tree nodes, 5 leaves)
+    gens = search_automorphisms(build_colored_factor_graph(circulant_7_1_3()))
+    assert gens.group_order == 14
+    assert (gens.tree_nodes, gens.leaves, gens.trace_pruned) == (6, 3, 4)
+
+
+def test_trace_pruned_search_orders_match_exhaustive():
+    # circulant_7_1_3 has children that the trace stops; it needs the
+    # reference's limit raised to its 7 variables
+    models = [fixtures.ex1(), fixtures.triangle(), fixtures.cycle_model(6),
+              fixtures.fully_connected_symmetric(5), fixtures.triple_parity(4),
+              fixtures.unary_logistic(), graph_only_candidates_model()]
+    models += [m for m in map(fixtures.random_tied_pairwise, range(20)) if m.num_vars <= 6]
+    pruned = 0
+    for m in models + [circulant_7_1_3()]:
+        gens = search_automorphisms(build_colored_factor_graph(m))
+        assert gens.group_order == len(exhaustive_automorphisms(m, limit=m.num_vars))
+        pruned += gens.trace_pruned
+    assert pruned > 0
+
+
+@st.composite
+def near_circulant_models(draw):
+    """A tied pairwise model on a circulant graph of 6 to 20 variables,
+    with up to two of its equality edges turned into implications: regular
+    enough that refinement leaves classes the group does not join, so that
+    about one in five searches meets children its trace stops."""
+    n = draw(st.integers(6, 20))
+    jumps = draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=3, unique=True))
+    scopes = sorted({tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps})
+    flip = draw(st.sets(st.integers(0, len(scopes) - 1), max_size=2))
+    feats = tuple(Feature(scope=sc, table=fixtures.IMPLIES if i in flip else fixtures.EQUALITY)
+                  for i, sc in enumerate(scopes))
+    return Model(num_vars=n, features=feats, tie_class_of=(0,) * len(feats), theta=(1.0,))
+
+
+@given(near_circulant_models())
+@settings(max_examples=100, deadline=None)
+def test_trace_pruning_drops_only_subtrees_without_generators(m):
+    # the search before trace pruning and its stack, which refined every
+    # child to its end, finds the same generators in the same order: the
+    # stopped children held none
+    graph = build_colored_factor_graph(m)
+    gens = search_automorphisms(graph)
+    before = recursive_search(graph)
+    assert (gens.generators, gens.group_order) == (before.generators, before.group_order)
+    assert gens.tree_nodes + gens.trace_pruned <= before.tree_nodes
+    assert gens.leaves <= before.leaves
+
+
+def _frame_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # 80 tied unary features: the base path individualizes 79 nodes, one
+    # tree level each, under a limit 40 frames above this test's own depth
+    n = 80
+    m = Model(num_vars=n, features=tuple(Feature(scope=(v,), table=(0.0, 1.0)) for v in range(n)),
+              tie_class_of=(0,) * n, theta=(0.5,))
+    graph = build_colored_factor_graph(m)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 40)
+    try:
+        gens = search_automorphisms(graph)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert gens.group_order == math.factorial(n)
+    assert gens.trace_pruned == 0
 
 
 def test_stabilizer_generators_fix_the_variable():
@@ -647,6 +751,59 @@ def test_orbit_cells_closed_under_generators():
             for pair in s.gens.generators:
                 for e, i in cell_of.items():
                     assert cell_of[act_element(domain, e, pair, m)] == i
+
+
+@functools.cache
+def _orbit_cases():
+    # models with their found generators, for drawing generator subsets
+    ls = parse_mln(fixtures.LOVERS_SMOKERS_MLN)
+    models = [fixtures.random_tied_pairwise(seed) for seed in range(20)]
+    models += [fixtures.triple_parity(4)] + [ground_mln(ls, domain_size=d)[0] for d in (2, 3, 4, 5)]
+    return [(m, search_automorphisms(build_colored_factor_graph(m)).generators) for m in models]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_array_orbits_match_the_element_reference(data):
+    # the image arrays and their label propagation against every generator
+    # applied to every element and joined by a union-find, cell for cell
+    m, gens = data.draw(st.sampled_from(_orbit_cases()))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)))
+    sub = tuple(itertools.compress(gens, keep))
+    for domain in ("vars", "features", "edges", "factor-moments"):
+        assert orbits_of(sub, domain, m) == element_orbits(sub, domain, m)
+    # maps that are not permutations join the components of their graphs
+    n = m.num_vars
+    maps = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), max_size=3))
+    pairs = [PermutationPair(var_perm=pi, feature_perm=range(m.num_features)) for pi in maps]
+    assert orbits_of(pairs, "vars", m) == element_orbits(pairs, "vars", m)
+
+
+def test_stabilized_light_matches_the_element_reference():
+    # each variable's subgroup is keyed by which generators fix it
+    for m, gens in _orbit_cases():
+        s = GeneratorSymmetries(m, GeneratorSet(generators=gens))
+        for v in range(m.num_vars):
+            sub = [g for g in gens if g.var_perm[v] == v]
+            assert s.stabilized_light(v) == element_orbits(sub, "vars", m)
+
+
+def test_a_pair_mapping_an_edge_or_a_factor_moment_outside_its_domain_raises():
+    cycle = fixtures.cycle_model(6)
+    swap = PermutationPair(var_perm=(1, 0, 2, 3, 4, 5), feature_perm=tuple(range(6)))
+    with pytest.raises(ModelError, match=r"maps \(0, 5\) outside the edges domain"):
+        orbits_of([swap], "edges", cycle)
+    parity = fixtures.triple_parity(4)
+    swap = PermutationPair(var_perm=(0, 1, 2, 3), feature_perm=(1, 0, 2, 3))
+    with pytest.raises(ModelError, match=r"maps \(0, \(1, 1, 1\)\) outside the factor-moments"):
+        orbits_of([swap], "factor_moments", parity)
+    # an arity-3 feature's image of arity 2
+    mixed = Model(num_vars=3, features=(Feature(scope=(0, 1, 2), table=fixtures.XOR3),
+                                        Feature(scope=(0, 1), table=fixtures.XOR)),
+                  tie_class_of=(0, 0), theta=(1.0,))
+    swap = PermutationPair(var_perm=(0, 1, 2), feature_perm=(1, 0))
+    with pytest.raises(ModelError, match="outside the factor-moments domain"):
+        orbits_of([swap], "factor-moments", mixed)
 
 
 def test_trivial_symmetries_are_singletons():
