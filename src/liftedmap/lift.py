@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Model, assignments, group_codes, moment_assignments, skeleton
+from .model import Model, assignments, group_codes, moment_assignments
 from .symmetry import OrbitBundle, _domain_elements
 
 
@@ -42,7 +42,7 @@ class MomentLayout:
 
     def __init__(self, model: Model):
         self.model = model
-        self.edges = skeleton(model).edges
+        self.edges = model.edges
         self.factor_moments = tuple(_domain_elements("factor-moments", model))
         counts = np.array([len(moment_assignments(f.arity)) for f in model.features])
         first = model.num_vars + len(self.edges)

@@ -50,7 +50,6 @@ from .model import (
     group_codes,
     moment_assignments,
     row_codes,
-    skeleton,
 )
 from .symmetry import OrbitBundle, OrbitPartition, _domain_elements
 
@@ -97,10 +96,6 @@ class MLN:
     predicates: tuple  # (name, arity) in declaration / first-use order
     formulas: tuple  # (weight, ast)
     constants: frozenset  # constants named inside formulas
-
-    @property
-    def predicate_arity(self) -> dict:
-        return dict(self.predicates)
 
 
 @dataclass(frozen=True)
@@ -379,7 +374,6 @@ class GroundingMap:
     domain: tuple
     distinguished: frozenset
     atoms: tuple  # ground atom per variable index
-    atom_index: dict
     observed: dict  # ground atom -> bool (hard evidence)
     soft: dict  # ground atom -> weight (soft evidence)
     # integer rows, constants as domain indices and -1 past the end:
@@ -518,7 +512,7 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
     adds a unary feature per atom, tied by weight value.
     """
     evidence = EMPTY_EVIDENCE if evidence is None else evidence
-    arity_of = mln.predicate_arity
+    arity_of = dict(mln.predicates)
     for atom, _ in list(evidence.hard) + list(evidence.soft):
         if atom[0] not in arity_of:
             raise MLNError("evidence atom with unknown predicate %r" % (atom[0],))
@@ -645,7 +639,6 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
         domain=domain,
         distinguished=named,
         atoms=tuple(atoms),
-        atom_index=atom_index,
         observed=observed,
         soft=soft,
         atom_rows=atom_rows,
@@ -707,7 +700,7 @@ class RenamingSymmetries:
         # key is a function of the forward one's, so the smaller of the two
         # names the edge orbit. A direction's key numbers the constants of
         # both atoms together.
-        edges = skeleton(model).edges
+        edges = model.edges
         flat = itertools.chain.from_iterable(edges)
         pairs = np.fromiter(flat, np.int64, 2 * len(edges)).reshape(-1, 2)
 

@@ -7,7 +7,8 @@ scope variable most significant: (0,..,0), (0,..,0,1), ..., (1,..,1).
 Features are grouped into tie classes that share one natural parameter.
 
 The score of a configuration x is sum_j theta[tie(j)] * table_j[x | scope_j],
-i.e. the log-density up to the normalizing constant.
+i.e. the log-density up to the normalizing constant. The model's skeleton,
+`Model.edges`, is the sorted pairs of variables that share a scope.
 
 File format (FGM, UTF-8, line oriented, '#' starts a comment):
 
@@ -218,9 +219,10 @@ class Model:
         )
 
     @functools.cached_property
-    def _skeleton(self) -> Skeleton:
-        # one array pass per arity: the scope pairs as codes u * n + v,
-        # deduplicated and sorted
+    def edges(self) -> tuple:
+        """The skeleton: each pair (u, v), u < v, of variables that share a
+        scope, once, sorted. One array pass per arity: the scope pairs as
+        codes u * n + v, deduplicated and sorted."""
         n = self.num_vars
         ints = np.arange(n, dtype=object)  # the edge tuples share these
         codes = [np.zeros(0, dtype=np.int64)]
@@ -230,7 +232,7 @@ class Model:
         codes = np.concatenate(codes)
         order, starts = group_codes(codes)
         codes = codes[order[starts]]
-        return Skeleton(edges=tuple(zip(ints[codes // n].tolist(), ints[codes % n].tolist())))
+        return tuple(zip(ints[codes // n].tolist(), ints[codes % n].tolist()))
 
 
 def group_codes(codes):
@@ -294,18 +296,6 @@ def score(model: Model, x) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    """Interaction structure: the pairwise edges."""
-
-    edges: tuple
-
-
-def skeleton(model: Model) -> Skeleton:
-    """Edges are all pairs co-occurring in a scope, sorted."""
-    return model._skeleton
-
-
 class OvercompleteLayout:
     """The size of one model's overcomplete coordinates and the place of
     each edge's four: 2 per variable, then 4 per sorted edge, then 2^K per
@@ -316,7 +306,7 @@ class OvercompleteLayout:
     """
 
     def __init__(self, model: Model):
-        self.edges = skeleton(model).edges
+        self.edges = model.edges
         first = 2 * model.num_vars
         self._edge_base = {e: first + 4 * i for i, e in enumerate(self.edges)}
         wide = sum(2 ** f.arity for f in model.features if f.arity >= 3)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Model, skeleton
+from .model import Model
 
 
 class OracleError(Exception):
@@ -68,7 +68,7 @@ def exact_enumerate(model: Model, limit: int = 20) -> ExactResult:
     log_partition = float(map_value + np.log(np.exp(scores - map_value).sum()))
     p = np.exp(scores - log_partition)
     moments = [("node:%d" % v, [v]) for v in range(n)]
-    moments += [("edge:%d:%d" % e, list(e)) for e in skeleton(model).edges]
+    moments += [("edge:%d:%d" % e, list(e)) for e in model.edges]
     for j, a in model.factor_moments:
         ones = [v for v, bit in zip(model.features[j].scope, a) if bit]
         moments.append(("factor:%d:%s" % (j, "".join(map(str, a))), ones))

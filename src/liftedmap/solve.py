@@ -413,7 +413,6 @@ class CycleConstraint:
     lhs caches the value at the separating point.
     """
 
-    space: str
     steps: tuple
     lhs: float
     source: object
@@ -555,7 +554,7 @@ def separate_cycles_ground(model, tau):
         return None
     steps, total, src = best
     steps = tuple((layout.edges[k], crossed) for k, crossed in steps)
-    return CycleConstraint(space="ground", steps=steps, lhs=total, source=src)
+    return CycleConstraint(steps=steps, lhs=total, source=src)
 
 
 def build_stabilized_graphs(lifted: LiftedModel):
@@ -615,7 +614,7 @@ def separate_cycles_lifted(lifted: LiftedModel, stabilized, x):
     if best is None:
         return None
     steps, total, orbit = best
-    return CycleConstraint(space="lifted", steps=steps, lhs=total, source=orbit)
+    return CycleConstraint(steps=steps, lhs=total, source=orbit)
 
 
 def constraint_row(constraint: CycleConstraint, lifted: LiftedModel):
@@ -676,7 +675,6 @@ class MapResult:
     tau: np.ndarray  # the final LP point x: the constant 1, then each cell's moment
     bounds: tuple
     cuts_added: tuple
-    cut_iterations: int
     decode: dict
     num_lp_vars: int
     num_lp_rows: int
@@ -690,7 +688,7 @@ class MapResult:
             "objective": self.objective,
             "bounds": [float(v) for v in self.bounds],
             "cuts": len(self.cuts_added),
-            "iterations": self.cut_iterations,
+            "iterations": len(self.bounds) - 1,
             "lp": {"variables": self.num_lp_vars, "rows": self.num_lp_rows},
             "decode": self.decode,
             "timings_ms": self.timings_ms,
@@ -776,7 +774,6 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
         tau=x_out,
         bounds=tuple(bounds),
         cuts_added=tuple(cuts),
-        cut_iterations=len(bounds) - 1,
         decode=decoded,
         num_lp_vars=lp.num_vars,
         num_lp_rows=len(lp.rows) + len(cuts),

@@ -17,7 +17,10 @@ its refinement trace departs from that of the base path's node at its
 depth, since no automorphism maps the one to the other. A leaf becomes a
 generator only when it passes the exact table check
 (`is_model_automorphism`), so orbits computed from the result are sound
-even though the graph encoding is coarser than the tables.
+even though the graph encoding is coarser than the tables. The group order
+is the product, over the base path's nodes, of the size of the base
+child's orbit in the union-find that the node prunes its children with,
+read when its children are exhausted.
 
 Each tree node holds one OrderedPartition: node to label, label to member
 set, a label being its cell's first position (McKay & Piperno, Practical
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import Model, ModelError, moment_assignments, skeleton, table_index
+from .model import Model, ModelError, moment_assignments, table_index
 
 
 class _UnionFind:
@@ -107,8 +110,6 @@ class GeneratorSet:
 class VerifyResult:
     ok: bool
     reason: str = ""
-    witness_config: tuple = None
-    witness_feature: int = None
 
 
 @dataclass(frozen=True)
@@ -123,13 +124,6 @@ class OrbitPartition:
     cells: tuple
     cell_of: dict
     reps: tuple
-
-    @classmethod
-    def group(cls, elements, key) -> "OrbitPartition":
-        """Group the sorted elements by key; cells come in order of their
-        smallest member."""
-        elements = tuple(sorted(elements))
-        return cls.from_labels(elements, map(key, elements))
 
     @classmethod
     def from_labels(cls, elements, labels) -> "OrbitPartition":
@@ -314,30 +308,10 @@ class OrderedPartition:
     rounds: int = 0
     trace: list = None
 
-    @classmethod
-    def of_colors(cls, colors, step: int) -> "OrderedPartition":
-        """The classes of equal colors, in ascending color order."""
-        classes = {}
-        for u, c in enumerate(colors):
-            classes.setdefault(c, set()).add(u)
-        label, cells, first = [0] * len(colors), {}, 0
-        for c in sorted(classes):
-            ms = cells[first] = classes[c]
-            for u in ms:
-                label[u] = first
-            first += len(ms) * step
-        return cls(label, cells)
-
-    @property
-    def colors(self) -> tuple:
-        """Each node's color id: the rank of its label."""
-        rank = {c: r for r, c in enumerate(sorted(self.cells))}
-        return tuple(map(rank.__getitem__, self.label))
-
 
 def refine_colors(graph: ColoredFactorGraph, parent=None, v=None, base=None) -> OrderedPartition:
     """Coarsest equitable refinement of a node coloring, as an ordered
-    partition whose `.colors` are canonical color ids.
+    partition whose cell labels rank as canonical color ids.
 
     The ids are those of refining in full rounds: a round gives each node
     the rank of its signature, its color and then the sorted multiset of
@@ -345,16 +319,16 @@ def refine_colors(graph: ColoredFactorGraph, parent=None, v=None, base=None) -> 
     one that splits no class. Ids compare by order alone, so they are
     comparable across runs on relabeled graphs.
 
-    `parent` is a coloring (the graph's initial one when None), whose
-    classes are refined from a first round that signs every node. With
-    v, parent must be an equitable OrderedPartition, as this function
-    returns, and the result is that of its coloring with v given a color
-    of its own above all others: the search refines each child from its
-    parent this way. The child starts from one copy of the parent's label
-    list and one of its cell dict; v takes the label (num_nodes + depth) *
-    step and its old class keeps its label, and the first round signs only
-    v's neighbors, since every other node keeps the signature it shared
-    with its classmates. A member set is copied only when the call first
+    Without v the call refines the graph's initial coloring (to refine
+    another, replace the graph's init_colors), from a first round that
+    signs every node. With v, parent must be an equitable OrderedPartition,
+    as this function returns, and the result is that of its coloring with
+    v given a color of its own above all others: the search refines each
+    child from its parent this way. The child starts from one copy of the
+    parent's label list and one of its cell dict; v takes the label
+    (num_nodes + depth) * step and its old class keeps its label, and the
+    first round signs only v's neighbors, since every other node keeps the
+    signature it shared with its classmates. A member set is copied only when the call first
     splits it, so a call costs the nodes its rounds touch, not num_nodes.
 
     Later rounds are incremental too. After a round in which a class
@@ -372,7 +346,7 @@ def refine_colors(graph: ColoredFactorGraph, parent=None, v=None, base=None) -> 
     key order, so they stay inside its own range of labels, and the labels
     order the cells as the full rounds order their classes. So the cells
     are the full rounds' classes and the rank of a cell's label is their
-    id, which `.colors` reads.
+    id.
 
     A round's trace lists, for each class it splits in label order, the
     keys of its subclasses and then their sizes, in key order. Like the
@@ -388,10 +362,17 @@ def refine_colors(graph: ColoredFactorGraph, parent=None, v=None, base=None) -> 
     """
     nbrs, step = graph.neighbors, max(len(graph.edge_colors), 1)
     n = graph.num_nodes
-    if v is None:
-        part = OrderedPartition.of_colors(graph.init_colors if parent is None else parent, step)
-        label, cells, shared = part.label, part.cells, {}
-        depth, touched = 0, set(range(n))
+    if v is None:  # the classes of equal initial colors, in ascending color order
+        classes = {}
+        for u, c in enumerate(graph.init_colors):
+            classes.setdefault(c, set()).add(u)
+        label, cells, first = [0] * n, {}, 0
+        for c in sorted(classes):
+            ms = cells[first] = classes[c]
+            for u in ms:
+                label[u] = first
+            first += len(ms) * step
+        shared, depth, touched = {}, 0, set(range(n))
     else:
         label, cells, shared = parent.label.copy(), parent.cells.copy(), parent.cells
         depth, c = parent.depth + 1, label[v]
@@ -486,11 +467,12 @@ def _scope_reordering(model: Model, pi, gamma, js, scopes):
     being the position in the image's scope of pi's image of js[i]'s k-th
     scope variable; and whether each image has that arity and the image of
     the scope as its scope, without which its row of sigma means nothing.
-    pi and gamma are integer arrays of a variable and a feature permutation.
+    pi and gamma are integer arrays of a variable and a feature permutation,
+    -1 marking an image outside the model, which fits nothing.
     """
     arity, row = model.scope_rows
     img = gamma[js]
-    fits = arity[img] == scopes.shape[1]
+    fits = (img >= 0) & (arity[img] == scopes.shape[1])
     # same[i, k, l]: whether scope k's image is the image scope's l-th variable
     same = pi[scopes][:, :, None] == scopes[np.where(fits, row[img], 0)][:, None, :]
     return img, same.argmax(axis=2), fits & same.any(axis=2).all(axis=1)
@@ -537,6 +519,11 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
     smallest label; and a leaf's permutation maps each node of the base
     leaf to the node with the same label here.
 
+    An inner node prunes its children by a union-find of the orbits of the
+    generators that fix its path. A base-path node is finished after every
+    node below it, when those generators generate its path's stabilizer, so
+    its base child's orbit there is the node's factor of the group order.
+
     A child off the base path is refined against the trace of the base
     path's node at its depth, and dropped when the refinement stops
     (McKay & Piperno, Practical graph isomorphism II, 2014): an
@@ -552,19 +539,28 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
     root = refine_colors(graph)
 
     gens = []  # node permutations over the whole graph
-    base_path = []
+    order = 1  # the product of the base-path nodes' base child orbit sizes
     base_traces = [root.trace]  # the refinement trace of the base path's node per depth
     base_leaf = None  # the base leaf's label list
     counts = {"tree_nodes": 0, "leaves": 0, "refine_rounds": root.rounds, "trace_pruned": 0}
     stack = []  # (path, whether on the base path, its children) per inner node
 
-    def stab_gens(path, among):
-        return [g for g in among if all(g[v] == v for v in path)]
+    def merged(uf, path, new):
+        # uf (made on first use) with the orbits of the generators in new that fix the path
+        uf = uf or _UnionFind(n_nodes)
+        for g in new:
+            if all(g[v] == v for v in path):
+                for u, w in enumerate(g):
+                    if u != w:
+                        uf.union(u, w)
+        return uf
 
-    def children(part, path):
+    def children(part, path, on_base):
         # each child of an inner node, refined, with its individualized node,
         # skipping those in the orbit of an explored one under the generators
-        # found so far that fix the path
+        # found so far that fix the path; once a base-path node's children
+        # are exhausted, those generators give its base child's orbit
+        nonlocal order
         cells = part.cells
         sizes = list(map(len, cells.values()))
         largest = max(sizes)
@@ -573,29 +569,27 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
         uf, seen = None, 0  # orbits of those of gens[:seen] that fix the path
         for v in sorted(target):
             if explored:
-                uf = uf or _UnionFind(n_nodes)
-                for g in stab_gens(path, gens[seen:]):
-                    for u, w in enumerate(g):
-                        if u != w:
-                            uf.union(u, w)
-                seen = len(gens)
+                uf, seen = merged(uf, path, gens[seen:]), len(gens)
                 if any(uf.find(v) == uf.find(w) for w in explored):
                     continue
             explored.append(v)
             base = None if base_leaf is None else base_traces[part.depth + 1]
             yield refine_colors(graph, part, v, base), v
+        if on_base:
+            uf = merged(uf, path, gens[seen:])
+            r = uf.find(explored[0])
+            order *= sum(uf.find(w) == r for w in target)
 
     def visit(part, path, on_base):
         # count a node and push it if inner; whether a leaf gave a generator
         nonlocal base_leaf
         counts["tree_nodes"] += 1
         if len(part.cells) < n_nodes:
-            stack.append((path, on_base, children(part, path)))
+            stack.append((path, on_base, children(part, path, on_base)))
             return False
         counts["leaves"] += 1
         if base_leaf is None:
             base_leaf = part.label
-            base_path.extend(path)
             return False
         here = dict(zip(part.label, identity))  # label -> node
         perm = list(map(here.__getitem__, base_leaf))
@@ -625,20 +619,6 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
     pairs = [
         PermutationPair(var_perm=g[:nv], feature_perm=[w - nv for w in g[nv:]]) for g in gens
     ]
-
-    order = 1
-    for i, v in enumerate(base_path):
-        sub = stab_gens(base_path[:i], gens)
-        orbit = {v}
-        frontier = [v]
-        while frontier:
-            u = frontier.pop()
-            for g in sub:
-                w = g[u]
-                if w not in orbit:
-                    orbit.add(w)
-                    frontier.append(w)
-        order *= len(orbit)
     return GeneratorSet(generators=tuple(pairs), group_order=order, **counts)
 
 
@@ -666,7 +646,7 @@ def verify_generator(model: Model, pair: PermutationPair, num_samples: int = 100
 
     Evaluates every feature on the permuted configuration against its image
     feature on the original, for the all-zeros and all-ones configurations
-    plus num_samples seeded-random ones. Fails fast with a witness. The
+    plus num_samples seeded-random ones, and fails at the first miss. The
     search does not call it: its exact table check is stronger. It stays as
     an independent test oracle.
     """
@@ -678,9 +658,7 @@ def verify_generator(model: Model, pair: PermutationPair, num_samples: int = 100
         return VerifyResult(False, reason="feature map is not a permutation of the features")
     for j in range(m):
         if model.tie_class_of[j] != model.tie_class_of[ga[j]]:
-            return VerifyResult(
-                False, reason="feature map does not respect tie classes", witness_feature=j
-            )
+            return VerifyResult(False, reason="feature map does not respect tie classes")
     rng = random.Random(seed)
     configs = [(0,) * n, (1,) * n]
     configs += [tuple(rng.randrange(2) for _ in range(n)) for _ in range(num_samples)]
@@ -688,9 +666,7 @@ def verify_generator(model: Model, pair: PermutationPair, num_samples: int = 100
         xp = tuple(x[pi[i]] for i in range(n))
         for j, f in enumerate(model.features):
             if f.value(xp) != model.features[ga[j]].value(x):
-                return VerifyResult(
-                    False, reason="statistics differ", witness_config=x, witness_feature=j
-                )
+                return VerifyResult(False, reason="statistics differ")
     return VerifyResult(True)
 
 
@@ -704,7 +680,7 @@ def _domain_elements(domain, model):
     if domain == "features":
         return list(range(model.num_features))
     if domain == "edges":
-        return list(skeleton(model).edges)
+        return list(model.edges)
     if domain == "factor-moments":
         return model.factor_moments
     raise ModelError("unknown orbit domain %r" % (domain,))
@@ -712,16 +688,20 @@ def _domain_elements(domain, model):
 
 def _orbit_images(domain, elements, pairs, model):
     """Per pair, where it maps each of the sorted elements of one coordinate
-    domain: an array of their indices, -1 outside the domain. Edges are
-    codes u * n + v, found by binary search; a factor moment's image is the
-    image feature's, its assignment read through the scope reordering that
-    the leaf check computes."""
-    n = model.num_vars
-    pis, gammas = [p.arrays[0] for p in pairs], [p.arrays[1] for p in pairs]
+    domain: an array of their indices, -1 outside the domain. A variable or
+    feature image outside the model is -1 from the start. Edges are codes
+    u * n + v, found by binary search; a factor moment's image is the image
+    feature's, its assignment read through the scope reordering that the
+    leaf check computes."""
+    n, m = model.num_vars, model.num_features
+
+    def inside(p, size):  # p with every entry outside range(size) set to -1
+        return np.where((p >= 0) & (p < size), p, -1)
+
+    pis = [inside(p.arrays[0], n) for p in pairs]
+    gammas = [inside(p.arrays[1], m) for p in pairs]
     if domain in ("vars", "features"):
-        size = len(elements)
-        perms = pis if domain == "vars" else gammas
-        return [np.where((p >= 0) & (p < size), p, -1) for p in perms]
+        return pis if domain == "vars" else gammas
     if domain == "edges":
         ends = np.array(elements, dtype=np.int64).reshape(-1, 2).T
         codes = ends[0] * n + ends[1]  # ascending, as the edges are

@@ -43,13 +43,13 @@ from liftedmap import (
     build_local_lp,
     simplex_solve,
 )
-from liftedmap.model import Model, assignments, skeleton, table_index
+from liftedmap.model import Model, assignments, table_index
 from liftedmap.model import OvercompleteLayout as PackageLayout
 from liftedmap.oracle import _all_scores, _config_matrix, exact_enumerate
 from liftedmap.solve import LinearProgram
 from liftedmap.symmetry import OrbitPartition, _UnionFind
 
-from signatures import feature_key, feature_origins, joint_signature, tags_of
+from signatures import feature_key, feature_origins, group_by_key, joint_signature, tags_of
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def to_overcomplete(model: Model) -> OvercompleteParams:
     for v in range(model.num_vars):
         out.node_theta[(v, 0)] = 0.0
         out.node_theta[(v, 1)] = 0.0
-    for u, v in skeleton(model).edges:
+    for u, v in model.edges:
         for a in assignments(2):
             out.pair_theta[((u, v), a)] = 0.0
     for j, f in enumerate(model.features):
@@ -273,7 +273,7 @@ def _generator_orbits(sym, elements, act) -> OrbitPartition:
     for g in sym.gens.generators:
         for e in elements:
             uf.union(index[e], index[act(e, g)])
-    return OrbitPartition.group(elements, lambda e: uf.find(index[e]))
+    return group_by_key(elements, lambda e: uf.find(index[e]))
 
 
 def arc_orbits(sym) -> OrbitPartition:
@@ -282,10 +282,10 @@ def arc_orbits(sym) -> OrbitPartition:
     The renaming source keys an arc by the joint signature of its atoms; a
     generator source takes the orbits of its generators.
     """
-    elements = [a for (u, v) in skeleton(sym.model).edges for a in ((u, v), (v, u))]
+    elements = [a for (u, v) in sym.model.edges for a in ((u, v), (v, u))]
     if isinstance(sym, RenamingSymmetries):
         atoms, dist = sym.gmap.atoms, sym.distinguished
-        return OrbitPartition.group(
+        return group_by_key(
             elements, lambda a: joint_signature(atoms[a[0]], atoms[a[1]], dist)
         )
     return _generator_orbits(sym, elements, lambda a, g: (g.var_perm[a[0]], g.var_perm[a[1]]))
@@ -296,8 +296,8 @@ def arc_min_edge_orbits(sym) -> OrbitPartition:
     arc orbits: an edge by the smaller arc-orbit index of its two
     directions."""
     arcs = arc_orbits(sym).cell_of
-    return OrbitPartition.group(
-        skeleton(sym.model).edges, lambda e: min(arcs[e], arcs[e[::-1]])
+    return group_by_key(
+        sym.model.edges, lambda e: min(arcs[e], arcs[e[::-1]])
     )
 
 
@@ -323,7 +323,7 @@ def factor_assignment_orbits(sym) -> OrbitPartition:
                 tags_of(origins[j].subst, dist, anon)
                 tags = [(gmap.atoms[v][0], tags_of(gmap.atoms[v][1], dist, anon)) for v in f.scope]
                 order[j] = sorted(range(f.arity), key=tags.__getitem__)
-        return OrbitPartition.group(
+        return group_by_key(
             elements, lambda e: (fkey[e[0]], tuple(e[1][p] for p in order[e[0]]))
         )
     from reference import act_element  # reference imports this module

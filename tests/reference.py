@@ -34,6 +34,7 @@ from liftedmap.symmetry import (
 )
 
 from overcomplete import OvercompleteLayout
+from signatures import group_by_key
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,7 +237,7 @@ def element_orbits(gens, domain, model: Model) -> OrbitPartition:
             if img not in index:
                 raise ModelError("generator maps %r outside the %s domain" % (e, domain))
             uf.union(index[e], index[img])
-    return OrbitPartition.group(elements, lambda e: uf.find(index[e]))
+    return group_by_key(elements, lambda e: uf.find(index[e]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,14 @@ from the atoms and feature origins of a GroundingMap alone.
 
 from dataclasses import dataclass
 
-from liftedmap.model import skeleton
 from liftedmap.symmetry import OrbitBundle, OrbitPartition, _domain_elements
+
+
+def group_by_key(elements, key) -> OrbitPartition:
+    """The sorted elements grouped by key; cells come in order of their
+    smallest member."""
+    elements = tuple(sorted(elements))
+    return OrbitPartition.from_labels(elements, map(key, elements))
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,7 @@ def feature_key(origin: FeatureOrigin, distinguished):
 
 
 def _by_signature(domain, model, key) -> OrbitPartition:
-    return OrbitPartition.group(_domain_elements(domain, model), key)
+    return group_by_key(_domain_elements(domain, model), key)
 
 
 def reference_bundle(model, gmap) -> OrbitBundle:
@@ -143,4 +149,4 @@ def reference_edge_orbits(model, gmap, distinguished) -> OrbitPartition:
         return min(joint_signature(atoms[u], atoms[v], distinguished),
                    joint_signature(atoms[v], atoms[u], distinguished))
 
-    return OrbitPartition.group(skeleton(model).edges, edge_key)
+    return group_by_key(model.edges, edge_key)

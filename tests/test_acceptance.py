@@ -255,13 +255,14 @@ def test_criterion_08_renaming_orbits_without_search():
 
         # brute-force enumeration over all renamings of the free constants
         free = sorted(set(gmap.domain) - set(gmap.distinguished))
+        atom_index = {a: i for i, a in enumerate(gmap.atoms)}
         brute = {v: {v} for v in range(model.num_vars)}
         for perm in itertools.permutations(free):
             mapping = dict(zip(free, perm))
             mapping.update({c: c for c in gmap.distinguished})
             for v in range(model.num_vars):
                 pred, args = gmap.atoms[v]
-                image = gmap.atom_index[(pred, tuple(mapping[a] for a in args))]
+                image = atom_index[(pred, tuple(mapping[a] for a in args))]
                 brute[v].add(image)
         # every group element was enumerated, so each image set is a full orbit
         brute_cells = sorted({tuple(sorted(brute[v])) for v in brute})
@@ -336,7 +337,7 @@ def test_criterion_10_an_asymmetric_model_stays_ground_sized():
     with verdict(10, "asymmetric cubic model: trivial group is proven, lift is a no-op"):
         model = fixtures.frucht()
         graph = build_colored_factor_graph(model)
-        refined = refine_colors(graph).colors
+        refined = refine_colors(graph).label
         # refinement alone cannot split the variables; the search has to
         assert len({refined[v] for v in range(graph.num_vars)}) == 1
         sym = GeneratorSymmetries(model)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON payloads, file outputs."""
 
+import hashlib
 import json
 
 import pytest
@@ -502,3 +503,96 @@ class TestDeterminism:
         first_payload.pop("timings_ms")
         second_payload.pop("timings_ms")
         assert first_payload == second_payload
+
+
+# ---------------------------------------------------------------------------
+# output pins
+
+
+# The sha256 (first 16 hex digits) of "exit code, newline, stdout, stderr" of
+# one CLI call per key, with every *_ms field dropped from the JSON and
+# "input" cut to the file name. A refactor that keeps these keeps every
+# output byte of `map`, `orbits` and `exact` on every model in models/.
+OUTPUT_PINS = {
+    ("ex1.fgm", "map --space ground --polytope local"): "ab0218dd248ef059",
+    ("ex1.fgm", "map --space ground --polytope cycle"): "6d29bce3d17b7fff",
+    ("ex1.fgm", "map --space lifted --polytope local"): "27514535f6279962",
+    ("ex1.fgm", "map --space lifted --polytope cycle"): "14591ccac0bf503f",
+    ("ex1.fgm", "orbits --method search"): "f0336280325740ea",
+    ("ex1.fgm", "exact"): "e8d48440e1b70978",
+    ("frucht.fgm", "map --space ground --polytope local"): "c29711ad5fd4bc9c",
+    ("frucht.fgm", "map --space ground --polytope cycle"): "3561f18766886335",
+    ("frucht.fgm", "map --space lifted --polytope local"): "f887147640c2683e",
+    ("frucht.fgm", "map --space lifted --polytope cycle"): "d8de812b121faa0f",
+    ("frucht.fgm", "orbits --method search"): "28001c7a850e90ee",
+    ("frucht.fgm", "exact"): "ce11b18c619e3aa5",
+    ("triangle.fgm", "map --space ground --polytope local"): "9e96c55b3b97cd9c",
+    ("triangle.fgm", "map --space ground --polytope cycle"): "71e15020211c6cd0",
+    ("triangle.fgm", "map --space lifted --polytope local"): "8f0a2d138dc67ae6",
+    ("triangle.fgm", "map --space lifted --polytope cycle"): "855d7238fd025801",
+    ("triangle.fgm", "orbits --method search"): "db021442e1156d22",
+    ("triangle.fgm", "exact"): "d6b72ca9e1ecc751",
+    ("triple_parity.fgm", "map --space ground --polytope local"): "99f068f575d9609e",
+    ("triple_parity.fgm", "map --space ground --polytope cycle"): "e5dc4296105294e3",
+    ("triple_parity.fgm", "map --space lifted --polytope local"): "41eabdc0e88aa54a",
+    ("triple_parity.fgm", "map --space lifted --polytope cycle"): "4d5e28e3bfa6ca0c",
+    ("triple_parity.fgm", "orbits --method search"): "e6ae390de49680f7",
+    ("triple_parity.fgm", "exact"): "b305f7df082cbed9",
+    ("friends.mln", "map --space ground --polytope local"): "de9b6b4ec7f67ecc",
+    ("friends.mln", "map --space ground --polytope cycle"): "50fabedd0e708ca0",
+    ("friends.mln", "map --space lifted --polytope local"): "f48576203b4c99fa",
+    ("friends.mln", "map --space lifted --polytope cycle"): "112a6c8adf12c882",
+    ("friends.mln", "orbits --method search"): "915aff0ba2b58213",
+    ("friends.mln", "orbits --method renaming"): "8b25355b3ab4c955",
+    ("friends.mln", "map --space lifted --method search --polytope cycle"): "ab25d3ae9b0040ce",
+    ("friends.mln", "exact"): "b2c49a74e579da14",
+    ("lovers_smokers.mln", "map --space ground --polytope local"): "82add683e1233a80",
+    ("lovers_smokers.mln", "map --space ground --polytope cycle"): "fb7fd8b85dc9a2d3",
+    ("lovers_smokers.mln", "map --space lifted --polytope local"): "aa288da309707e5f",
+    ("lovers_smokers.mln", "map --space lifted --polytope cycle"): "5562a9e0eccedd90",
+    ("lovers_smokers.mln", "orbits --method search"): "c3276751643bc625",
+    ("lovers_smokers.mln", "orbits --method renaming"): "1df4a44522561200",
+    ("lovers_smokers.mln", "map --space lifted --method search --polytope cycle"): "c109f42ccea186f4",
+    ("lovers_smokers.mln", "exact"): "64f7a99e8d416cce",
+    ("q2.mln", "map --space ground --polytope local"): "2385c350f9267895",
+    ("q2.mln", "map --space ground --polytope cycle"): "b86702e62d45c6a8",
+    ("q2.mln", "map --space lifted --polytope local"): "c9098cc138d08951",
+    ("q2.mln", "map --space lifted --polytope cycle"): "22318f71b936ac60",
+    ("q2.mln", "orbits --method search"): "f1c0645563f0224d",
+    ("q2.mln", "orbits --method renaming"): "2886fcb23a64266c",
+    ("q2.mln", "map --space lifted --method search --polytope cycle"): "13b326ee5888746e",
+    ("q2.mln", "exact"): "46cb69dc1f1b433b",
+}
+
+PIN_FLAGS = {
+    "friends.mln": ["--domain-size", "3"],
+    "lovers_smokers.mln": ["--domain-size", "3"],
+    "q2.mln": ["--domain-size", "3", "--evidence", "q2.evidence"],
+}
+
+
+def _without_ms(payload):
+    if isinstance(payload, dict):
+        return {k: _without_ms(v) for k, v in payload.items() if not k.endswith("_ms")}
+    if isinstance(payload, list):
+        return [_without_ms(v) for v in payload]
+    return payload
+
+
+def test_every_model_in_models_is_pinned(models_dir):
+    pinned = {name for name, _ in OUTPUT_PINS}
+    assert pinned == {p.name for p in models_dir.iterdir() if p.suffix in (".fgm", ".mln")}
+
+
+@pytest.mark.parametrize(
+    "name,command", [pytest.param(*key, id=" ".join(key)) for key in sorted(OUTPUT_PINS)])
+def test_cli_output_is_pinned(capsys, models_dir, name, command):
+    flags = [str(models_dir / f) if f.endswith(".evidence") else f for f in PIN_FLAGS.get(name, [])]
+    sub, *rest = command.split()
+    code, out, err = run(capsys, sub, str(models_dir / name), *flags, *rest)
+    if code in (0, 4):
+        payload = _without_ms(json.loads(out))
+        payload["input"] = name
+        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = "%d\n%s%s" % (code, out, err)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == OUTPUT_PINS[name, command]

@@ -16,6 +16,7 @@ from signatures import (
     atom_signature,
     feature_key,
     feature_origins,
+    group_by_key,
     orbit_sizes_analytic,
     reference_bundle,
     reference_stabilized_light,
@@ -42,7 +43,6 @@ from liftedmap.solve import build_stabilized_graphs
 from liftedmap.symmetry import (
     GeneratorSymmetries,
     OrbitBundle,
-    OrbitPartition,
     _domain_elements,
     build_colored_factor_graph,
     orbits_of,
@@ -105,8 +105,8 @@ def test_evidence_parsing():
 def connective_model(formula):
     text = "predicate P/1\npredicate Q/1\n1.0 %s\n" % formula
     model, gmap = ground(text, 1)
-    iP = gmap.atom_index[("P", ("C1",))]
-    iQ = gmap.atom_index[("Q", ("C1",))]
+    iP = gmap.atoms.index(("P", ("C1",)))
+    iQ = gmap.atoms.index(("Q", ("C1",)))
 
     def val(p, q):
         x = [0, 0]
@@ -130,7 +130,7 @@ def test_implication_is_right_associative():
     # P => Q => R reads P => (Q => R): false only at (1, 1, 0)
     text = "predicate P/1\npredicate Q/1\npredicate R/1\n1.0 P(x) => Q(x) => R(x)\n"
     model, gmap = ground(text, 1)
-    idx = {p: gmap.atom_index[(p, ("C1",))] for p in ("P", "Q", "R")}
+    idx = {p: gmap.atoms.index((p, ("C1",))) for p in ("P", "Q", "R")}
     for p, q, r in itertools.product((0, 1), repeat=3):
         x = [0, 0, 0]
         x[idx["P"]], x[idx["Q"]], x[idx["R"]] = p, q, r
@@ -205,8 +205,8 @@ def test_hard_evidence_removes_variables():
     ev = "P(C1)\n!Q(C2)\n"
     model, gmap = ground(text, 2, ev)
     # P(C1) true and Q(C2) false are folded into the tables
-    assert ("P", ("C1",)) not in gmap.atom_index
-    assert ("Q", ("C2",)) not in gmap.atom_index
+    assert ("P", ("C1",)) not in gmap.atoms
+    assert ("Q", ("C2",)) not in gmap.atoms
     assert model.num_vars == 2
     assert gmap.observed == {("P", ("C1",)): True, ("Q", ("C2",)): False}
 
@@ -356,7 +356,7 @@ def reference_ground(mln, domain_size, evidence):
                   tie_class_of=tuple(tie_of), theta=tuple(theta))
     atom_rows, origin_rows = reference_rows(mln, domain, atoms, origins)
     gmap = SimpleNamespace(domain=domain, distinguished=named, atoms=tuple(atoms),
-                           atom_index=atom_index, observed=observed, soft=soft,
+                           observed=observed, soft=soft,
                            origins=tuple(origins), atom_rows=atom_rows, origin_rows=origin_rows)
     return model, gmap, templates
 
@@ -386,17 +386,18 @@ def reference_rows(mln, domain, atoms, origins):
 def reference_factor_moments(model, gmap, templates):
     """Factor-moment orbits keyed with each scope in template order."""
     fkey = [feature_key(origin, gmap.distinguished) for origin in feature_origins(gmap)]
+    atom_index = {a: i for i, a in enumerate(gmap.atoms)}
     perm = {}
     for j, (template, active) in templates.items():
         if model.features[j].arity >= 3:
             pos_of = {v: i for i, v in enumerate(model.features[j].scope)}
-            perm[j] = [pos_of[gmap.atom_index[a]] for a, on in zip(template, active) if on]
+            perm[j] = [pos_of[atom_index[a]] for a, on in zip(template, active) if on]
 
     def key(element):
         j, a = element
         return (fkey[j], tuple(a[p] for p in perm[j]))
 
-    return OrbitPartition.group(_domain_elements("factor-moments", model), key)
+    return group_by_key(_domain_elements("factor-moments", model), key)
 
 
 def assert_grounding_matches_reference(text, ev_text, d):
@@ -495,6 +496,7 @@ def test_renaming_cells_closed_under_brute_force_renaming():
     # permuting the interchangeable constants maps every cell onto itself
     model, gmap = ground(fixtures.LOVERS_SMOKERS_MLN, 3)
     bundle = RenamingSymmetries(model, gmap).bundle()
+    atom_index = {a: i for i, a in enumerate(gmap.atoms)}
     free = sorted(set(gmap.domain) - set(gmap.distinguished))
     for perm in itertools.permutations(free):
         mapping = dict(zip(free, perm))
@@ -502,7 +504,7 @@ def test_renaming_cells_closed_under_brute_force_renaming():
 
         def rename_var(v):
             pred, args = gmap.atoms[v]
-            return gmap.atom_index[(pred, tuple(mapping[a] for a in args))]
+            return atom_index[(pred, tuple(mapping[a] for a in args))]
 
         cell_of = {}
         for i, cell in enumerate(bundle.vars.cells):

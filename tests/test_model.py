@@ -21,7 +21,6 @@ from liftedmap.model import (
     parse_model,
     row_codes,
     score,
-    skeleton,
     table_index,
 )
 from overcomplete import OvercompleteLayout, to_overcomplete
@@ -157,8 +156,7 @@ def test_parse_ignores_comments_and_blank_lines():
 
 def test_skeleton_edges_sorted_and_deduplicated():
     m = fixtures.triple_parity(4)
-    sk = skeleton(m)
-    assert sk.edges == tuple(sorted(itertools.combinations(range(4), 2)))
+    assert m.edges == tuple(sorted(itertools.combinations(range(4), 2)))
 
 
 def reference_skeleton(model):
@@ -202,7 +200,7 @@ SKELETON_CASES = dict(skeleton_cases())
 @pytest.mark.parametrize("name", SKELETON_CASES)
 def test_skeleton_matches_the_pairwise_reference(name):
     model = SKELETON_CASES[name]
-    assert skeleton(model).edges == reference_skeleton(model)
+    assert model.edges == reference_skeleton(model)
     if name.startswith(("wide", "mixed")):
         assert len({f.arity for f in model.features if f.arity >= 3}) >= 2
 

@@ -244,5 +244,5 @@ def test_probability_rows_are_the_per_assignment_rows(name):
                 (rng.randrange(len(lifted.edge_info)), rng.random() < 0.5)
                 for _ in range(rng.randint(1, 6))
             )
-            cut = CycleConstraint(space="lifted", steps=steps, lhs=0.0, source=0)
+            cut = CycleConstraint(steps=steps, lhs=0.0, source=0)
             assert constraint_row(cut, lifted) == _reference_constraint_row(cut, lifted)

@@ -639,7 +639,6 @@ class TestGroundSeparation:
         tau = frustrated_point(model)
         cut = separate_cycles_ground(model, tau)
         assert cut is not None
-        assert cut.space == "ground"
         assert cut.lhs == pytest.approx(0.0, abs=1e-12)
         enumerated = enumerate_cycle_constraints(model, tau, max_len=6)
         assert min(lhs for _, _, lhs in enumerated) == pytest.approx(cut.lhs, abs=1e-12)
@@ -672,7 +671,7 @@ class TestGroundSeparation:
         layout = OvercompleteLayout(model)
         steps = tuple((k, True) for k in range(len(layout.edges)))
         row, sense, rhs = constraint_row(
-            CycleConstraint(space="lifted", steps=steps, lhs=0.0, source=0),
+            CycleConstraint(steps=steps, lhs=0.0, source=0),
             trivial_or_lifted(model),
         )
         assert (sense, rhs) == (">=", 1.0)
@@ -695,7 +694,6 @@ class TestLiftedSeparation:
         ground_cut = separate_cycles_ground(model, tau)
         lifted_cut = separate_cycles_lifted(lifted, stabilized, lp_point(tau, lifted))
         assert ground_cut is not None and lifted_cut is not None
-        assert lifted_cut.space == "lifted"
         assert lifted_cut.lhs == pytest.approx(ground_cut.lhs, abs=1e-9)
         row, sense, rhs = constraint_row(lifted_cut, lifted)
         assert (sense, rhs) == (">=", 1.0)

@@ -5,9 +5,11 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,16 +144,22 @@ def test_tie_classes_split_factor_colors():
 def test_refinement_reaches_fixpoint_and_is_canonical():
     m = fixtures.ex1()
     g = build_colored_factor_graph(m)
-    ref = refine_colors(g).colors
-    assert refine_colors(g, ref).colors == ref
+    ref = _colors(refine_colors(g))
+    assert _colors(refine_colors(replace(g, init_colors=ref))) == ref
     # EX1 refinement: outer pair {0,3}, inner pair {1,2}
     assert ref[0] == ref[3] and ref[1] == ref[2] and ref[0] != ref[1]
 
 
 def test_refinement_on_frucht_leaves_one_variable_class():
     g = build_colored_factor_graph(fixtures.frucht())
-    ref = refine_colors(g).colors
+    ref = _colors(refine_colors(g))
     assert len({ref[v] for v in range(g.num_vars)}) == 1
+
+
+def _colors(part):
+    # each node's color id in an ordered partition: the rank of its label
+    rank = {c: r for r, c in enumerate(sorted(part.cells))}
+    return tuple(map(rank.__getitem__, part.label))
 
 
 def _reference_refine_colors(graph, colors=None):
@@ -188,8 +196,8 @@ def test_refinement_ids_match_full_rounds_on_every_search_call(monkeypatch):
             assert refine_colors(graph, parent, v).trace != base
             stopped.append(out)
             return out
-        start = parent if v is None else _individualized(parent.colors, v)
-        assert out.colors == _reference_refine_colors(graph, start)
+        start = None if v is None else _individualized(_colors(parent), v)
+        assert _colors(out) == _reference_refine_colors(graph, start)
         calls.append(out)
         return out
 
@@ -233,9 +241,9 @@ def colored_graphs(draw):
 @settings(max_examples=300, deadline=None)
 def test_refinement_ids_match_full_rounds_on_random_graphs(case):
     graph, individualized = case
-    assert refine_colors(graph).colors == _reference_refine_colors(graph)
-    assert refine_colors(graph, individualized).colors == _reference_refine_colors(
-        graph, individualized)
+    assert _colors(refine_colors(graph)) == _reference_refine_colors(graph)
+    recolored = replace(graph, init_colors=individualized)
+    assert _colors(refine_colors(recolored)) == _reference_refine_colors(graph, individualized)
 
 
 @given(colored_graphs(), st.data())
@@ -244,12 +252,13 @@ def test_refinement_from_an_equitable_parent_matches_full_rounds(case, data):
     # the search's call: a child refined from its parent's equitable coloring
     graph, _ = case
     parent = refine_colors(graph)
-    sizes = Counter(parent.colors)
-    split = [u for u in range(graph.num_nodes) if sizes[parent.colors[u]] > 1]
+    colors = _colors(parent)
+    sizes = Counter(colors)
+    split = [u for u in range(graph.num_nodes) if sizes[colors[u]] > 1]
     assume(split)
     v = data.draw(st.sampled_from(split))
-    child = _individualized(parent.colors, v)
-    assert refine_colors(graph, parent, v).colors == _reference_refine_colors(graph, child)
+    child = _individualized(colors, v)
+    assert _colors(refine_colors(graph, parent, v)) == _reference_refine_colors(graph, child)
 
 
 @given(colored_graphs(), st.data())
@@ -259,17 +268,19 @@ def test_children_of_a_random_equitable_partition_match_full_rounds(case, data):
     # every child's colors are the full rounds' of its parent's colors with
     # the node split off, and making a child leaves its parent as it was
     graph, colors = case
-    part = refine_colors(graph, colors)
+    graph = replace(graph, init_colors=colors)
+    part = refine_colors(graph)
     for _ in range(data.draw(st.integers(1, 4))):
-        sizes = Counter(part.colors)
-        split = [u for u in range(graph.num_nodes) if sizes[part.colors[u]] > 1]
+        colors = _colors(part)
+        sizes = Counter(colors)
+        split = [u for u in range(graph.num_nodes) if sizes[colors[u]] > 1]
         if not split:
             break
         v = data.draw(st.sampled_from(split))
-        before = (list(part.label), {c: set(ms) for c, ms in part.cells.items()}, part.colors)
+        before = (list(part.label), {c: set(ms) for c, ms in part.cells.items()}, colors)
         child = refine_colors(graph, part, v)
-        assert (part.label, part.cells, part.colors) == before
-        assert child.colors == _reference_refine_colors(graph, _individualized(part.colors, v))
+        assert (part.label, part.cells, _colors(part)) == before
+        assert _colors(child) == _reference_refine_colors(graph, _individualized(colors, v))
         assert child.depth == part.depth + 1
         assert sorted(u for ms in child.cells.values() for u in ms) == list(range(graph.num_nodes))
         assert all(child.label[u] == c for c, ms in child.cells.items() for u in ms)
@@ -295,7 +306,7 @@ def test_refinement_reads_linear_adjacency_after_individualizing_on_a_cycle():
     nbrs.reads = 0
     vars(graph)["neighbors"] = nbrs  # the lists the rounds read, built once per graph
     refined = refine_colors(graph, parent, 0)
-    assert refined.colors == _reference_refine_colors(graph, _individualized(parent.colors, 0))
+    assert _colors(refined) == _reference_refine_colors(graph, _individualized(_colors(parent), 0))
     assert graph.num_nodes // 2 < nbrs.reads < 8 * graph.num_nodes
 
 
@@ -804,6 +815,35 @@ def test_a_pair_mapping_an_edge_or_a_factor_moment_outside_its_domain_raises():
     swap = PermutationPair(var_perm=(0, 1, 2), feature_perm=(1, 0))
     with pytest.raises(ModelError, match="outside the factor-moments domain"):
         orbits_of([swap], "factor-moments", mixed)
+
+
+ORBIT_DOMAINS = ("vars", "features", "edges", "factor-moments")
+
+
+@pytest.mark.parametrize("domain", ORBIT_DOMAINS)
+def test_an_image_past_the_model_raises_model_error_in_every_domain(domain):
+    # each domain reads the variable map, the feature map or both; an image
+    # past the last variable or feature is outside every domain
+    parity, identity = fixtures.triple_parity(4), (0, 1, 2, 3)
+    first = {"vars": 0, "features": 0, "edges": (0, 1), "factor-moments": (0, (1, 1, 1))}
+    message = r"maps %s outside the %s domain" % (re.escape(repr(first[domain])), domain)
+    bad_vars = PermutationPair(var_perm=(7, 1, 2, 3), feature_perm=identity)
+    bad_features = PermutationPair(var_perm=identity, feature_perm=(7, 1, 2, 3))
+    both = PermutationPair(var_perm=(7, 1, 2, 3), feature_perm=(7, 1, 2, 3))
+    reads = {"vars": [bad_vars], "features": [bad_features], "edges": [bad_vars],
+             "factor-moments": [bad_vars, bad_features]}[domain]
+    for pair in reads + [both]:
+        with pytest.raises(ModelError, match=message):
+            orbits_of([pair], domain, parity)
+
+
+def test_an_out_of_range_edge_end_is_not_read_as_another_edge():
+    # (-1, 3) would code as u * n + v = -2 + 3 = 1, the code of edge (0, 1)
+    pair_model = Model(num_vars=2, features=(Feature(scope=(0, 1), table=fixtures.XOR),),
+                       tie_class_of=(0,), theta=(1.0,))
+    pair = PermutationPair(var_perm=(-1, 3), feature_perm=(0,))
+    with pytest.raises(ModelError, match=r"maps \(0, 1\) outside the edges domain"):
+        orbits_of([pair], "edges", pair_model)
 
 
 def test_trivial_symmetries_are_singletons():
