@@ -69,16 +69,16 @@ def _load(args, ground=True) -> _Inputs:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if kind == "fgm":
-        if getattr(args, "domain_size", None) is not None:
+        if args.domain_size is not None:
             raise UsageError("--domain-size applies to MLN inputs only")
-        if getattr(args, "evidence", None):
+        if args.evidence:
             raise UsageError("--evidence applies to MLN inputs only")
         return _Inputs(path=path, kind="fgm", model=parse_model(text))
-    if getattr(args, "domain_size", None) is None:
+    if args.domain_size is None:
         raise UsageError("MLN inputs need --domain-size")
     mln = parse_mln(text)
     evidence = None
-    if getattr(args, "evidence", None):
+    if args.evidence:
         with open(args.evidence, "r", encoding="utf-8") as fh:
             evidence = parse_evidence(fh.read())
     model, gmap = ground_mln(mln, args.domain_size, evidence) if ground else (None, None)
@@ -138,7 +138,7 @@ def _refines(fine, coarse) -> bool:
 
 
 def _write_output(args, text: str):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -179,14 +179,11 @@ def cmd_orbits(args) -> int:
         _, sym = _make_symmetries(inputs, name)
         bundle = sym.bundle()
         bundles[name] = bundle
-        gens = getattr(sym, "gens", None)
+        gens = getattr(sym, "gens", None)  # None for renaming symmetries
+        counts = ("group_order", "tree_nodes", "leaves", "refine_rounds", "trace_pruned")
         payload["methods"][name] = {
-            "group_order": None if gens is None else gens.group_order,
+            **{k: getattr(gens, k, None) for k in counts},
             "num_generators": None if gens is None else len(gens.generators),
-            "tree_nodes": None if gens is None else gens.tree_nodes,
-            "leaves": None if gens is None else gens.leaves,
-            "refine_rounds": None if gens is None else gens.refine_rounds,
-            "trace_pruned": None if gens is None else gens.trace_pruned,
             "orbits": _per_domain(_partition_json, bundle),
         }
     if len(methods) == 2:
@@ -267,11 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_io(sp, evidence=True):
+    def add_io(sp):
         sp.add_argument("input", help="model file (.fgm) or MLN file (.mln)")
         sp.add_argument("--domain-size", type=int, default=None, help="MLN domain size (total constants)")
-        if evidence:
-            sp.add_argument("--evidence", default=None, help="evidence file for MLN inputs")
+        sp.add_argument("--evidence", default=None, help="evidence file for MLN inputs")
         sp.add_argument("--out", default=None, help="write output here instead of stdout")
 
     sp = sub.add_parser("orbits", help="report orbit partitions")

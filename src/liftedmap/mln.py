@@ -665,18 +665,15 @@ class RenamingSymmetries:
 
     Each element's key is a row of integers, the same for two elements
     exactly when a renaming of the interchangeable constants maps one onto
-    the other, and each domain's cells are the classes of equal rows.
+    the other, and each domain's cells are the classes of equal rows. The
+    distinguished constants are the first ids, since a domain lists its
+    named constants first.
     """
 
     def __init__(self, model: Model, gmap: GroundingMap):
         self.model = model
         self.gmap = gmap
-        self.distinguished = gmap.distinguished
-
-    def _mask(self, constants):
-        mask = np.zeros(len(self.gmap.domain), dtype=bool)
-        mask[[i for i, c in enumerate(self.gmap.domain) if c in constants]] = True
-        return mask
+        self._named = np.arange(len(gmap.domain)) < len(gmap.distinguished)
 
     def _var_codes(self, distinguished):
         # an atom's key: its predicate, then its constants' tags
@@ -685,7 +682,7 @@ class RenamingSymmetries:
 
     def bundle(self) -> OrbitBundle:
         model, gmap = self.model, self.gmap
-        dist = self._mask(self.distinguished)
+        dist = self._named
         rows = gmap.atom_rows
 
         # a feature's key: its tie class and source (formula, or soft
@@ -755,7 +752,9 @@ class RenamingSymmetries:
 
     def stabilized_light(self, fixed_var: int) -> OrbitPartition:
         """Variable orbits once the fixed atom's constants are pinned."""
-        dist = self._mask(self.distinguished | set(self.gmap.atoms[fixed_var][1]))
+        dist = self._named.copy()
+        ids = self.gmap.atom_rows[fixed_var, 1:]
+        dist[ids[ids >= 0]] = True
         labels = self._var_codes(dist).tolist()
         return OrbitPartition.from_labels(range(self.model.num_vars), labels)
 

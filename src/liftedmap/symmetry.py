@@ -9,18 +9,17 @@ to its scope variables colored by the argument position in the feature's
 canonical argument order (a single uniform color when the table is invariant
 under every argument permutation).
 
-The search is individualization-refinement backtracking with orbit pruning:
-discovered automorphisms prune sibling branches at every tree node, and
-subtrees off the first (base) leaf's path are abandoned as soon as they
-produce one automorphism. A child off the base path is dropped as soon as
-its refinement trace departs from that of the base path's node at its
-depth, since no automorphism maps the one to the other. A leaf becomes a
-generator only when it passes the exact table check
+The search is individualization-refinement backtracking with orbit pruning
+on the first (base) leaf's path: the orbits of the automorphisms found so
+far prune sibling branches at its nodes, and subtrees off it are abandoned
+as soon as they produce one automorphism. A child off the base path is
+dropped as soon as its refinement trace departs from that of the base
+path's node at its depth, since no automorphism maps the one to the other.
+A leaf becomes a generator only when it passes the exact table check
 (`is_model_automorphism`), so orbits computed from the result are sound
 even though the graph encoding is coarser than the tables. The group order
 is the product, over the base path's nodes, of the size of the base
-child's orbit in the union-find that the node prunes its children with,
-read when its children are exhausted.
+child's orbit, read when the node's children are exhausted.
 
 Each tree node holds one OrderedPartition: node to label, label to member
 set, a label being its cell's first position (McKay & Piperno, Practical
@@ -519,10 +518,13 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
     smallest label; and a leaf's permutation maps each node of the base
     leaf to the node with the same label here.
 
-    An inner node prunes its children by a union-find of the orbits of the
-    generators that fix its path. A base-path node is finished after every
-    node below it, when those generators generate its path's stabilizer, so
-    its base child's orbit there is the node's factor of the group order.
+    One union-find holds the orbits of the generators found so far, each
+    joined in once, and only base-path nodes prune their children by it.
+    Every generator in it when a base-path node reads it was found below
+    that node or a deeper one on the base path, so it fixes the node's path
+    (McKay & Piperno's first-path pruning). Once the node's children are
+    exhausted they generate its path's stabilizer, and its base child's
+    orbit is the node's factor of the group order.
 
     A child off the base path is refined against the trace of the base
     path's node at its depth, and dropped when the refinement stops
@@ -539,53 +541,39 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
     root = refine_colors(graph)
 
     gens = []  # node permutations over the whole graph
+    orbits = _UnionFind(n_nodes)  # the orbits of gens
     order = 1  # the product of the base-path nodes' base child orbit sizes
     base_traces = [root.trace]  # the refinement trace of the base path's node per depth
     base_leaf = None  # the base leaf's label list
     counts = {"tree_nodes": 0, "leaves": 0, "refine_rounds": root.rounds, "trace_pruned": 0}
-    stack = []  # (path, whether on the base path, its children) per inner node
+    stack = []  # (whether on the base path, its children) per inner node
 
-    def merged(uf, path, new):
-        # uf (made on first use) with the orbits of the generators in new that fix the path
-        uf = uf or _UnionFind(n_nodes)
-        for g in new:
-            if all(g[v] == v for v in path):
-                for u, w in enumerate(g):
-                    if u != w:
-                        uf.union(u, w)
-        return uf
-
-    def children(part, path, on_base):
-        # each child of an inner node, refined, with its individualized node,
-        # skipping those in the orbit of an explored one under the generators
-        # found so far that fix the path; once a base-path node's children
-        # are exhausted, those generators give its base child's orbit
+    def children(part, on_base):
+        # each child of an inner node, refined; a base-path node skips those
+        # in the orbit of an explored one and, once its children are
+        # exhausted, multiplies the order by its base child's orbit size
         nonlocal order
         cells = part.cells
         sizes = list(map(len, cells.values()))
         largest = max(sizes)
         target = cells[min(itertools.compress(cells, map(largest.__eq__, sizes)))]
         explored = []
-        uf, seen = None, 0  # orbits of those of gens[:seen] that fix the path
         for v in sorted(target):
-            if explored:
-                uf, seen = merged(uf, path, gens[seen:]), len(gens)
-                if any(uf.find(v) == uf.find(w) for w in explored):
-                    continue
+            if on_base and any(orbits.find(v) == orbits.find(w) for w in explored):
+                continue
             explored.append(v)
             base = None if base_leaf is None else base_traces[part.depth + 1]
-            yield refine_colors(graph, part, v, base), v
+            yield refine_colors(graph, part, v, base)
         if on_base:
-            uf = merged(uf, path, gens[seen:])
-            r = uf.find(explored[0])
-            order *= sum(uf.find(w) == r for w in target)
+            r = orbits.find(explored[0])
+            order *= sum(orbits.find(w) == r for w in target)
 
-    def visit(part, path, on_base):
+    def visit(part, on_base):
         # count a node and push it if inner; whether a leaf gave a generator
         nonlocal base_leaf
         counts["tree_nodes"] += 1
         if len(part.cells) < n_nodes:
-            stack.append((path, on_base, children(part, path, on_base)))
+            stack.append((on_base, children(part, on_base)))
             return False
         counts["leaves"] += 1
         if base_leaf is None:
@@ -593,15 +581,18 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
             return False
         here = dict(zip(part.label, identity))  # label -> node
         perm = list(map(here.__getitem__, base_leaf))
-        if perm != identity and is_model_automorphism(graph, perm):
-            gens.append(tuple(perm))
-            return True
-        return False
+        if perm == identity or not is_model_automorphism(graph, perm):
+            return False
+        gens.append(tuple(perm))
+        for u, w in enumerate(perm):
+            if u != w:
+                orbits.union(u, w)
+        return True
 
-    visit(root, (), True)
+    visit(root, True)
     while stack:
-        path, on_base, todo = stack[-1]
-        child, v = next(todo, (None, None))
+        on_base, todo = stack[-1]
+        child = next(todo, None)
         if child is None:
             stack.pop()
             continue
@@ -611,8 +602,8 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
             continue
         if base_leaf is None:  # still descending the base path
             base_traces.append(child.trace)
-        if visit(child, path + (v,), on_base and base_leaf is None) and not on_base:
-            while not stack[-1][1]:
+        if visit(child, on_base and base_leaf is None) and not on_base:
+            while not stack[-1][0]:
                 stack.pop()  # backjump to the base path
 
     nv = graph.num_vars

@@ -284,7 +284,7 @@ def arc_orbits(sym) -> OrbitPartition:
     """
     elements = [a for (u, v) in sym.model.edges for a in ((u, v), (v, u))]
     if isinstance(sym, RenamingSymmetries):
-        atoms, dist = sym.gmap.atoms, sym.distinguished
+        atoms, dist = sym.gmap.atoms, sym.gmap.distinguished
         return group_by_key(
             elements, lambda a: joint_signature(atoms[a[0]], atoms[a[1]], dist)
         )
@@ -313,7 +313,7 @@ def factor_assignment_orbits(sym) -> OrbitPartition:
         (j, a) for j, f in enumerate(model.features) if f.arity >= 3 for a in assignments(f.arity)
     ]
     if isinstance(sym, RenamingSymmetries):
-        gmap, dist = sym.gmap, sym.distinguished
+        gmap, dist = sym.gmap, sym.gmap.distinguished
         origins = feature_origins(gmap)
         fkey = [feature_key(origin, dist) for origin in origins]
         order = {}

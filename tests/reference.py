@@ -248,7 +248,8 @@ def recursive_search(graph) -> GeneratorSet:
     """search_automorphisms before its refinement trace pruned children and
     its recursion became a stack: one call per tree node, every child
     refined to its end and compared with the base path by its sorted cell
-    labels. Its generators come in the same order, and it counts every
+    labels. Like the search, only a base-path node prunes its children by
+    orbits. Its generators come in the same order, and it counts every
     child as a tree node."""
     n_nodes = graph.num_nodes
     identity = list(range(n_nodes))
@@ -281,11 +282,12 @@ def recursive_search(graph) -> GeneratorSet:
         target = cells[min(c for c, size in zip(cells, sizes) if size == max(sizes))]
         found_any, explored, uf = False, [], _UnionFind(n_nodes)
         for v in sorted(target):
-            for g in stab_gens(path, gens):
-                for u, w in enumerate(g):
-                    uf.union(u, w)
-            if any(uf.find(v) == uf.find(w) for w in explored):
-                continue
+            if on_base:  # only a base-path node prunes by orbits
+                for g in stab_gens(path, gens):
+                    for u, w in enumerate(g):
+                        uf.union(u, w)
+                if any(uf.find(v) == uf.find(w) for w in explored):
+                    continue
             explored.append(v)
             found = search(refine_colors(graph, part, v), path + (v,),
                            on_base and base_leaf[0] is None)

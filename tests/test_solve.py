@@ -89,7 +89,7 @@ def stabilized_partitions(sym, rep):
         gmap = sym.gmap
         return (
             reference_stabilized_light(model, gmap, rep),
-            reference_edge_orbits(model, gmap, sym.distinguished | set(gmap.atoms[rep][1])),
+            reference_edge_orbits(model, gmap, sym.gmap.distinguished | set(gmap.atoms[rep][1])),
         )
     sub = [g for g in sym.gens.generators if g.var_perm[rep] == rep]
     return symmetry.orbits_of(sub, "vars", model), symmetry.orbits_of(sub, "edges", model)

@@ -680,6 +680,33 @@ def test_trace_pruning_drops_only_subtrees_without_generators(m):
     assert gens.leaves <= before.leaves
 
 
+def test_search_off_the_base_path_does_not_prune_by_orbits():
+    # the 4x4 rook's graph, the Shrikhande graph and the rook's graph again,
+    # as tied equality edges: both are strongly regular (16, 6, 2, 2), so
+    # refinement does not tell them apart, and off the base path the search
+    # refines Shrikhande subtrees that hold no generator. Nodes there do not
+    # prune by orbits, so each of their children reaches the trace check;
+    # the reference prunes the same way, so the bound against it holds
+    def cayley(moves, first):  # a Cayley graph of Z4 x Z4 on nodes first..first+15
+        return {tuple(sorted((first + 4 * a + b, first + 4 * ((a + x) % 4) + (b + y) % 4)))
+                for a in range(4) for b in range(4) for x, y in moves}
+
+    rook = [(0, y) for y in (1, 2, 3)] + [(x, 0) for x in (1, 2, 3)]
+    shrikhande = [(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)]
+    scopes = sorted(cayley(rook, 0) | cayley(shrikhande, 16) | cayley(rook, 32))
+    m = Model(num_vars=48, features=tuple(Feature(scope=s, table=fixtures.EQUALITY) for s in scopes),
+              tie_class_of=(0,) * len(scopes), theta=(1.0,))
+    graph = build_colored_factor_graph(m)
+    gens = search_automorphisms(graph)
+    text = repr([(g.var_perm, g.feature_perm) for g in gens.generators])
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert (gens.group_order, len(gens.generators), digest) == (1152 ** 2 * 2 * 192, 17, "85ab79b1e813a965")
+    assert (gens.tree_nodes, gens.leaves, gens.trace_pruned) == (95, 18, 54)
+    before = recursive_search(graph)
+    assert gens.tree_nodes + gens.trace_pruned <= before.tree_nodes
+    assert gens.leaves <= before.leaves
+
+
 def _frame_depth():
     depth, frame = 0, sys._getframe()
     while frame is not None:
