@@ -93,17 +93,22 @@ def _load(args, ground=True) -> _Inputs:
     )
 
 
+def _method(args) -> str:
+    """--method with auto resolved by extension: search for .fgm, else renaming."""
+    if args.method == "auto":
+        return "search" if args.input.endswith(".fgm") else "renaming"
+    return args.method
+
+
 def _make_symmetries(inputs: _Inputs, method: str):
-    if method == "auto":
-        method = "search" if inputs.kind == "fgm" else "renaming"
     if method == "renaming":
         if inputs.kind != "mln":
             raise UsageError("renaming symmetries need an MLN input")
-        return method, RenamingSymmetries(inputs.model, inputs.gmap)
+        return RenamingSymmetries(inputs.model, inputs.gmap)
     if method == "search":
-        return method, GeneratorSymmetries(inputs.model)
+        return GeneratorSymmetries(inputs.model)
     if method == "none":
-        return method, TrivialSymmetries(inputs.model)
+        return TrivialSymmetries(inputs.model)
     raise UsageError("unknown symmetry method %r" % method)
 
 
@@ -164,19 +169,14 @@ def _base_payload(inputs: _Inputs, counted) -> dict:
 
 def cmd_orbits(args) -> int:
     inputs = _load(args)
-    if args.method == "both":
-        if inputs.kind != "mln":
-            raise UsageError("--method both compares renaming to search on MLN inputs")
-        methods = ["search", "renaming"]
-    elif args.method == "auto":
-        methods = ["search" if inputs.kind == "fgm" else "renaming"]
-    else:
-        methods = [args.method]
+    if args.method == "both" and inputs.kind != "mln":
+        raise UsageError("--method both compares renaming to search on MLN inputs")
+    methods = ["search", "renaming"] if args.method == "both" else [_method(args)]
     payload = _base_payload(inputs, inputs.model)
     payload["methods"] = {}
     bundles = {}
     for name in methods:
-        _, sym = _make_symmetries(inputs, name)
+        sym = _make_symmetries(inputs, name)
         bundle = sym.bundle()
         bundles[name] = bundle
         gens = getattr(sym, "gens", None)  # None for renaming symmetries
@@ -201,15 +201,14 @@ def cmd_map(args) -> int:
         raise UsageError(
             "--method %s needs --space lifted; ground space is the trivial group" % args.method
         )
-    renaming = args.space == "lifted" and args.method in ("auto", "renaming")
-    inputs = _load(args, ground=not renaming)
+    method = _method(args)
+    inputs = _load(args, ground=not (args.space == "lifted" and method == "renaming"))
     opts = MapOptions(polytope=args.polytope, max_cuts=args.max_cuts)
     if args.space == "lifted":
         if inputs.model is None:
-            method, lifted = "renaming", lift_mln(inputs.mln, inputs.domain_size, inputs.evidence)
+            lifted = lift_mln(inputs.mln, inputs.domain_size, inputs.evidence)
         else:
-            method, sym = _make_symmetries(inputs, args.method)
-            lifted = build_lifted_model(inputs.model, sym)
+            lifted = build_lifted_model(inputs.model, _make_symmetries(inputs, method))
         payload = _base_payload(inputs, lifted)
         payload["method"] = method
         payload["orbit_counts"] = _per_domain(lambda p: p.num_cells, lifted.bundle)

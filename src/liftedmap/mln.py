@@ -141,7 +141,8 @@ def _term_of(tok, line_no, col):
 
 
 class _FormulaParser:
-    """Recursive descent: <=> then => (right) then v then ^ then ! then atoms.
+    """Precedence climbing over the binary connectives <=>, => (grouping to
+    the right), v and ^, loosest first; then ! and atoms.
 
     The token `v` is the OR connective in operator position and an ordinary
     lowercase term elsewhere, which keeps formulas like `Loves(v, y)` or
@@ -173,7 +174,7 @@ class _FormulaParser:
             )
 
     def parse(self):
-        node = self.parse_iff()
+        node = self.parse_binary()
         if self.pos != len(self.toks):
             tok, col = self.toks[self.pos]
             raise MLNFormatError(
@@ -181,32 +182,14 @@ class _FormulaParser:
             )
         return node
 
-    def parse_iff(self):
-        node = self.parse_implies()
-        while self.peek() == "<=>":
-            self.next()
-            node = BinOp("<=>", node, self.parse_implies())
-        return node
-
-    def parse_implies(self):
-        node = self.parse_or()
-        if self.peek() == "=>":
-            self.next()
-            return BinOp("=>", node, self.parse_implies())
-        return node
-
-    def parse_or(self):
-        node = self.parse_and()
-        while self.peek() == "v":
-            self.next()
-            node = BinOp("v", node, self.parse_and())
-        return node
-
-    def parse_and(self):
+    def parse_binary(self, level=0):
+        """A formula joined by the connectives in ops[level:], by precedence climbing."""
+        ops = ("<=>", "=>", "v", "^")  # loosest first
         node = self.parse_unary()
-        while self.peek() == "^":
-            self.next()
-            node = BinOp("^", node, self.parse_unary())
+        while self.peek() in ops[level:]:
+            op, _ = self.next()
+            # the right operand binds tighter, and as tight for => (right grouping)
+            node = BinOp(op, node, self.parse_binary(ops.index(op) + (op != "=>")))
         return node
 
     def parse_unary(self):
@@ -218,7 +201,7 @@ class _FormulaParser:
     def parse_primary(self):
         tok, col = self.next()
         if tok == "(":
-            node = self.parse_iff()
+            node = self.parse_binary()
             self.expect(")")
             return node
         if not _is_name(tok):
@@ -261,8 +244,7 @@ class _FormulaParser:
 
 def parse_mln(text: str) -> MLN:
     """Parse MLN text; checks arities and capitalization conventions."""
-    arities = {}
-    order = []
+    arities = {}  # in declaration / first-use order
     formulas = []
     constants = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -288,9 +270,7 @@ def parse_mln(text: str) -> MLN:
                     "line %d: arity mismatch for predicate %s: declared %d, redeclared %d"
                     % (line_no, name, arities[name], arity)
                 )
-            if name not in arities:
-                arities[name] = arity
-                order.append(name)
+            arities[name] = arity
             continue
         parts = body.split(None, 1)
         if len(parts) < 2:
@@ -301,17 +281,13 @@ def parse_mln(text: str) -> MLN:
             raise MLNFormatError(
                 "line %d: weight must be a real, got %r" % (line_no, parts[0])
             ) from None
-        before = set(arities)
         parser = _FormulaParser(_tokenize(parts[1], line_no), line_no, arities)
         ast = parser.parse()
-        for name in arities:
-            if name not in before and name not in order:
-                order.append(name)
         constants |= parser.constants
         formulas.append((weight, ast))
-    # keep first-use order even for predicates introduced mid-formula
-    predicates = tuple((name, arities[name]) for name in order)
-    return MLN(predicates=predicates, formulas=tuple(formulas), constants=frozenset(constants))
+    return MLN(
+        predicates=tuple(arities.items()), formulas=tuple(formulas), constants=frozenset(constants)
+    )
 
 
 def _parse_ground_atom(text, line_no):
@@ -371,11 +347,10 @@ def parse_evidence(text: str) -> Evidence:
 
 @dataclass(eq=False)
 class GroundingMap:
+    """A grounding's variables and features as integer rows over the domain."""
+
     domain: tuple
     distinguished: frozenset
-    atoms: tuple  # ground atom per variable index
-    observed: dict  # ground atom -> bool (hard evidence)
-    soft: dict  # ground atom -> weight (soft evidence)
     # integer rows, constants as domain indices and -1 past the end:
     atom_rows: np.ndarray  # per variable: predicate index, then its constants
     # per feature: a formula grounding's formula index, then its substitution;
@@ -509,7 +484,8 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
     leaf whether it is false, true or the r-th smallest distinct unobserved
     atom; each pattern's reduced table is read from the truth table once,
     and its groundings' scopes are gathered from the array. Soft evidence
-    adds a unary feature per atom, tied by weight value.
+    adds a unary feature per atom, found by its code, in variable order and
+    tied by weight value.
     """
     evidence = EMPTY_EVIDENCE if evidence is None else evidence
     arity_of = dict(mln.predicates)
@@ -533,13 +509,6 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
     code_of, rows, is_observed, observed_true = _ground_atoms(mln, domain, observed)
     var_of = np.where(is_observed, -1, np.cumsum(~is_observed) - 1)
     atom_rows = rows[~is_observed]
-    atoms = [
-        (pname, args)
-        for pname, arity in mln.predicates
-        for args in itertools.product(domain, repeat=arity)
-        if (pname, args) not in observed
-    ]
-    atom_index = {a: i for i, a in enumerate(atoms)}
 
     features = []
     tie_of = []
@@ -610,12 +579,13 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
     weight_tie = {
         w: len(formula_tie) + i for i, w in enumerate(sorted(set(soft.values())))
     }
-    soft_vars = []
-    for atom in atoms:
-        if atom in soft:
-            soft_vars.append(atom_index[atom])
-            features.append(Feature(scope=(atom_index[atom],), table=(0.0, 1.0)))
-            tie_of.append(weight_tie[soft[atom]])
+    by_var = sorted(
+        (var_of[code_of(pred, [const_id[c] for c in args])].item(), w)
+        for (pred, args), w in soft.items()
+    )
+    soft_vars = [v for v, _ in by_var]
+    features += [Feature(scope=(v,), table=(0.0, 1.0)) for v in soft_vars]
+    tie_of += [weight_tie[w] for _, w in by_var]
     origin_blocks.append((len(mln.formulas) + atom_rows[soft_vars, 0], atom_rows[soft_vars, 1:]))
 
     theta = [0.0] * (len(formula_tie) + len(weight_tie))
@@ -629,7 +599,7 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
             "no ground features survive: every formula grounding is constant"
         )
     model = Model(
-        num_vars=len(atoms),
+        num_vars=len(atom_rows),
         features=tuple(features),
         tie_class_of=tuple(tie_of),
         theta=tuple(theta),
@@ -638,9 +608,6 @@ def ground_mln(mln: MLN, domain_size: int, evidence: Evidence = None):
     gmap = GroundingMap(
         domain=domain,
         distinguished=named,
-        atoms=tuple(atoms),
-        observed=observed,
-        soft=soft,
         atom_rows=atom_rows,
         origin_rows=np.concatenate([_rows(first, ids, width) for first, ids in origin_blocks]),
     )
@@ -660,6 +627,12 @@ def _renaming_tags(ids, distinguished):
     return np.where(keep, ids, -2 - _first_columns(ids))
 
 
+def _atom_keys(rows, distinguished):
+    """The renaming key of each atom of atom_rows: its predicate, then its
+    constants' tags."""
+    return row_codes(np.column_stack([rows[:, 0], _renaming_tags(rows[:, 1:], distinguished)]))
+
+
 class RenamingSymmetries:
     """Renaming-group orbits for a grounded MLN, computed from integer keys.
 
@@ -674,11 +647,6 @@ class RenamingSymmetries:
         self.model = model
         self.gmap = gmap
         self._named = np.arange(len(gmap.domain)) < len(gmap.distinguished)
-
-    def _var_codes(self, distinguished):
-        # an atom's key: its predicate, then its constants' tags
-        rows = self.gmap.atom_rows
-        return row_codes(np.column_stack([rows[:, 0], _renaming_tags(rows[:, 1:], distinguished)]))
 
     def bundle(self) -> OrbitBundle:
         model, gmap = self.model, self.gmap
@@ -744,7 +712,7 @@ class RenamingSymmetries:
             moment_rows[at, 1] = read @ (1 << np.arange(k - 1, -1, -1))
 
         return OrbitBundle(
-            vars=OrbitPartition.from_labels(range(model.num_vars), self._var_codes(dist).tolist()),
+            vars=OrbitPartition.from_labels(range(model.num_vars), _atom_keys(rows, dist).tolist()),
             features=OrbitPartition.from_labels(range(model.num_features), feature_codes.tolist()),
             edges=OrbitPartition.from_labels(edges, edge_codes.tolist()),
             factor_moments=OrbitPartition.from_labels(moments, row_codes(moment_rows).tolist()),
@@ -755,7 +723,7 @@ class RenamingSymmetries:
         dist = self._named.copy()
         ids = self.gmap.atom_rows[fixed_var, 1:]
         dist[ids[ids >= 0]] = True
-        labels = self._var_codes(dist).tolist()
+        labels = _atom_keys(self.gmap.atom_rows, dist).tolist()
         return OrbitPartition.from_labels(range(self.model.num_vars), labels)
 
 
@@ -802,12 +770,10 @@ def lift_mln(mln: MLN, domain_size: int, evidence: Evidence = None) -> LiftedMod
     theta, constant = lifted.index.layout.theta(scale)
     theta_bar = np.bincount(lifted.index.rho, theta, minlength=lifted.num_cells) + 0.0
 
-    _, rows, is_observed, _ = _ground_atoms(mln, domain, gmap.observed)
+    _, rows, is_observed, _ = _ground_atoms(mln, domain, dict(evidence.hard))
     cells = lifted.bundle.vars.num_cells
     rows = np.vstack([gmap.atom_rows[list(lifted.bundle.vars.reps)], rows[~is_observed]])
-    keys = row_codes(np.column_stack([
-        rows[:, 0], _renaming_tags(rows[:, 1:], np.arange(domain_size) < named),
-    ]))
+    keys = _atom_keys(rows, np.arange(domain_size) < named)
     order = np.argsort(keys[:cells], kind="stable")
     return dataclasses.replace(
         lifted,

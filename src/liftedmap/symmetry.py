@@ -375,11 +375,8 @@ def refine_colors(graph: ColoredFactorGraph, parent=None, v=None, base=None) -> 
     else:
         label, cells, shared = parent.label.copy(), parent.cells.copy(), parent.cells
         depth, c = parent.depth + 1, label[v]
-        rest = cells[c] - {v}
-        if rest:
-            cells[c] = rest
-        else:
-            del cells[c]
+        # v comes from a class of two or more, the search's target cell
+        cells[c] = cells[c] - {v}
         label[v] = (n + parent.depth) * step
         cells[label[v]] = {v}
         touched = set(nbrs[v][0])

@@ -49,7 +49,7 @@ from liftedmap.oracle import _all_scores, _config_matrix, exact_enumerate
 from liftedmap.solve import LinearProgram
 from liftedmap.symmetry import OrbitPartition, _UnionFind
 
-from signatures import feature_key, feature_origins, group_by_key, joint_signature, tags_of
+from signatures import atom_names, constant_names, group_by_key, joint_signature, tags_of
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +284,7 @@ def arc_orbits(sym) -> OrbitPartition:
     """
     elements = [a for (u, v) in sym.model.edges for a in ((u, v), (v, u))]
     if isinstance(sym, RenamingSymmetries):
-        atoms, dist = sym.gmap.atoms, sym.gmap.distinguished
+        atoms, dist = atom_names(sym.gmap), sym.gmap.distinguished
         return group_by_key(
             elements, lambda a: joint_signature(atoms[a[0]], atoms[a[1]], dist)
         )
@@ -314,14 +314,14 @@ def factor_assignment_orbits(sym) -> OrbitPartition:
     ]
     if isinstance(sym, RenamingSymmetries):
         gmap, dist = sym.gmap, sym.gmap.distinguished
-        origins = feature_origins(gmap)
-        fkey = [feature_key(origin, dist) for origin in origins]
-        order = {}
+        atoms, rows = atom_names(gmap), gmap.origin_rows.tolist()
+        fkey, order = {}, {}
         for j, f in enumerate(model.features):
-            if f.arity >= 3:
+            if f.arity >= 3:  # a formula grounding: its formula, then its substitution
                 anon = {}
-                tags_of(origins[j].subst, dist, anon)
-                tags = [(gmap.atoms[v][0], tags_of(gmap.atoms[v][1], dist, anon)) for v in f.scope]
+                subst = constant_names(gmap, rows[j][1:])
+                fkey[j] = ("formula", rows[j][0], tags_of(subst, dist, anon))
+                tags = [(atoms[v][0], tags_of(atoms[v][1], dist, anon)) for v in f.scope]
                 order[j] = sorted(range(f.arity), key=tags.__getitem__)
         return group_by_key(
             elements, lambda e: (fkey[e[0]], tuple(e[1][p] for p in order[e[0]]))

@@ -10,7 +10,8 @@ of its substitution (or, for soft evidence, its weight and its atom's
 signature); a factor moment by its feature's key and its assignment read in
 the order of the scope atoms' tags under the numbering of the substitution.
 reference_bundle and reference_stabilized_light compute the orbits that way,
-from the atoms and feature origins of a GroundingMap alone.
+from ground atoms and feature origins named as tuples alone; atom_names and
+feature_origins read those names off a GroundingMap's integer rows.
 """
 
 from dataclasses import dataclass
@@ -36,22 +37,37 @@ class FeatureOrigin:
     weight: float = None
 
 
-def feature_origins(gmap) -> tuple:
-    """FeatureOrigin per feature of a GroundingMap, read off its
-    origin_rows: the formula groundings come first, then one feature per
-    soft evidence atom, in variable order."""
-    rows = gmap.origin_rows[:len(gmap.origin_rows) - len(gmap.soft)].tolist()
-    formula = [
-        FeatureOrigin(kind="formula", formula=row[0],
-                      subst=tuple(gmap.domain[i] for i in row[1:] if i >= 0))
-        for row in rows
-    ]
-    soft = [
-        FeatureOrigin(kind="soft", atom=atom, weight=gmap.soft[atom])
-        for atom in gmap.atoms
-        if atom in gmap.soft
-    ]
-    return tuple(formula + soft)
+def constant_names(gmap, ids) -> tuple:
+    """The domain constants of a row's ids, without the -1s past its end."""
+    return tuple(gmap.domain[i] for i in ids if i >= 0)
+
+
+def atom_names(gmap, mln=None) -> tuple:
+    """Each variable's ground atom (predicate, constant names), read off
+    gmap.atom_rows: the predicate by its name in the MLN, or by its index
+    without one."""
+    names = [name for name, _ in mln.predicates] if mln else None
+    return tuple(
+        (names[first] if names else first, constant_names(gmap, ids))
+        for first, *ids in gmap.atom_rows.tolist()
+    )
+
+
+def feature_origins(model, gmap, mln) -> tuple:
+    """FeatureOrigin per feature of a grounding, read off gmap.origin_rows:
+    a formula grounding's row starts with its formula index, a soft
+    evidence feature's with len(mln.formulas) plus its predicate index. A
+    soft feature's weight is its tie class's theta."""
+    names, num_formulas = [name for name, _ in mln.predicates], len(mln.formulas)
+    origins = []
+    for j, (first, *ids) in enumerate(gmap.origin_rows.tolist()):
+        consts = constant_names(gmap, ids)
+        if first < num_formulas:
+            origins.append(FeatureOrigin(kind="formula", formula=first, subst=consts))
+        else:
+            origins.append(FeatureOrigin(kind="soft", atom=(names[first - num_formulas], consts),
+                                         weight=model.theta[model.tie_class_of[j]]))
+    return tuple(origins)
 
 
 @dataclass(frozen=True)
@@ -108,7 +124,9 @@ def _by_signature(domain, model, key) -> OrbitPartition:
 
 
 def reference_bundle(model, gmap) -> OrbitBundle:
-    atoms, dist, origins = gmap.atoms, gmap.distinguished, feature_origins(gmap)
+    """The orbits of a reference grounding, whose gmap names its atoms and
+    feature origins."""
+    atoms, dist, origins = gmap.atoms, gmap.distinguished, gmap.origins
     fkey = [feature_key(origin, dist) for origin in origins]
     # an arity >= 4 feature's scope positions, ordered by their atoms' tags
     # under the anonymous numbering of the feature's substitution
@@ -127,22 +145,20 @@ def reference_bundle(model, gmap) -> OrbitBundle:
     return OrbitBundle(
         vars=_by_signature("vars", model, lambda v: atom_signature(atoms[v], dist)),
         features=_by_signature("features", model, fkey.__getitem__),
-        edges=reference_edge_orbits(model, gmap, dist),
+        edges=reference_edge_orbits(model, atoms, dist),
         factor_moments=_by_signature("factor-moments", model, fm_key),
     )
 
 
-def reference_stabilized_light(model, gmap, fixed_var) -> OrbitPartition:
+def reference_stabilized_light(model, atoms, distinguished, fixed_var) -> OrbitPartition:
     """Variable orbits once the fixed atom's constants are pinned."""
-    atoms = gmap.atoms
-    dist = gmap.distinguished | set(atoms[fixed_var][1])
+    dist = distinguished | set(atoms[fixed_var][1])
     return _by_signature("vars", model, lambda v: atom_signature(atoms[v], dist))
 
 
-def reference_edge_orbits(model, gmap, distinguished) -> OrbitPartition:
+def reference_edge_orbits(model, atoms, distinguished) -> OrbitPartition:
     """Edge orbits of the renamings that fix the given constants: an edge
     keyed by the smaller joint signature of its two directions."""
-    atoms = gmap.atoms
 
     def edge_key(e):
         u, v = e

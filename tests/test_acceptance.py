@@ -42,7 +42,7 @@ from reference import (
     exhaustive_automorphisms,
     generated_group,
 )
-from signatures import atom_signature, orbit_sizes_analytic
+from signatures import atom_names, atom_signature, orbit_sizes_analytic
 from overcomplete import (
     lifted as trivial_lift,
     lp_point,
@@ -246,22 +246,23 @@ def test_criterion_08_renaming_orbits_without_search():
         # one observed constant in a binary-predicate model over five constants
         model, gmap = ground(fixtures.Q2_MLN, 5, fixtures.Q2_EVIDENCE)
         bundle = RenamingSymmetries(model, gmap).bundle()
+        atoms = atom_names(gmap, parse_mln(fixtures.Q2_MLN))
         cells = bundle.vars.cells
         assert len(cells) == 5
         assert sorted(len(c) for c in cells) == [1, 4, 4, 4, 12]
         for cell in cells:
-            signature = atom_signature(gmap.atoms[cell[0]], gmap.distinguished)
+            signature = atom_signature(atoms[cell[0]], gmap.distinguished)
             assert orbit_sizes_analytic(signature, 5, 1) == len(cell)
 
         # brute-force enumeration over all renamings of the free constants
         free = sorted(set(gmap.domain) - set(gmap.distinguished))
-        atom_index = {a: i for i, a in enumerate(gmap.atoms)}
+        atom_index = {a: i for i, a in enumerate(atoms)}
         brute = {v: {v} for v in range(model.num_vars)}
         for perm in itertools.permutations(free):
             mapping = dict(zip(free, perm))
             mapping.update({c: c for c in gmap.distinguished})
             for v in range(model.num_vars):
-                pred, args = gmap.atoms[v]
+                pred, args = atoms[v]
                 image = atom_index[(pred, tuple(mapping[a] for a in args))]
                 brute[v].add(image)
         # every group element was enumerated, so each image set is a full orbit

@@ -13,6 +13,7 @@ from conftest import refines
 from overcomplete import arc_min_edge_orbits
 from signatures import (
     FeatureOrigin,
+    atom_names,
     atom_signature,
     feature_key,
     feature_origins,
@@ -105,8 +106,9 @@ def test_evidence_parsing():
 def connective_model(formula):
     text = "predicate P/1\npredicate Q/1\n1.0 %s\n" % formula
     model, gmap = ground(text, 1)
-    iP = gmap.atoms.index(("P", ("C1",)))
-    iQ = gmap.atoms.index(("Q", ("C1",)))
+    atoms = atom_names(gmap, parse_mln(text))
+    iP = atoms.index(("P", ("C1",)))
+    iQ = atoms.index(("Q", ("C1",)))
 
     def val(p, q):
         x = [0, 0]
@@ -130,7 +132,8 @@ def test_implication_is_right_associative():
     # P => Q => R reads P => (Q => R): false only at (1, 1, 0)
     text = "predicate P/1\npredicate Q/1\npredicate R/1\n1.0 P(x) => Q(x) => R(x)\n"
     model, gmap = ground(text, 1)
-    idx = {p: gmap.atoms.index((p, ("C1",))) for p in ("P", "Q", "R")}
+    atoms = atom_names(gmap, parse_mln(text))
+    idx = {p: atoms.index((p, ("C1",))) for p in ("P", "Q", "R")}
     for p, q, r in itertools.product((0, 1), repeat=3):
         x = [0, 0, 0]
         x[idx["P"]], x[idx["Q"]], x[idx["R"]] = p, q, r
@@ -142,7 +145,7 @@ def test_equality_constraints_prune_substitutions():
     text = "predicate Q/2\n1.0 x != y ^ Q(x, y)\n"
     model, gmap = ground(text, 3)
     assert model.num_features == 6  # ordered pairs, no diagonal
-    subs = {o.subst for o in feature_origins(gmap)}
+    subs = {o.subst for o in feature_origins(model, gmap, parse_mln(text))}
     assert all(s[0][1] != s[1][1] for s in subs)
 
 
@@ -196,7 +199,7 @@ def test_soft_evidence_becomes_unary_feature():
     assert model.num_features == 1
     f = model.features[0]
     assert f.table == (0.0, 1.0)
-    assert gmap.atoms[f.scope[0]] == ("Q", ("A", "A"))
+    assert atom_names(gmap, parse_mln(fixtures.Q2_MLN))[f.scope[0]] == ("Q", ("A", "A"))
     assert model.theta == (0.5,)
 
 
@@ -205,10 +208,10 @@ def test_hard_evidence_removes_variables():
     ev = "P(C1)\n!Q(C2)\n"
     model, gmap = ground(text, 2, ev)
     # P(C1) true and Q(C2) false are folded into the tables
-    assert ("P", ("C1",)) not in gmap.atoms
-    assert ("Q", ("C2",)) not in gmap.atoms
+    atoms = atom_names(gmap, parse_mln(text))
+    assert ("P", ("C1",)) not in atoms
+    assert ("Q", ("C2",)) not in atoms
     assert model.num_vars == 2
-    assert gmap.observed == {("P", ("C1",)): True, ("Q", ("C2",)): False}
 
 
 @pytest.mark.parametrize("formula,atoms", [
@@ -217,8 +220,10 @@ def test_hard_evidence_removes_variables():
     ("!(x != y) ^ R(x, y)", [("C1", "C1"), ("C2", "C2")]),
 ])
 def test_negated_and_disjunctive_equality_atoms_are_evaluated(formula, atoms):
-    model, gmap = ground("predicate R/2\n1 %s\n" % formula, 2)
-    assert [gmap.atoms[f.scope[0]] for f in model.features] == [("R", a) for a in atoms]
+    text = "predicate R/2\n1 %s\n" % formula
+    model, gmap = ground(text, 2)
+    names = atom_names(gmap, parse_mln(text))
+    assert [names[f.scope[0]] for f in model.features] == [("R", a) for a in atoms]
     assert all(f.arity == 1 and f.table == (0.0, 1.0) for f in model.features)
 
 
@@ -356,7 +361,6 @@ def reference_ground(mln, domain_size, evidence):
                   tie_class_of=tuple(tie_of), theta=tuple(theta))
     atom_rows, origin_rows = reference_rows(mln, domain, atoms, origins)
     gmap = SimpleNamespace(domain=domain, distinguished=named, atoms=tuple(atoms),
-                           observed=observed, soft=soft,
                            origins=tuple(origins), atom_rows=atom_rows, origin_rows=origin_rows)
     return model, gmap, templates
 
@@ -385,7 +389,7 @@ def reference_rows(mln, domain, atoms, origins):
 
 def reference_factor_moments(model, gmap, templates):
     """Factor-moment orbits keyed with each scope in template order."""
-    fkey = [feature_key(origin, gmap.distinguished) for origin in feature_origins(gmap)]
+    fkey = [feature_key(origin, gmap.distinguished) for origin in gmap.origins]
     atom_index = {a: i for i, a in enumerate(gmap.atoms)}
     perm = {}
     for j, (template, active) in templates.items():
@@ -410,9 +414,8 @@ def assert_grounding_matches_reference(text, ev_text, d):
         return
     model, gmap = ground_mln(mln, d, ev)
     assert format_model(model) == format_model(ref_model)
-    assert (gmap.domain, gmap.atoms, gmap.observed, gmap.soft) == (
-        ref_gmap.domain, ref_gmap.atoms, ref_gmap.observed, ref_gmap.soft)
-    assert feature_origins(gmap) == ref_gmap.origins
+    assert (gmap.domain, atom_names(gmap, mln)) == (ref_gmap.domain, ref_gmap.atoms)
+    assert feature_origins(model, gmap, mln) == ref_gmap.origins
     assert np.array_equal(gmap.atom_rows, ref_gmap.atom_rows)
     assert np.array_equal(gmap.origin_rows, ref_gmap.origin_rows)
     # the array keys against the per-element signatures on the reference grounding
@@ -424,14 +427,21 @@ def assert_grounding_matches_reference(text, ev_text, d):
     ref_fm = reference_factor_moments(ref_model, ref_gmap, templates)
     assert bundle.factor_moments.cells == ref_fm.cells
     for v in range(model.num_vars):
-        assert renaming.stabilized_light(v) == reference_stabilized_light(ref_model, ref_gmap, v)
+        assert renaming.stabilized_light(v) == reference_stabilized_light(
+            ref_model, ref_gmap.atoms, ref_gmap.distinguished, v)
+
+
+# soft evidence whose variable order is not its name order: Male(A) is the
+# first variable, Female(B) a later one
+LOVERS_SMOKERS_EVIDENCE = "Smokes(A)\n!Loves(A, B)\nsoft Female(B) 1.5\nsoft Male(A) 0.5\n"
 
 
 @pytest.mark.parametrize("text,ev,domains", [
     (fixtures.LOVERS_SMOKERS_MLN, "", range(1, 9)),
+    (fixtures.LOVERS_SMOKERS_MLN, LOVERS_SMOKERS_EVIDENCE, range(2, 6)),
     (fixtures.FRIENDS_MLN, "", range(2, 7)),
     (fixtures.Q2_MLN, fixtures.Q2_EVIDENCE, range(2, 6)),
-], ids=["lovers_smokers", "friends", "q2"])
+], ids=["lovers_smokers", "lovers_smokers_evidence", "friends", "q2"])
 def test_shipped_models_ground_as_the_reference(text, ev, domains):
     for d in domains:
         assert_grounding_matches_reference(text, ev, d)
@@ -475,10 +485,11 @@ def test_q2_example_five_cells_with_analytic_sizes():
     model, gmap = ground(fixtures.Q2_MLN, 5, fixtures.Q2_EVIDENCE)
     sym = RenamingSymmetries(model, gmap)
     cells = sym.bundle().vars.cells
+    atoms = atom_names(gmap, parse_mln(fixtures.Q2_MLN))
     assert len(cells) == 5
     assert sorted(len(c) for c in cells) == [1, 4, 4, 4, 12]
     for cell in cells:
-        sig = atom_signature(gmap.atoms[cell[0]], gmap.distinguished)
+        sig = atom_signature(atoms[cell[0]], gmap.distinguished)
         assert orbit_sizes_analytic(sig, 5, 1) == len(cell)
 
 
@@ -486,9 +497,10 @@ def test_q2_cell_count_invariant_in_domain_size():
     for d in (5, 10, 20):
         model, gmap = ground(fixtures.Q2_MLN, d, fixtures.Q2_EVIDENCE)
         cells = RenamingSymmetries(model, gmap).bundle().vars.cells
+        atoms = atom_names(gmap, parse_mln(fixtures.Q2_MLN))
         assert len(cells) == 5
         for cell in cells:
-            sig = atom_signature(gmap.atoms[cell[0]], gmap.distinguished)
+            sig = atom_signature(atoms[cell[0]], gmap.distinguished)
             assert orbit_sizes_analytic(sig, d, 1) == len(cell)
 
 
@@ -496,14 +508,15 @@ def test_renaming_cells_closed_under_brute_force_renaming():
     # permuting the interchangeable constants maps every cell onto itself
     model, gmap = ground(fixtures.LOVERS_SMOKERS_MLN, 3)
     bundle = RenamingSymmetries(model, gmap).bundle()
-    atom_index = {a: i for i, a in enumerate(gmap.atoms)}
+    atoms = atom_names(gmap, parse_mln(fixtures.LOVERS_SMOKERS_MLN))
+    atom_index = {a: i for i, a in enumerate(atoms)}
     free = sorted(set(gmap.domain) - set(gmap.distinguished))
     for perm in itertools.permutations(free):
         mapping = dict(zip(free, perm))
         mapping.update({c: c for c in gmap.distinguished})
 
         def rename_var(v):
-            pred, args = gmap.atoms[v]
+            pred, args = atoms[v]
             return atom_index[(pred, tuple(mapping[a] for a in args))]
 
         cell_of = {}
@@ -606,10 +619,10 @@ def representative_size(mln, evidence):
     return len(named) + arity + max(arity, width, 1)
 
 
-def _element_names(gmap, domain, elements):
+def _element_names(model, gmap, mln, domain, elements):
     # elements named by their atoms and formula groundings, which keep
     # their constants from one domain size to another
-    atoms, origins = gmap.atoms, feature_origins(gmap)
+    atoms, origins = atom_names(gmap, mln), feature_origins(model, gmap, mln)
     if domain == "vars":
         return [atoms[v] for v in elements]
     if domain == "features":
@@ -623,12 +636,13 @@ def assert_lift_matches_the_grounded_lift(mln, evidence, d):
     lm = lift_mln(mln, d, evidence)
     model, gmap = ground_mln(mln, d, evidence)
     ref = build_lifted_model(model, RenamingSymmetries(model, gmap))
-    small = lm.symmetries.gmap
-    assert len(small.domain) == min(d, representative_size(mln, evidence))
+    small = lm.symmetries
+    assert len(small.gmap.domain) == min(d, representative_size(mln, evidence))
     for f in dataclasses.fields(OrbitBundle):
         # as many cells, in the same order, with the same smallest members
         mine, theirs = getattr(lm.bundle, f.name).reps, getattr(ref.bundle, f.name).reps
-        assert _element_names(small, f.name, mine) == _element_names(gmap, f.name, theirs), f.name
+        assert (_element_names(small.model, small.gmap, mln, f.name, mine)
+                == _element_names(model, gmap, mln, f.name, theirs)), f.name
     for attr in ("node_info", "edge_info", "factor_info"):
         assert [i.cells for i in getattr(lm, attr)] == [i.cells for i in getattr(ref, attr)], attr
     assert build_stabilized_graphs(lm) == build_stabilized_graphs(ref)

@@ -23,7 +23,7 @@ from overcomplete import (
 from reference import enumerate_cycle_constraints
 from reference import mirror_graph as reference_mirror_graph
 from reference import mirror_walk as reference_mirror_walk
-from signatures import reference_edge_orbits, reference_stabilized_light
+from signatures import atom_names, reference_edge_orbits, reference_stabilized_light
 from liftedmap import (
     GeneratorSymmetries,
     MapOptions,
@@ -86,10 +86,10 @@ def stabilized_partitions(sym, rep):
     the edge orbits computed directly rather than from the variable cells."""
     model = sym.model
     if isinstance(sym, RenamingSymmetries):
-        gmap = sym.gmap
+        atoms, dist = atom_names(sym.gmap), sym.gmap.distinguished
         return (
-            reference_stabilized_light(model, gmap, rep),
-            reference_edge_orbits(model, gmap, sym.gmap.distinguished | set(gmap.atoms[rep][1])),
+            reference_stabilized_light(model, atoms, dist, rep),
+            reference_edge_orbits(model, atoms, dist | set(atoms[rep][1])),
         )
     sub = [g for g in sym.gens.generators if g.var_perm[rep] == rep]
     return symmetry.orbits_of(sub, "vars", model), symmetry.orbits_of(sub, "edges", model)
