@@ -415,9 +415,10 @@ def format_model(model: Model) -> str:
     out = ["fgm 1", "vars %d" % model.num_vars, "tieclasses %d" % len(model.theta)]
     for k, w in enumerate(model.theta):
         out.append("theta %d %s" % (k, repr(w)))
-    for j, f in enumerate(model.features):
-        parts = ["factor", str(model.tie_class_of[j]), str(f.arity)]
-        parts.extend(str(v) for v in f.scope)
-        parts.extend(repr(t) for t in f.table)
-        out.append(" ".join(parts))
+    tables = {}  # id of a table tuple -> its text: a formula's groundings share one tuple
+    for k, f in zip(model.tie_class_of, model.features):
+        table = tables.get(id(f.table))
+        if table is None:
+            table = tables[id(f.table)] = " ".join(map(repr, f.table))
+        out.append("factor %d %d %s %s" % (k, f.arity, " ".join(map(str, f.scope)), table))
     return "\n".join(out) + "\n"

@@ -47,17 +47,16 @@ that also finds nothing the loop has converged.
 
 The LP solver is one self-contained dense bounded dual simplex tableau
 (SimplexTableau); no external solver is involved. Every variable has a
-finite range and every row a slack that starts basic in it. Each variable
-starts at the bound its objective coefficient points to, which makes the
-slack basis dual feasible, so the dual simplex solves the cold LP with no
-phase 1 and no feasible start.
-A pivot updates only the rows where the pivot column is nonzero times the
-columns where the pivot row is. The cutting-plane driver keeps its tableau
-across rounds: each cut row is appended to the last optimal tableau with
-its slack basic and negative, and the same dual simplex restores
-feasibility, instead of a cold re-solve. Every optimum is audited against
-the rows, cuts included, in one array pass over their flat (row, column,
-coefficient) entries.
+finite range. The tableau starts with no rows, each variable at the bound
+its objective coefficient points to, which is the row-free optimum. Rows
+have one way in, add_rows: each row enters with its slack basic, and the
+dual simplex from that dual-feasible basis drives out every row the point
+violates, with no phase 1 and no feasible start. The cold LP is one
+add_rows of all its rows, and each cut of the cutting-plane driver is one
+more, appended to the last optimal tableau. A pivot updates only the rows
+where the pivot column is nonzero times the columns where the pivot row is.
+Every optimum is audited against the rows, cuts included, in one array pass
+over their flat (row, column, coefficient) entries.
 """
 
 from __future__ import annotations
@@ -110,21 +109,30 @@ class LinearProgram:
             finite = lo is not None and hi is not None and math.isfinite(lo) and math.isfinite(hi)
             if not (finite and lo <= hi):
                 raise SolveError("bounds %r of variable %d are not a finite range" % ((lo, hi), j))
-        for row in self.rows:
-            _check_row(row, self.num_vars)
+        _flat_rows(self.rows, self.num_vars)
 
 
-def _check_row(row, num_vars: int):
-    coeffs, sense, rhs = row
-    if sense not in ("<=", ">="):
-        raise SolveError("unknown row sense %r" % sense)
-    if not np.isfinite(rhs):
+def _flat_rows(rows, num_vars: int):
+    """The nonzeros of (coeffs, sense, rhs) rows as flat (row, column,
+    coefficient) arrays, with each row's rhs and sign (+1 for <=, -1 for
+    >=). Raises SolveError on an unknown sense, a non-finite rhs or
+    coefficient, or a column outside [0, num_vars)."""
+    senses = [sense for _, sense, _ in rows]
+    unknown = [sense for sense in senses if sense not in ("<=", ">=")]
+    if unknown:
+        raise SolveError("unknown row sense %r" % unknown[0])
+    rhs = np.array([rhs for _, _, rhs in rows], dtype=float)
+    if not np.isfinite(rhs).all():
         raise SolveError("row rhs is not finite")
-    for j, c in coeffs:
-        if not 0 <= j < num_vars:
-            raise SolveError("row references unknown variable %d" % j)
-        if not np.isfinite(c):
-            raise SolveError("row coefficient is not finite")
+    row = np.array([i for i, (coeffs, _, _) in enumerate(rows) for _ in coeffs], dtype=np.int64)
+    col = np.array([j for coeffs, _, _ in rows for j, _ in coeffs], dtype=np.int64)
+    coef = np.array([c for coeffs, _, _ in rows for _, c in coeffs], dtype=float)
+    if col.size and (col.min() < 0 or col.max() >= num_vars):
+        raise SolveError("row references a variable outside [0, %d)" % num_vars)
+    if not np.isfinite(coef).all():
+        raise SolveError("row coefficient is not finite")
+    sign = np.array([1.0 if sense == "<=" else -1.0 for sense in senses])
+    return row, col, coef, rhs, sign
 
 
 @dataclass(eq=False)
@@ -143,20 +151,22 @@ _RESYNC_EVERY = 500
 
 
 class SimplexTableau:
-    """Dense bounded-variable dual simplex tableau of one LP, growable by rows.
+    """Dense bounded-variable dual simplex tableau over one LP's columns.
 
-    Columns are the structural variables, then one slack per row (+1 for
-    <=, -1 for >=, bounds [0, inf)). T holds B^-1 A over those columns and
-    xB the value of each row's basic variable. Every row starts basic in its
-    slack, where the reduced costs are the objective, and each structural
-    variable starts nonbasic at its upper bound if its objective coefficient
-    is positive, else at its lower bound. That basis is dual feasible, so
-    solve() is the bounded dual simplex from it, which drives out every row
-    the start violates or reports "infeasible" when no entering column can.
-    add_row() appends a row to an optimal tableau with its slack basic
-    (negative when the row cuts off the optimum) and re-solves with the same
-    dual simplex. A pivot updates only the block of rows where the pivot
-    column is nonzero times the columns where the pivot row is.
+    Columns are the structural variables, then one slack per added row (+1
+    for <=, -1 for >=, bounds [0, inf)). T holds B^-1 A over those columns
+    and xB the value of each row's basic variable. The tableau starts with
+    no rows, each structural variable nonbasic at its upper bound if its
+    objective coefficient is positive, else at its lower bound: the optimum
+    of the row-free LP, so the status starts "optimal". Rows have one way
+    in, add_rows(). It appends a batch to an optimal tableau, each row
+    written in the current basis with its slack basic (negative where the
+    row cuts off the point), which keeps the basis dual feasible; the
+    bounded dual simplex then drives out every violated row or reports
+    "infeasible" when no entering column can. The cold LP is
+    add_rows(lp.rows), a cut add_rows([row]). A pivot updates only the block
+    of rows where the pivot column is nonzero times the columns where the
+    pivot row is.
 
     Deterministic: the dual leaves by the largest bound violation and enters
     by the smallest ratio, ties to the largest pivot. After 1000 degenerate
@@ -170,77 +180,60 @@ class SimplexTableau:
     included, and raises NumericalInstabilityError if one is violated by
     more than 1e-6. The audit holds no dense copy of the rows: their
     nonzeros are kept as flat (row, column, coefficient) arrays, extended by
-    add_row, and every row's value is one gather and one bincount.
+    add_rows, and every row's value is one gather and one bincount.
 
     pivots counts the dual simplex iterations and the degenerate ones among
     them.
     """
 
     def __init__(self, lp: LinearProgram):
-        n, m = lp.num_vars, len(lp.rows)
+        n = lp.num_vars
         self.lp = lp
-        ncols = n + m
-        # the audit's (row, column, coefficient) triples, extended by add_row
-        self.entry_row = np.array(
-            [i for i, (coeffs, _, _) in enumerate(lp.rows) for _ in coeffs], dtype=np.int64
-        )
-        self.entry_col = np.array([j for coeffs, _, _ in lp.rows for j, _ in coeffs], dtype=np.int64)
-        self.entry_coef = np.array([c for coeffs, _, _ in lp.rows for _, c in coeffs], dtype=float)
-        self.rhs = np.array([rhs for _, _, rhs in lp.rows], dtype=float)
-        self.sign = np.array([1.0 if sense == "<=" else -1.0 for _, sense, _ in lp.rows])
-        A = np.zeros((m, ncols))
-        np.add.at(A, (self.entry_row, self.entry_col), self.entry_coef)
-        A[np.arange(m), n + np.arange(m)] = self.sign
-
-        self.lo = np.zeros(ncols)
-        self.hi = np.full(ncols, np.inf)
-        self.lo[:n], self.hi[:n] = np.array(lp.bounds, dtype=float).reshape(n, 2).T
-        self.cost = np.zeros(ncols)
-        self.cost[:n] = lp.objective
-        self.at_upper = self.cost > 0.0  # slacks cost 0, so they stay at 0
-
-        x_start = np.where(self.at_upper, self.hi, self.lo)[:n]
-        self.xB = (self.rhs - A[:, :n] @ x_start) / self.sign
-        A /= self.sign[:, None]  # inverse of the +-1 diagonal slack basis
-        self.T = A
-        self.basis = n + np.arange(m)
-        self.status = None
+        self.lo, self.hi = np.array(lp.bounds, dtype=float).reshape(n, 2).T
+        self.cost = lp.objective.copy()
+        self.at_upper = self.cost > 0.0
+        self.T = np.zeros((0, n))
+        self.xB = np.zeros(0)
+        self.basis = np.zeros(0, dtype=np.int64)
+        # the audit's (row, column, coefficient) triples, and each row's rhs and sign
+        self.entry_row = self.entry_col = np.zeros(0, dtype=np.int64)
+        self.entry_coef = self.rhs = self.sign = np.zeros(0)
+        self.status = "optimal"  # every variable at its cost-directed bound
         self.pivots = {"dual": 0, "degenerate": 0}
 
-    def solve(self) -> SolveOutcome:
-        """Dual solve from the start basis."""
-        return self._finish(self._dual())
-
-    def add_row(self, row) -> SolveOutcome:
-        """Append one (coeffs, sense, rhs) row and re-solve from the last optimum."""
+    def add_rows(self, rows) -> SolveOutcome:
+        """Append (coeffs, sense, rhs) rows, each with its slack basic, and
+        re-solve from the last optimum."""
         if self.status != "optimal":
             raise SolveError("rows can only be added to an optimal tableau")
-        _check_row(row, self.lp.num_vars)
-        coeffs, sense, rhs = row
-        m, ncols = self.T.shape
-        sign = 1.0 if sense == "<=" else -1.0
-        cols = np.array([j for j, _ in coeffs], dtype=np.int64)
-        vals = np.array([c for _, c in coeffs], dtype=float)
-        a = np.zeros(ncols)
-        np.add.at(a, cols, vals)
-        a_basic = a[self.basis]
-        nz = a_basic.nonzero()[0]
-        T = np.zeros((m + 1, ncols + 1))
+        row, col, coef, rhs, sign = _flat_rows(rows, self.lp.num_vars)
+        (m, ncols), k = self.T.shape, rhs.size
+        T = np.zeros((m + k, ncols + k))
         T[:m, :ncols] = self.T
-        T[m, :ncols] = (a - a_basic[nz] @ self.T[nz]) / sign
-        T[m, ncols] = 1.0
+        A = T[m:, :ncols]
+        np.add.at(A, (row, col), coef)
+        xB = (rhs - A @ self._point()) / sign  # each slack at the last optimum
+        # in the current basis a row is a - a_B B^-1 A: its coefficient on each
+        # basic column times that column's tableau row is subtracted, and a
+        # row with none (every row on the empty start basis) stays as it is
+        A_basic = A[:, self.basis]
+        for i in A_basic.any(axis=1).nonzero()[0]:
+            nz = A_basic[i].nonzero()[0]
+            A[i] -= A_basic[i, nz] @ self.T[nz]
+        A /= sign[:, None]  # by each slack's coefficient (+-1): its column becomes a unit one
+        np.fill_diagonal(T[m:, ncols:], 1.0)
         self.T = T
-        self.xB = np.append(self.xB, (rhs - a @ self._point()) / sign)
-        self.basis = np.append(self.basis, ncols)
-        self.lo = np.append(self.lo, 0.0)
-        self.hi = np.append(self.hi, np.inf)
-        self.cost = np.append(self.cost, 0.0)
-        self.at_upper = np.append(self.at_upper, False)
-        self.entry_row = np.append(self.entry_row, np.full(cols.size, m))
-        self.entry_col = np.append(self.entry_col, cols)
-        self.entry_coef = np.append(self.entry_coef, vals)
-        self.rhs = np.append(self.rhs, rhs)
-        self.sign = np.append(self.sign, sign)
+        self.xB = np.concatenate((self.xB, xB))
+        self.basis = np.concatenate((self.basis, ncols + np.arange(k)))
+        self.lo = np.concatenate((self.lo, np.zeros(k)))
+        self.hi = np.concatenate((self.hi, np.full(k, np.inf)))
+        self.cost = np.concatenate((self.cost, np.zeros(k)))
+        self.at_upper = np.concatenate((self.at_upper, np.zeros(k, dtype=bool)))
+        self.entry_row = np.concatenate((self.entry_row, row + m))
+        self.entry_col = np.concatenate((self.entry_col, col))
+        self.entry_coef = np.concatenate((self.entry_coef, coef))
+        self.rhs = np.concatenate((self.rhs, rhs))
+        self.sign = np.concatenate((self.sign, sign))
         return self._finish(self._dual())
 
     # -- internals ---------------------------------------------------------
@@ -343,8 +336,9 @@ class SimplexTableau:
 
 
 def simplex_solve(lp: LinearProgram) -> SolveOutcome:
-    """Solve lp by the dual simplex from its slack basis (see SimplexTableau)."""
-    return SimplexTableau(lp).solve()
+    """Solve lp by the dual simplex: its rows added to a tableau with none
+    (see SimplexTableau)."""
+    return SimplexTableau(lp).add_rows(lp.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +697,8 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
     solved as its lift under the trivial group. With polytope="cycle" the
     in-out loop separates at a point pulled toward a certified-feasible
     interior point, falling back to the LP optimum. One SimplexTableau serves
-    the whole run: each cut is appended to the last optimal tableau and
-    re-solved warm.
+    the whole run: the local rows enter it in one add_rows, and each cut in
+    one more, re-solved warm from the last optimum.
     """
     opts = MapOptions() if opts is None else opts
     if opts.polytope not in ("local", "cycle"):
@@ -716,20 +710,18 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
     lifted = _lifted(target)  # built once, shared by every step
     space = "lifted" if lifted is target else "ground"
     lp = build_local_lp(lifted)
-    timings["build_ms"] += (time.perf_counter() - t0) * 1000
-    t0 = time.perf_counter()
     tableau = SimplexTableau(lp)
-    timings["solve_ms"] += (time.perf_counter() - t0) * 1000
+    timings["build_ms"] += (time.perf_counter() - t0) * 1000
 
-    def solve_now(row=None):
+    def solve_now(rows):
         t1 = time.perf_counter()
-        out = tableau.solve() if row is None else tableau.add_row(row)
+        out = tableau.add_rows(rows)
         timings["solve_ms"] += (time.perf_counter() - t1) * 1000
         if out.status != "optimal":
             raise SolveError("local polytope LP reported %s" % out.status)
         return out
 
-    out = solve_now()
+    out = solve_now(lp.rows)
     bounds = [out.value]
     x_out = out.x
     cuts = []
@@ -759,7 +751,7 @@ def cutting_plane_map(target, opts: MapOptions = None) -> MapResult:
                 break
             seen.add(key)
             cuts.append(cut)
-            out = solve_now(constraint_row(cut, lifted))
+            out = solve_now([constraint_row(cut, lifted)])
             bounds.append(out.value)
             x_out = out.x
 

@@ -141,12 +141,14 @@ def test_implication_is_right_associative():
         assert score(model, tuple(x)) == pytest.approx(expected)
 
 
-def test_equality_constraints_prune_substitutions():
+@pytest.mark.parametrize("d", [3, 11])
+def test_equality_constraints_prune_substitutions(d):
     text = "predicate Q/2\n1.0 x != y ^ Q(x, y)\n"
-    model, gmap = ground(text, 3)
-    assert model.num_features == 6  # ordered pairs, no diagonal
+    model, gmap = ground(text, d)
+    assert model.num_features == d * (d - 1)  # ordered pairs, no diagonal
     subs = {o.subst for o in feature_origins(model, gmap, parse_mln(text))}
-    assert all(s[0][1] != s[1][1] for s in subs)
+    assert len(subs) == d * (d - 1)
+    assert all(s[0] != s[1] for s in subs)
 
 
 def test_dependence_reduction_drops_vacuous_templates():

@@ -277,8 +277,26 @@ class TestSimplex:
     def test_infeasible_after_an_added_row(self):
         lp = LinearProgram(num_vars=1, objective=[1.0], rows=[], bounds=[(0.0, 1.0)])
         tableau = SimplexTableau(lp)
-        assert tableau.solve().status == "optimal"
-        assert tableau.add_row(([(0, 1.0)], ">=", 2.0)).status == "infeasible"
+        assert tableau.add_rows(lp.rows).status == "optimal"
+        assert tableau.add_rows([([(0, 1.0)], ">=", 2.0)]).status == "infeasible"
+
+    def test_no_rows_leave_the_cost_directed_start(self):
+        # a fresh tableau holds none of the LP's rows: each variable sits at
+        # the bound its cost points to, the optimum of the row-free LP
+        lp = LinearProgram(
+            num_vars=3,
+            objective=[2.0, -1.0, 0.0],
+            rows=[([(0, 1.0)], "<=", 0.5)],
+            bounds=[(-1.0, 3.0), (-2.0, 4.0), (0.5, 2.0)],
+        )
+        tableau = SimplexTableau(lp)
+        assert tableau.status == "optimal"
+        out = tableau.add_rows([])
+        assert out.status == "optimal"
+        assert out.x.tolist() == [3.0, -2.0, 0.5]
+        assert out.value == 8.0
+        assert tableau.pivots == {"dual": 0, "degenerate": 0}
+        assert tableau.add_rows(lp.rows).value == pytest.approx(3.0, abs=1e-9)
 
     def test_infeasible_cold(self):
         lp = LinearProgram(
@@ -302,7 +320,7 @@ class TestSimplex:
         assert simplex_solve(lp).value == pytest.approx(2.0, abs=1e-9)
         lp.objective = -lp.objective  # now the start (0, 0) violates the row
         tableau = SimplexTableau(lp)
-        out = tableau.solve()
+        out = tableau.add_rows(lp.rows)
         assert out.value == pytest.approx(-0.5, abs=1e-9)
         assert tuple(np.round(out.x, 9)) == (0.5, 0.0)
         assert tableau.pivots["dual"] == 1
@@ -380,21 +398,22 @@ SEEDS = range(40)
 OPTIMAL_SEEDS = [s for s in SEEDS if simplex_solve(random_program(s)).status == "optimal"]
 
 
-def grow_by_cutting_rows(seed):
-    """Solve random_program(seed), then append 1-3 seeded rows, each cutting
-    off the optimum before it. Returns the tableau and (grown LP, outcome)
-    after each append, up to the first outcome that is not optimal."""
+def grow_by_cutting_rows(seed, batch=1):
+    """Solve random_program(seed), then append 1-3 seeded batches of `batch`
+    rows in one add_rows each, every row cutting off the optimum before its
+    batch. Returns the tableau and (grown LP, outcome) after each append, up
+    to the first outcome that is not optimal."""
     lp = random_program(seed)
     rng = random.Random(2000 + seed)
     tableau = SimplexTableau(lp)
-    out = tableau.solve()
+    out = tableau.add_rows(lp.rows)
     rows = list(lp.rows)
     steps = []
     for _ in range(rng.randint(1, 3)):
-        row = cutting_row(lp, out.x, rng)
-        assert not rows_satisfied(out.x, [row], tol=0.25)
-        rows.append(row)
-        out = tableau.add_row(row)
+        added = [cutting_row(lp, out.x, rng) for _ in range(batch)]
+        assert not any(rows_satisfied(out.x, [row], tol=0.25) for row in added)
+        rows.extend(added)
+        out = tableau.add_rows(added)
         steps.append((LinearProgram(lp.num_vars, lp.objective, list(rows), lp.bounds), out))
         if out.status != "optimal":
             break
@@ -416,9 +435,9 @@ class TestResidualAudit:
             bounds=[(0.0, 1.0), (0.0, 1.0)],
         )
         tableau = SimplexTableau(lp)
-        out = tableau.solve()
+        out = tableau.add_rows(lp.rows)
         if cut:
-            out = tableau.add_row(([(0, 1.0)], "<=", 0.25))
+            out = tableau.add_rows([([(0, 1.0)], "<=", 0.25)])
         assert out.status == "optimal"
         assert out.x.tolist() == [0.25 if cut else 0.5, 1.0]
         tableau.xB[tableau.basis.tolist().index(0)] = value
@@ -473,25 +492,39 @@ class TestSimplexAgainstReferenceSolver:
         statuses = {simplex_solve(random_program(seed)).status for seed in SEEDS}
         assert statuses == {"optimal", "infeasible"}
 
+    @pytest.mark.parametrize("batch", [1, 2, 3])
     @pytest.mark.parametrize("seed", OPTIMAL_SEEDS)
-    def test_appended_rows_match_a_cold_reference_solve(self, seed):
+    def test_appended_rows_match_a_cold_reference_solve(self, seed, batch):
         # the warm dual re-solve must agree with HiGHS on the grown LP after
-        # every append
-        tableau, steps = grow_by_cutting_rows(seed)
+        # every append of one row or of a batch
+        tableau, steps = grow_by_cutting_rows(seed, batch)
         for grown, out in steps:
             self.assert_matches_reference(grown, out)
         if out.status != "optimal":
             with pytest.raises(SolveError):
-                tableau.add_row(grown.rows[-1])
+                tableau.add_rows([grown.rows[-1]])
 
-    def test_appended_rows_cover_both_outcomes_and_the_dual(self):
-        runs = [grow_by_cutting_rows(seed) for seed in OPTIMAL_SEEDS]
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_appended_rows_cover_both_outcomes_and_the_dual(self, batch):
+        runs = [grow_by_cutting_rows(seed, batch) for seed in OPTIMAL_SEEDS]
         assert len(runs) >= 10
         assert {out.status for _, steps in runs for _, out in steps} == {
             "optimal",
             "infeasible",
         }
         assert sum(tableau.pivots["dual"] for tableau, _ in runs) > 0
+        # seeds whose first append has every row nonzero on a column basic
+        # at the cold optimum, so each row is written in that basis
+        touched = 0
+        for seed, (_, steps) in zip(OPTIMAL_SEEDS, runs):
+            lp = random_program(seed)
+            tableau = SimplexTableau(lp)
+            tableau.add_rows(lp.rows)
+            basic = set(tableau.basis.tolist())
+            added = steps[0][0].rows[len(lp.rows):]
+            assert len(added) == batch
+            touched += all(any(j in basic for j, _ in coeffs) for coeffs, _, _ in added)
+        assert touched >= 5
 
     def test_blands_rule_from_the_first_pivot(self, monkeypatch):
         # Bland's rule, forced from the first pivot, keeps every cold and warm
