@@ -135,11 +135,9 @@ def _per_domain(fn, *bundles):
 
 
 def _refines(fine, coarse) -> bool:
-    # every cell of the fine partition must sit inside one coarse cell
-    for cell in fine.cells:
-        if len({coarse.cell_of[e] for e in cell}) != 1:
-            return False
-    return True
+    # every cell of the fine partition must sit inside one coarse cell: no
+    # fine cell meets two, so each gives one (fine, coarse) label pair
+    return len(set(zip(fine.cell.tolist(), coarse.cell.tolist()))) == fine.num_cells
 
 
 def _write_output(args, text: str):

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Model, assignments, group_codes, moment_assignments
-from .symmetry import OrbitBundle, _domain_elements
+from .model import Model, assignments, group_codes, moment_rank
+from .symmetry import OrbitBundle
 
 
 class LiftError(ValueError):
@@ -33,40 +33,56 @@ class LiftError(ValueError):
 
 
 class MomentLayout:
-    """The ground moments of one model, in layout order.
+    """The ground moments of one model, in layout order, and the moment of
+    each scope subset of each feature.
 
-    mu_v at index v; mu_uv at num_vars plus the edge's position in sorted
-    skeleton order; then, feature by feature, each arity >= 3 feature's
-    factor moments (j, a) in table order of a, from factor_base[j] on.
+    mu_v at index v; mu_uv at num_vars plus the edge's position in
+    Model.edges; then each arity >= 3 feature j's factor moments (j, a), in
+    table order of a, from num_vars + len(edges) + Model.factor_base[j] on.
+    subset_moments[k] has a row per feature of arity k, in the order of
+    Model.scope_arrays, and a column per scope subset s (indexed like an
+    assignment, first scope position most significant): the ground moment
+    of s, or size for the empty subset, whose moment is the constant 1.
+    Built once per arity; theta and the lift's orbit tables read it.
     """
 
     def __init__(self, model: Model):
         self.model = model
         self.edges = model.edges
-        self.factor_moments = tuple(_domain_elements("factor-moments", model))
-        counts = np.array([len(moment_assignments(f.arity)) for f in model.features])
-        first = model.num_vars + len(self.edges)
-        self.factor_base = first + np.cumsum(counts) - counts
+        self.factor_moments = model.factor_moments
+        n = model.num_vars
+        first = n + len(self.edges)
         self.size = first + len(self.factor_moments)
+        self.subset_moments = {}
+        for k, (js, scopes) in model.scope_arrays.items():
+            at = np.empty((len(js), 2 ** k), dtype=np.int64)
+            for s, a in enumerate(assignments(k)):
+                ones = scopes[:, [p for p in range(k) if a[p]]]
+                if ones.shape[1] == 0:
+                    at[:, s] = self.size
+                elif ones.shape[1] == 1:
+                    at[:, s] = ones[:, 0]
+                elif ones.shape[1] == 2:
+                    at[:, s] = n + model.edge_at(ones[:, 0], ones[:, 1])
+                else:
+                    at[:, s] = first + model.factor_base[js] + moment_rank(k)[s]
+            self.subset_moments[k] = at
 
     def theta(self, scale=None):
         """Objective coefficient of every ground moment, and the constant.
 
-        Features are taken by arity, with their scopes from
-        Model.scope_arrays, and their tables turned into weighted Moebius
-        coefficients c, so that table[a] sums c[s] over the subsets s of
-        a's ones. Each scope subset's coefficient goes to its node,
-        edge or factor moment; the empty subset's to the constant, the
-        all-zeros score, held in one more slot. scale, an array over the
-        features, multiplies each feature's coefficients.
+        Features are taken by arity, and their tables turned into weighted
+        Moebius coefficients c, so that table[a] sums c[s] over the subsets
+        s of a's ones. Each scope subset's coefficient goes to its moment
+        in subset_moments; the empty subset's to the constant, the all-zeros
+        score, held in one more slot. scale, an array over the features,
+        multiplies each feature's coefficients.
         """
         model = self.model
-        n = model.num_vars
-        codes = np.array([u * n + v for u, v in self.edges], dtype=np.int64)
         theta = np.zeros(self.size + 1)
         # arities in the order of their first feature: a fixed order of the float sums
         by_first = sorted(model.scope_arrays.items(), key=lambda item: item[1][0][0])
-        for k, (js, scopes) in by_first:
+        for k, (js, _) in by_first:
             js = js.tolist()
             coef = np.array([model.features[j].table for j in js]).reshape((-1,) + (2,) * k)
             for axis in range(1, k + 1):
@@ -74,19 +90,8 @@ class MomentLayout:
             coef = coef.reshape(len(js), -1) * [[model.weight_of(j)] for j in js]
             if scale is not None:
                 coef *= scale[js][:, None]
-            top = {a: r for r, a in enumerate(moment_assignments(k))}
-            idx = np.empty(coef.shape, dtype=np.int64)
-            for s, a in enumerate(assignments(k)):
-                ones = scopes[:, [p for p in range(k) if a[p]]]
-                if ones.shape[1] == 0:
-                    idx[:, s] = self.size
-                elif ones.shape[1] == 1:
-                    idx[:, s] = ones[:, 0]
-                elif ones.shape[1] == 2:
-                    idx[:, s] = n + np.searchsorted(codes, ones[:, 0] * n + ones[:, 1])
-                else:
-                    idx[:, s] = self.factor_base[js] + top[a]
-            theta += np.bincount(idx.ravel(), coef.ravel(), minlength=self.size + 1)
+            at = self.subset_moments[k]
+            theta += np.bincount(at.ravel(), coef.ravel(), minlength=self.size + 1)
         return theta[:-1], float(theta[-1]) + 0.0  # -0.0 becomes 0.0
 
 
@@ -226,19 +231,12 @@ def build_lifted_model(model: Model, symmetries) -> LiftedModel:
     first_edge = vars_.num_cells
     first_factor = first_edge + edges.num_cells
     num_cells = first_factor + moments.num_cells
-    rho = np.fromiter(
-        [vars_.cell_of[v] for v in vars_.elements]
-        + [first_edge + edges.cell_of[e] for e in edges.elements]
-        + [first_factor + moments.cell_of[m] for m in moments.elements],
-        np.int64,
-        layout.size,
-    )
+    rho = np.concatenate([vars_.cell, first_edge + edges.cell, first_factor + moments.cell])
 
     # per-cell spread and sum of the ground coefficients, grouped by cell
     theta, constant = layout.theta()
-    order = np.argsort(rho, kind="stable")
+    order, starts = group_codes(rho)
     by_cell = theta[order]
-    starts = np.searchsorted(rho[order], np.arange(num_cells))
     spread = np.maximum.reduceat(by_cell, starts) - np.minimum.reduceat(by_cell, starts)
     bad = np.flatnonzero(spread > 1e-12)
     if bad.size:
@@ -252,31 +250,24 @@ def build_lifted_model(model: Model, symmetries) -> LiftedModel:
         )
     theta_bar = np.add.reduceat(by_cell, starts) + 0.0  # -0.0 becomes 0.0, as in sum()
 
-    def cells_of(scope, j=None):
-        out = []
-        for a in assignments(len(scope)):
-            ones = [v for v, bit in zip(scope, a) if bit]
-            if not ones:
-                out.append(-1)
-            elif len(ones) == 1:
-                out.append(vars_.cell_of[ones[0]])
-            elif len(ones) == 2:
-                out.append(first_edge + edges.cell_of[tuple(ones)])
-            else:
-                out.append(first_factor + moments.cell_of[(j, a)])
-        return tuple(out)
-
-    features = model.features
+    # a scope subset's cell is its moment's, and the constant's slot is -1
+    var_cell = vars_.cell.tolist()
+    cell_at = np.append(rho, -1)
+    tables = {k: cell_at[at].tolist() for k, at in layout.subset_moments.items() if k >= 3}
+    arity, row = (a.tolist() for a in model.scope_rows)
     return LiftedModel(
         model=model,
         bundle=bundle,
         index=CellIndex(layout=layout, rho=rho, num_cells=num_cells),
-        node_info=tuple(OrbitInfo(v, cells_of((v,))) for v in vars_.reps),
-        edge_info=tuple(OrbitInfo(e, cells_of(e)) for e in edges.reps),
+        node_info=tuple(OrbitInfo(v, (-1, k)) for k, v in enumerate(vars_.reps)),
+        edge_info=tuple(
+            OrbitInfo((u, v), (-1, var_cell[v], var_cell[u], first_edge + e))
+            for e, (u, v) in enumerate(edges.reps)
+        ),
         factor_info=tuple(
-            OrbitInfo(j, cells_of(features[j].scope, j))
+            OrbitInfo(j, tuple(tables[arity[j]][row[j]]))
             for j in bundle.features.reps
-            if features[j].arity >= 3
+            if arity[j] >= 3
         ),
         theta_bar=theta_bar,
         constant=constant,

@@ -51,7 +51,7 @@ from .model import (
     moment_assignments,
     row_codes,
 )
-from .symmetry import OrbitBundle, OrbitPartition, _domain_elements
+from .symmetry import OrbitBundle, OrbitPartition
 
 
 class MLNError(ValueError):
@@ -665,9 +665,7 @@ class RenamingSymmetries:
         # key is a function of the forward one's, so the smaller of the two
         # names the edge orbit. A direction's key numbers the constants of
         # both atoms together.
-        edges = model.edges
-        flat = itertools.chain.from_iterable(edges)
-        pairs = np.fromiter(flat, np.int64, 2 * len(edges)).reshape(-1, 2)
+        u, v = np.divmod(model.edge_codes, model.num_vars)
 
         def direction(a, b):
             return np.column_stack([
@@ -675,9 +673,8 @@ class RenamingSymmetries:
                 _renaming_tags(np.hstack([rows[a, 1:], rows[b, 1:]]), dist),
             ])
 
-        codes = row_codes(np.vstack([direction(pairs[:, 0], pairs[:, 1]),
-                                      direction(pairs[:, 1], pairs[:, 0])]))
-        edge_codes = np.minimum(codes[:len(pairs)], codes[len(pairs):])
+        codes = row_codes(np.vstack([direction(u, v), direction(v, u)]))
+        edge_codes = np.minimum(codes[:len(u)], codes[len(u):])
 
         # a factor moment's key: its feature's key and its assignment read in
         # the order of the scope atoms' keys, where a constant of the
@@ -685,12 +682,8 @@ class RenamingSymmetries:
         # equal keys differ by a renaming fixed on their substitution
         # constants, which maps scope atoms with equal keys onto each other.
         # An arity-3 feature has one factor moment, all ones, and needs no order.
-        moments = _domain_elements("factor-moments", model)
-        moment_rows = np.zeros((len(moments), 2), dtype=np.int64)
-        counts = np.zeros(model.num_features, dtype=np.int64)
-        for k, (js, _) in model.scope_arrays.items():
-            counts[js] = len(moment_assignments(k))
-        first = np.cumsum(counts) - counts  # each feature's first factor moment
+        moment_rows = np.zeros((len(model.factor_moments), 2), dtype=np.int64)
+        first = model.factor_base
         for k, (js, scopes) in model.scope_arrays.items():
             if k < 3:
                 continue
@@ -714,8 +707,9 @@ class RenamingSymmetries:
         return OrbitBundle(
             vars=OrbitPartition.from_labels(range(model.num_vars), _atom_keys(rows, dist).tolist()),
             features=OrbitPartition.from_labels(range(model.num_features), feature_codes.tolist()),
-            edges=OrbitPartition.from_labels(edges, edge_codes.tolist()),
-            factor_moments=OrbitPartition.from_labels(moments, row_codes(moment_rows).tolist()),
+            edges=OrbitPartition.from_labels(model.edges, edge_codes.tolist()),
+            factor_moments=OrbitPartition.from_labels(
+                model.factor_moments, row_codes(moment_rows).tolist()),
         )
 
     def stabilized_light(self, fixed_var: int) -> OrbitPartition:

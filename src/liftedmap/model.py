@@ -61,6 +61,17 @@ def moment_assignments(arity: int) -> tuple:
     return tuple(a for a in assignments(arity) if sum(a) >= 3)
 
 
+@functools.lru_cache(maxsize=None)
+def moment_rank(arity: int) -> np.ndarray:
+    """Each table index's rank among moment_assignments(arity), -1 for an
+    assignment with fewer than three ones."""
+    ranked = [table_index(a) for a in moment_assignments(arity)]
+    rank = np.full(2 ** arity, -1, dtype=np.int64)
+    rank[ranked] = np.arange(len(ranked))
+    rank.flags.writeable = False  # one cached array serves every caller
+    return rank
+
+
 @dataclass(frozen=True, slots=True)
 class Feature:
     """One table-valued feature: an ordered scope and 2^K table entries."""
@@ -219,20 +230,42 @@ class Model:
         )
 
     @functools.cached_property
-    def edges(self) -> tuple:
-        """The skeleton: each pair (u, v), u < v, of variables that share a
-        scope, once, sorted. One array pass per arity: the scope pairs as
-        codes u * n + v, deduplicated and sorted."""
+    def factor_base(self) -> np.ndarray:
+        """Each feature's first factor moment: its position in
+        factor_moments, from one cumsum of the features' moment counts."""
+        counts = np.zeros(self.num_features, dtype=np.int64)
+        for k, (js, _) in self.scope_arrays.items():
+            counts[js] = len(moment_assignments(k))
+        return np.cumsum(counts) - counts
+
+    @functools.cached_property
+    def edge_codes(self) -> np.ndarray:
+        """The skeleton as sorted codes u * n + v: each pair u < v of
+        variables that share a scope, once. One array pass per arity."""
         n = self.num_vars
-        ints = np.arange(n, dtype=object)  # the edge tuples share these
         codes = [np.zeros(0, dtype=np.int64)]
         for k, (_, scopes) in self.scope_arrays.items():
             pairs = itertools.combinations(range(k), 2)
             codes += [scopes[:, a] * n + scopes[:, b] for a, b in pairs]
         codes = np.concatenate(codes)
         order, starts = group_codes(codes)
-        codes = codes[order[starts]]
-        return tuple(zip(ints[codes // n].tolist(), ints[codes % n].tolist()))
+        return codes[order[starts]]
+
+    @functools.cached_property
+    def edges(self) -> tuple:
+        """The skeleton: the pairs (u, v) of edge_codes, in their order."""
+        ints = np.arange(self.num_vars, dtype=object)  # the edge tuples share these
+        u, v = np.divmod(self.edge_codes, self.num_vars)
+        return tuple(zip(ints[u].tolist(), ints[v].tolist()))
+
+    def edge_at(self, u, v) -> np.ndarray:
+        """The position in edges of each pair (u[i], v[i]), u[i] < v[i], of
+        two integer arrays, by binary search of edge_codes; -1 for a pair
+        that is no edge."""
+        codes = self.edge_codes
+        pair = u * self.num_vars + v
+        at = np.minimum(np.searchsorted(codes, pair), len(codes) - 1)
+        return np.where(codes[at] == pair, at, -1)
 
 
 def group_codes(codes):
@@ -297,23 +330,20 @@ def score(model: Model, x) -> float:
 
 
 class OvercompleteLayout:
-    """The size of one model's overcomplete coordinates and the place of
-    each edge's four: 2 per variable, then 4 per sorted edge, then 2^K per
-    arity >= 3 feature. The program works in moments; this class stays in
-    the package because the benchmark reads it (its checks read `size`,
-    its tracer wraps `__init__` and `separate_cycles_ground`). The whole
-    layout is in tests/overcomplete.py.
+    """The size of one model's overcomplete coordinates and the slice of
+    its edge block: 2 per variable, then 4 per edge in the order of edges,
+    at (0,0), (0,1), (1,0), (1,1), then 2^K per arity >= 3 feature. The
+    program works in moments; this class stays in the package because the
+    benchmark reads it (its checks read `size`, its tracer wraps `__init__`
+    and `separate_cycles_ground`). The whole layout is in
+    tests/overcomplete.py.
     """
 
     def __init__(self, model: Model):
         self.edges = model.edges
-        first = 2 * model.num_vars
-        self._edge_base = {e: first + 4 * i for i, e in enumerate(self.edges)}
+        self.edge_block = slice(2 * model.num_vars, 2 * model.num_vars + 4 * len(self.edges))
         wide = sum(2 ** f.arity for f in model.features if f.arity >= 3)
-        self.size = first + 4 * len(self.edges) + wide
-
-    def edge_index(self, u: int, v: int, a: int, b: int) -> int:
-        return self._edge_base[(u, v)] + 2 * a + b
+        self.size = self.edge_block.stop + wide
 
 
 # ---------------------------------------------------------------------------

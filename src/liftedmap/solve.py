@@ -533,11 +533,8 @@ def separate_cycles_ground(model, tau):
     which takes the same walks.
     """
     layout = OvercompleteLayout(model)
-    tau = np.asarray(tau, dtype=float)
-    values = ((0, 1), (1, 0), (0, 0), (1, 1))  # cut, then nocut assignments
-    index = [[layout.edge_index(u, v, a, b) for a, b in values] for (u, v) in layout.edges]
-    t = tau[np.array(index, dtype=np.int64).reshape(-1, 4)]
-    weights = mirror_weights(t[:, 0] + t[:, 1], t[:, 2] + t[:, 3])
+    t = np.asarray(tau, dtype=float)[layout.edge_block].reshape(-1, 4)  # 00, 01, 10, 11
+    weights = mirror_weights(t[:, 1] + t[:, 2], t[:, 0] + t[:, 3])
     nodes = sorted({w for edge in layout.edges for w in edge})
     graph = StabilizedGraph(
         sources=tuple((i, i) for i in nodes),
@@ -573,14 +570,14 @@ def build_stabilized_graphs(lifted: LiftedModel):
     partition: once in all under the trivial group.
     """
     edges = lifted.bundle.edges
-    ends = [(u, v, edges.cell_of[(u, v)]) for (u, v) in edges.elements]
-    groups = {}  # stabilized cells -> (cell_of, [(orbit, source)])
+    ends = [(u, v, e) for (u, v), e in zip(edges.elements, edges.cell.tolist())]
+    groups = {}  # stabilized cells -> (variable orbits, [(orbit, source)])
     for k, info in enumerate(lifted.node_info):
         part = lifted.symmetries.stabilized_light(info.rep)
-        cell = part.cell_of
-        groups.setdefault(part.cells, (cell, []))[1].append((k, cell[info.rep]))
+        groups.setdefault(part.cells, (part, []))[1].append((k, int(part.cell[info.rep])))
     graphs = []
-    for cell, sources in groups.values():
+    for part, sources in groups.values():
+        cell = part.cell.tolist()
         dedup = {}
         for u, v, e in ends:
             a, b = cell[u], cell[v]

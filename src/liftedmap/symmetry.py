@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import Model, ModelError, moment_assignments, table_index
+from .model import Model, ModelError, moment_assignments, moment_rank, table_index
 
 
 class _UnionFind:
@@ -115,14 +115,17 @@ class VerifyResult:
 class OrbitPartition:
     """Partition of one coordinate domain into orbit cells.
 
-    Cells are sorted by their minimum element; each cell lists its members in
-    increasing order, so cells[i][0] is the representative of cell i.
+    elements are the domain's elements, sorted. Cells are sorted by their
+    minimum element; each cell lists its members in increasing order, so
+    reps[i] = cells[i][0] is the representative of cell i. cell, an int64
+    array, is the label array of the partition: cell[p] is the cell of
+    elements[p]. It is left out of equality, which the other fields decide.
     """
 
     elements: tuple
     cells: tuple
-    cell_of: dict
     reps: tuple
+    cell: np.ndarray = field(compare=False)
 
     @classmethod
     def from_labels(cls, elements, labels) -> "OrbitPartition":
@@ -130,12 +133,13 @@ class OrbitPartition:
         order of their smallest member. The one constructor of every orbit
         partition."""
         elements = tuple(elements)
-        groups = {}
-        for e, label in zip(elements, labels):
-            groups.setdefault(label, []).append(e)
-        cells = tuple(map(tuple, groups.values()))
-        cell_of = {e: ci for ci, members in enumerate(cells) for e in members}
-        return cls(elements, cells, cell_of, tuple(members[0] for members in cells))
+        number = {}  # label -> its cell, in order of first occurrence
+        cell = [number.setdefault(label, len(number)) for label in labels]
+        members = [[] for _ in number]
+        for e, c in zip(elements, cell):
+            members[c].append(e)
+        cells = tuple(map(tuple, members))
+        return cls(elements, cells, tuple(m[0] for m in cells), np.array(cell, dtype=np.int64))
 
     @property
     def num_cells(self) -> int:
@@ -663,24 +667,21 @@ def verify_generator(model: Model, pair: PermutationPair, num_samples: int = 100
 
 
 def _domain_elements(domain, model):
-    if domain == "vars":
-        return list(range(model.num_vars))
-    if domain == "features":
-        return list(range(model.num_features))
-    if domain == "edges":
-        return list(model.edges)
-    if domain == "factor-moments":
-        return model.factor_moments
+    """The sorted elements of one orbit domain, in the model's numbering."""
+    if domain in ("vars", "features"):
+        return range(model.num_vars if domain == "vars" else model.num_features)
+    if domain in ("edges", "factor-moments"):
+        return model.edges if domain == "edges" else model.factor_moments
     raise ModelError("unknown orbit domain %r" % (domain,))
 
 
-def _orbit_images(domain, elements, pairs, model):
+def _orbit_images(domain, pairs, model):
     """Per pair, where it maps each of the sorted elements of one coordinate
     domain: an array of their indices, -1 outside the domain. A variable or
-    feature image outside the model is -1 from the start. Edges are codes
-    u * n + v, found by binary search; a factor moment's image is the image
+    feature image outside the model is -1 from the start. An edge's image
+    is found by Model.edge_at; a factor moment's image is the image
     feature's, its assignment read through the scope reordering that the
-    leaf check computes."""
+    leaf check computes, placed by Model.factor_base and moment_rank."""
     n, m = model.num_vars, model.num_features
 
     def inside(p, size):  # p with every entry outside range(size) set to -1
@@ -691,35 +692,23 @@ def _orbit_images(domain, elements, pairs, model):
     if domain in ("vars", "features"):
         return pis if domain == "vars" else gammas
     if domain == "edges":
-        ends = np.array(elements, dtype=np.int64).reshape(-1, 2).T
-        codes = ends[0] * n + ends[1]  # ascending, as the edges are
-        images = []
-        for pi in pis:
-            a, b = pi[ends]
-            img = np.minimum(a, b) * n + np.maximum(a, b)
-            at = np.minimum(np.searchsorted(codes, img), len(codes) - 1)
-            images.append(np.where(codes[at] == img, at, -1))
-        return images
-    arity = model.scope_rows[0]
-    per_arity = {}  # arity -> its moments' assignments, and each table index's rank among them
-    for k in model.scope_arrays:
-        if k >= 3:
-            assign = np.array(moment_assignments(k), dtype=np.int64)
-            rank = np.full(2 ** k, -1)
-            rank[assign @ (1 << np.arange(k - 1, -1, -1))] = np.arange(len(assign))
-            per_arity[k] = assign, rank
-    sizes = np.array([len(per_arity[k][0]) if k >= 3 else 0 for k in arity.tolist()], np.int64)
-    first = np.cumsum(sizes) - sizes  # each feature's first moment
+        u, v = np.divmod(model.edge_codes, n)
+        ends = [(pi[u], pi[v]) for pi in pis]
+        return [model.edge_at(np.minimum(a, b), np.maximum(a, b)) for a, b in ends]
+    first = model.factor_base
+    assigns = {
+        k: np.array(moment_assignments(k), dtype=np.int64) for k in model.scope_arrays if k >= 3
+    }
     images = []
     for pi, gamma in zip(pis, gammas):
-        at = np.full(len(elements), -1)
-        for k, (assign, rank) in per_arity.items():
+        at = np.full(len(model.factor_moments), -1)
+        for k, assign in assigns.items():
             js, scopes = model.scope_arrays[k]
             img, sigma, fits = _scope_reordering(model, pi, gamma, js, scopes)
             # the image assignment holds a's k-th bit at position sigma[k]
             codes = (1 << (k - 1 - sigma[fits])) @ assign.T
             rows = first[js[fits]][:, None] + np.arange(len(assign))
-            at[rows] = first[img[fits]][:, None] + rank[codes]
+            at[rows] = first[img[fits]][:, None] + moment_rank(k)[codes]
         images.append(at)
     return images
 
@@ -748,7 +737,7 @@ def orbits_of(gens, domain: str, model: Model) -> OrbitPartition:
     domain = domain.replace("_", "-")
     elements = _domain_elements(domain, model)
     pairs = gens.generators if isinstance(gens, GeneratorSet) else tuple(gens)
-    images = _orbit_images(domain, elements, pairs, model) if pairs else []
+    images = _orbit_images(domain, pairs, model) if pairs else []
     for at in images:
         outside = np.flatnonzero(at < 0)
         if len(outside):

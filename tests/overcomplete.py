@@ -73,8 +73,10 @@ class OvercompleteLayout(PackageLayout):
         self.factor_features = tuple(
             j for j, f in enumerate(model.features) if f.arity >= 3
         )
+        first = self.edge_block.start
+        self._edge_base = {e: first + 4 * i for i, e in enumerate(self.edges)}
         self._factor_base = {}
-        pos = 2 * model.num_vars + 4 * len(self.edges)
+        pos = self.edge_block.stop
         for j in self.factor_features:
             self._factor_base[j] = pos
             pos += 2 ** model.features[j].arity
@@ -92,6 +94,9 @@ class OvercompleteLayout(PackageLayout):
 
     def node_index(self, v: int, t: int) -> int:
         return 2 * v + t
+
+    def edge_index(self, u: int, v: int, a: int, b: int) -> int:
+        return self._edge_base[(u, v)] + 2 * a + b
 
     def factor_index(self, j: int, a) -> int:
         return self._factor_base[j] + table_index(a)
@@ -291,11 +296,16 @@ def arc_orbits(sym) -> OrbitPartition:
     return _generator_orbits(sym, elements, lambda a, g: (g.var_perm[a[0]], g.var_perm[a[1]]))
 
 
+def cell_by_element(partition) -> dict:
+    """Element -> cell of an orbit partition, read off its label array."""
+    return dict(zip(partition.elements, partition.cell.tolist()))
+
+
 def arc_min_edge_orbits(sym) -> OrbitPartition:
     """Edge orbits keyed as the renaming source keyed them while it built
     arc orbits: an edge by the smaller arc-orbit index of its two
     directions."""
-    arcs = arc_orbits(sym).cell_of
+    arcs = cell_by_element(arc_orbits(sym))
     return group_by_key(
         sym.model.edges, lambda e: min(arcs[e], arcs[e[::-1]])
     )
@@ -380,9 +390,9 @@ def overcomplete_lift(target) -> OvercompleteLift:
     lm = lifted(target)
     model, bundle = lm.model, lm.bundle
     layout = OvercompleteLayout(model)
-    vars_, edges = bundle.vars.cell_of, bundle.edges.cell_of
-    arcs = arc_orbits(lm.symmetries).cell_of
-    factor = factor_assignment_orbits(lm.symmetries).cell_of
+    vars_, edges = bundle.vars.cell.tolist(), cell_by_element(bundle.edges)
+    arcs = cell_by_element(arc_orbits(lm.symmetries))
+    factor = cell_by_element(factor_assignment_orbits(lm.symmetries))
     cell_of_label = {}
     rho = []
     for key in layout.keys:

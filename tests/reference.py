@@ -10,8 +10,10 @@ walk the separation runs on; the per-node graph check, the per-feature
 table check and the per-assignment Moebius row are the plain forms of the
 search's array leaf checks and of the lifted model's cached rows;
 act_element and element_orbits, one element and one generator at a time,
-are the plain form of the orbits' image arrays; and recursive_search is
-the search as it was before its refinement trace pruned children.
+are the plain form of the orbits' image arrays; lift_cells, one element
+at a time through dicts, is the plain form of the lift's label arrays;
+and recursive_search is the search as it was before its refinement trace
+pruned children.
 """
 
 import heapq
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from liftedmap.lift import OrbitInfo
 from liftedmap.model import Model, ModelError, table_index
 from liftedmap.oracle import LimitExceededError, OracleError, _config_matrix, exact_enumerate
 from liftedmap.symmetry import (
@@ -341,6 +344,54 @@ def model_automorphism(graph, perm) -> bool:
         if _permuted_table(f.table, sigma, f.arity) != f2.table:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the lift's cells, one element at a time
+
+
+def lift_cells(lifted):
+    """rho, node_info, edge_info and factor_info of a lifted model as
+    build_lifted_model read them before the partitions carried label
+    arrays: a dict from each element of a domain to its cell, built from
+    the partition's member tuples, and every scope subset of every orbit
+    representative looked up in it."""
+    model, bundle = lifted.model, lifted.bundle
+    vars_, edges, moments = (
+        {e: c for c, members in enumerate(p.cells) for e in members}
+        for p in (bundle.vars, bundle.edges, bundle.factor_moments)
+    )
+    first_edge = bundle.vars.num_cells
+    first_factor = first_edge + bundle.edges.num_cells
+    rho = [vars_[v] for v in bundle.vars.elements]
+    rho += [first_edge + edges[e] for e in bundle.edges.elements]
+    rho += [first_factor + moments[m] for m in bundle.factor_moments.elements]
+
+    def cells_of(scope, j=None):
+        out = []
+        for a in itertools.product((0, 1), repeat=len(scope)):
+            ones = [v for v, bit in zip(scope, a) if bit]
+            if not ones:
+                out.append(-1)
+            elif len(ones) == 1:
+                out.append(vars_[ones[0]])
+            elif len(ones) == 2:
+                out.append(first_edge + edges[tuple(ones)])
+            else:
+                out.append(first_factor + moments[(j, a)])
+        return tuple(out)
+
+    features = model.features
+    return (
+        rho,
+        tuple(OrbitInfo(v, cells_of((v,))) for v in bundle.vars.reps),
+        tuple(OrbitInfo(e, cells_of(e)) for e in bundle.edges.reps),
+        tuple(
+            OrbitInfo(j, cells_of(features[j].scope, j))
+            for j in bundle.features.reps
+            if features[j].arity >= 3
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

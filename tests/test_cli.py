@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from liftedmap import cli, mln, parse_model
+from liftedmap import cli, mln, parse_model, symmetry
 from liftedmap.cli import main
 
 
@@ -86,6 +86,15 @@ class TestOrbits:
         checks = payload["renaming_refines_search"]
         assert checks["all"] is True
         assert set(checks) == {"vars", "features", "edges", "factor_moments", "all"}
+
+    def test_refines_is_false_when_a_fine_cell_meets_two_coarse_cells(self):
+        fine = symmetry.OrbitPartition.from_labels(range(4), [0, 1, 1, 2])
+        assert cli._refines(fine, symmetry.OrbitPartition.from_labels(range(4), [0, 0, 0, 1]))
+        assert cli._refines(fine, fine)
+        # {1, 2} is one fine cell, split by the coarse {0, 1} and {2, 3}
+        assert not cli._refines(fine, symmetry.OrbitPartition.from_labels(range(4), [0, 0, 1, 1]))
+        # nor the other way round: {0, 1} meets {0} and {1, 2}
+        assert not cli._refines(symmetry.OrbitPartition.from_labels(range(4), [0, 0, 1, 1]), fine)
 
     def test_method_none_gives_singletons(self, capsys, models_dir):
         code, payload = run_json(

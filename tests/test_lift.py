@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fixtures
+from conftest import MODELS_DIR, circulant_7_1_3
 from liftedmap.lift import LiftError, build_lifted_model
 from liftedmap.mln import RenamingSymmetries, ground_mln, lift_mln, parse_evidence, parse_mln
 from liftedmap.model import score
@@ -16,6 +17,8 @@ from liftedmap.symmetry import (
 )
 
 from overcomplete import OvercompleteLayout, ground_moments
+from reference import lift_cells
+from test_mln import WIDE_EVIDENCE, WIDE_MLN
 
 
 def test_ex1_lifted_layout_frozen():
@@ -169,3 +172,44 @@ def test_cell_score_is_the_ground_score_of_orbit_uniform_configurations():
         for values in value_sets:
             x = np.array(values)[lm.var_cells].tolist()
             assert lm.score(values) == pytest.approx(score(m, x), abs=1e-9)
+
+
+def _cells(lm):
+    return lm.index.rho.tolist(), lm.node_info, lm.edge_info, lm.factor_info
+
+
+def _wide_model(d):
+    return ground_mln(parse_mln(WIDE_MLN), d, parse_evidence(WIDE_EVIDENCE))[0]
+
+
+@pytest.mark.parametrize("source", [GeneratorSymmetries, TrivialSymmetries], ids=["search", "none"])
+def test_label_array_cells_match_the_dict_walk_on_fixtures(source):
+    # rho and the orbit tables read off label arrays by indexing, against a
+    # dict from each element to its cell walked one scope subset at a time;
+    # the wide MLN's groundings carry features of arity 3, 4 and 5
+    models = [fixtures.ex1(), fixtures.triangle(), fixtures.cycle_model(6), fixtures.frucht(),
+              fixtures.fully_connected_symmetric(), fixtures.triple_parity(4, weight=-0.7),
+              fixtures.triple_parity(5), fixtures.unary_logistic(), circulant_7_1_3()]
+    models += [fixtures.random_tied_pairwise(seed) for seed in range(20)]
+    models += [_wide_model(d) for d in (2, 3)]
+    for m in models:
+        lm = build_lifted_model(m, source(m))
+        assert _cells(lm) == lift_cells(lm)
+
+
+def _shipped(name):
+    return (MODELS_DIR / name).read_text()
+
+
+@pytest.mark.parametrize("text,evidence,d", [
+    (_shipped("lovers_smokers.mln"), "", 3),
+    (_shipped("lovers_smokers.mln"), "", 6),
+    (_shipped("friends.mln"), "", 4),
+    (_shipped("q2.mln"), _shipped("q2.evidence"), 4),
+    (WIDE_MLN, WIDE_EVIDENCE, 4),
+], ids=["lovers_smokers_d3", "lovers_smokers_d6", "friends", "q2", "wide"])
+def test_label_array_cells_match_the_dict_walk_under_renaming(text, evidence, d):
+    mln, ev = parse_mln(text), parse_evidence(evidence)
+    m, gmap = ground_mln(mln, d, ev)
+    for lm in (build_lifted_model(m, RenamingSymmetries(m, gmap)), lift_mln(mln, d, ev)):
+        assert _cells(lm) == lift_cells(lm)

@@ -24,6 +24,7 @@ from liftedmap import (
 from liftedmap.mln import MLNError
 from liftedmap.oracle import exact_enumerate
 from overcomplete import assert_matches_the_overcomplete_reference
+from reference import lift_cells
 
 WEIGHTS = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 EVIDENCE_ATOMS = ("P(A)", "Q(A)", "R(A, A)")
@@ -98,6 +99,9 @@ def test_random_mln_lifted_bounds_match_ground_and_exact(example):
     }
     for t in targets.values():
         assert_matches_the_overcomplete_reference(t)
+    for name in ("renaming", "search", "lift_mln"):
+        lm = targets[name]
+        assert (lm.index.rho.tolist(), lm.node_info, lm.edge_info, lm.factor_info) == lift_cells(lm)
     for polytope in ("local", "cycle"):
         opts = MapOptions(polytope=polytope)
         results = {name: cutting_plane_map(t, opts) for name, t in targets.items()}

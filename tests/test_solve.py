@@ -14,6 +14,7 @@ from scipy.optimize import linprog
 from conftest import circulant_7_1_3
 from overcomplete import (
     OvercompleteLayout,
+    cell_by_element,
     lifted as trivial_or_lifted,
     lp_point,
     overcomplete_lift,
@@ -100,18 +101,18 @@ def stabilized_graphs_from_edge_orbits(lifted):
     at the orbit's smallest edge and deduplicated by (cell pair, full orbit).
     Node orbits with the same stabilized variable cells share a graph, and
     each of them must give that graph from its own edge orbits."""
-    full = lifted.bundle.edges.cell_of
+    full = cell_by_element(lifted.bundle.edges)
     groups = {}  # stabilized variable cells -> (edges, sources)
     for k, info in enumerate(lifted.node_info):
         vars_p, edges_p = stabilized_partitions(lifted.symmetries, info.rep)
         dedup = {}
         for members in edges_p.cells:
             u, v = members[0]
-            a, b = vars_p.cell_of[u], vars_p.cell_of[v]
+            a, b = vars_p.cell[[u, v]].tolist()
             dedup.setdefault((tuple(sorted((a, b))), full[(u, v)]), (full[(u, v)], a, b))
         edges, sources = groups.setdefault(vars_p.cells, (tuple(dedup.values()), []))
         assert tuple(dedup.values()) == edges
-        sources.append((k, vars_p.cell_of[info.rep]))
+        sources.append((k, int(vars_p.cell[info.rep])))
     return tuple(StabilizedGraph(sources=tuple(sources), edges=edges)
                  for edges, sources in groups.values())
 

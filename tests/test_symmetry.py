@@ -29,6 +29,7 @@ from liftedmap.symmetry import (
     ColoredFactorGraph,
     GeneratorSet,
     GeneratorSymmetries,
+    OrbitPartition,
     PermutationPair,
     TrivialSymmetries,
     _permuted_table,
@@ -772,6 +773,31 @@ def test_orbit_bundle_ex1_frozen_cells():
     assert sorted(len(c) for c in b.edges.cells) == [1, 4]
     assert sorted(len(c) for c in b.features.cells) == [1, 4]
     assert b.factor_moments.cells == ()  # pairwise model: no factor moments
+
+
+LABELS = st.one_of(st.integers(-3, 3), st.sampled_from(("a", "b")), st.tuples(st.integers(0, 2)))
+
+
+@given(st.lists(st.integers(-50, 50), unique=True).flatmap(
+    lambda es: st.tuples(st.just(sorted(es)), st.lists(LABELS, min_size=len(es), max_size=len(es)))))
+def test_from_labels_numbers_cells_by_their_smallest_member(example):
+    elements, labels = example
+    p = OrbitPartition.from_labels(elements, iter(labels))
+    assert p.elements == tuple(elements) and p.cell.dtype == np.int64
+    assert len(p.cell) == len(elements)
+    for i, e in enumerate(elements):
+        assert e in p.cells[p.cell[i]]
+        assert [p.cell[i] == p.cell[j] for j in range(len(elements))] == [
+            labels[i] == other for other in labels]
+    assert sorted(e for cell in p.cells for e in cell) == list(elements)
+    assert all(list(cell) == sorted(cell) for cell in p.cells)
+    assert [cell[0] for cell in p.cells] == sorted(cell[0] for cell in p.cells)
+    assert p.reps == tuple(cell[0] for cell in p.cells)
+    # equality and hashing read elements, cells and reps, never the label array
+    other = replace(p, cell=p.cell[::-1] + 1)
+    assert other == p and hash(other) == hash(p)
+    if p.num_cells > 1:
+        assert OrbitPartition.from_labels(elements, [0] * len(elements)) != p
 
 
 def test_orbit_cells_closed_under_generators():
