@@ -12,14 +12,16 @@ under every argument permutation).
 The search is individualization-refinement backtracking with orbit pruning
 on the first (base) leaf's path: the orbits of the automorphisms found so
 far prune sibling branches at its nodes, and subtrees off it are abandoned
-as soon as they produce one automorphism. A child off the base path is
-dropped as soon as its refinement trace departs from that of the base
-path's node at its depth, since no automorphism maps the one to the other.
-A leaf becomes a generator only when it passes the exact table check
-(`is_model_automorphism`), so orbits computed from the result are sound
-even though the graph encoding is coarser than the tables. The group order
-is the product, over the base path's nodes, of the size of the base
-child's orbit, read when the node's children are exhausted.
+as soon as they produce one automorphism. Orbits are kept as each graph
+node's smallest orbit-mate, and a child is skipped when its mate is smaller
+than itself: children come in increasing order, so the mate was tried. A
+child off the base path is dropped as soon as its refinement trace departs
+from that of the base path's node at its depth, since no automorphism maps
+the one to the other. A leaf becomes a generator only when it passes the
+exact table check (`is_model_automorphism`), so orbits computed from the
+result are sound even though the graph encoding is coarser than the tables.
+The group order is the product, over the base path's nodes, of the size of
+the base child's orbit, read when the node's children are exhausted.
 
 Each tree node holds one OrderedPartition: node to label, label to member
 set, a label being its cell's first position (McKay & Piperno, Practical
@@ -32,7 +34,7 @@ labels, and checks leaves on integer arrays.
 Orbits come from integer arrays too: each generator maps the sorted
 elements of a domain (variables, features, edges, factor moments) to their
 images' indices, and the orbits are the components of those maps, found
-by min-label propagation with pointer jumping.
+by min-label propagation with pointer jumping, as the search's are.
 """
 
 from __future__ import annotations
@@ -46,27 +48,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import Model, ModelError, moment_assignments, moment_rank, table_index
-
-
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # root at the smaller index so representatives are minima
-        if ra < rb:
-            self.parent[rb] = ra
-        else:
-            self.parent[ra] = rb
 
 
 @dataclass(frozen=True)
@@ -519,13 +500,16 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
     smallest label; and a leaf's permutation maps each node of the base
     leaf to the node with the same label here.
 
-    One union-find holds the orbits of the generators found so far, each
-    joined in once, and only base-path nodes prune their children by it.
-    Every generator in it when a base-path node reads it was found below
-    that node or a deeper one on the base path, so it fixes the node's path
-    (McKay & Piperno's first-path pruning). Once the node's children are
-    exhausted they generate its path's stabilizer, and its base child's
-    orbit is the node's factor of the group order.
+    One list holds each node's smallest orbit-mate under the generators
+    found so far (`_orbit_labels` after each), and only base-path nodes
+    prune by it. A generator in it when a base-path node reads it was found
+    below that node or deeper on the base path, so it fixes the node's path
+    (McKay & Piperno's first-path pruning) and keeps the target cell. As
+    children come in increasing order, a child shares an orbit with one
+    tried before it exactly when its smallest orbit-mate is smaller than
+    itself, and is skipped. Once they are exhausted they generate the
+    path's stabilizer, and the nodes labeled with the base child, the
+    target's smallest member, are the node's factor of the group order.
 
     A child off the base path is refined against the trace of the base
     path's node at its depth, and dropped when the refinement stops
@@ -542,7 +526,7 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
     root = refine_colors(graph)
 
     gens = []  # node permutations over the whole graph
-    orbits = _UnionFind(n_nodes)  # the orbits of gens
+    orbit = identity  # each node's smallest orbit-mate under gens
     order = 1  # the product of the base-path nodes' base child orbit sizes
     base_traces = [root.trace]  # the refinement trace of the base path's node per depth
     base_leaf = None  # the base leaf's label list
@@ -551,27 +535,24 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
 
     def children(part, on_base):
         # each child of an inner node, refined; a base-path node skips those
-        # in the orbit of an explored one and, once its children are
-        # exhausted, multiplies the order by its base child's orbit size
+        # with a smaller orbit-mate, tried before them, and once its children
+        # are exhausted multiplies the order by its base child's orbit size
         nonlocal order
         cells = part.cells
         sizes = list(map(len, cells.values()))
         largest = max(sizes)
         target = cells[min(itertools.compress(cells, map(largest.__eq__, sizes)))]
-        explored = []
         for v in sorted(target):
-            if on_base and any(orbits.find(v) == orbits.find(w) for w in explored):
+            if on_base and orbit[v] < v:
                 continue
-            explored.append(v)
             base = None if base_leaf is None else base_traces[part.depth + 1]
             yield refine_colors(graph, part, v, base)
         if on_base:
-            r = orbits.find(explored[0])
-            order *= sum(orbits.find(w) == r for w in target)
+            order *= orbit.count(min(target))
 
     def visit(part, on_base):
         # count a node and push it if inner; whether a leaf gave a generator
-        nonlocal base_leaf
+        nonlocal base_leaf, orbit
         counts["tree_nodes"] += 1
         if len(part.cells) < n_nodes:
             stack.append((on_base, children(part, on_base)))
@@ -585,9 +566,7 @@ def search_automorphisms(graph: ColoredFactorGraph) -> GeneratorSet:
         if perm == identity or not is_model_automorphism(graph, perm):
             return False
         gens.append(tuple(perm))
-        for u, w in enumerate(perm):
-            if u != w:
-                orbits.union(u, w)
+        orbit = _orbit_labels([np.array(orbit), np.array(perm)], n_nodes).tolist()
         return True
 
     visit(root, True)

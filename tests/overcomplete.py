@@ -47,7 +47,7 @@ from liftedmap.model import Model, assignments, table_index
 from liftedmap.model import OvercompleteLayout as PackageLayout
 from liftedmap.oracle import _all_scores, _config_matrix, exact_enumerate
 from liftedmap.solve import LinearProgram
-from liftedmap.symmetry import OrbitPartition, _UnionFind
+from liftedmap.symmetry import OrbitPartition
 
 from signatures import atom_names, constant_names, group_by_key, joint_signature, tags_of
 
@@ -273,6 +273,8 @@ def overcomplete_point(x, target) -> np.ndarray:
 def _generator_orbits(sym, elements, act) -> OrbitPartition:
     """Orbits of elements under a generator source's generators; act(e, g)
     is the image of e under generator g."""
+    from reference import _UnionFind  # reference imports this module
+
     index = {e: i for i, e in enumerate(elements)}
     uf = _UnionFind(len(elements))
     for g in sym.gens.generators:

@@ -13,7 +13,8 @@ act_element and element_orbits, one element and one generator at a time,
 are the plain form of the orbits' image arrays; lift_cells, one element
 at a time through dicts, is the plain form of the lift's label arrays;
 and recursive_search is the search as it was before its refinement trace
-pruned children.
+pruned children. _UnionFind is the references' own orbit computation,
+apart from the package's min-label propagation.
 """
 
 import heapq
@@ -31,13 +32,36 @@ from liftedmap.symmetry import (
     PermutationPair,
     _domain_elements,
     _permuted_table,
-    _UnionFind,
     is_model_automorphism,
     refine_colors,
 )
 
 from overcomplete import OvercompleteLayout
 from signatures import group_by_key
+
+
+class _UnionFind:
+    """Orbits joined one pair at a time, each rooted at its smallest
+    member."""
+
+    def __init__(self, size):
+        self.parent = list(range(size))
+
+    def find(self, a):
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        # root at the smaller index so representatives are minima
+        if ra < rb:
+            self.parent[rb] = ra
+        else:
+            self.parent[ra] = rb
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,8 +276,10 @@ def recursive_search(graph) -> GeneratorSet:
     its recursion became a stack: one call per tree node, every child
     refined to its end and compared with the base path by its sorted cell
     labels. Like the search, only a base-path node prunes its children by
-    orbits. Its generators come in the same order, and it counts every
-    child as a tree node."""
+    orbits, but it skips a child in the orbit of an explored sibling by a
+    union-find, where the search compares smallest orbit-mates. Its
+    generators come in the same order, and it counts every child as a
+    tree node."""
     n_nodes = graph.num_nodes
     identity = list(range(n_nodes))
     gens, base_path, base_invariants, base_leaf = [], [], [], [None]

@@ -396,42 +396,45 @@ def test_search_random_models_match_exhaustive(seed):
 
 # group order, generator count and a digest of the generators, in order, as
 # the search gave them before children were refined from their parents: the
-# search tree, and so every generator, must not move
+# search tree, and so every generator, must not move; then the search's
+# tree nodes, leaves, refinement rounds and trace-pruned children, which a
+# skip rule that pruned one child too many or too few would move even where
+# the generators stay
 SEARCH_PINS = {
-    "ex1": (4, 2, "41add03824978930"),
-    "triangle": (6, 2, "670b84868c97850e"),
-    "cycle6": (12, 2, "46154fcd292fdbc4"),
-    "frucht": (1, 0, "4f53cda18c2baa0c"),
-    "fully_connected5": (120, 4, "ab89686b146b886a"),
-    "triple_parity4": (24, 3, "932c1b977e035127"),
-    "unary_logistic": (1, 0, "4f53cda18c2baa0c"),
-    "graph_only": (8, 3, "ea7720b8da0d471c"),
-    "cycle50": (100, 2, "84cd6c8b8e9335f4"),
-    "circulant_7_1_3": (14, 2, "5537a7987acdc652"),
-    "cycle200": (400, 2, "e125b950a295b60e"),
-    "lovers_smokers3": (36, 4, "c085d9283af7da85"),
-    "lovers_smokers5": (14400, 8, "1d9b223540766576"),
-    "friends3": (288, 5, "2e75aa7bccfb51ca"),
-    "random_tied_pairwise0": (8, 2, "1de2206935918d14"),
-    "random_tied_pairwise1": (24, 3, "d46d6620eb2358a8"),
-    "random_tied_pairwise2": (6, 2, "8cfc4b7e443ef6b8"),
-    "random_tied_pairwise3": (48, 4, "86586bda0b00950d"),
-    "random_tied_pairwise4": (8, 2, "1de2206935918d14"),
-    "random_tied_pairwise5": (720, 5, "3dacd07d3e29612c"),
-    "random_tied_pairwise6": (120, 4, "22a0157f57911538"),
-    "random_tied_pairwise7": (144, 5, "00c19fcdb220edfc"),
-    "random_tied_pairwise8": (14, 2, "68e286bae9889ad6"),
-    "random_tied_pairwise9": (120, 4, "ab89686b146b886a"),
-    "random_tied_pairwise10": (720, 5, "ddda59be5dca3f60"),
-    "random_tied_pairwise11": (72, 4, "ec084562137cd320"),
-    "random_tied_pairwise12": (16, 2, "c4a38d39c1071758"),
-    "random_tied_pairwise13": (720, 5, "3dacd07d3e29612c"),
-    "random_tied_pairwise14": (5040, 6, "5a0d193cadc79c2e"),
-    "random_tied_pairwise15": (1152, 5, "2891a778ae02d712"),
-    "random_tied_pairwise16": (14, 2, "68e286bae9889ad6"),
-    "random_tied_pairwise17": (120, 4, "ab89686b146b886a"),
-    "random_tied_pairwise18": (720, 5, "ddda59be5dca3f60"),
-    "random_tied_pairwise19": (48, 4, "c2df1b674cc460e2"),
+    "ex1": (4, 2, "41add03824978930", 4, 3, 11, 0),
+    "triangle": (6, 2, "670b84868c97850e", 6, 3, 11, 0),
+    "cycle6": (12, 2, "46154fcd292fdbc4", 6, 3, 23, 0),
+    "frucht": (1, 0, "4f53cda18c2baa0c", 2, 1, 79, 17),
+    "fully_connected5": (120, 4, "ab89686b146b886a", 12, 5, 29, 0),
+    "triple_parity4": (24, 3, "932c1b977e035127", 10, 4, 19, 0),
+    "unary_logistic": (1, 0, "4f53cda18c2baa0c", 1, 1, 1, 0),
+    "graph_only": (8, 3, "ea7720b8da0d471c", 20, 10, 20, 0),
+    "cycle50": (100, 2, "84cd6c8b8e9335f4", 6, 3, 243, 0),
+    "circulant_7_1_3": (14, 2, "5537a7987acdc652", 6, 3, 42, 4),
+    "cycle200": (400, 2, "e125b950a295b60e", 6, 3, 993, 0),
+    "lovers_smokers3": (36, 4, "c085d9283af7da85", 13, 5, 23, 0),
+    "lovers_smokers5": (14400, 8, "1d9b223540766576", 40, 9, 92, 0),
+    "friends3": (288, 5, "2e75aa7bccfb51ca", 21, 6, 28, 0),
+    "random_tied_pairwise0": (8, 2, "1de2206935918d14", 6, 3, 13, 0),
+    "random_tied_pairwise1": (24, 3, "d46d6620eb2358a8", 7, 4, 19, 0),
+    "random_tied_pairwise2": (6, 2, "8cfc4b7e443ef6b8", 6, 3, 12, 0),
+    "random_tied_pairwise3": (48, 4, "86586bda0b00950d", 13, 5, 29, 0),
+    "random_tied_pairwise4": (8, 2, "1de2206935918d14", 6, 3, 13, 0),
+    "random_tied_pairwise5": (720, 5, "3dacd07d3e29612c", 18, 6, 41, 0),
+    "random_tied_pairwise6": (120, 4, "22a0157f57911538", 15, 5, 30, 0),
+    "random_tied_pairwise7": (144, 5, "00c19fcdb220edfc", 15, 6, 38, 0),
+    "random_tied_pairwise8": (14, 2, "68e286bae9889ad6", 6, 3, 31, 0),
+    "random_tied_pairwise9": (120, 4, "ab89686b146b886a", 12, 5, 29, 0),
+    "random_tied_pairwise10": (720, 5, "ddda59be5dca3f60", 21, 6, 42, 0),
+    "random_tied_pairwise11": (72, 4, "ec084562137cd320", 12, 5, 33, 0),
+    "random_tied_pairwise12": (16, 2, "c4a38d39c1071758", 6, 3, 33, 0),
+    "random_tied_pairwise13": (720, 5, "3dacd07d3e29612c", 18, 6, 41, 0),
+    "random_tied_pairwise14": (5040, 6, "5a0d193cadc79c2e", 28, 7, 56, 0),
+    "random_tied_pairwise15": (1152, 5, "2891a778ae02d712", 17, 6, 48, 0),
+    "random_tied_pairwise16": (14, 2, "68e286bae9889ad6", 6, 3, 31, 0),
+    "random_tied_pairwise17": (120, 4, "ab89686b146b886a", 12, 5, 29, 0),
+    "random_tied_pairwise18": (720, 5, "ddda59be5dca3f60", 21, 6, 42, 0),
+    "random_tied_pairwise19": (48, 4, "c2df1b674cc460e2", 13, 5, 29, 0),
 }
 
 
@@ -459,7 +462,8 @@ def test_search_generators_and_orders_are_pinned():
         gens = search_automorphisms(build_colored_factor_graph(m))
         text = repr([(g.var_perm, g.feature_perm) for g in gens.generators])
         digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-        found[name] = (gens.group_order, len(gens.generators), digest)
+        found[name] = (gens.group_order, len(gens.generators), digest,
+                       gens.tree_nodes, gens.leaves, gens.refine_rounds, gens.trace_pruned)
     assert found == SEARCH_PINS
 
 
