@@ -169,6 +169,15 @@ class LiftedModel:
             for info in self.edge_info + self.factor_info
         )
 
+    @functools.cached_property
+    def edge_moment_vars(self) -> np.ndarray:
+        """The local LP's variables of each edge orbit's moments: row 0
+        holds mu_v's, row 1 mu_u's and row 2 mu_uv's, one column per edge
+        orbit. Built once per lifted model, for every separation call."""
+        # OrbitInfo.cells of an edge: the constant, then the moments of v, u and uv
+        cells = np.array([info.cells[1:] for info in self.edge_info], dtype=np.int64)
+        return cells.reshape(-1, 3).T + 1
+
     def score(self, values) -> float:
         """Score of the configuration that gives node orbit k the value
         values[k]: constant + theta_bar . m, where m_c is the product of the

@@ -36,7 +36,11 @@ the full edge orbit carries the edge's weights. Node orbits with the same
 variable orbits share one mirror graph, so under the trivial group one
 graph is searched from every variable, as in separate_cycles_ground. Each
 mirror graph is built once per run, on integer nodes 2 * cell + copy; a
-separation call computes only the flat list of edge-orbit weights.
+separation call computes only the flat list of edge-orbit weights. The
+sources of one graph are searched in orbit order, each walk kept out of the
+mirror nodes of the sources searched before it: a walk through an earlier
+source t rotates into a walk of t's with the same total, which t has
+already beaten or tied (see _most_violated).
 
 The cutting-plane driver uses an in-out step over LP points: separation
 happens at sigma = ALPHA * x_out + (1 - ALPHA) * x_in, where x_in is a
@@ -54,7 +58,8 @@ dual simplex from that dual-feasible basis drives out every row the point
 violates, with no phase 1 and no feasible start. The cold LP is one
 add_rows of all its rows, and each cut of the cutting-plane driver is one
 more, appended to the last optimal tableau. A pivot updates only the rows
-where the pivot column is nonzero times the columns where the pivot row is.
+where the pivot column is nonzero times the columns where the pivot row is,
+through flat indices into the tableau, a slice of rows at a time.
 Every optimum is audited against the rows, cuts included, in one array pass
 over their flat (row, column, coefficient) entries.
 """
@@ -148,6 +153,7 @@ _RESIDUAL_TOL = 1e-6
 _BLAND_AFTER = 1000
 _PIVOT_CAP = 200000
 _RESYNC_EVERY = 500
+_BLOCK_ENTRIES = 1 << 14  # a pivot updates its block this many entries at a time
 
 
 class SimplexTableau:
@@ -166,13 +172,17 @@ class SimplexTableau:
     "infeasible" when no entering column can. The cold LP is
     add_rows(lp.rows), a cut add_rows([row]). A pivot updates only the block
     of rows where the pivot column is nonzero times the columns where the
-    pivot row is.
+    pivot row is, through one flat index array into T.reshape(-1) per slice
+    of about _BLOCK_ENTRIES entries: the same products and differences as a
+    two-dimensional block index, so the same bits, with index and product
+    arrays that stay in cache.
 
-    Deterministic: the dual leaves by the largest bound violation and enters
-    by the smallest ratio, ties to the largest pivot. After 1000 degenerate
-    pivots it switches to Bland's rule: it leaves by the smallest basis
-    index and breaks ratio ties by the smallest column index. After 200 000
-    pivots it raises NumericalInstabilityError. Within one solve the basic
+    Deterministic: the dual leaves by the first largest bound violation
+    (one argmax) and enters by the smallest ratio, ties to the largest
+    pivot. After 1000 degenerate pivots it switches to Bland's rule: it
+    leaves by the smallest basis index and breaks ratio ties by the
+    smallest column index. After 200 000 pivots it raises
+    NumericalInstabilityError. Within one solve the basic
     bounds, the nonbasic directions and the columns free to enter are kept
     across pivots and changed only where a pivot changes them.
 
@@ -251,14 +261,24 @@ class SimplexTableau:
         colv = T[:, j].copy()
         colv[r] = 0.0
         rows = colv.nonzero()[0]
-        cols = prow.nonzero()[0]
-        T[rows[:, None], cols] -= np.outer(colv[rows], prow[cols])
-        d[cols] -= d[j] * prow[cols]
+        cols = prow.nonzero()[0]  # never empty: prow[j] is 1
+        pcols = prow[cols]
+        # the rows x cols block through flat indices into T, in slices of
+        # rows whose index and product arrays stay small enough to cache
+        flat = T.reshape(-1)
+        step = max(1, _BLOCK_ENTRIES // cols.size)
+        for s in range(0, rows.size, step):
+            part = rows[s:s + step]
+            block = (part[:, None] * T.shape[1] + cols).ravel()
+            flat[block] -= np.outer(colv[part], pcols).ravel()
+        d[cols] -= d[j] * pcols
         self.basis[r] = j
         self.xB[r] = enter_val
 
     def _dual(self) -> str:
         """Bounded dual simplex from a dual-feasible basis."""
+        if not self.basis.size:
+            return "optimal"  # no rows, so none is violated
         d = self._reduced_costs()
         movable = self.lo < self.hi
         free = movable.copy()  # the columns that may enter
@@ -271,14 +291,13 @@ class SimplexTableau:
             below = loB - self.xB
             above = self.xB - hiB
             violation = np.maximum(below, above)
-            bad = (violation > _FEAS_TOL).nonzero()[0]
-            if bad.size == 0:
+            r = int(violation.argmax())  # the first largest violation
+            if violation[r] <= _FEAS_TOL:
                 return "optimal"
             bland = degenerate > _BLAND_AFTER
             if bland:
+                bad = (violation > _FEAS_TOL).nonzero()[0]
                 r = int(bad[np.argmin(self.basis[bad])])
-            else:
-                r = int(bad[np.argmax(violation[bad])])
             self.pivots["dual"] += 1
             to_lower = below[r] > 0.0
             # moving nonbasic j off its bound by t moves xB[r] by -slope[j]*t
@@ -459,7 +478,7 @@ def mirror_weights(cut, nocut) -> list:
     return np.maximum(np.column_stack((cut, nocut)), 0.0).ravel().tolist()
 
 
-def mirror_walk(adj, weights, source, bound=math.inf):
+def mirror_walk(adj, weights, source, bound=math.inf, dist=None):
     """Shortest walk from node 2 * source to its mirror image 2 * source + 1.
 
     adj is a StabilizedGraph.mirror and weights its mirror_weights. Returns
@@ -469,9 +488,12 @@ def mirror_walk(adj, weights, source, bound=math.inf):
     total <= bound as the unbounded search finds it: Dijkstra settles the
     nodes within the bound in the same order either way. Heap ties go to the
     smaller node, that is to the smaller (cell, copy).
+
+    dist, if given, is the search's own distance list to start from: inf at
+    every node but -inf at the nodes the walk must not enter.
     """
     start, goal = 2 * source, 2 * source + 1
-    dist = [math.inf] * len(adj)
+    dist = [math.inf] * len(adj) if dist is None else dist
     prev = [None] * len(adj)
     dist[start] = 0.0
     heap = [(0.0, start)]
@@ -506,13 +528,22 @@ def _most_violated(graphs, weights):
     Ties go to the smallest orbit. Each walk is bounded by the least total
     found so far and by 1 - CYCLE_TOL, so a walk that can neither win nor
     violate stops early.
+
+    The walk from a source never enters the two mirror nodes of a source
+    of the same graph searched before it. That skips no winner: a walk from
+    s through an earlier source t is a closed odd walk, which rotated to
+    start at t is a walk of t's with the same total. t's search, under a
+    bound no smaller than s's, found a walk no longer, and t's orbit is the
+    smaller, so the walk through t can only tie or lose at s.
     """
     best = None
     for g in graphs:
         adj = g.mirror
+        blocked = [math.inf] * len(adj)  # -inf at the sources searched so far
         for orbit, source in g.sources:
             bound = 1.0 - CYCLE_TOL if best is None else best[1]
-            steps, total = mirror_walk(adj, weights, source, bound)
+            steps, total = mirror_walk(adj, weights, source, bound, blocked.copy())
+            blocked[2 * source] = blocked[2 * source + 1] = -math.inf
             if steps is None:
                 continue
             if best is None or (total, orbit) < (best[1], best[2]):
@@ -596,10 +627,7 @@ def separate_cycles_lifted(lifted: LiftedModel, stabilized, x):
     mu_uv), and its nocut weight is 1 - cut. Ties go to the smallest node
     orbit (see _most_violated).
     """
-    x = np.asarray(x, dtype=float)
-    # OrbitInfo.cells of an edge: the constant, then the moments of v, u and uv
-    moments = np.array([info.cells[1:] for info in lifted.edge_info], dtype=np.int64)
-    mu_v, mu_u, mu_uv = x[moments.reshape(-1, 3) + 1].T
+    mu_v, mu_u, mu_uv = np.asarray(x, dtype=float)[lifted.edge_moment_vars]
     cut = (mu_v - mu_uv) + (mu_u - mu_uv)
     best = _most_violated(stabilized, mirror_weights(cut, 1.0 - cut))
     if best is None:

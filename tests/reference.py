@@ -6,9 +6,11 @@ permutations, the group a generator set generates, and direct enumeration
 of odd-set cycle constraints. They are deliberately independent of the
 search, lifting, and separation code they are used to validate. The
 tuple-keyed mirror graph and walk are the plain form of the integer-node
-walk the separation runs on; the per-node graph check, the per-feature
-table check and the per-assignment Moebius row are the plain forms of the
-search's array leaf checks and of the lifted model's cached rows;
+walk the separation runs on, and most_violated, which searches every
+source from scratch, of the separation loop that skips the sources
+searched before; the per-node graph check, the per-feature table check
+and the per-assignment Moebius row are the plain forms of the search's
+array leaf checks and of the lifted model's cached rows;
 act_element and element_orbits, one element and one generator at a time,
 are the plain form of the orbits' image arrays; lift_cells, one element
 at a time through dicts, is the plain form of the lift's label arrays;
@@ -551,3 +553,26 @@ def mirror_walk(adj, source, bound=np.inf):
         steps.append((key, crossed))
     steps.reverse()
     return tuple(steps), float(dist[goal])
+
+
+def most_violated(graphs, weights, tol):
+    """(steps, total, orbit) of the least mirror walk over every source of
+    graphs, or None when none is a violated cycle (total < 1 - tol).
+
+    graphs are StabilizedGraphs and weights their flat mirror-weight list:
+    slot 2e is edge orbit e's cut weight, slot 2e + 1 its nocut weight.
+    Every source's walk is searched from scratch on the tuple-keyed graph,
+    bounded by the least total found so far and by 1 - tol; ties go to the
+    smallest orbit.
+    """
+    best = None
+    for g in graphs:
+        adj = mirror_graph((e, a, b, weights[2 * e], weights[2 * e + 1]) for e, a, b in g.edges)
+        for orbit, source in g.sources:
+            bound = 1.0 - tol if best is None else best[1]
+            steps, total = mirror_walk(adj, source, bound)
+            if steps is not None and (best is None or (total, orbit) < (best[1], best[2])):
+                best = (steps, total, orbit)
+    if best is None or best[1] >= 1.0 - tol:
+        return None
+    return best

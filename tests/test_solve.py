@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import time
 
@@ -24,6 +25,7 @@ from overcomplete import (
 from reference import enumerate_cycle_constraints
 from reference import mirror_graph as reference_mirror_graph
 from reference import mirror_walk as reference_mirror_walk
+from reference import most_violated as reference_most_violated
 from signatures import atom_names, reference_edge_orbits, reference_stabilized_light
 from liftedmap import (
     GeneratorSymmetries,
@@ -52,9 +54,10 @@ from fixtures import (
     unary_logistic,
 )
 from liftedmap.lift import MomentLayout
-from liftedmap.model import score
+from liftedmap.model import parse_model, score
 from liftedmap.oracle import exact_enumerate
 from liftedmap.solve import (
+    CYCLE_TOL,
     CycleConstraint,
     LinearProgram,
     NumericalInstabilityError,
@@ -69,6 +72,7 @@ from liftedmap.solve import (
     separate_cycles_ground,
     separate_cycles_lifted,
     uniform_interior,
+    _most_violated,
 )
 
 
@@ -551,6 +555,12 @@ class TestSimplexAgainstReferenceSolver:
 
 
 TRI_EDGES = ((0, 1), (1, 2), (0, 2))
+DYADIC = (0.0, 0.25, 0.5, 1.0)  # sums of these tie often
+# edges (edge orbit, cell a, cell b) of up to 7 cells: parallel edges and
+# self-loops, which may share an edge orbit's weights
+MIRROR_MULTIGRAPH = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 6), st.integers(0, 6)), max_size=14
+)
 
 
 def tri(cut_w, nocut_w):
@@ -611,10 +621,7 @@ class TestMirrorShortestPath:
             assert bounded == (None, np.inf)
 
     @given(
-        st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 6), st.integers(0, 6)),
-            max_size=14,
-        ),
+        MIRROR_MULTIGRAPH,
         st.lists(
             st.tuples(st.sampled_from((-0.5, 0.0, 0.5, 1.0)), st.sampled_from((-1.0, 0.0, 0.5, 1.0))),
             min_size=4, max_size=4,
@@ -631,6 +638,28 @@ class TestMirrorShortestPath:
         cut, nocut = zip(*orbit_weights)
         got = mirror_walk(graph.mirror, mirror_weights(cut, nocut), source, bound)
         adj = reference_mirror_graph((e, a, b, cut[e], nocut[e]) for e, a, b in edges)
+        assert got == reference_mirror_walk(adj, source, bound)
+
+    @given(
+        MIRROR_MULTIGRAPH,
+        st.lists(st.tuples(st.sampled_from(DYADIC), st.sampled_from(DYADIC)), min_size=4, max_size=4),
+        st.integers(0, 7),
+        st.lists(st.integers(0, 7), max_size=4, unique=True),
+        st.sampled_from((np.inf, 0.0, 0.5, 1.0 - 1e-6, 1.0, 1.5)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_blocked_walk_is_the_reference_walk_without_the_blocked_cells(
+        self, edges, orbit_weights, source, blocked, bound
+    ):
+        # -inf in the starting dist list keeps the walk out of a cell's two
+        # mirror nodes, as if the cell and its edges were not there
+        blocked = set(blocked) - {source}
+        graph = StabilizedGraph(sources=((0, source),), edges=tuple(edges))
+        cut, nocut = zip(*orbit_weights)
+        dist = [-math.inf if node // 2 in blocked else math.inf for node in range(len(graph.mirror))]
+        got = mirror_walk(graph.mirror, mirror_weights(cut, nocut), source, bound, dist)
+        kept = [(e, a, b) for e, a, b in edges if a not in blocked and b not in blocked]
+        adj = reference_mirror_graph((e, a, b, cut[e], nocut[e]) for e, a, b in kept)
         assert got == reference_mirror_walk(adj, source, bound)
 
     def test_negative_weights_clamp_to_zero(self):
@@ -792,6 +821,79 @@ class TestLiftedSeparation:
                 "renaming": lambda m: RenamingSymmetries(m, gmap)}
         lifted = build_lifted_model(model, make[source](model))
         assert build_stabilized_graphs(lifted) == stabilized_graphs_from_edge_orbits(lifted)
+
+
+def shipped_lift(name, source, models_dir):
+    """A shipped model, or a fixture if name is not a file of models_dir,
+    lifted under source: "none" (the trivial group), "search" or, for an
+    MLN grounded at domain size 3, "renaming"."""
+    gmap = None
+    if name.endswith(".mln"):
+        evidence = models_dir / name.replace(".mln", ".evidence")
+        evidence = parse_evidence(evidence.read_text() if evidence.exists() else "")
+        model, gmap = ground_mln(parse_mln((models_dir / name).read_text()), 3, evidence)
+    elif name.endswith(".fgm"):
+        model = parse_model((models_dir / name).read_text())
+    else:
+        model = FIXTURES[name]()
+    make = {"search": GeneratorSymmetries, "none": TrivialSymmetries,
+            "renaming": lambda m: RenamingSymmetries(m, gmap)}
+    return build_lifted_model(model, make[source](model))
+
+
+SHIPPED = ("ex1.fgm", "frucht.fgm", "triangle.fgm", "triple_parity.fgm",
+           "friends.mln", "lovers_smokers.mln", "q2.mln")
+
+
+class TestSeparationSkipsEarlierSources:
+    """Each source's walk stays out of the sources of its graph searched
+    before it, and the most violated walk is the one of the loop that
+    searches every source from scratch, to the bit."""
+
+    @given(
+        st.lists(
+            st.tuples(MIRROR_MULTIGRAPH, st.lists(st.integers(0, 7), min_size=2, max_size=8, unique=True)),
+            min_size=1, max_size=2,
+        ),
+        st.lists(st.tuples(st.sampled_from(DYADIC), st.sampled_from(DYADIC)), min_size=4, max_size=4),
+        st.permutations(range(16)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_most_violated_is_the_reference_loop(self, graphs, orbit_weights, orbits):
+        # 2-8 sources share each graph, their orbits increasing in search
+        # order; a second graph's orbits interleave with the first's
+        orbits = iter(orbits)
+        built = []
+        for edges, cells in graphs:
+            ks = sorted(next(orbits) for _ in cells)
+            built.append(StabilizedGraph(sources=tuple(zip(ks, cells)), edges=tuple(edges)))
+        weights = mirror_weights(*zip(*orbit_weights))
+        assert _most_violated(built, weights) == reference_most_violated(built, weights, CYCLE_TOL)
+
+    @pytest.mark.parametrize(
+        "name,source",
+        [(name, source) for name in FIXTURES for source in ("search", "none")]
+        + [(name, source) for name in SHIPPED for source in ("search", "none")]
+        + [(name, "renaming") for name in SHIPPED if name.endswith(".mln")],
+    )
+    def test_separation_is_the_reference_loop_at_random_points(self, name, source, models_dir):
+        lifted = shipped_lift(name, source, models_dir)
+        graphs = build_stabilized_graphs(lifted)
+        rng = random.Random("%s:%s" % (name, source))
+        for trial in range(8):
+            # dyadic moments make tied walks common, uniform ones rare
+            draw = (lambda: rng.choice((0.0, 0.25, 0.5, 0.75, 1.0))) if trial % 2 else rng.random
+            x = np.array([1.0] + [draw() for _ in range(lifted.num_cells)])
+            cut = []
+            for info in lifted.edge_info:
+                _, v, u, uv = (c + 1 for c in info.cells)
+                cut.append((x[v] - x[uv]) + (x[u] - x[uv]))
+            cut = np.array(cut)
+            want = reference_most_violated(graphs, mirror_weights(cut, 1.0 - cut), CYCLE_TOL)
+            got = separate_cycles_lifted(lifted, graphs, x)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert (got.steps, got.lhs, got.source) == want
 
 
 # ---------------------------------------------------------------------------
