@@ -102,22 +102,6 @@ class CellIndex:
 
     layout: MomentLayout
     rho: np.ndarray
-    num_cells: int
-
-
-@dataclass(frozen=True)
-class OrbitInfo:
-    """A node, edge or arity >= 3 feature orbit's representative and the
-    cells of its scope's moments.
-
-    rep is a variable, an edge (u, v) or a feature index. cells[s] is the
-    cell of the moment of the scope subset s (indexed like an assignment,
-    first scope position most significant); the empty subset's moment is
-    the constant 1 and has cell -1.
-    """
-
-    rep: object
-    cells: tuple
 
 
 @dataclass(eq=False)
@@ -125,19 +109,22 @@ class LiftedModel:
     """A ground model with its moment cells, lifted parameters and symmetry source.
 
     theta_bar[c] is cell c's objective coefficient and constant the
-    objective's constant term. Node orbit k's cell is cell k. The ground
-    model it stands for has len(var_cells) variables, var_cells[v] being
-    variable v's node orbit and node_reps[k] node orbit k's smallest
-    variable, and num_features features: `model`'s own, or those at the
-    full domain size when mln.lift_mln grounded `model` at a smaller one.
+    objective's constant term. Node orbit k is cell k, its representative
+    bundle.vars.reps[k]. An orbit table holds the moment cell of each subset
+    of an orbit representative's scope, indexed like an assignment, and -1
+    for the empty subset: edge_tables has one per edge orbit, factor_tables
+    one per arity >= 3 feature orbit, in bundle.features.reps order. The
+    ground model it stands for has len(var_cells) variables, var_cells[v]
+    being variable v's node orbit and node_reps[k] node orbit k's smallest
+    variable, and num_features features: `model`'s own, or those at the full
+    domain size when mln.lift_mln grounded `model` at a smaller one.
     """
 
     model: Model
     bundle: OrbitBundle
     index: CellIndex
-    node_info: tuple
-    edge_info: tuple
-    factor_info: tuple
+    edge_tables: tuple
+    factor_tables: tuple
     theta_bar: np.ndarray
     constant: float
     symmetries: object
@@ -146,7 +133,7 @@ class LiftedModel:
 
     @property
     def num_cells(self) -> int:
-        return self.index.num_cells
+        return len(self.theta_bar)
 
     @property
     def num_vars(self) -> int:
@@ -160,13 +147,13 @@ class LiftedModel:
     @functools.cached_property
     def probability_rows(self) -> tuple:
         """P(a) of every assignment of each edge orbit, then of each factor
-        orbit (edge_info + factor_info order), over the local LP's
+        orbit (edge_tables + factor_tables order), over the local LP's
         variables: rows[k][i] is the sorted (variable, coefficient) list of
         orbit k's assignment with table index i. Built once per lifted
         model, for the LP's rows and every cut's."""
         return tuple(
-            tuple(_probability(info.cells, i) for i in range(len(info.cells)))
-            for info in self.edge_info + self.factor_info
+            tuple(_probability(cells, i) for i in range(len(cells)))
+            for cells in self.edge_tables + self.factor_tables
         )
 
     @functools.cached_property
@@ -174,9 +161,7 @@ class LiftedModel:
         """The local LP's variables of each edge orbit's moments: row 0
         holds mu_v's, row 1 mu_u's and row 2 mu_uv's, one column per edge
         orbit. Built once per lifted model, for every separation call."""
-        # OrbitInfo.cells of an edge: the constant, then the moments of v, u and uv
-        cells = np.array([info.cells[1:] for info in self.edge_info], dtype=np.int64)
-        return cells.reshape(-1, 3).T + 1
+        return np.array(self.edge_tables, dtype=np.int64).reshape(-1, 4)[:, 1:].T + 1
 
     def score(self, values) -> float:
         """Score of the configuration that gives node orbit k the value
@@ -184,8 +169,7 @@ class LiftedModel:
         values over the scope of cell c's moments. A scope subset's product
         is its last position's value times that of the smaller rest."""
         m = list(values) + [0] * (self.num_cells - len(values))
-        for info in self.edge_info + self.factor_info:
-            cells = info.cells
+        for cells in self.edge_tables + self.factor_tables:
             for s in range(3, len(cells)):
                 if s & (s - 1):
                     m[cells[s]] = m[cells[s & -s]] * m[cells[s & (s - 1)]]
@@ -195,10 +179,10 @@ class LiftedModel:
 def _probability(cells, i) -> list:
     """P(a) of the assignment a with table index i, over LP variables.
 
-    cells holds the moment cell of each subset of a scope (see OrbitInfo);
-    variable 0 is the constant and cell c is variable c + 1. P(a) sums
-    (-1)^|T - ones(a)| mu_T over the supersets T of ones(a), so an all-ones
-    assignment is a single moment and any other one takes at least two.
+    cells is an orbit table (see LiftedModel); variable 0 is the constant
+    and cell c is variable c + 1. P(a) sums (-1)^|T - ones(a)| mu_T over
+    the supersets T of ones(a), so an all-ones assignment is a single
+    moment and any other one takes at least two.
     """
     acc = {}
     for s, sign in _supersets(len(cells), i):
@@ -239,7 +223,6 @@ def build_lifted_model(model: Model, symmetries) -> LiftedModel:
     vars_, edges, moments = bundle.vars, bundle.edges, bundle.factor_moments
     first_edge = vars_.num_cells
     first_factor = first_edge + edges.num_cells
-    num_cells = first_factor + moments.num_cells
     rho = np.concatenate([vars_.cell, first_edge + edges.cell, first_factor + moments.cell])
 
     # per-cell spread and sum of the ground coefficients, grouped by cell
@@ -267,16 +250,12 @@ def build_lifted_model(model: Model, symmetries) -> LiftedModel:
     return LiftedModel(
         model=model,
         bundle=bundle,
-        index=CellIndex(layout=layout, rho=rho, num_cells=num_cells),
-        node_info=tuple(OrbitInfo(v, (-1, k)) for k, v in enumerate(vars_.reps)),
-        edge_info=tuple(
-            OrbitInfo((u, v), (-1, var_cell[v], var_cell[u], first_edge + e))
-            for e, (u, v) in enumerate(edges.reps)
+        index=CellIndex(layout=layout, rho=rho),
+        edge_tables=tuple(
+            (-1, var_cell[v], var_cell[u], first_edge + e) for e, (u, v) in enumerate(edges.reps)
         ),
-        factor_info=tuple(
-            OrbitInfo(j, tuple(tables[arity[j]][row[j]]))
-            for j in bundle.features.reps
-            if arity[j] >= 3
+        factor_tables=tuple(
+            tuple(tables[arity[j]][row[j]]) for j in bundle.features.reps if arity[j] >= 3
         ),
         theta_bar=theta_bar,
         constant=constant,

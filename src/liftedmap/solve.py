@@ -582,15 +582,15 @@ def separate_cycles_ground(model, tau):
 def build_stabilized_graphs(lifted: LiftedModel):
     """The stabilized lifted graphs of every node orbit, built once per model.
 
-    Each graph quotients the model by a subgroup H of the stabilizer of an
-    orbit's representative, found with no search: the renaming source pins
-    the representative's constants, the search source keeps the found
-    generators that fix it. The source's stabilized_light gives H's
-    variable orbits. Any H that fixes the representative gives the same
-    shortest mirror walk from it: each walk on the quotient lifts to a
-    ground walk of equal weight back to it, since H keeps it a singleton
-    and keeps the edge weights, and each ground walk projects to a quotient
-    walk of no larger weight.
+    Each graph quotients the model by a subgroup H of the stabilizer of node
+    orbit k's representative bundle.vars.reps[k], found with no search: the
+    renaming source pins the representative's constants, the search source
+    keeps the found generators that fix it. The source's stabilized_light
+    gives H's variable orbits. Any H that fixes the representative gives the
+    same shortest mirror walk from it: each walk on the quotient lifts to a
+    ground walk of equal weight back to it, since H keeps it a singleton and
+    keeps the edge weights, and each ground walk projects to a quotient walk
+    of no larger weight.
 
     A quotient edge may be keyed by its full edge orbit: its weights are
     read off the full orbit's cells, so all ground edges of one full orbit
@@ -603,9 +603,9 @@ def build_stabilized_graphs(lifted: LiftedModel):
     edges = lifted.bundle.edges
     ends = [(u, v, e) for (u, v), e in zip(edges.elements, edges.cell.tolist())]
     groups = {}  # stabilized cells -> (variable orbits, [(orbit, source)])
-    for k, info in enumerate(lifted.node_info):
-        part = lifted.symmetries.stabilized_light(info.rep)
-        groups.setdefault(part.cells, (part, []))[1].append((k, int(part.cell[info.rep])))
+    for k, rep in enumerate(lifted.bundle.vars.reps):
+        part = lifted.symmetries.stabilized_light(rep)
+        groups.setdefault(part.cells, (part, []))[1].append((k, int(part.cell[rep])))
     graphs = []
     for part, sources in groups.values():
         cell = part.cell.tolist()
@@ -659,13 +659,13 @@ def constraint_row(constraint: CycleConstraint, lifted: LiftedModel):
 def decode(x, lifted: LiftedModel, space: str):
     """Round node marginals at 1/2 (ties to 0) and report fractionality.
 
-    x is a point of the local LP: node orbit k's P(x = 1) is its moment,
-    x[node_info[k].cells[1] + 1]. The rounded configuration is uniform on
-    node orbits: it is scored on cells and expanded through var_cells.
-    space shapes the output: a lifted decode also reports the orbit
-    representatives, values and marginals.
+    x is a point of the local LP: node orbit k is cell k, so its P(x = 1)
+    is x[k + 1], and the node marginals are one slice of x. The rounded
+    configuration is uniform on node orbits: it is scored on cells and
+    expanded through var_cells. space shapes the output: a lifted decode
+    also reports the orbit representatives, values and marginals.
     """
-    marginals = [float(x[info.cells[1] + 1]) for info in lifted.node_info]
+    marginals = np.asarray(x, dtype=float)[1:1 + lifted.bundle.vars.num_cells].tolist()
     values = [1 if p1 > 0.5 else 0 for p1 in marginals]
     out = {
         "space": space,

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from liftedmap.lift import OrbitInfo
 from liftedmap.model import Model, ModelError, table_index
 from liftedmap.oracle import LimitExceededError, OracleError, _config_matrix, exact_enumerate
 from liftedmap.symmetry import (
@@ -379,11 +378,12 @@ def model_automorphism(graph, perm) -> bool:
 
 
 def lift_cells(lifted):
-    """rho, node_info, edge_info and factor_info of a lifted model as
-    build_lifted_model read them before the partitions carried label
-    arrays: a dict from each element of a domain to its cell, built from
-    the partition's member tuples, and every scope subset of every orbit
-    representative looked up in it."""
+    """rho, the node orbits' cells, and the edge and factor orbit tables of
+    a lifted model as build_lifted_model read them before the partitions
+    carried label arrays: a dict from each element of a domain to its cell,
+    built from the partition's member tuples, and every scope subset of
+    every orbit representative looked up in it. Node orbit k's table is
+    (-1, its cell), and the lift numbers it cell k."""
     model, bundle = lifted.model, lifted.bundle
     vars_, edges, moments = (
         {e: c for c, members in enumerate(p.cells) for e in members}
@@ -412,14 +412,18 @@ def lift_cells(lifted):
     features = model.features
     return (
         rho,
-        tuple(OrbitInfo(v, cells_of((v,))) for v in bundle.vars.reps),
-        tuple(OrbitInfo(e, cells_of(e)) for e in bundle.edges.reps),
-        tuple(
-            OrbitInfo(j, cells_of(features[j].scope, j))
-            for j in bundle.features.reps
-            if features[j].arity >= 3
-        ),
+        tuple(cells_of((v,)) for v in bundle.vars.reps),
+        tuple(cells_of(e) for e in bundle.edges.reps),
+        tuple(cells_of(features[j].scope, j) for j in bundle.features.reps
+              if features[j].arity >= 3),
     )
+
+
+def lifted_cells(lifted):
+    """The four parts of lift_cells as the lifted model holds them: node
+    orbit k is cell k, and its edge and factor tables."""
+    nodes = tuple((-1, k) for k in range(lifted.bundle.vars.num_cells))
+    return lifted.index.rho.tolist(), nodes, lifted.edge_tables, lifted.factor_tables
 
 
 # ---------------------------------------------------------------------------

@@ -345,7 +345,7 @@ def test_criterion_10_an_asymmetric_model_stays_ground_sized():
         assert sym.gens.group_order == 1
         assert sym.gens.generators == ()
         lifted = build_lifted_model(model, sym)
-        assert len(lifted.node_info) == 12
+        assert lifted.bundle.vars.num_cells == 12
         # one cell per moment: 12 variables and 18 edges
         assert lifted.num_cells == lifted.index.layout.size == 30
         g_result = cutting_plane_map(model)

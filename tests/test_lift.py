@@ -17,7 +17,7 @@ from liftedmap.symmetry import (
 )
 
 from overcomplete import OvercompleteLayout, ground_moments
-from reference import lift_cells
+from reference import lift_cells, lifted_cells
 from test_mln import WIDE_EVIDENCE, WIDE_MLN
 
 
@@ -30,8 +30,8 @@ def test_ex1_lifted_layout_frozen():
     assert OvercompleteLayout(m).size == 28
     # cells are numbered by their first ground moment in layout order
     assert lm.index.rho.tolist() == [0, 1, 1, 0, 2, 2, 3, 2, 2]
-    assert [info.cells for info in lm.node_info] == [(-1, 0), (-1, 1)]
-    assert [info.cells for info in lm.edge_info] == [(-1, 1, 0, 2), (-1, 1, 1, 3)]
+    assert lm.bundle.vars.reps == (0, 1)
+    assert lm.edge_tables == ((-1, 1, 0, 2), (-1, 1, 1, 3))
     assert lm.theta_bar.tolist() == [4.0, 0.0, -4.0, 1.0]
     assert lm.constant == 0.0
 
@@ -41,10 +41,10 @@ def test_triangle_lifted_layout():
     lm = build_lifted_model(m, GeneratorSymmetries(m))
     # one node orbit and one edge orbit
     assert lm.num_cells == 1 + 1
-    assert len(lm.node_info) == 1 and len(lm.edge_info) == 1
+    assert lm.bundle.vars.num_cells == 1 and len(lm.edge_tables) == 1
     assert len(lm.bundle.edges.cells[0]) == 3
     # both ends of the representative edge are in the one node orbit
-    assert lm.edge_info[0].cells == (-1, 0, 0, 1)
+    assert lm.edge_tables[0] == (-1, 0, 0, 1)
 
 
 def test_triple_parity_factor_cells():
@@ -54,7 +54,7 @@ def test_triple_parity_factor_cells():
     # has one factor moment, its all-ones assignment
     assert lm.num_cells == 3
     assert lm.bundle.factor_moments.elements == tuple((j, (1, 1, 1)) for j in range(4))
-    assert lm.factor_info[0].cells == (-1, 0, 0, 1, 0, 1, 1, 2)
+    assert lm.factor_tables[0] == (-1, 0, 0, 1, 0, 1, 1, 2)
     # parity's Moebius coefficients times 0.5 are 1/2 per variable, -1 per
     # pair and 2 per triple; each variable is in 3 triples, each pair in 2
     assert lm.theta_bar.tolist() == [4 * 1.5, 6 * -2.0, 4 * 2.0]
@@ -81,7 +81,7 @@ def test_search_on_frucht_equals_trivial_lift():
     m = fixtures.frucht()
     lm = build_lifted_model(m, GeneratorSymmetries(m))
     assert lm.num_cells == lm.index.layout.size == 12 + 18
-    assert len(lm.node_info) == 12
+    assert lm.bundle.vars.num_cells == 12
 
 
 def test_cells_are_numbered_by_their_first_moment():
@@ -164,7 +164,7 @@ def _fixture_lifts():
 def test_cell_score_is_the_ground_score_of_orbit_uniform_configurations():
     rng = np.random.default_rng(5)
     for m, lm in _fixture_lifts():
-        k = len(lm.node_info)
+        k = lm.bundle.vars.num_cells
         if k <= 8:
             value_sets = [[(i >> b) & 1 for b in range(k)] for i in range(2 ** k)]
         else:
@@ -172,10 +172,6 @@ def test_cell_score_is_the_ground_score_of_orbit_uniform_configurations():
         for values in value_sets:
             x = np.array(values)[lm.var_cells].tolist()
             assert lm.score(values) == pytest.approx(score(m, x), abs=1e-9)
-
-
-def _cells(lm):
-    return lm.index.rho.tolist(), lm.node_info, lm.edge_info, lm.factor_info
 
 
 def _wide_model(d):
@@ -194,7 +190,7 @@ def test_label_array_cells_match_the_dict_walk_on_fixtures(source):
     models += [_wide_model(d) for d in (2, 3)]
     for m in models:
         lm = build_lifted_model(m, source(m))
-        assert _cells(lm) == lift_cells(lm)
+        assert lifted_cells(lm) == lift_cells(lm)
 
 
 def _shipped(name):
@@ -212,4 +208,4 @@ def test_label_array_cells_match_the_dict_walk_under_renaming(text, evidence, d)
     mln, ev = parse_mln(text), parse_evidence(evidence)
     m, gmap = ground_mln(mln, d, ev)
     for lm in (build_lifted_model(m, RenamingSymmetries(m, gmap)), lift_mln(mln, d, ev)):
-        assert _cells(lm) == lift_cells(lm)
+        assert lifted_cells(lm) == lift_cells(lm)

@@ -203,9 +203,9 @@ def test_four_ary_ring_is_cut():
 def _reference_rows(lifted):
     """The LP rows and a cut row as built one assignment at a time."""
     rows = {}
-    for info in lifted.edge_info + lifted.factor_info:
-        for i in range(len(info.cells) - 1):
-            terms = probability(info.cells, i)
+    for cells in lifted.edge_tables + lifted.factor_tables:
+        for i in range(len(cells) - 1):
+            terms = probability(cells, i)
             rows.setdefault(tuple(terms), terms)
     return [(terms, ">=", 0.0) for terms in rows.values()]
 
@@ -214,7 +214,7 @@ def _reference_constraint_row(constraint, lifted):
     acc = {}
     for k, in_f in constraint.steps:
         for i in (0, 3) if in_f else (1, 2):
-            for j, c in probability(lifted.edge_info[k].cells, i):
+            for j, c in probability(lifted.edge_tables[k], i):
                 acc[j] = acc.get(j, 0.0) + c
     return (sorted(kv for kv in acc.items() if kv[1] != 0.0), ">=", 1.0)
 
@@ -231,17 +231,17 @@ def test_probability_rows_are_the_per_assignment_rows(name):
     rng = random.Random(name)
     for sym in (TrivialSymmetries(model), GeneratorSymmetries(model)):
         lifted = build_lifted_model(model, sym)
-        infos = lifted.edge_info + lifted.factor_info
+        tables = lifted.edge_tables + lifted.factor_tables
         assert lifted.probability_rows == tuple(
-            tuple(probability(info.cells, i) for i in range(len(info.cells))) for info in infos
+            tuple(probability(cells, i) for i in range(len(cells))) for cells in tables
         )
         assert build_local_lp(lifted).rows == _reference_rows(lifted)
         assert lifted.probability_rows is lifted.probability_rows  # built once
-        if not lifted.edge_info:
+        if not lifted.edge_tables:
             continue
         for _ in range(10):
             steps = tuple(
-                (rng.randrange(len(lifted.edge_info)), rng.random() < 0.5)
+                (rng.randrange(len(lifted.edge_tables)), rng.random() < 0.5)
                 for _ in range(rng.randint(1, 6))
             )
             cut = CycleConstraint(steps=steps, lhs=0.0, source=0)

@@ -107,8 +107,8 @@ def stabilized_graphs_from_edge_orbits(lifted):
     each of them must give that graph from its own edge orbits."""
     full = cell_by_element(lifted.bundle.edges)
     groups = {}  # stabilized variable cells -> (edges, sources)
-    for k, info in enumerate(lifted.node_info):
-        vars_p, edges_p = stabilized_partitions(lifted.symmetries, info.rep)
+    for k, rep in enumerate(lifted.bundle.vars.reps):
+        vars_p, edges_p = stabilized_partitions(lifted.symmetries, rep)
         dedup = {}
         for members in edges_p.cells:
             u, v = members[0]
@@ -116,7 +116,7 @@ def stabilized_graphs_from_edge_orbits(lifted):
             dedup.setdefault((tuple(sorted((a, b))), full[(u, v)]), (full[(u, v)], a, b))
         edges, sources = groups.setdefault(vars_p.cells, (tuple(dedup.values()), []))
         assert tuple(dedup.values()) == edges
-        sources.append((k, int(vars_p.cell[info.rep])))
+        sources.append((k, int(vars_p.cell[rep])))
     return tuple(StabilizedGraph(sources=tuple(sources), edges=edges)
                  for edges, sources in groups.values())
 
@@ -124,8 +124,9 @@ def stabilized_graphs_from_edge_orbits(lifted):
 def uniform_moments(lm):
     """The LP point of the uniform distribution: each moment 2^-|S|."""
     x = np.ones(lm.num_cells + 1)
-    for info in lm.node_info + lm.edge_info + lm.factor_info:
-        for s, cell in enumerate(info.cells):
+    node_tables = tuple((-1, k) for k in range(lm.bundle.vars.num_cells))
+    for cells in node_tables + lm.edge_tables + lm.factor_tables:
+        for s, cell in enumerate(cells):
             x[cell + 1] = 2.0 ** -bin(s).count("1")
     return x
 
@@ -885,8 +886,8 @@ class TestSeparationSkipsEarlierSources:
             draw = (lambda: rng.choice((0.0, 0.25, 0.5, 0.75, 1.0))) if trial % 2 else rng.random
             x = np.array([1.0] + [draw() for _ in range(lifted.num_cells)])
             cut = []
-            for info in lifted.edge_info:
-                _, v, u, uv = (c + 1 for c in info.cells)
+            for cells in lifted.edge_tables:
+                _, v, u, uv = (c + 1 for c in cells)
                 cut.append((x[v] - x[uv]) + (x[u] - x[uv]))
             cut = np.array(cut)
             want = reference_most_violated(graphs, mirror_weights(cut, 1.0 - cut), CYCLE_TOL)
@@ -971,7 +972,7 @@ class TestLocalRelaxation:
             lm = build_lifted_model(model, make[source](model))
             assert uniform_interior(lm).tobytes() == lp_point(ground, lm).tobytes()
             if name == "triple_parity":
-                assert lm.factor_info
+                assert lm.factor_tables
 
     @pytest.mark.parametrize(
         "name", ["ex1", "triangle", "triple_parity", "frucht", "lovers_smokers"]
