@@ -49,19 +49,17 @@ distribution's moments) and x_out is the current LP optimum. If sigma
 admits no cut it becomes the new x_in and separation retries at x_out; if
 that also finds nothing the loop has converged.
 
-The LP solver is one self-contained dense bounded dual simplex tableau
-(SimplexTableau); no external solver is involved. Every variable has a
-finite range. The tableau starts with no rows, each variable at the bound
-its objective coefficient points to, which is the row-free optimum. Rows
-have one way in, add_rows: each row enters with its slack basic, and the
-dual simplex from that dual-feasible basis drives out every row the point
-violates, with no phase 1 and no feasible start. The cold LP is one
-add_rows of all its rows, and each cut of the cutting-plane driver is one
-more, appended to the last optimal tableau. A pivot updates only the rows
-where the pivot column is nonzero times the columns where the pivot row is,
-through flat indices into the tableau, a slice of rows at a time.
-Every optimum is audited against the rows, cuts included, in one array pass
-over their flat (row, column, coefficient) entries.
+The LP solver is one self-contained bounded dual simplex tableau
+(SimplexTableau) with one column per nonbasic variable; no external solver
+is involved. Every variable has a finite range. The tableau starts with no
+rows, each variable at the bound its objective coefficient points to,
+which is the row-free optimum. Rows have one way in, add_rows: each row
+enters with its slack basic, and the dual simplex from that dual-feasible
+basis drives out every row the point violates, with no phase 1 and no
+feasible start. The cold LP is one add_rows of all its rows, and each cut
+of the cutting-plane driver is one more, appended to the last optimal
+tableau. Every optimum is audited against the rows, cuts included, in one
+array pass over their flat (row, column, coefficient) entries.
 """
 
 from __future__ import annotations
@@ -157,34 +155,36 @@ _BLOCK_ENTRIES = 1 << 14  # a pivot updates its block this many entries at a tim
 
 
 class SimplexTableau:
-    """Dense bounded-variable dual simplex tableau over one LP's columns.
+    """Bounded-variable dual simplex tableau over one LP's nonbasic columns.
 
-    Columns are the structural variables, then one slack per added row (+1
-    for <=, -1 for >=, bounds [0, inf)). T holds B^-1 A over those columns
-    and xB the value of each row's basic variable. The tableau starts with
-    no rows, each structural variable nonbasic at its upper bound if its
-    objective coefficient is positive, else at its lower bound: the optimum
-    of the row-free LP, so the status starts "optimal". Rows have one way
-    in, add_rows(). It appends a batch to an optimal tableau, each row
-    written in the current basis with its slack basic (negative where the
-    row cuts off the point), which keeps the basis dual feasible; the
+    The variables are the structural ones, then one slack per added row (+1
+    for <=, -1 for >=, bounds [0, inf)). T is rows x lp.num_vars: B^-1 N,
+    column k that of variable nonbasic[k]; xB[r] is the value of basic
+    variable basis[r], whose unit column is implied. The tableau starts
+    with no rows, each structural variable nonbasic at its upper bound if
+    its objective coefficient is positive, else at its lower bound: the
+    optimum of the row-free LP, so the status starts "optimal". Rows have
+    one way in, add_rows(). It appends a batch to an optimal tableau, each
+    row written in the current basis with its slack basic (negative where
+    the row cuts off the point), which keeps the basis dual feasible; the
     bounded dual simplex then drives out every violated row or reports
     "infeasible" when no entering column can. The cold LP is
-    add_rows(lp.rows), a cut add_rows([row]). A pivot updates only the block
-    of rows where the pivot column is nonzero times the columns where the
-    pivot row is, through one flat index array into T.reshape(-1) per slice
-    of about _BLOCK_ENTRIES entries: the same products and differences as a
-    two-dimensional block index, so the same bits, with index and product
-    arrays that stay in cache.
+    add_rows(lp.rows), a cut add_rows([row]). A pivot hands the entering
+    column to the leaving variable and updates the block of rows where that
+    column is nonzero times the columns where the pivot row is, through one
+    flat index array into T.reshape(-1) (a view of the C-ordered T) per
+    slice of about _BLOCK_ENTRIES entries: the same products and
+    differences as a two-dimensional block index, so the same bits, with
+    index and product arrays that stay in cache.
 
     Deterministic: the dual leaves by the first largest bound violation
     (one argmax) and enters by the smallest ratio, ties to the largest
-    pivot. After 1000 degenerate pivots it switches to Bland's rule: it
-    leaves by the smallest basis index and breaks ratio ties by the
-    smallest column index. After 200 000 pivots it raises
-    NumericalInstabilityError. Within one solve the basic
-    bounds, the nonbasic directions and the columns free to enter are kept
-    across pivots and changed only where a pivot changes them.
+    pivot, then to the smallest variable. After 1000 degenerate pivots it
+    switches to Bland's rule: it leaves by the smallest basic variable and
+    enters by the smallest tied variable. After 200 000 pivots it raises
+    NumericalInstabilityError. Within one solve the basic bounds, the
+    nonbasic directions and the columns free to enter are kept across
+    pivots and changed only where a pivot changes them.
 
     Every optimum is audited against every row and bound, added rows
     included, and raises NumericalInstabilityError if one is violated by
@@ -192,8 +192,7 @@ class SimplexTableau:
     nonzeros are kept as flat (row, column, coefficient) arrays, extended by
     add_rows, and every row's value is one gather and one bincount.
 
-    pivots counts the dual simplex iterations and the degenerate ones among
-    them.
+    pivots counts the dual simplex iterations and the degenerate ones.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -205,6 +204,7 @@ class SimplexTableau:
         self.T = np.zeros((0, n))
         self.xB = np.zeros(0)
         self.basis = np.zeros(0, dtype=np.int64)
+        self.nonbasic = np.arange(n)  # the variable of each column of T
         # the audit's (row, column, coefficient) triples, and each row's rhs and sign
         self.entry_row = self.entry_col = np.zeros(0, dtype=np.int64)
         self.entry_coef = self.rhs = self.sign = np.zeros(0)
@@ -217,24 +217,21 @@ class SimplexTableau:
         if self.status != "optimal":
             raise SolveError("rows can only be added to an optimal tableau")
         row, col, coef, rhs, sign = _flat_rows(rows, self.lp.num_vars)
-        (m, ncols), k = self.T.shape, rhs.size
-        T = np.zeros((m + k, ncols + k))
-        T[:m, :ncols] = self.T
-        A = T[m:, :ncols]
+        m, k = self.basis.size, rhs.size
+        A = np.zeros((k, self.cost.size))  # over every variable so far
         np.add.at(A, (row, col), coef)
         xB = (rhs - A @ self._point()) / sign  # each slack at the last optimum
-        # in the current basis a row is a - a_B B^-1 A: its coefficient on each
-        # basic column times that column's tableau row is subtracted, and a
-        # row with none (every row on the empty start basis) stays as it is
-        A_basic = A[:, self.basis]
-        for i in A_basic.any(axis=1).nonzero()[0]:
-            nz = A_basic[i].nonzero()[0]
-            A[i] -= A_basic[i, nz] @ self.T[nz]
-        A /= sign[:, None]  # by each slack's coefficient (+-1): its column becomes a unit one
-        np.fill_diagonal(T[m:, ncols:], 1.0)
-        self.T = T
+        # in the current basis a row is a_N - a_B B^-1 N, none of it on the empty
+        # start basis; take, unlike A[:, idx], keeps it C-ordered
+        A_N = A.take(self.nonbasic, axis=1)
+        A_B = A[:, self.basis]
+        for i in A_B.any(axis=1).nonzero()[0]:
+            nz = A_B[i].nonzero()[0]
+            A_N[i] -= A_B[i, nz] @ self.T[nz]
+        A_N /= sign[:, None]  # by each slack's coefficient (+-1), basic in its row
+        self.T = np.concatenate((self.T, A_N))
         self.xB = np.concatenate((self.xB, xB))
-        self.basis = np.concatenate((self.basis, ncols + np.arange(k)))
+        self.basis = np.concatenate((self.basis, self.cost.size + np.arange(k)))
         self.lo = np.concatenate((self.lo, np.zeros(k)))
         self.hi = np.concatenate((self.hi, np.full(k, np.inf)))
         self.cost = np.concatenate((self.cost, np.zeros(k)))
@@ -249,19 +246,22 @@ class SimplexTableau:
     # -- internals ---------------------------------------------------------
 
     def _reduced_costs(self) -> np.ndarray:
-        return self.cost - self.cost[self.basis] @ self.T
+        return self.cost[self.nonbasic] - self.cost[self.basis] @ self.T
 
     def _pivot(self, r: int, j: int, d: np.ndarray, enter_val: float):
         T = self.T
         piv = T[r, j]
         if abs(piv) <= _PIV_TOL:
             raise NumericalInstabilityError("pivot element below tolerance")
+        # column j takes the leaving variable's unit column; the update makes it B^-1's
+        colv = T[:, j].copy()
+        T[:, j] = colv[r] = 0.0
+        T[r, j] = 1.0
+        dj, d[j] = d[j], 0.0
         T[r] /= piv
         prow = T[r]
-        colv = T[:, j].copy()
-        colv[r] = 0.0
         rows = colv.nonzero()[0]
-        cols = prow.nonzero()[0]  # never empty: prow[j] is 1
+        cols = prow.nonzero()[0]  # never empty: prow[j] is 1 / piv
         pcols = prow[cols]
         # the rows x cols block through flat indices into T, in slices of
         # rows whose index and product arrays stay small enough to cache
@@ -271,8 +271,8 @@ class SimplexTableau:
             part = rows[s:s + step]
             block = (part[:, None] * T.shape[1] + cols).ravel()
             flat[block] -= np.outer(colv[part], pcols).ravel()
-        d[cols] -= d[j] * pcols
-        self.basis[r] = j
+        d[cols] -= dj * pcols
+        self.basis[r], self.nonbasic[j] = self.nonbasic[j], self.basis[r]
         self.xB[r] = enter_val
 
     def _dual(self) -> str:
@@ -281,11 +281,10 @@ class SimplexTableau:
             return "optimal"  # no rows, so none is violated
         d = self._reduced_costs()
         movable = self.lo < self.hi
-        free = movable.copy()  # the columns that may enter
-        free[self.basis] = False
+        free = movable[self.nonbasic]  # the columns that may enter
         loB, hiB = self.lo[self.basis], self.hi[self.basis]
-        # moving nonbasic j off its bound by t changes it by direction[j] * t
-        direction = np.where(self.at_upper, -1.0, 1.0)
+        # moving column j's variable off its bound by t changes it by direction[j] * t
+        direction = np.where(self.at_upper[self.nonbasic], -1.0, 1.0)
         degenerate = 0
         for it in range(1, _PIVOT_CAP + 1):
             below = loB - self.xB
@@ -300,7 +299,7 @@ class SimplexTableau:
                 r = int(bad[np.argmin(self.basis[bad])])
             self.pivots["dual"] += 1
             to_lower = below[r] > 0.0
-            # moving nonbasic j off its bound by t moves xB[r] by -slope[j]*t
+            # moving column j off its bound by t moves xB[r] by -slope[j]*t
             slope = self.T[r] * direction
             helps = (slope < -_PIV_TOL) if to_lower else (slope > _PIV_TOL)
             cand = (free & helps).nonzero()[0]
@@ -309,6 +308,7 @@ class SimplexTableau:
             ratios = np.abs(d[cand]) / np.abs(slope[cand])
             best = float(ratios.min())
             ties = cand[ratios <= best + 1e-12]
+            ties = ties[np.argsort(self.nonbasic[ties])]  # in variable order
             j = int(ties[0] if bland else ties[np.argmax(np.abs(slope[ties]))])
             if best < 1e-12:
                 degenerate += 1
@@ -316,13 +316,13 @@ class SimplexTableau:
             target = loB[r] if to_lower else hiB[r]
             t = (self.xB[r] - target) / slope[j]
             self.xB -= t * direction[j] * self.T[:, j]
-            leave = self.basis[r]
+            enter, leave = self.nonbasic[j], self.basis[r]
+            enter_val = (self.lo[enter] + t) if direction[j] > 0 else (self.hi[enter] - t)
             self.at_upper[leave] = not to_lower
-            direction[leave] = 1.0 if to_lower else -1.0
-            free[leave], free[j] = movable[leave], False
-            enter_val = (self.lo[j] + t) if direction[j] > 0 else (self.hi[j] - t)
+            direction[j] = 1.0 if to_lower else -1.0
+            free[j] = movable[leave]
             self._pivot(r, j, d, enter_val)
-            loB[r], hiB[r] = self.lo[j], self.hi[j]
+            loB[r], hiB[r] = self.lo[enter], self.hi[enter]
             if it % _RESYNC_EVERY == 0:
                 d = self._reduced_costs()
         raise NumericalInstabilityError("dual simplex did not converge within the pivot cap")

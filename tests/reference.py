@@ -16,7 +16,11 @@ are the plain form of the orbits' image arrays; lift_cells, one element
 at a time through dicts, is the plain form of the lift's label arrays;
 and recursive_search is the search as it was before its refinement trace
 pruned children. _UnionFind is the references' own orbit computation,
-apart from the package's min-label propagation.
+apart from the package's min-label propagation. DenseTableau is the dual
+simplex tableau as it was before it dropped its basic columns: it keeps
+one column per variable, slacks included, so each basic variable's unit
+column is stored. It reads _BLAND_AFTER from the solve module, so a test
+that patches the rule switch reaches both tableaux.
 """
 
 import heapq
@@ -25,8 +29,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from liftedmap import solve
 from liftedmap.model import Model, ModelError, table_index
 from liftedmap.oracle import LimitExceededError, OracleError, _config_matrix, exact_enumerate
+from liftedmap.solve import (
+    _BLOCK_ENTRIES,
+    _FEAS_TOL,
+    _PIV_TOL,
+    _PIVOT_CAP,
+    _RESIDUAL_TOL,
+    _RESYNC_EVERY,
+    LinearProgram,
+    NumericalInstabilityError,
+    SolveError,
+    SolveOutcome,
+    _flat_rows,
+)
 from liftedmap.symmetry import (
     GeneratorSet,
     OrbitPartition,
@@ -580,3 +598,202 @@ def most_violated(graphs, weights, tol):
     if best is None or best[1] >= 1.0 - tol:
         return None
     return best
+
+
+class DenseTableau:
+    """Dense bounded-variable dual simplex tableau over one LP's columns.
+
+    Columns are the structural variables, then one slack per added row (+1
+    for <=, -1 for >=, bounds [0, inf)). T holds B^-1 A over those columns
+    and xB the value of each row's basic variable. The tableau starts with
+    no rows, each structural variable nonbasic at its upper bound if its
+    objective coefficient is positive, else at its lower bound: the optimum
+    of the row-free LP, so the status starts "optimal". Rows have one way
+    in, add_rows(). It appends a batch to an optimal tableau, each row
+    written in the current basis with its slack basic (negative where the
+    row cuts off the point), which keeps the basis dual feasible; the
+    bounded dual simplex then drives out every violated row or reports
+    "infeasible" when no entering column can. The cold LP is
+    add_rows(lp.rows), a cut add_rows([row]). A pivot updates only the block
+    of rows where the pivot column is nonzero times the columns where the
+    pivot row is, through one flat index array into T.reshape(-1) per slice
+    of about _BLOCK_ENTRIES entries: the same products and differences as a
+    two-dimensional block index, so the same bits, with index and product
+    arrays that stay in cache.
+
+    Deterministic: the dual leaves by the first largest bound violation
+    (one argmax) and enters by the smallest ratio, ties to the largest
+    pivot. After 1000 degenerate pivots it switches to Bland's rule: it
+    leaves by the smallest basis index and breaks ratio ties by the
+    smallest column index. After 200 000 pivots it raises
+    NumericalInstabilityError. Within one solve the basic
+    bounds, the nonbasic directions and the columns free to enter are kept
+    across pivots and changed only where a pivot changes them.
+
+    Every optimum is audited against every row and bound, added rows
+    included, and raises NumericalInstabilityError if one is violated by
+    more than 1e-6. The audit holds no dense copy of the rows: their
+    nonzeros are kept as flat (row, column, coefficient) arrays, extended by
+    add_rows, and every row's value is one gather and one bincount.
+
+    pivots counts the dual simplex iterations and the degenerate ones among
+    them.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        n = lp.num_vars
+        self.lp = lp
+        self.lo, self.hi = np.array(lp.bounds, dtype=float).reshape(n, 2).T
+        self.cost = lp.objective.copy()
+        self.at_upper = self.cost > 0.0
+        self.T = np.zeros((0, n))
+        self.xB = np.zeros(0)
+        self.basis = np.zeros(0, dtype=np.int64)
+        # the audit's (row, column, coefficient) triples, and each row's rhs and sign
+        self.entry_row = self.entry_col = np.zeros(0, dtype=np.int64)
+        self.entry_coef = self.rhs = self.sign = np.zeros(0)
+        self.status = "optimal"  # every variable at its cost-directed bound
+        self.pivots = {"dual": 0, "degenerate": 0}
+
+    def add_rows(self, rows) -> SolveOutcome:
+        """Append (coeffs, sense, rhs) rows, each with its slack basic, and
+        re-solve from the last optimum."""
+        if self.status != "optimal":
+            raise SolveError("rows can only be added to an optimal tableau")
+        row, col, coef, rhs, sign = _flat_rows(rows, self.lp.num_vars)
+        (m, ncols), k = self.T.shape, rhs.size
+        T = np.zeros((m + k, ncols + k))
+        T[:m, :ncols] = self.T
+        A = T[m:, :ncols]
+        np.add.at(A, (row, col), coef)
+        xB = (rhs - A @ self._point()) / sign  # each slack at the last optimum
+        # in the current basis a row is a - a_B B^-1 A: its coefficient on each
+        # basic column times that column's tableau row is subtracted, and a
+        # row with none (every row on the empty start basis) stays as it is
+        A_basic = A[:, self.basis]
+        for i in A_basic.any(axis=1).nonzero()[0]:
+            nz = A_basic[i].nonzero()[0]
+            A[i] -= A_basic[i, nz] @ self.T[nz]
+        A /= sign[:, None]  # by each slack's coefficient (+-1): its column becomes a unit one
+        np.fill_diagonal(T[m:, ncols:], 1.0)
+        self.T = T
+        self.xB = np.concatenate((self.xB, xB))
+        self.basis = np.concatenate((self.basis, ncols + np.arange(k)))
+        self.lo = np.concatenate((self.lo, np.zeros(k)))
+        self.hi = np.concatenate((self.hi, np.full(k, np.inf)))
+        self.cost = np.concatenate((self.cost, np.zeros(k)))
+        self.at_upper = np.concatenate((self.at_upper, np.zeros(k, dtype=bool)))
+        self.entry_row = np.concatenate((self.entry_row, row + m))
+        self.entry_col = np.concatenate((self.entry_col, col))
+        self.entry_coef = np.concatenate((self.entry_coef, coef))
+        self.rhs = np.concatenate((self.rhs, rhs))
+        self.sign = np.concatenate((self.sign, sign))
+        return self._finish(self._dual())
+
+    # -- internals ---------------------------------------------------------
+
+    def _reduced_costs(self) -> np.ndarray:
+        return self.cost - self.cost[self.basis] @ self.T
+
+    def _pivot(self, r: int, j: int, d: np.ndarray, enter_val: float):
+        T = self.T
+        piv = T[r, j]
+        if abs(piv) <= _PIV_TOL:
+            raise NumericalInstabilityError("pivot element below tolerance")
+        T[r] /= piv
+        prow = T[r]
+        colv = T[:, j].copy()
+        colv[r] = 0.0
+        rows = colv.nonzero()[0]
+        cols = prow.nonzero()[0]  # never empty: prow[j] is 1
+        pcols = prow[cols]
+        # the rows x cols block through flat indices into T, in slices of
+        # rows whose index and product arrays stay small enough to cache
+        flat = T.reshape(-1)
+        step = max(1, _BLOCK_ENTRIES // cols.size)
+        for s in range(0, rows.size, step):
+            part = rows[s:s + step]
+            block = (part[:, None] * T.shape[1] + cols).ravel()
+            flat[block] -= np.outer(colv[part], pcols).ravel()
+        d[cols] -= d[j] * pcols
+        self.basis[r] = j
+        self.xB[r] = enter_val
+
+    def _dual(self) -> str:
+        """Bounded dual simplex from a dual-feasible basis."""
+        if not self.basis.size:
+            return "optimal"  # no rows, so none is violated
+        d = self._reduced_costs()
+        movable = self.lo < self.hi
+        free = movable.copy()  # the columns that may enter
+        free[self.basis] = False
+        loB, hiB = self.lo[self.basis], self.hi[self.basis]
+        # moving nonbasic j off its bound by t changes it by direction[j] * t
+        direction = np.where(self.at_upper, -1.0, 1.0)
+        degenerate = 0
+        for it in range(1, _PIVOT_CAP + 1):
+            below = loB - self.xB
+            above = self.xB - hiB
+            violation = np.maximum(below, above)
+            r = int(violation.argmax())  # the first largest violation
+            if violation[r] <= _FEAS_TOL:
+                return "optimal"
+            bland = degenerate > solve._BLAND_AFTER
+            if bland:
+                bad = (violation > _FEAS_TOL).nonzero()[0]
+                r = int(bad[np.argmin(self.basis[bad])])
+            self.pivots["dual"] += 1
+            to_lower = below[r] > 0.0
+            # moving nonbasic j off its bound by t moves xB[r] by -slope[j]*t
+            slope = self.T[r] * direction
+            helps = (slope < -_PIV_TOL) if to_lower else (slope > _PIV_TOL)
+            cand = (free & helps).nonzero()[0]
+            if cand.size == 0:
+                return "infeasible"
+            ratios = np.abs(d[cand]) / np.abs(slope[cand])
+            best = float(ratios.min())
+            ties = cand[ratios <= best + 1e-12]
+            j = int(ties[0] if bland else ties[np.argmax(np.abs(slope[ties]))])
+            if best < 1e-12:
+                degenerate += 1
+                self.pivots["degenerate"] += 1
+            target = loB[r] if to_lower else hiB[r]
+            t = (self.xB[r] - target) / slope[j]
+            self.xB -= t * direction[j] * self.T[:, j]
+            leave = self.basis[r]
+            self.at_upper[leave] = not to_lower
+            direction[leave] = 1.0 if to_lower else -1.0
+            free[leave], free[j] = movable[leave], False
+            enter_val = (self.lo[j] + t) if direction[j] > 0 else (self.hi[j] - t)
+            self._pivot(r, j, d, enter_val)
+            loB[r], hiB[r] = self.lo[j], self.hi[j]
+            if it % _RESYNC_EVERY == 0:
+                d = self._reduced_costs()
+        raise NumericalInstabilityError("dual simplex did not converge within the pivot cap")
+
+    def _point(self) -> np.ndarray:
+        x = np.where(self.at_upper, self.hi, self.lo)
+        x[self.basis] = self.xB
+        return x
+
+    def _finish(self, status: str) -> SolveOutcome:
+        self.status = status
+        if status != "optimal":
+            return SolveOutcome(status=status, x=None, value=None)
+        n = self.lp.num_vars
+        x_struct = self._point()[:n]
+        val = np.bincount(self.entry_row, self.entry_coef * x_struct[self.entry_col],
+                          minlength=self.rhs.size)
+        excess = (val - self.rhs) * self.sign  # > 0 where the row is violated
+        bad = (excess > _RESIDUAL_TOL).nonzero()[0]
+        if bad.size:
+            i = bad[0]
+            raise NumericalInstabilityError(
+                "solution violates a row by %r" % float(abs(val[i] - self.rhs[i]))
+            )
+        lo, hi = self.lo[:n], self.hi[:n]
+        if ((x_struct < lo - _RESIDUAL_TOL) | (x_struct > hi + _RESIDUAL_TOL)).any():
+            raise NumericalInstabilityError("solution violates a variable bound")
+        value = float(self.lp.objective @ x_struct)
+        return SolveOutcome(status="optimal", x=x_struct, value=value)
+

@@ -22,7 +22,7 @@ from overcomplete import (
     overcomplete_point,
     reference_local_lp,
 )
-from reference import enumerate_cycle_constraints
+from reference import DenseTableau, enumerate_cycle_constraints
 from reference import mirror_graph as reference_mirror_graph
 from reference import mirror_walk as reference_mirror_walk
 from reference import most_violated as reference_most_violated
@@ -549,6 +549,56 @@ class TestSimplexAgainstReferenceSolver:
         assert bland.cuts_added
         assert abs(bland.objective - default.objective) <= 1e-9
         assert bland.objective >= exact_enumerate(model).map_value - 1e-9
+
+
+def row_batches(seed, batch):
+    """random_program(seed) and the row batches grow_by_cutting_rows(seed,
+    batch) hands its tableau: the LP's rows, then each appended batch."""
+    lp = random_program(seed)
+    batches = [lp.rows]
+    for grown, _ in grow_by_cutting_rows(seed, batch)[1]:
+        batches.append(grown.rows[sum(map(len, batches)):])
+    return lp, batches
+
+
+class TestTableauAgainstTheDenseTableau:
+    """SimplexTableau keeps one column per nonbasic variable. The dense
+    tableau it replaced (reference.DenseTableau) also keeps a unit column
+    per basic variable; both take the same pivots to the same bits.
+
+    The random LPs' ratio ties almost never leave the entering variable to
+    the tie order, so the fixtures' local LPs, whose ties do, are replayed
+    too."""
+
+    @pytest.mark.parametrize("bland_after", [solve_module._BLAND_AFTER, -1])
+    def test_same_pivots_and_bits_after_every_add_rows(self, monkeypatch, bland_after):
+        monkeypatch.setattr(solve_module, "_BLAND_AFTER", bland_after)
+        programs = [random_program(seed) for seed in SEEDS]
+        programs += [build_local_lp(model) for model in (ex1(), triangle(), triple_parity(), cycle_model(6))]
+        programs = [(lp, [lp.rows]) for lp in programs]
+        programs += [row_batches(seed, batch) for batch in (1, 2, 3) for seed in OPTIMAL_SEEDS]
+        for lp, batches in programs:
+            ours, dense = SimplexTableau(lp), DenseTableau(lp)
+            for rows in batches:
+                out, ref = ours.add_rows(rows), dense.add_rows(rows)
+                assert out.status == ref.status
+                assert ours.pivots == dense.pivots
+                if out.status == "optimal":
+                    assert np.array_equal(out.x, ref.x) and out.value == ref.value
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_tableau_is_rows_by_variables_and_c_ordered(self, batch):
+        # a pivot updates T through T.reshape(-1), which is a view only of a
+        # C-ordered T: on any other it is a copy, and the update is lost
+        for seed in OPTIMAL_SEEDS:
+            lp, batches = row_batches(seed, batch)
+            tableau = SimplexTableau(lp)
+            added = 0
+            for rows in batches:
+                tableau.add_rows(rows)
+                added += len(rows)
+                assert tableau.T.shape == (added, lp.num_vars)
+                assert tableau.T.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
